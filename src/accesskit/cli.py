@@ -26,6 +26,16 @@ from .travel import COST_UNITS, build_travel_matrix, load_od_matrix
 DEFAULT_THREADS_ENV = "ACCESSKIT_THREADS"
 
 
+def _env_threads() -> int | None:
+    """The ACCESSKIT_THREADS thread count (at least 1), or None when the
+    variable is unset or not an integer."""
+    raw = os.environ.get(DEFAULT_THREADS_ENV)
+    try:
+        return max(1, int(raw)) if raw else None
+    except ValueError:
+        return None
+
+
 @dataclass
 class RunConfig:
     """Resolved run parameters; paths are absolute after loading."""
@@ -91,12 +101,7 @@ class RunConfig:
         if getattr(args, "threads", None) is not None:
             self.threads = int(args.threads)
         else:
-            env = os.environ.get(DEFAULT_THREADS_ENV)
-            if env:
-                try:
-                    self.threads = max(1, int(env))
-                except ValueError:
-                    pass
+            self.threads = _env_threads() or self.threads
 
     def validate(self) -> None:
         """Whitelist checks so typos fail as config errors, not tracebacks."""
@@ -373,14 +378,6 @@ def cmd_report(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
-def _default_threads() -> int:
-    raw = os.environ.get(DEFAULT_THREADS_ENV)
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def _add_stat_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--values", required=True, help="CSV with id, coordinates, and value columns")
     p.add_argument("--column", required=True, help="attribute column to test")
@@ -390,7 +387,7 @@ def _add_stat_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--perms", type=int, default=999, help="permutation count")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=_env_threads() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -117,6 +117,10 @@ class KTooLarge(SpatialStatsError):
     """k-nearest-neighbors requested with k outside [1, n-1]."""
 
 
+class NonFiniteValue(SpatialStatsError):
+    """An attribute value is NaN or infinite."""
+
+
 class ZeroVariance(SpatialStatsError):
     """The attribute is constant, so autocorrelation is undefined."""
 

@@ -26,7 +26,30 @@ from .decay import DecaySpec, evaluate_decay
 from .errors import DimensionMismatch, WrongDecayKind
 from .travel import TravelMatrix
 
-FCA_METHODS = ("two_sfca", "e2sfca", "g2sfca", "m2sfca")
+
+def _binary_at_d0(decay: DecaySpec) -> DecaySpec:
+    return DecaySpec.binary(decay.d0)
+
+
+def _zonal_only(decay: DecaySpec) -> DecaySpec:
+    if decay.kind != "zonal":
+        raise WrongDecayKind(f"e2sfca requires zonal decay, got {decay.kind!r}")
+    return decay
+
+
+def _as_given(decay: DecaySpec) -> DecaySpec:
+    return decay
+
+
+# The only place a method name turns into computation: the rule that picks
+# f from the configured decay, and how many times step 2 applies f.
+_METHODS = {
+    "two_sfca": (_binary_at_d0, 1),
+    "e2sfca": (_zonal_only, 1),
+    "g2sfca": (_as_given, 1),
+    "m2sfca": (_as_given, 2),
+}
+FCA_METHODS = tuple(_METHODS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,44 +69,61 @@ class AccessibilityResult:
             object.__setattr__(self, name, arr)
 
 
-def _check_dims(dataset: Dataset, matrix: TravelMatrix) -> None:
-    if matrix.cost.shape != (len(dataset.demand), len(dataset.supply)):
-        raise DimensionMismatch(
-            f"matrix is {matrix.cost.shape}, dataset is "
-            f"({len(dataset.demand)}, {len(dataset.supply)})"
-        )
+class Catchment:
+    """The part of one method's run on one dataset that capacity does not change.
 
-
-def decay_weights(matrix: TravelMatrix, decay: DecaySpec) -> np.ndarray:
-    """The demand x supply weight matrix W = f(cost)."""
-    return evaluate_decay(decay, matrix.cost)
-
-
-def supply_ratios_from_weights(dataset: Dataset, weights: np.ndarray):
-    """Step-1 ratios from a precomputed weight matrix.
-
-    Returns (ratios, zero_capture_ids). A facility whose decay-weighted
-    demand is zero sits outside everyone's catchment; it gets ratio 0 and
-    its id is reported rather than raising.
+    The decay is evaluated once. What is kept is the demand each facility
+    captures, sum_k D_k f(d_kj), and the step-2 assignment weights (f, or
+    f*f for m2sfca). ``solve`` maps any capacity vector, the dataset's own
+    ``capacity`` or a reallocated one, to ratios and scores, so the library
+    and the optimizer share one step 1 and one step 2.
     """
-    demand_pop = np.array([s.population for s in dataset.demand], dtype=float)
-    capacity = np.array([s.capacity for s in dataset.supply], dtype=float)
-    captured = demand_pop @ weights
-    ratios = np.zeros_like(capacity)
-    reached = captured > 0
-    ratios[reached] = capacity[reached] / captured[reached]
-    zero_capture = tuple(
-        dataset.supply[j].id for j in np.flatnonzero(~reached)
-    )
-    return ratios, zero_capture
+
+    def __init__(self, method: str, dataset: Dataset, matrix: TravelMatrix,
+                 decay: DecaySpec):
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {FCA_METHODS}")
+        rule, power = _METHODS[method]
+        self.decay = rule(decay)
+        shape = (len(dataset.demand), len(dataset.supply))
+        if matrix.cost.shape != shape:
+            raise DimensionMismatch(f"matrix is {matrix.cost.shape}, dataset is {shape}")
+        weights = evaluate_decay(self.decay, matrix.cost)
+        self.population = np.array([s.population for s in dataset.demand], dtype=float)
+        self.capacity = np.array([s.capacity for s in dataset.supply], dtype=float)
+        self.captured = self.population @ weights
+        # a facility no demand reaches gets ratio 0 instead of a division by 0
+        self.reached = self.captured > 0
+        self.assign = weights * weights if power == 2 else weights
+
+    def solve(self, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Step-1 ratios R_j and step-2 scores A_i for capacities S_j."""
+        ratios = np.zeros_like(capacity)
+        ratios[self.reached] = capacity[self.reached] / self.captured[self.reached]
+        return ratios, self.assign @ ratios
 
 
 def step1_supply_ratios(dataset: Dataset, matrix: TravelMatrix,
                         decay: DecaySpec) -> np.ndarray:
     """Per-facility supply-to-captured-demand ratios R_j."""
-    _check_dims(dataset, matrix)
-    ratios, _ = supply_ratios_from_weights(dataset, decay_weights(matrix, decay))
-    return ratios
+    catchment = Catchment("g2sfca", dataset, matrix, decay)
+    return catchment.solve(catchment.capacity)[0]
+
+
+def compute_accessibility(method: str, dataset: Dataset, matrix: TravelMatrix,
+                          decay: DecaySpec) -> AccessibilityResult:
+    """Run one method by name; two_sfca uses the decay's d0 as its cutoff.
+
+    A facility whose decay-weighted demand is zero sits outside everyone's
+    catchment; it gets ratio 0 and its id is reported as a warning.
+    """
+    catchment = Catchment(method, dataset, matrix, decay)
+    ratios, scores = catchment.solve(catchment.capacity)
+    zero_capture = tuple(dataset.supply[j].id for j in np.flatnonzero(~catchment.reached))
+    return AccessibilityResult(
+        method=method, decay=catchment.decay, scores=scores,
+        supply_ratios=ratios, warnings=zero_capture,
+    )
 
 
 def g2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> AccessibilityResult:
@@ -92,36 +132,19 @@ def g2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> Accessib
     A_i = sum_j f(d_ij) S_j / sum_k D_k f(d_kj). The binary, zonal, and
     continuous variants are all this computation with different f.
     """
-    _check_dims(dataset, matrix)
-    weights = decay_weights(matrix, decay)
-    ratios, zero_capture = supply_ratios_from_weights(dataset, weights)
-    scores = weights @ ratios
-    return AccessibilityResult(
-        method="g2sfca", decay=decay, scores=scores,
-        supply_ratios=ratios, warnings=zero_capture,
-    )
+    return compute_accessibility("g2sfca", dataset, matrix, decay)
 
 
 def two_sfca(dataset: Dataset, matrix: TravelMatrix, d0: float) -> AccessibilityResult:
     """Original all-or-nothing variant: weight 1 within d0, 0 beyond."""
-    result = g2sfca(dataset, matrix, DecaySpec.binary(d0))
-    return AccessibilityResult(
-        method="two_sfca", decay=result.decay, scores=result.scores,
-        supply_ratios=result.supply_ratios, warnings=result.warnings,
-    )
+    return compute_accessibility("two_sfca", dataset, matrix, DecaySpec.binary(d0))
 
 
 def e2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> AccessibilityResult:
     """Zoned variant: the catchment splits into travel-cost bands, each with
     its own weight (conventionally Gaussian-derived, see zonal_from_gaussian).
     """
-    if decay.kind != "zonal":
-        raise WrongDecayKind(f"e2sfca requires zonal decay, got {decay.kind!r}")
-    result = g2sfca(dataset, matrix, decay)
-    return AccessibilityResult(
-        method="e2sfca", decay=decay, scores=result.scores,
-        supply_ratios=result.supply_ratios, warnings=result.warnings,
-    )
+    return compute_accessibility("e2sfca", dataset, matrix, decay)
 
 
 def m2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> AccessibilityResult:
@@ -133,28 +156,7 @@ def m2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> Accessib
     supply unless every active weight is 1; the gap measures how far the
     facility layout is from an ideal configuration.
     """
-    _check_dims(dataset, matrix)
-    weights = decay_weights(matrix, decay)
-    ratios, zero_capture = supply_ratios_from_weights(dataset, weights)
-    scores = (weights * weights) @ ratios
-    return AccessibilityResult(
-        method="m2sfca", decay=decay, scores=scores,
-        supply_ratios=ratios, warnings=zero_capture,
-    )
-
-
-def compute_accessibility(method: str, dataset: Dataset, matrix: TravelMatrix,
-                          decay: DecaySpec) -> AccessibilityResult:
-    """Dispatch by method name; two_sfca uses the decay's d0 as its cutoff."""
-    if method == "two_sfca":
-        return two_sfca(dataset, matrix, decay.d0)
-    if method == "e2sfca":
-        return e2sfca(dataset, matrix, decay)
-    if method == "g2sfca":
-        return g2sfca(dataset, matrix, decay)
-    if method == "m2sfca":
-        return m2sfca(dataset, matrix, decay)
-    raise ValueError(f"unknown method {method!r}; expected one of {FCA_METHODS}")
+    return compute_accessibility("m2sfca", dataset, matrix, decay)
 
 
 def scores_csv_text(result: AccessibilityResult, dataset: Dataset,

@@ -15,14 +15,15 @@ Objectives:
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .data_model import Dataset, SupplySite
 from .decay import DecaySpec
 from .equity import gini
-from .errors import InfeasibleAllocation, InstanceTooLarge, WrongDecayKind
-from .fca import FCA_METHODS, decay_weights
+from .errors import InfeasibleAllocation, InstanceTooLarge
+from .fca import FCA_METHODS, Catchment
 from .travel import TravelMatrix
 
 OBJECTIVES = ("max_min_access", "min_weighted_gini", "min_variance")
@@ -68,6 +69,37 @@ class AllocationProblem:
         """True when objective value a strictly improves on b."""
         return a > b if self.maximize else a < b
 
+    @cached_property
+    def catchment(self) -> Catchment:
+        """Decay weights and captured demand depend only on travel costs and
+        demand, never on capacities, so every evaluation shares one."""
+        return Catchment(self.method, self.dataset, self.matrix, self.decay)
+
+    def _check(self, units) -> np.ndarray:
+        units = np.asarray(units, dtype=int)
+        if units.shape != (len(self.candidates),):
+            raise InfeasibleAllocation("allocation length must match candidates")
+        if (units < 0).any():
+            raise InfeasibleAllocation("unit counts must be nonnegative")
+        if units.sum() > self.budget:
+            raise InfeasibleAllocation("allocation exceeds the budget")
+        return units
+
+    def _value(self, units) -> float:
+        """Objective value with ``units`` added per candidate."""
+        catchment = self.catchment
+        capacity = catchment.capacity.copy()
+        for c, u in zip(self.candidates, units):
+            capacity[c] += u * self.unit_size
+        scores = catchment.solve(capacity)[1]
+        if self.objective == "max_min_access":
+            return float(scores.min())
+        if self.objective == "min_weighted_gini":
+            pop = catchment.population
+            mask = pop > 0
+            return float(gini(scores[mask], pop[mask]))
+        return float(np.var(scores))
+
 
 @dataclass(frozen=True)
 class ReallocationPlan:
@@ -86,73 +118,13 @@ class ReallocationPlan:
         return sum(self.units)
 
 
-class _Evaluator:
-    """Shared per-problem state so candidate evaluations stay cheap.
-
-    The decay weight matrix and step-1 denominators depend only on travel
-    costs and demand, never on capacities, so they are computed once. The
-    remaining per-allocation work mirrors the accessibility modules'
-    operations exactly, keeping objective values bit-identical with a full
-    recomputation.
-    """
-
-    def __init__(self, problem: AllocationProblem):
-        self.problem = problem
-        dataset, matrix = problem.dataset, problem.matrix
-        if matrix.cost.shape != (len(dataset.demand), len(dataset.supply)):
-            raise InfeasibleAllocation(
-                f"matrix is {matrix.cost.shape}, dataset is "
-                f"({len(dataset.demand)}, {len(dataset.supply)})"
-            )
-        decay = problem.decay
-        if problem.method == "two_sfca":
-            decay = DecaySpec.binary(problem.decay.d0)
-        elif problem.method == "e2sfca" and problem.decay.kind != "zonal":
-            raise WrongDecayKind("e2sfca requires zonal decay")
-        weights = decay_weights(matrix, decay)
-        self.demand_pop = np.array([s.population for s in dataset.demand], dtype=float)
-        self.base_capacity = np.array([s.capacity for s in dataset.supply], dtype=float)
-        self.captured = self.demand_pop @ weights
-        self.assign = weights * weights if problem.method == "m2sfca" else weights
-        self.gini_mask = self.demand_pop > 0
-
-    def check(self, units) -> np.ndarray:
-        units = np.asarray(units, dtype=int)
-        if units.shape != (len(self.problem.candidates),):
-            raise InfeasibleAllocation("allocation length must match candidates")
-        if (units < 0).any():
-            raise InfeasibleAllocation("unit counts must be nonnegative")
-        if units.sum() > self.problem.budget:
-            raise InfeasibleAllocation("allocation exceeds the budget")
-        return units
-
-    def scores(self, units) -> np.ndarray:
-        capacity = self.base_capacity.copy()
-        for c, u in zip(self.problem.candidates, units):
-            capacity[c] += u * self.problem.unit_size
-        reached = self.captured > 0
-        ratios = np.zeros_like(capacity)
-        ratios[reached] = capacity[reached] / self.captured[reached]
-        return self.assign @ ratios
-
-    def objective(self, units) -> float:
-        scores = self.scores(units)
-        obj = self.problem.objective
-        if obj == "max_min_access":
-            return float(scores.min())
-        if obj == "min_weighted_gini":
-            return float(gini(scores[self.gini_mask], self.demand_pop[self.gini_mask]))
-        return float(np.var(scores))
-
-
 def evaluate_objective(problem: AllocationProblem, allocation) -> float:
     """Objective value after adding ``allocation`` units per candidate.
 
     Accessibility is recomputed with each candidate's capacity raised by
     units * unit_size; the allocation may spend at most the budget.
     """
-    ev = _Evaluator(problem)
-    return ev.objective(ev.check(allocation))
+    return problem._value(problem._check(allocation))
 
 
 def greedy_allocate(problem: AllocationProblem) -> ReallocationPlan:
@@ -160,16 +132,15 @@ def greedy_allocate(problem: AllocationProblem) -> ReallocationPlan:
     single-unit addition yields the best objective; ties go to the smaller
     candidate index. Deterministic by construction.
     """
-    ev = _Evaluator(problem)
     n_cand = len(problem.candidates)
     units = np.zeros(n_cand, dtype=int)
-    before = ev.objective(units)
+    before = problem._value(units)
     trace = [before]
     for _ in range(problem.budget):
         best_c, best_val = None, None
         for c in range(n_cand):
             units[c] += 1
-            val = ev.objective(units)
+            val = problem._value(units)
             units[c] -= 1
             if best_val is None or problem.better(val, best_val):
                 best_c, best_val = c, val
@@ -192,10 +163,8 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
     optimum or after ``max_iters``. The result is never worse than the
     input plan.
     """
-    ev = _Evaluator(problem)
-    units = np.asarray(plan.units, dtype=int).copy()
-    ev.check(units)
-    current = ev.objective(units)
+    units = problem._check(plan.units).copy()
+    current = problem._value(units)
     trace = list(plan.trace) or [current]
     n_cand = len(problem.candidates)
     for _ in range(max_iters):
@@ -208,7 +177,7 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
                     continue
                 units[frm] -= 1
                 units[to] += 1
-                val = ev.objective(units)
+                val = problem._value(units)
                 units[frm] += 1
                 units[to] -= 1
                 if problem.better(val, best_val):
@@ -251,11 +220,10 @@ def brute_force_allocate(problem: AllocationProblem) -> ReallocationPlan:
         raise InstanceTooLarge(
             f"{n_allocations} allocations exceed the cap of {BRUTE_FORCE_CAP}"
         )
-    ev = _Evaluator(problem)
-    before = ev.objective(np.zeros(n_cand, dtype=int))
+    before = problem._value(np.zeros(n_cand, dtype=int))
     best_units, best_val = None, None
     for units in _compositions(problem.budget, n_cand):
-        val = ev.objective(np.asarray(units, dtype=int))
+        val = problem._value(np.asarray(units, dtype=int))
         if best_val is None or problem.better(val, best_val):
             best_units, best_val = units, val
     return ReallocationPlan(

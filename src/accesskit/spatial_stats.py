@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KTooLarge, NotRowStandardized, ZeroVariance
+from .errors import KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance
 from .travel import euclidean_matrix, haversine_matrix
 
 
@@ -149,6 +149,8 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] != weights.n:
         raise ValueError(f"values must be a length-{weights.n} vector")
+    if not np.isfinite(x).all():
+        raise NonFiniteValue("values must be finite; found NaN or infinity")
     if not weights.row_standardized:
         raise NotRowStandardized("statistics require row-standardized weights")
     if n_permutations < 1:

@@ -107,6 +107,17 @@ class TestMoranLisa:
                      "--knn", "4", "--out", str(tmp_path)]) == 2
         assert "MissingColumn" in capsys.readouterr().err
 
+    def test_nan_value_rejected(self, tmp_path, capsys):
+        vals = values_csv(tmp_path)
+        lines = vals.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3] + ["nan"])
+        vals.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "stats"
+        assert main(["moran", "--values", str(vals), "--column", "score",
+                     "--knn", "4", "--perms", "99", "--out", str(out)]) == 2
+        assert "spatial_stats.NonFiniteValue" in capsys.readouterr().err
+        assert not (out / "moran.json").exists()
+
     def test_env_threads_do_not_change_output(self, tmp_path, monkeypatch):
         vals = values_csv(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

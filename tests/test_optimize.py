@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from accesskit.decay import DecaySpec
-from accesskit.errors import InfeasibleAllocation, InstanceTooLarge
-from accesskit.fca import g2sfca
+from accesskit.equity import gini
+from accesskit.errors import DimensionMismatch, InfeasibleAllocation, InstanceTooLarge
+from accesskit.fca import FCA_METHODS, compute_accessibility, g2sfca
 from accesskit.optimize import (
+    OBJECTIVES,
     AllocationProblem,
     add_candidate_sites,
     brute_force_allocate,
@@ -51,13 +53,26 @@ def random_problem(rng, max_candidates=3, max_budget=3, max_demand=5,
 
 class TestEvaluateObjective:
     def test_empty_allocation_is_baseline(self):
+        # the optimizer and the library share one kernel: bit-identical
         rng = np.random.default_rng(81)
-        problem = random_problem(rng)
-        zero = [0] * len(problem.candidates)
-        baseline = evaluate_objective(problem, zero)
-        result = g2sfca(problem.dataset, problem.matrix, problem.decay)
-        if problem.objective == "max_min_access":
-            assert baseline == result.scores.min()
+        for method in FCA_METHODS:
+            kinds = ("zonal",) if method == "e2sfca" else ("binary", "gaussian", "zonal")
+            ds, matrix, decay = random_instance(rng, kinds=kinds)
+            scores = compute_accessibility(method, ds, matrix, decay).scores
+            pop = np.array([s.population for s in ds.demand])
+            expected = {
+                "max_min_access": float(scores.min()),
+                "min_weighted_gini": float(gini(scores[pop > 0], pop[pop > 0])),
+                "min_variance": float(np.var(scores)),
+            }
+            for objective in OBJECTIVES:
+                problem = AllocationProblem(
+                    dataset=ds, matrix=matrix, decay=decay, budget=1,
+                    candidates=tuple(range(len(ds.supply))), method=method,
+                    objective=objective,
+                )
+                zero = [0] * len(problem.candidates)
+                assert evaluate_objective(problem, zero) == expected[objective]
 
     def test_hand_example(self):
         problem = make_problem([100], [10], [[0.0]], budget=1, unit_size=10.0)
@@ -87,6 +102,18 @@ class TestEvaluateObjective:
         problem = make_problem([100], [10, 5], [[0.0, 1.0]], budget=1)
         with pytest.raises(InfeasibleAllocation):
             evaluate_objective(problem, [1, 0, 0])
+
+    def test_matrix_shape_mismatch_is_a_dimension_error(self):
+        ds, _ = dataset_with_matrix([100, 50], [10], [[0.0], [1.0]])
+        _, wrong = dataset_with_matrix([100], [10], [[0.0]])
+        problem = AllocationProblem(dataset=ds, matrix=wrong, decay=BINARY30,
+                                    budget=1, candidates=(0,))
+        with pytest.raises(DimensionMismatch):
+            evaluate_objective(problem, [0])
+        with pytest.raises(DimensionMismatch):
+            greedy_allocate(problem)
+        with pytest.raises(DimensionMismatch):
+            g2sfca(ds, wrong, BINARY30)
 
 
 class TestGreedy:
