@@ -292,11 +292,13 @@ def cmd_hrad(args) -> int:
 
 
 def _build_problem(cfg, dataset, matrix):
+    if isinstance(cfg.budget, bool) or not isinstance(cfg.budget, int):
+        raise ConfigError(f"budget must be an integer, got {cfg.budget!r}")
     if cfg.budget < 1:
         raise ConfigError("optimization requires budget >= 1")
     return optimize.AllocationProblem(
         dataset=dataset, matrix=matrix, decay=cfg.decay_spec(),
-        budget=int(cfg.budget), candidates=cfg.candidate_indices(dataset),
+        budget=cfg.budget, candidates=cfg.candidate_indices(dataset),
         method=cfg.method, unit_size=float(cfg.unit_size), objective=cfg.objective,
     )
 

@@ -129,6 +129,10 @@ class NotRowStandardized(SpatialStatsError):
     """The statistic requires row-standardized spatial weights."""
 
 
+class InvalidStatArgument(SpatialStatsError):
+    """A weights or statistic argument is malformed or out of range."""
+
+
 # --- equity -------------------------------------------------------------
 
 class EquityError(AccessKitError):

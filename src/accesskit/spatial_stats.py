@@ -3,57 +3,52 @@
 Significance is permutation-based: analytic normality is a poor fit at the
 small unit counts these analyses run on, while permutation inference is
 exact under a fixed seed. Every random draw comes from a stream derived
-from (seed, index), so results are identical regardless of thread count.
+from (seed, index), so a run is reproducible from its seed alone.
 
 Both statistics require row-standardized weights. That convention pins the
 global statistic to I = z'Wz / z'z and makes the decomposition
 sum_i I_i = n * I exact.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance
+from .errors import (
+    InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance,
+)
 from .travel import euclidean_matrix, haversine_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class SpatialWeights:
-    """Neighbor structure: per unit, parallel tuples of indices and weights.
+    """Neighbor structure in compressed sparse row (CSR) form.
 
-    ``isolated`` lists units left without neighbors (possible under a
-    distance band); their rows are empty and their spatial lag is zero.
+    Row i's neighbors are ``indices[indptr[i]:indptr[i+1]]`` with weights
+    ``data[indptr[i]:indptr[i+1]]``. ``isolated`` lists units left without
+    neighbors (possible under a distance band); their rows are empty and
+    their spatial lag is zero.
     """
 
     n: int
-    neighbor_indices: tuple[tuple[int, ...], ...]
-    neighbor_weights: tuple[tuple[float, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     row_standardized: bool = False
     isolated: tuple[int, ...] = ()
 
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def lag(self, v) -> np.ndarray:
+        """Spatial lag sum_j w_ij v_j of every unit (0 for an empty row)."""
+        return np.bincount(self._rows(), weights=self.data * np.asarray(v)[self.indices],
+                           minlength=self.n)
+
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
-        for i, (idx, wts) in enumerate(zip(self.neighbor_indices, self.neighbor_weights)):
-            dense[i, list(idx)] = wts
+        dense[self._rows(), self.indices] = self.data
         return dense
-
-    def standardized(self) -> "SpatialWeights":
-        """Copy with each nonempty row scaled to sum to 1."""
-        if self.row_standardized:
-            return self
-        new_weights = []
-        for wts in self.neighbor_weights:
-            total = sum(wts)
-            new_weights.append(tuple(w / total for w in wts) if total > 0 else ())
-        return SpatialWeights(
-            n=self.n,
-            neighbor_indices=self.neighbor_indices,
-            neighbor_weights=tuple(new_weights),
-            row_standardized=True,
-            isolated=self.isolated,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,57 +101,53 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
     """
     pts = np.asarray(locations, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("locations must be an (n, 2) array")
+        raise InvalidStatArgument("locations must be an (n, 2) array")
     n = pts.shape[0]
     if n < 2:
-        raise ValueError("need at least 2 locations")
+        raise InvalidStatArgument("need at least 2 locations")
     if (k is None) == (band is None):
-        raise ValueError("give exactly one of k or band")
+        raise InvalidStatArgument("give exactly one of k or band")
 
     dist_fn = haversine_matrix if coord_kind == "geographic" else euclidean_matrix
     dist = dist_fn(pts, pts)
     np.fill_diagonal(dist, np.inf)
 
-    indices: list[tuple[int, ...]] = []
-    isolated: list[int] = []
     if k is not None:
         if not 1 <= k < n:
             raise KTooLarge(f"knn needs 1 <= k < n, got k={k} with n={n}")
-        for i in range(n):
-            order = np.argsort(dist[i], kind="stable")
-            indices.append(tuple(int(j) for j in order[:k]))
+        # nearest first; a stable sort breaks distance ties toward the smaller index
+        cols = np.empty((n, k), dtype=np.intp)
+        for i, row in enumerate(dist):
+            cols[i] = np.argsort(row, kind="stable")[:k]
+        cols, rows = cols.ravel(), np.repeat(np.arange(n), k)
     else:
         if band <= 0:
-            raise ValueError("band radius must be positive")
-        for i in range(n):
-            row = tuple(int(j) for j in np.flatnonzero(dist[i] <= band))
-            indices.append(row)
-            if not row:
-                isolated.append(i)
+            raise InvalidStatArgument(f"band radius must be positive, got {band}")
+        rows, cols = np.nonzero(dist <= band)
 
-    weights = tuple(tuple(1.0 for _ in row) for row in indices)
-    built = SpatialWeights(
+    counts = np.bincount(rows, minlength=n)
+    return SpatialWeights(
         n=n,
-        neighbor_indices=tuple(indices),
-        neighbor_weights=weights,
-        row_standardized=False,
-        isolated=tuple(isolated),
+        indptr=np.concatenate(([0], np.cumsum(counts))),
+        indices=cols,
+        data=1.0 / counts[rows] if row_standardize else np.ones(cols.size),
+        row_standardized=row_standardize,
+        isolated=tuple(np.flatnonzero(counts == 0).tolist()),
     )
-    return built.standardized() if row_standardize else built
 
 
 def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, seed: int):
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] != weights.n:
-        raise ValueError(f"values must be a length-{weights.n} vector")
+        raise InvalidStatArgument(f"values must be a length-{weights.n} vector")
     if not np.isfinite(x).all():
         raise NonFiniteValue("values must be finite; found NaN or infinity")
     if not weights.row_standardized:
         raise NotRowStandardized("statistics require row-standardized weights")
     if n_permutations < 1:
-        raise ValueError("n_permutations must be >= 1")
+        raise InvalidStatArgument(f"n_permutations must be >= 1, got {n_permutations}")
     if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+        raise InvalidStatArgument(f"seed must be a nonnegative integer, got {seed}")
     z = x - x.mean()
     denom = float(z @ z)
     if denom == 0.0:
@@ -164,40 +155,26 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     return z, denom
 
 
-def _run_blocks(worker, items, threads):
-    """Map worker over index blocks, preserving order; thread-count neutral."""
-    if threads <= 1 or len(items) < 2:
-        return [worker(items)]
-    blocks = [b for b in np.array_split(items, threads) if len(b)]
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        return list(pool.map(worker, blocks))
-
-
 def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
              seed: int = 0, threads: int = 1) -> MoranResult:
     """Global Moran's I under row-standardized weights.
 
-    I = sum_ij w_ij z_i z_j / sum_i z_i^2 with z the mean-centered attribute.
-    Positive values indicate spatial clustering of similar values; the
-    no-autocorrelation expectation is -1/(n-1). The p-value comes from
-    ``n_permutations`` random relabelings of the attribute, each drawn from
-    an RNG stream derived from (seed, permutation index).
+    I = sum_ij w_ij z_i z_j / sum_i z_i^2 with z the mean-centered attribute,
+    computed as z . lag(z). Positive values indicate spatial clustering of
+    similar values; the no-autocorrelation expectation is -1/(n-1). The
+    p-value comes from ``n_permutations`` random relabelings of the
+    attribute, each drawn from an RNG stream derived from (seed, permutation
+    index). ``threads`` is accepted for compatibility; the result and the
+    run time do not depend on it.
     """
     z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
     n = weights.n
-    dense = weights.to_dense()
-    observed = float(z @ (dense @ z) / denom)
+    observed = float(z @ weights.lag(z) / denom)
     expected = -1.0 / (n - 1)
-
-    def block(ps):
-        out = np.empty(len(ps))
-        for t, p in enumerate(ps):
-            rng = np.random.default_rng([seed, int(p)])
-            zp = z[rng.permutation(n)]
-            out[t] = zp @ (dense @ zp) / denom
-        return out
-
-    sim = np.concatenate(_run_blocks(block, np.arange(n_permutations), threads))
+    sim = np.empty(n_permutations)
+    for p in range(n_permutations):
+        zp = z[np.random.default_rng([seed, p]).permutation(n)]
+        sim[p] = zp @ weights.lag(zp) / denom
     count = int(np.count_nonzero(np.abs(sim - expected) >= abs(observed - expected)))
     p_value = (count + 1) / (n_permutations + 1)
     spread = sim.std(ddof=1) if n_permutations > 1 else 0.0
@@ -224,47 +201,39 @@ def lisa(values, weights: SpatialWeights, n_permutations: int = 999,
          seed: int = 0, threads: int = 1) -> LisaResult:
     """Local Moran statistics with conditional permutation inference.
 
-    I_i = (z_i / m2) * sum_j w_ij z_j with m2 = sum z^2 / n. Each unit is
+    I_i = (z_i / m2) * lag(z)_i with m2 = sum z^2 / n. Each unit is
     classified HH/LL/HL/LH from the sign of its own centered value and of
     its spatial lag (first letter: own value; zero counts as low). For unit
     i's p-value, the remaining n-1 values are permuted onto its neighbor
-    slots; each unit draws from its own (seed, unit index) RNG stream, and
-    the p-value is the plus-one-corrected two-sided count around the
-    permuted sample mean, mirroring the global convention.
+    slots, weighted by row i of ``weights.data``; each unit draws from its
+    own (seed, unit index) RNG stream, and the p-value is the
+    plus-one-corrected two-sided count around the permuted sample mean,
+    mirroring the global convention. ``threads`` is accepted for
+    compatibility; the result and the run time do not depend on it.
     """
     z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
     n = weights.n
     m2 = denom / n
-    lag = np.array([
-        float(np.dot(wts, z[list(idx)])) if idx else 0.0
-        for idx, wts in zip(weights.neighbor_indices, weights.neighbor_weights)
-    ])
+    lag = weights.lag(z)
     local = z / m2 * lag
     quadrant = tuple(
         ("H" if zi > 0 else "L") + ("H" if li > 0 else "L")
         for zi, li in zip(z, lag)
     )
 
-    def block(units):
-        out = np.empty(len(units))
-        for t, i in enumerate(units):
-            i = int(i)
-            idx = weights.neighbor_indices[i]
-            if not idx:
-                out[t] = 1.0
-                continue
-            w = np.asarray(weights.neighbor_weights[i])
-            rng = np.random.default_rng([seed, i])
-            sample = _distinct_indices(rng, n - 1, len(idx), n_permutations)
-            sample = rng.permuted(sample, axis=1)
-            others = np.delete(z, i)
-            sim = z[i] / m2 * (others[sample] @ w)
-            center = sim.mean()
-            count = np.count_nonzero(np.abs(sim - center) >= abs(local[i] - center))
-            out[t] = (count + 1) / (n_permutations + 1)
-        return out
-
-    p_values = np.concatenate(_run_blocks(block, np.arange(n), threads))
+    p_values = np.ones(n)
+    for i in range(n):
+        lo, hi = int(weights.indptr[i]), int(weights.indptr[i + 1])
+        if lo == hi:
+            continue
+        rng = np.random.default_rng([seed, i])
+        sample = _distinct_indices(rng, n - 1, hi - lo, n_permutations)
+        sample = rng.permuted(sample, axis=1)
+        sample += sample >= i  # draws index the n-1 units other than i
+        sim = z[i] / m2 * (z[sample] @ weights.data[lo:hi])
+        center = sim.mean()
+        count = np.count_nonzero(np.abs(sim - center) >= abs(local[i] - center))
+        p_values[i] = (count + 1) / (n_permutations + 1)
     return LisaResult(
         local_i=local, quadrant=quadrant, p_value=p_values,
         n_permutations=n_permutations, seed=seed,

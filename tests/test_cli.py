@@ -128,6 +128,27 @@ class TestMoranLisa:
               "--knn", "4", "--perms", "99", "--seed", "7", "--out", str(out2)])
         assert (out1 / "moran.json").read_bytes() == (out2 / "moran.json").read_bytes()
 
+    @pytest.mark.parametrize("command, bad", [
+        ("moran", ["--knn", "4", "--perms", "0"]),
+        ("moran", ["--knn", "4", "--seed", "-1"]),
+        ("moran", ["--band", "0"]),
+        ("report", {"permutations": 0}),
+        ("report", {"weights": {"scheme": "distance_band", "band": -1}}),
+    ], ids=["perms-0", "seed-negative", "band-0", "config-perms-0", "config-band-negative"])
+    def test_bad_stat_argument_exits_2(self, tmp_path, capsys, command, bad):
+        out = tmp_path / "out"
+        if command == "moran":
+            argv = ["moran", "--values", str(values_csv(tmp_path)), "--column", "score",
+                    *bad, "--out", str(out)]
+        else:
+            cfg = write_city(tmp_path / "city", seed=99, n_demand=60, n_supply=8,
+                             n_regions=5)
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **bad}))
+            argv = ["report", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert "spatial_stats.InvalidStatArgument" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestHrad:
     def test_basic_table(self, tmp_path):
@@ -164,9 +185,13 @@ class TestOptimize:
         assert sum(a["units_added"] for a in doc["allocations"]) == 2
 
     def test_budget_required(self, tmp_path, capsys):
-        cfg = write_files(tmp_path)
-        assert main(["optimize", "--config", str(cfg)]) == 2
-        assert "budget" in capsys.readouterr().err
+        # a missing budget, and one that is not an integer, are config errors
+        for budget in (None, "10", 2.7, True):
+            cfg = write_files(tmp_path, extra=None if budget is None else {"budget": budget})
+            assert main(["optimize", "--config", str(cfg)]) == 2, budget
+            err = capsys.readouterr().err
+            assert "cli.ConfigError" in err and "budget" in err
+            assert not (tmp_path / "out" / "plan.json").exists()
 
 
 class TestReport:

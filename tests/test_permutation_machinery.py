@@ -73,9 +73,10 @@ class TestLocalAgainstFullEnumeration:
         values = rng.normal(size=6)
         weights = SpatialWeights(
             n=6,
-            neighbor_indices=((1, 2), (0, 3), (4, 5), (1,), (2, 0), (3, 1)),
-            neighbor_weights=(
-                (0.7, 0.3), (0.2, 0.8), (0.5, 0.5), (1.0,), (0.9, 0.1), (0.4, 0.6)),
+            # rows: (1, 2), (0, 3), (4, 5), (1,), (2, 0), (3, 1)
+            indptr=np.array([0, 2, 4, 6, 7, 9, 11]),
+            indices=np.array([1, 2, 0, 3, 4, 5, 1, 2, 0, 3, 1]),
+            data=np.array([0.7, 0.3, 0.2, 0.8, 0.5, 0.5, 1.0, 0.9, 0.1, 0.4, 0.6]),
             row_standardized=True,
         )
         n_perm = 9999
@@ -84,8 +85,8 @@ class TestLocalAgainstFullEnumeration:
         z = values - values.mean()
         m2 = float(z @ z) / 6
         for i in range(6):
-            idx = weights.neighbor_indices[i]
-            wts = np.array(weights.neighbor_weights[i])
+            row = slice(weights.indptr[i], weights.indptr[i + 1])
+            idx, wts = weights.indices[row], weights.data[row]
             others = np.delete(z, i)
             sims = np.array([
                 z[i] / m2 * float(wts @ np.array(tup))

@@ -17,6 +17,11 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 CHECKERBOARD = [1.0, 0.0, 0.0, 1.0]  # diagonal pairs equal
 
 
+def neighbors(w, i):
+    """Row i's neighbor indices, in stored order."""
+    return tuple(w.indices[w.indptr[i]:w.indptr[i + 1]].tolist())
+
+
 def rook_weights():
     # knn k=2 on the unit square corners is exactly rook contiguity
     return build_weights(UNIT_SQUARE, k=2, coord_kind="planar")
@@ -25,12 +30,12 @@ def rook_weights():
 class TestBuildWeights:
     def test_knn_on_collinear_points(self):
         w = build_weights([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)], k=1, coord_kind="planar")
-        assert w.neighbor_indices == ((1,), (0,), (1,))
+        assert tuple(neighbors(w, i) for i in range(w.n)) == ((1,), (0,), (1,))
 
     def test_knn_tie_breaks_toward_smaller_index(self):
         # unit 2 is equidistant from 0 and 1
         w = build_weights([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)], k=1, coord_kind="planar")
-        assert w.neighbor_indices[2] == (0,)
+        assert neighbors(w, 2) == (0,)
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
@@ -43,28 +48,28 @@ class TestBuildWeights:
         pts = rng.uniform(0, 100, size=(20, 2))
         w = build_weights(pts, k=5, coord_kind="planar")
         assert w.row_standardized
-        for wts in w.neighbor_weights:
-            assert sum(wts) == pytest.approx(1.0, abs=1e-12)
+        for i in range(w.n):
+            assert w.data[w.indptr[i]:w.indptr[i + 1]].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_distance_band_and_isolated_units(self):
         # meters apart; band given in km. third point is isolated
         pts = [(0.0, 0.0), (500.0, 0.0), (10_000.0, 0.0)]
         w = build_weights(pts, band=1.0, coord_kind="planar")
-        assert w.neighbor_indices[0] == (1,)
-        assert w.neighbor_indices[2] == ()
+        assert neighbors(w, 0) == (1,)
+        assert neighbors(w, 2) == ()
         assert w.isolated == (2,)
 
     def test_no_self_neighbors(self):
         rng = np.random.default_rng(52)
         pts = rng.uniform(0, 10, size=(15, 2))
         w = build_weights(pts, k=4, coord_kind="planar")
-        for i, idx in enumerate(w.neighbor_indices):
-            assert i not in idx
+        for i in range(w.n):
+            assert i not in neighbors(w, i)
 
     def test_geographic_metric(self):
         pts = [(0.0, 0.0), (0.0, 0.5), (0.0, 80.0)]
         w = build_weights(pts, band=100.0, coord_kind="geographic")
-        assert w.neighbor_indices[0] == (1,)
+        assert neighbors(w, 0) == (1,)
 
     def test_to_dense_matches_lists(self):
         w = rook_weights()
@@ -189,8 +194,9 @@ class TestLisa:
         # unit 2 has an empty row: local value 0, lag 0 classified as low
         weights = SpatialWeights(
             n=3,
-            neighbor_indices=((1,), (0,), ()),
-            neighbor_weights=((1.0,), (1.0,), ()),
+            indptr=np.array([0, 1, 2, 2]),
+            indices=np.array([1, 0]),
+            data=np.array([1.0, 1.0]),
             row_standardized=True,
             isolated=(2,),
         )
