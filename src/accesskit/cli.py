@@ -8,19 +8,19 @@ configured seed, making reruns byte-identical.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import equity, fca, optimize, spatial_stats
-from .data_model import load_dataset, load_regions
+from .data_model import load_dataset, load_regions, load_values
 from .decay import DecaySpec
-from .errors import AccessKitError, ConfigError, MissingColumn
+from .errors import AccessKitError, ConfigError
 from .travel import COST_UNITS, build_travel_matrix, load_od_matrix
 
 DEFAULT_THREADS_ENV = "ACCESSKIT_THREADS"
@@ -34,6 +34,18 @@ def _env_threads() -> int | None:
         return max(1, int(raw)) if raw else None
     except ValueError:
         return None
+
+
+def _typed(name: str, value, annotation):
+    """``value`` if it has the annotated type, else ConfigError. A bool is
+    not an int, and an int is taken as a float where a float is wanted."""
+    allowed = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, int) and not isinstance(value, bool) and float in allowed:
+        return float(value)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        raise ConfigError(f"{name} must be {getattr(annotation, '__name__', annotation)}, "
+                          f"got {value!r}")
+    return value
 
 
 @dataclass
@@ -70,12 +82,14 @@ class RunConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         cfg = cls()
-        known = set(cfg.__dataclass_fields__)
+        fields = cfg.__dataclass_fields__
         for key, value in raw.items():
-            if key not in known:
+            if key not in fields:
                 raise ConfigError(f"unknown config field {key!r}")
-            setattr(cfg, key, value)
+            setattr(cfg, key, _typed(key, value, fields[key].type))
         base = path.parent
         for name in ("demand", "supply", "regions", "od_matrix"):
             value = getattr(cfg, name)
@@ -99,7 +113,7 @@ class RunConfig:
         if getattr(args, "cost_unit", None) is not None:
             self.cost_unit = args.cost_unit
         if getattr(args, "threads", None) is not None:
-            self.threads = int(args.threads)
+            self.threads = args.threads
         else:
             self.threads = _env_threads() or self.threads
 
@@ -115,6 +129,8 @@ class RunConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def decay_spec(self) -> DecaySpec:
         if not self.decay:
@@ -131,11 +147,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not Path(value).is_file():
                 raise ConfigError(f"{name} file not found: {value}")
-        fmt = "geojson" if str(self.demand).endswith(".geojson") else "csv"
-        return load_dataset(
-            self.demand, self.supply, regions_path=self.regions,
-            fmt=fmt, coord_kind=self.coord_kind,
-        )
+        return load_dataset(self.demand, self.supply, regions_path=self.regions,
+                            coord_kind=self.coord_kind)
 
     def travel_matrix(self, dataset):
         if self.od_matrix is not None:
@@ -147,20 +160,20 @@ class RunConfig:
     def spatial_weights(self, locations, coord_kind):
         scheme = self.weights.get("scheme", "knn")
         if scheme == "knn":
-            return spatial_stats.build_weights(
-                locations, k=int(self.weights.get("k", 8)), coord_kind=coord_kind)
+            k = _typed("weights.k", self.weights.get("k", 8), int)
+            return spatial_stats.build_weights(locations, k=k, coord_kind=coord_kind)
         if scheme == "distance_band":
             if "band" not in self.weights:
                 raise ConfigError("weights: distance_band scheme requires 'band'")
-            return spatial_stats.build_weights(
-                locations, band=float(self.weights["band"]), coord_kind=coord_kind)
+            band = _typed("weights.band", self.weights["band"], float)
+            return spatial_stats.build_weights(locations, band=band, coord_kind=coord_kind)
         raise ConfigError(f"weights: unknown scheme {scheme!r}")
 
     def candidate_indices(self, dataset) -> tuple[int, ...]:
         if self.candidates is None:
             return tuple(range(len(dataset.supply)))
         index = {s.id: j for j, s in enumerate(dataset.supply)}
-        missing = [c for c in self.candidates if c not in index]
+        missing = [c for c in self.candidates if not isinstance(c, str) or c not in index]
         if missing:
             raise ConfigError(f"candidates reference unknown supply ids: {missing}")
         return tuple(index[c] for c in self.candidates)
@@ -179,47 +192,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def read_values_csv(path):
-    """Read a per-unit attribute table: id, coordinates, value columns.
-
-    Coordinate headers decide the metric: lon/lat means geographic
-    (haversine), x/y means planar (euclidean).
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"values file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "id" not in header:
-            raise MissingColumn(f"{path}: header lacks column 'id'")
-        if "lon" in header and "lat" in header:
-            coord_kind, cx, cy = "geographic", "lon", "lat"
-        elif "x" in header and "y" in header:
-            coord_kind, cx, cy = "planar", "x", "y"
-        else:
-            raise MissingColumn(f"{path}: need lon/lat or x/y coordinate columns")
-        ids, xs, ys = [], [], []
-        columns = {c: [] for c in header if c not in ("id", cx, cy)}
-        for row in reader:
-            ids.append(row["id"])
-            xs.append(float(row[cx]))
-            ys.append(float(row[cy]))
-            for c in columns:
-                columns[c].append(row[c])
-    locations = np.column_stack([xs, ys])
-    return ids, locations, coord_kind, columns
-
-
-def _column_values(columns, name, path):
-    if name not in columns:
-        raise MissingColumn(f"{path}: no column {name!r}")
-    try:
-        return np.array([float(v) for v in columns[name]])
-    except ValueError as err:
-        raise ConfigError(f"column {name!r} is not numeric: {err}") from None
 
 
 # --- commands -------------------------------------------------------------
@@ -247,8 +219,9 @@ def _warn_isolated(weights, ids) -> None:
 
 
 def _stat_inputs(args):
-    ids, locations, coord_kind, columns = read_values_csv(args.values)
-    values = _column_values(columns, args.column, args.values)
+    if not Path(args.values).is_file():
+        raise ConfigError(f"values file not found: {args.values}")
+    ids, locations, coord_kind, values = load_values(args.values, args.column)
     if args.knn is not None:
         weights = spatial_stats.build_weights(locations, k=args.knn, coord_kind=coord_kind)
     else:
@@ -292,14 +265,12 @@ def cmd_hrad(args) -> int:
 
 
 def _build_problem(cfg, dataset, matrix):
-    if isinstance(cfg.budget, bool) or not isinstance(cfg.budget, int):
-        raise ConfigError(f"budget must be an integer, got {cfg.budget!r}")
     if cfg.budget < 1:
         raise ConfigError("optimization requires budget >= 1")
     return optimize.AllocationProblem(
         dataset=dataset, matrix=matrix, decay=cfg.decay_spec(),
         budget=cfg.budget, candidates=cfg.candidate_indices(dataset),
-        method=cfg.method, unit_size=float(cfg.unit_size), objective=cfg.objective,
+        method=cfg.method, unit_size=cfg.unit_size, objective=cfg.objective,
     )
 
 
@@ -330,12 +301,10 @@ def cmd_report(args) -> int:
     locations = np.array([(s.x, s.y) for s in dataset.demand])
     weights = cfg.spatial_weights(locations, dataset.coord_kind)
     _warn_isolated(weights, [s.id for s in dataset.demand])
-    moran = spatial_stats.morans_i(access.scores, weights,
-                                   n_permutations=int(cfg.permutations),
-                                   seed=int(cfg.seed), threads=int(cfg.threads))
-    lisa_res = spatial_stats.lisa(access.scores, weights,
-                                  n_permutations=int(cfg.permutations),
-                                  seed=int(cfg.seed), threads=int(cfg.threads))
+    moran = spatial_stats.morans_i(access.scores, weights, n_permutations=cfg.permutations,
+                                   seed=cfg.seed, threads=cfg.threads)
+    lisa_res = spatial_stats.lisa(access.scores, weights, n_permutations=cfg.permutations,
+                                  seed=cfg.seed, threads=cfg.threads)
     hrad_res = equity.hrad(dataset.regions)
     problem = _build_problem(cfg, dataset, matrix)
     plan = optimize.local_search_improve(problem, optimize.greedy_allocate(problem))
@@ -348,7 +317,7 @@ def cmd_report(args) -> int:
         "n_supply": len(dataset.supply),
         "n_regions": len(dataset.regions),
         "method": cfg.method,
-        "seed": int(cfg.seed),
+        "seed": cfg.seed,
         "access": {
             "mean_score": float(access.scores.mean()),
             "min_score": float(access.scores.min()),
@@ -381,7 +350,8 @@ def cmd_report(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 def _add_stat_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--values", required=True, help="CSV with id, coordinates, and value columns")
+    p.add_argument("--values", required=True,
+                   help="CSV or GeoJSON table with id, coordinates, and value columns")
     p.add_argument("--column", required=True, help="attribute column to test")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--knn", type=int, help="k nearest neighbors")

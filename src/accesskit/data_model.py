@@ -1,4 +1,5 @@
-"""Domain types and file ingestion for demand, supply, and region data.
+"""Domain types, and the one table reader behind every input file: demand,
+supply, regions, origin-destination costs and per-unit values.
 
 Coordinates are either geographic (lon, lat in decimal degrees) or planar
 (x, y in meters). The coordinate kind is declared per dataset; input file
@@ -18,6 +19,7 @@ from .errors import (
     MalformedRow,
     MissingColumn,
     NegativePopulation,
+    NoRecords,
     NegativeResource,
     NonFiniteCoordinate,
     NonPositiveArea,
@@ -123,7 +125,7 @@ class Dataset:
         if self.coord_kind not in COORD_KINDS:
             raise ValueError(f"coord_kind must be one of {COORD_KINDS}")
         if not self.demand or not self.supply:
-            raise ValueError("dataset needs at least one demand and one supply site")
+            raise NoRecords("dataset needs at least one demand and one supply site")
         _check_unique_ids(self.demand, "demand")
         _check_unique_ids(self.supply, "supply")
         if self.regions is not None:
@@ -142,161 +144,148 @@ def _check_unique_ids(records, label: str) -> None:
         seen.add(rec.id)
 
 
-# --- parsing helpers ------------------------------------------------------
+# --- reading --------------------------------------------------------------
 
 def _coord_columns(coord_kind: str) -> tuple[str, str]:
     return ("lon", "lat") if coord_kind == "geographic" else ("x", "y")
 
 
-def _parse_float(raw: str, row_num: int, column: str) -> float:
+def _parse_float(raw, row_num: int, column: str) -> float:
     try:
         return float(raw)
     except (TypeError, ValueError):
         raise MalformedRow(f"row {row_num}: cannot parse {column}={raw!r}") from None
 
 
-def _read_csv_rows(path, required: tuple[str, ...]):
+def _read_table(path, required: tuple[str, ...], point: tuple[str, str] | None = None):
+    """Yield ``(row_number, row)`` for every record of a CSV or GeoJSON file.
+
+    A ``.geojson`` extension selects GeoJSON, anything else CSV. CSV rows
+    map header names to cells and are numbered from 2, the header being
+    row 1; a cell missing from a short row is None. GeoJSON rows are the
+    features' properties, numbered from 1; when ``point`` names two
+    columns, each feature must be a Point whose coordinates fill them.
+    Every ``required`` column must be present.
+    """
+    if str(path).endswith(".geojson"):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as err:  # not JSON, or not UTF-8
+                raise MalformedRow(f"{path}: not JSON: {err}") from None
+        features = doc.get("features") if isinstance(doc, dict) else None
+        if not isinstance(features, list):
+            raise MalformedRow(f"{path}: not a GeoJSON FeatureCollection")
+        for row_num, feat in enumerate(features, start=1):
+            feat = feat if isinstance(feat, dict) else {}
+            props = feat.get("properties")
+            row = dict(props) if isinstance(props, dict) else {}
+            if point is not None:
+                geom = feat.get("geometry")
+                coords = geom.get("coordinates") if isinstance(geom, dict) else None
+                if not (isinstance(coords, list) and len(coords) >= 2
+                        and geom.get("type") == "Point"):
+                    raise MalformedRow(f"row {row_num}: geometry must be a Point")
+                row[point[0]], row[point[1]] = coords[0], coords[1]
+            for col in required:
+                if row.get(col) is None:
+                    raise MissingColumn(f"row {row_num}: properties lack {col!r}")
+            yield row_num, row
+        return
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in required:
-            if col not in header:
-                raise MissingColumn(f"{path}: header lacks column {col!r}")
-        yield from ((i, row) for i, row in enumerate(reader, start=2))
+        try:
+            header = reader.fieldnames or []
+            for col in required:
+                if col not in header:
+                    raise MissingColumn(f"{path}: header lacks column {col!r}")
+            yield from enumerate(reader, start=2)
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
 
 
-def _read_geojson_points(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    features = doc.get("features", [])
-    for i, feat in enumerate(features, start=1):
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Point":
-            raise MalformedRow(f"feature {i}: geometry must be a Point")
-        coords = geom.get("coordinates")
-        if not isinstance(coords, (list, tuple)) or len(coords) < 2:
-            raise MalformedRow(f"feature {i}: bad Point coordinates")
-        yield i, coords[0], coords[1], feat.get("properties") or {}
+def _collect(rows, make, columns, optional=(), coord_kind: str | None = None) -> list:
+    """Build ``make(id, *cells)`` for each row of a table.
 
-
-def _require_prop(props: dict, key: str, feat_num: int):
-    if key not in props or props[key] is None:
-        raise MissingColumn(f"feature {feat_num}: properties lack {key!r}")
-    return props[key]
+    ``columns`` are parsed as numbers; an ``optional`` column that is blank
+    or absent gives None. Ids must be unique. With a ``coord_kind`` the
+    first two columns are coordinates checked against it. An error the
+    record raises is re-raised naming its row.
+    """
+    records, seen = [], set()
+    for row_num, row in rows:
+        cells = [_parse_float(row[c], row_num, c) for c in columns]
+        cells += [None if row.get(c) in (None, "") else _parse_float(row[c], row_num, c)
+                  for c in optional]
+        rec_id = str(row["id"])
+        if rec_id in seen:
+            raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
+        seen.add(rec_id)
+        try:
+            record = make(rec_id, *cells)
+            if coord_kind is not None:
+                _check_coords(cells[0], cells[1], coord_kind)
+        except AccessKitError as err:
+            raise type(err)(f"row {row_num}: {err}") from None
+        records.append(record)
+    return records
 
 
 # --- loaders --------------------------------------------------------------
 
-def load_demand(path, fmt: str = "csv", coord_kind: str = "geographic") -> list[DemandSite]:
+def _load_sites(path, make, value: str, coord_kind: str) -> list:
+    cx, cy = _coord_columns(coord_kind)
+    rows = _read_table(path, ("id", cx, cy, value), point=(cx, cy))
+    return _collect(rows, make, (cx, cy, value), coord_kind=coord_kind)
+
+
+def load_demand(path, coord_kind: str = "geographic") -> list[DemandSite]:
     """Load demand sites from CSV (``id,lon,lat,population``) or GeoJSON points."""
-    sites: list[DemandSite] = []
-    seen: set[str] = set()
-    if fmt == "csv":
-        cx, cy = _coord_columns(coord_kind)
-        for row_num, row in _read_csv_rows(path, ("id", cx, cy, "population")):
-            site_id = row["id"]
-            x = _parse_float(row[cx], row_num, cx)
-            y = _parse_float(row[cy], row_num, cy)
-            pop = _parse_float(row["population"], row_num, "population")
-            _append_site(sites, seen, row_num, DemandSite, site_id, x, y, pop, coord_kind)
-    elif fmt == "geojson":
-        for feat_num, x, y, props in _read_geojson_points(path):
-            site_id = str(_require_prop(props, "id", feat_num))
-            pop = float(_require_prop(props, "population", feat_num))
-            _append_site(sites, seen, feat_num, DemandSite, site_id, x, y, pop, coord_kind)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return sites
+    return _load_sites(path, DemandSite, "population", coord_kind)
 
 
-def load_supply(path, fmt: str = "csv", coord_kind: str = "geographic") -> list[SupplySite]:
+def load_supply(path, coord_kind: str = "geographic") -> list[SupplySite]:
     """Load supply sites from CSV (``id,lon,lat,capacity``) or GeoJSON points."""
-    sites: list[SupplySite] = []
-    seen: set[str] = set()
-    if fmt == "csv":
-        cx, cy = _coord_columns(coord_kind)
-        for row_num, row in _read_csv_rows(path, ("id", cx, cy, "capacity")):
-            site_id = row["id"]
-            x = _parse_float(row[cx], row_num, cx)
-            y = _parse_float(row[cy], row_num, cy)
-            cap = _parse_float(row["capacity"], row_num, "capacity")
-            _append_site(sites, seen, row_num, SupplySite, site_id, x, y, cap, coord_kind)
-    elif fmt == "geojson":
-        for feat_num, x, y, props in _read_geojson_points(path):
-            site_id = str(_require_prop(props, "id", feat_num))
-            cap = float(_require_prop(props, "capacity", feat_num))
-            _append_site(sites, seen, feat_num, SupplySite, site_id, x, y, cap, coord_kind)
+    return _load_sites(path, SupplySite, "capacity", coord_kind)
+
+
+def load_regions(path) -> list[Region]:
+    """Load regions from CSV (``id,area_km2,resource[,population]``) or from
+    GeoJSON features with those properties; a blank population is absent."""
+    rows = _read_table(path, ("id", "area_km2", "resource"))
+    return _collect(rows, Region, ("area_km2", "resource"), optional=("population",))
+
+
+def load_values(path, column: str):
+    """Load one value column of a per-unit table: ``id``, coordinates, values.
+
+    Coordinate columns decide the kind: ``lon,lat`` is geographic, ``x,y``
+    planar; GeoJSON Point coordinates are ``lon,lat``. Ids and coordinates
+    are checked as for demand sites. Returns ``(ids, locations, coord_kind,
+    values)`` with ``locations`` a list of (x, y) pairs.
+    """
+    rows = list(_read_table(path, ("id", column), point=("lon", "lat")))
+    if not rows:
+        raise NoRecords(f"{path}: table has no rows")
+    header = rows[0][1]
+    if "lon" in header and "lat" in header:
+        coord_kind = "geographic"
+    elif "x" in header and "y" in header:
+        coord_kind = "planar"
     else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return sites
+        raise MissingColumn(f"{path}: need lon/lat or x/y coordinate columns")
+    cx, cy = _coord_columns(coord_kind)
+    units = _collect(rows, lambda *unit: unit, (cx, cy, column), coord_kind=coord_kind)
+    ids, xs, ys, values = zip(*units)
+    return list(ids), list(zip(xs, ys)), coord_kind, list(values)
 
 
-def _append_site(sites, seen, row_num, cls, site_id, x, y, value, coord_kind):
-    if site_id in seen:
-        raise DuplicateId(f"row {row_num}: duplicate id {site_id!r}")
-    seen.add(site_id)
-    try:
-        site = cls(site_id, x, y, value)
-    except AccessKitError as err:
-        raise type(err)(f"row {row_num}: {err}") from None
-    _check_coords(x, y, coord_kind, f"row {row_num}")
-    sites.append(site)
-
-
-def load_regions(path, fmt: str = "csv") -> list[Region]:
-    """Load regions from CSV with schema ``id,area_km2,resource[,population]``."""
-    regions: list[Region] = []
-    seen: set[str] = set()
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            for col in ("id", "area_km2", "resource"):
-                if col not in header:
-                    raise MissingColumn(f"{path}: header lacks column {col!r}")
-            has_pop = "population" in header
-            for row_num, row in enumerate(reader, start=2):
-                rid = row["id"]
-                area = _parse_float(row["area_km2"], row_num, "area_km2")
-                res = _parse_float(row["resource"], row_num, "resource")
-                pop = None
-                if has_pop and row["population"] not in (None, ""):
-                    pop = _parse_float(row["population"], row_num, "population")
-                _append_region(regions, seen, row_num, rid, area, res, pop)
-    elif fmt == "geojson":
-        for feat_num, _x, _y, props in _read_geojson_points(path):
-            rid = str(_require_prop(props, "id", feat_num))
-            area = float(_require_prop(props, "area_km2", feat_num))
-            res = float(_require_prop(props, "resource", feat_num))
-            pop = props.get("population")
-            pop = float(pop) if pop is not None else None
-            _append_region(regions, seen, feat_num, rid, area, res, pop)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return regions
-
-
-def _append_region(regions, seen, row_num, rid, area, res, pop):
-    if rid in seen:
-        raise DuplicateId(f"row {row_num}: duplicate id {rid!r}")
-    seen.add(rid)
-    try:
-        region = Region(rid, area, res, pop)
-    except AccessKitError as err:
-        raise type(err)(f"row {row_num}: {err}") from None
-    regions.append(region)
-
-
-def load_dataset(
-    demand_path,
-    supply_path,
-    regions_path=None,
-    fmt: str = "csv",
-    coord_kind: str = "geographic",
-) -> Dataset:
-    """Load and validate a full dataset in one call."""
-    demand = load_demand(demand_path, fmt=fmt, coord_kind=coord_kind)
-    supply = load_supply(supply_path, fmt=fmt, coord_kind=coord_kind)
+def load_dataset(demand_path, supply_path, regions_path=None,
+                 coord_kind: str = "geographic") -> Dataset:
+    """Load and validate a full dataset in one call; each file's format
+    follows its extension."""
+    demand = load_demand(demand_path, coord_kind=coord_kind)
+    supply = load_supply(supply_path, coord_kind=coord_kind)
     regions = load_regions(regions_path) if regions_path is not None else None
     return Dataset(
         demand=tuple(demand),
@@ -308,20 +297,20 @@ def load_dataset(
 
 # --- serialization --------------------------------------------------------
 
-def demand_csv_text(sites, coord_kind: str = "geographic") -> str:
+def _sites_csv_text(sites, coord_kind: str, value: str) -> str:
     cx, cy = _coord_columns(coord_kind)
-    lines = [f"id,{cx},{cy},population"]
+    lines = [f"id,{cx},{cy},{value}"]
     for s in sites:
-        lines.append(f"{s.id},{s.x!r},{s.y!r},{s.population!r}")
+        lines.append(f"{s.id},{s.x!r},{s.y!r},{getattr(s, value)!r}")
     return "\n".join(lines) + "\n"
+
+
+def demand_csv_text(sites, coord_kind: str = "geographic") -> str:
+    return _sites_csv_text(sites, coord_kind, "population")
 
 
 def supply_csv_text(sites, coord_kind: str = "geographic") -> str:
-    cx, cy = _coord_columns(coord_kind)
-    lines = [f"id,{cx},{cy},capacity"]
-    for s in sites:
-        lines.append(f"{s.id},{s.x!r},{s.y!r},{s.capacity!r}")
-    return "\n".join(lines) + "\n"
+    return _sites_csv_text(sites, coord_kind, "capacity")
 
 
 def regions_csv_text(regions) -> str:

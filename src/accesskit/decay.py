@@ -37,12 +37,12 @@ class DecaySpec:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise InvalidDecaySpec(f"unknown decay kind {self.kind!r}")
-        if not (isinstance(self.d0, (int, float)) and math.isfinite(self.d0) and self.d0 > 0):
+        if not _positive_number(self.d0):
             raise InvalidDecaySpec(f"d0 must be a positive finite cutoff, got {self.d0!r}")
         if self.kind in ("gaussian", "exponential", "power"):
             if self.beta is None:
                 raise InvalidDecaySpec(f"{self.kind} decay requires beta")
-            if not (math.isfinite(self.beta) and self.beta > 0):
+            if not _positive_number(self.beta):
                 raise InvalidDecaySpec(f"beta must be positive and finite, got {self.beta!r}")
         if self.kind == "zonal":
             if not self.zones or not self.weights:
@@ -117,6 +117,12 @@ class DecaySpec:
         return cfg
 
 
+def _positive_number(value) -> bool:
+    """A finite int or float above 0; a bool is not a number here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 def _required(cfg: dict, key: str):
     if cfg.get(key) is None:
         raise InvalidDecaySpec(f"{cfg.get('kind')} decay config requires {key!r}")
@@ -173,7 +179,7 @@ def zonal_from_gaussian(breakpoints, beta: float) -> DecaySpec:
     """
     breaks = tuple(float(b) for b in breakpoints)
     _check_breakpoints(breaks)
-    if not (math.isfinite(beta) and beta > 0):
+    if not _positive_number(beta):
         raise InvalidDecaySpec(f"beta must be positive and finite, got {beta!r}")
     mids = [breaks[0] / 2.0]
     for lo, hi in zip(breaks, breaks[1:]):

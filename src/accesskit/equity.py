@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AllZeroValues,
+    EmptyInput,
     MissingPopulation,
     ZeroTotalPopulation,
     ZeroTotalResource,
@@ -68,7 +69,7 @@ def hrad(regions, epsilon: float = 0.05) -> HradResult:
     """
     regions = list(regions)
     if not regions:
-        raise ValueError("need at least one region")
+        raise EmptyInput("need at least one region")
     resource = np.array([r.resource for r in regions], dtype=float)
     area = np.array([r.area_km2 for r in regions], dtype=float)
     total_resource = resource.sum()
@@ -121,8 +122,10 @@ def gini(values, weights=None) -> float:
     never attained on finite data.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a nonempty vector")
+    if v.ndim != 1:
+        raise ValueError("values must be a vector")
+    if v.size == 0:
+        raise EmptyInput("values must be a nonempty vector")
     if (v < 0).any():
         raise ValueError("values must be nonnegative")
     if weights is None:

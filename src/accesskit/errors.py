@@ -2,6 +2,8 @@
 
 Every error carries a ``code`` of the form ``<module>.<ClassName>`` so batch
 front ends can report failures with a stable, grep-friendly identifier.
+A class that also derives from ``ValueError`` replaced a bare
+``ValueError``, so callers that catch ``ValueError`` still catch it.
 """
 
 
@@ -57,6 +59,10 @@ class MalformedRow(DataModelError):
     """A cell could not be parsed under the declared schema."""
 
 
+class NoRecords(DataModelError, ValueError):
+    """An input holds no records where at least one is needed."""
+
+
 # --- travel -------------------------------------------------------------
 
 class TravelError(AccessKitError):
@@ -77,6 +83,10 @@ class DuplicatePair(TravelError):
 
 class NegativeCost(TravelError):
     """A travel cost is negative."""
+
+
+class NonPositiveSpeed(TravelError, ValueError):
+    """A travel speed is zero, negative or not a number."""
 
 
 # --- decay --------------------------------------------------------------
@@ -155,6 +165,10 @@ class AllZeroValues(EquityError):
     """Every weighted value is zero; the inequality index is undefined."""
 
 
+class EmptyInput(EquityError, ValueError):
+    """An equity measure was given no regions or no values."""
+
+
 # --- optimize -----------------------------------------------------------
 
 class OptimizeError(AccessKitError):
@@ -167,6 +181,10 @@ class InstanceTooLarge(OptimizeError):
 
 class InfeasibleAllocation(OptimizeError):
     """An allocation vector violates the problem's budget or shape."""
+
+
+class NonPositiveUnitSize(OptimizeError, ValueError):
+    """The capacity of one allocation unit is zero, negative or not a number."""
 
 
 # --- cli ----------------------------------------------------------------

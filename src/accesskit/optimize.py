@@ -22,7 +22,7 @@ import numpy as np
 from .data_model import Dataset, SupplySite
 from .decay import DecaySpec
 from .equity import gini
-from .errors import InfeasibleAllocation, InstanceTooLarge
+from .errors import InfeasibleAllocation, InstanceTooLarge, NonPositiveUnitSize
 from .fca import FCA_METHODS, Catchment
 from .travel import TravelMatrix
 
@@ -51,8 +51,8 @@ class AllocationProblem:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
-        if self.unit_size <= 0:
-            raise ValueError("unit_size must be positive")
+        if not self.unit_size > 0:
+            raise NonPositiveUnitSize(f"unit_size must be positive, got {self.unit_size!r}")
         n_supply = len(self.dataset.supply)
         if not self.candidates:
             raise ValueError("candidates must be nonempty")

@@ -5,14 +5,13 @@ speed). Unreachable pairs are +inf; every decay function maps +inf to
 weight 0, so infinity cleanly encodes "outside any catchment".
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
-from .errors import DuplicatePair, MetricMismatch, MissingColumn, NegativeCost, UnknownId
+from .data_model import Dataset, _parse_float, _read_table
+from .errors import DuplicatePair, MetricMismatch, NegativeCost, NonPositiveSpeed, UnknownId
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -109,8 +108,8 @@ def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
     s_xy = np.array([(s.x, s.y) for s in dataset.supply], dtype=float)
     km = dist_fn(d_xy, s_xy)
     if speed is not None:
-        if speed <= 0:
-            raise ValueError("speed must be positive km per minute")
+        if not speed > 0:
+            raise NonPositiveSpeed(f"speed must be positive km per minute, got {speed!r}")
         return TravelMatrix(cost=km / speed, unit="minutes")
     return TravelMatrix(cost=km, unit="km")
 
@@ -118,31 +117,26 @@ def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
 def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
     """Load a precomputed origin-destination cost table.
 
-    CSV schema ``demand_id,supply_id,cost``; each pair appears at most once.
+    Columns ``demand_id,supply_id,cost`` (CSV, or properties of GeoJSON
+    features); each pair appears at most once.
     Pairs absent from the file are unreachable (+inf).
     """
     d_index = {s.id: i for i, s in enumerate(demand)}
     s_index = {s.id: j for j, s in enumerate(supply)}
     cost = np.full((len(d_index), len(s_index)), np.inf)
     filled = np.zeros_like(cost, dtype=bool)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in ("demand_id", "supply_id", "cost"):
-            if col not in header:
-                raise MissingColumn(f"{path}: header lacks column {col!r}")
-        for row_num, row in enumerate(reader, start=2):
-            did, sid = row["demand_id"], row["supply_id"]
-            if did not in d_index:
-                raise UnknownId(f"row {row_num}: unknown demand id {did!r}")
-            if sid not in s_index:
-                raise UnknownId(f"row {row_num}: unknown supply id {sid!r}")
-            i, j = d_index[did], s_index[sid]
-            if filled[i, j]:
-                raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated")
-            c = float(row["cost"])
-            if math.isnan(c) or c < 0:
-                raise NegativeCost(f"row {row_num}: cost {row['cost']!r} must be >= 0")
-            cost[i, j] = c
-            filled[i, j] = True
+    for row_num, row in _read_table(path, ("demand_id", "supply_id", "cost")):
+        did, sid = row["demand_id"], row["supply_id"]
+        if did not in d_index:
+            raise UnknownId(f"row {row_num}: unknown demand id {did!r}")
+        if sid not in s_index:
+            raise UnknownId(f"row {row_num}: unknown supply id {sid!r}")
+        i, j = d_index[did], s_index[sid]
+        if filled[i, j]:
+            raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated")
+        c = _parse_float(row["cost"], row_num, "cost")
+        if math.isnan(c) or c < 0:
+            raise NegativeCost(f"row {row_num}: cost {row['cost']!r} must be >= 0")
+        cost[i, j] = c
+        filled[i, j] = True
     return TravelMatrix(cost=cost, unit=unit)

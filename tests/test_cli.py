@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from accesskit.cli import main
-from accesskit.synth import write_city
+from accesskit.synth import synthetic_city, write_city
 
 
 def write_files(tmp_path, *, decay=None, extra=None):
@@ -118,6 +120,19 @@ class TestMoranLisa:
         assert "spatial_stats.NonFiniteValue" in capsys.readouterr().err
         assert not (out / "moran.json").exists()
 
+    def test_geojson_values_match_csv(self, tmp_path):
+        vals = values_csv(tmp_path)
+        rows = [line.split(",") for line in vals.read_text().splitlines()[1:]]
+        points = tmp_path / "values.geojson"
+        points.write_text(feature_collection(
+            [([float(lon), float(lat)], {"id": uid, "score": float(score)})
+             for uid, lon, lat, score in rows]))
+        for path, out in ((vals, "a"), (points, "b")):
+            assert main(["lisa", "--values", str(path), "--column", "score", "--knn", "4",
+                         "--perms", "49", "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "a" / "lisa.csv").read_bytes() == \
+            (tmp_path / "b" / "lisa.csv").read_bytes()
+
     def test_env_threads_do_not_change_output(self, tmp_path, monkeypatch):
         vals = values_csv(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -214,3 +229,178 @@ class TestReport:
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
         assert "regions" in capsys.readouterr().err
+
+
+# --- malformed inputs: exit 2, a module.Class diagnostic, no output -----------
+
+CITY = {"seed": 99, "n_demand": 60, "n_supply": 8, "n_regions": 5}
+VALUES = "id,lon,lat,score\nu0,117.0,36.6,1\nu1,117.1,36.7,2\nu2,117.2,36.5,5\nu3,117.05,36.62,3\n"
+OD = "demand_id,supply_id,cost\nd000,h00,3.0\n"
+
+
+def feature_collection(features):
+    return json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": xy},
+         "properties": props} for xy, props in features]})
+
+
+def report_argv(tmp_path, files=(), **config):
+    """``report`` on a small city, with input files and config fields replaced."""
+    cfg = write_city(tmp_path / "city", **CITY)
+    for name, data in files:
+        (cfg.parent / name).write_bytes(data.encode() if isinstance(data, str) else data)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **config}))
+    return ["report", "--config", str(cfg), "--perms", "19"]
+
+
+def optimize_argv(tmp_path, files=(), **config):
+    return ["optimize"] + report_argv(tmp_path, files, **config)[1:3]
+
+
+def moran_argv(tmp_path, text):
+    path = tmp_path / "values.csv"
+    path.write_text(text, encoding="utf-8")
+    return ["moran", "--values", str(path), "--column", "score", "--knn", "2", "--perms", "9"]
+
+
+def hrad_argv(tmp_path, text):
+    path = tmp_path / "regions.csv"
+    path.write_text(text, encoding="utf-8")
+    return ["hrad", "--regions", str(path)]
+
+
+def demand_geojson(features):
+    return [("demand.geojson", feature_collection(features))]
+
+
+ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
+    f"{s.id},{s.x!r},{s.y!r},0\n" for s in synthetic_city(**CITY).demand)
+
+
+@pytest.mark.parametrize("argv, code, row", [
+    pytest.param(lambda t: report_argv(t, [("od.csv", OD + "d001,h00,abc\n")], od_matrix="od.csv"),
+                 "data_model.MalformedRow", 3, id="od-cost-not-a-number"),
+    pytest.param(lambda t: report_argv(t, [("od.csv", OD + "d001,h00\n")], od_matrix="od.csv"),
+                 "data_model.MalformedRow", 3, id="od-cost-cell-missing"),
+    pytest.param(lambda t: moran_argv(t, VALUES + "u4,x,36.6,1\n"),
+                 "data_model.MalformedRow", 6, id="values-coordinate-not-a-number"),
+    pytest.param(lambda t: moran_argv(t, VALUES + "u4,117.0\n"),
+                 "data_model.MalformedRow", 6, id="values-short-row"),
+    pytest.param(lambda t: moran_argv(t, VALUES + "u4,nan,36.6,1\n"),
+                 "data_model.NonFiniteCoordinate", 6, id="values-lon-nan"),
+    pytest.param(lambda t: moran_argv(t, VALUES + "u4,500,36.6,1\n"),
+                 "data_model.OutOfRangeCoordinate", 6, id="values-lon-out-of-range"),
+    pytest.param(lambda t: moran_argv(t, VALUES + "u0,117.3,36.6,1\n"),
+                 "data_model.DuplicateId", 6, id="values-duplicate-id"),
+    pytest.param(lambda t: moran_argv(t, VALUES + "u4,117.3,36.6,abc\n"),
+                 "data_model.MalformedRow", 6, id="values-column-not-a-number"),
+    pytest.param(lambda t: report_argv(t, demand_geojson(
+                     [([117.0, 36.6], {"id": "d1", "population": "abc"})]),
+                     demand="demand.geojson"),
+                 "data_model.MalformedRow", 1, id="geojson-population-not-a-number"),
+    pytest.param(lambda t: report_argv(t, demand_geojson(
+                     [(["a", "b"], {"id": "d1", "population": 5})]),
+                     demand="demand.geojson"),
+                 "data_model.MalformedRow", 1, id="geojson-point-not-numbers"),
+    pytest.param(lambda t: report_argv(t, [("demand.geojson", "id,lon,lat\n")],
+                                       demand="demand.geojson"),
+                 "data_model.MalformedRow", None, id="geojson-not-json"),
+    pytest.param(lambda t: report_argv(t, [("demand.csv",
+                                            b"id,lon,lat,population\nd\xe9,1,2,3\n")]),
+                 "data_model.MalformedRow", None, id="csv-not-utf8"),
+    pytest.param(lambda t: report_argv(t, [("demand.csv", "id,lon,lat,population\n")]),
+                 "data_model.NoRecords", None, id="demand-header-only"),
+    pytest.param(lambda t: report_argv(t, [("supply.csv", "id,lon,lat,capacity\n")]),
+                 "data_model.NoRecords", None, id="supply-header-only"),
+    pytest.param(lambda t: hrad_argv(t, "id,area_km2,resource\n"),
+                 "equity.EmptyInput", None, id="regions-header-only"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "knn", "k": 2.5}),
+                 "cli.ConfigError", None, id="config-k-not-an-int"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "knn", "k": "x"}),
+                 "cli.ConfigError", None, id="config-k-text"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "distance_band", "band": "x"}),
+                 "cli.ConfigError", None, id="config-band-text"),
+    pytest.param(lambda t: report_argv(t, threads=0),
+                 "cli.ConfigError", None, id="config-threads-0"),
+    pytest.param(lambda t: report_argv(t, decay={"kind": "gaussian", "d0": 30.0, "beta": "180"}),
+                 "cli.ConfigError", None, id="config-beta-text"),
+    pytest.param(lambda t: report_argv(t, decay={"kind": "gaussian", "d0": True, "beta": 180}),
+                 "cli.ConfigError", None, id="config-d0-bool"),
+    pytest.param(lambda t: report_argv(t, unit_size=-1),
+                 "optimize.NonPositiveUnitSize", None, id="config-unit-size-negative"),
+    pytest.param(lambda t: report_argv(t, speed_km_per_min=0),
+                 "travel.NonPositiveSpeed", None, id="config-speed-0"),
+    pytest.param(lambda t: optimize_argv(t, [("demand.csv", ZERO_POPULATION)],
+                                         objective="min_weighted_gini"),
+                 "equity.EmptyInput", None, id="gini-objective-zero-population"),
+])
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row):
+    out = tmp_path / "out"
+    assert main(argv(tmp_path) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {code}: " in err
+    if row is not None:
+        assert f"row {row}: " in err
+    assert not out.exists()
+
+
+def test_geojson_demand_with_csv_supply(tmp_path):
+    city = synthetic_city(**CITY)
+    features = [([s.x, s.y], {"id": s.id, "population": s.population}) for s in city.demand]
+    csv_argv = report_argv(tmp_path / "csv")
+    geojson_argv = report_argv(tmp_path / "geojson", demand_geojson(features),
+                               demand="demand.geojson")
+    assert main(csv_argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(geojson_argv + ["--out", str(tmp_path / "b")]) == 0
+    for name in ("scores.csv", "lisa.csv", "plan.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# What each config field accepts, by JSON kind; an int counts as a number.
+FIELD_KINDS = {
+    "coord_kind": {"str"}, "demand": {"str", "null"}, "supply": {"str", "null"},
+    "regions": {"str", "null"}, "od_matrix": {"str", "null"}, "metric": {"str"},
+    "speed_km_per_min": {"int", "float", "null"}, "cost_unit": {"str"}, "method": {"str"},
+    "decay": {"dict"}, "weights": {"dict"}, "permutations": {"int"}, "seed": {"int"},
+    "objective": {"str"}, "budget": {"int"}, "unit_size": {"int", "float"},
+    "candidates": {"list", "null"}, "per_thousand": {"bool"}, "threads": {"int"},
+    "out": {"str"},
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3, allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=3)
+
+
+def json_kind(value) -> str:
+    for kind, cls in (("null", type(None)), ("bool", bool), ("int", int), ("float", float),
+                      ("str", str), ("list", list), ("dict", dict)):
+        if isinstance(value, cls):
+            return kind
+
+
+@st.composite
+def malformed_field(draw):
+    name = draw(st.sampled_from(sorted(FIELD_KINDS)))
+    value = draw(JSON_VALUES.filter(lambda v: json_kind(v) not in FIELD_KINDS[name]))
+    return name, value
+
+
+@pytest.fixture(scope="module")
+def small_city(tmp_path_factory):
+    return write_city(tmp_path_factory.mktemp("city"), **CITY)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=malformed_field())
+def test_malformed_config_exits_2_and_writes_nothing(small_city, capsys, field):
+    name, value = field
+    cfg = small_city.parent / "malformed.json"
+    cfg.write_text(json.dumps({**json.loads(small_city.read_text()), name: value}))
+    out = small_city.parent / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: cli.ConfigError: {name} " in capsys.readouterr().err
+    assert not out.exists()

@@ -58,7 +58,7 @@ class TestLoadDemand:
             }],
         }
         path = write(tmp_path, "d.geojson", json.dumps(doc))
-        sites = load_demand(path, fmt="geojson")
+        sites = load_demand(path)
         assert sites == [DemandSite("d2", 117.05, 36.7, 500.0)]
 
     def test_missing_column(self, tmp_path):
@@ -128,7 +128,7 @@ class TestLoadSupply:
             }],
         }
         path = write(tmp_path, "s.geojson", json.dumps(doc))
-        assert load_supply(path, fmt="geojson")[0].id == "h9"
+        assert load_supply(path)[0].id == "h9"
 
 
 class TestLoadRegions:
