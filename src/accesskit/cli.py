@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Subcommands: access, moran, lisa, hrad, optimize, report. Runs are driven
-by a JSON config file; command-line flags override config fields. Output
-files are written atomically (temp file, then rename), so a failing run
-never leaves a half-written file. All randomness flows from the single
-configured seed, making reruns byte-identical.
+Subcommands: access, moran, lisa, hrad, optimize, report. Parameters come
+from the JSON config file if there is one, else the defaults; flags
+override config fields. ``report`` is the other five commands on one run.
+All output texts are computed before any file is written, each atomically
+(temp file, then rename), so a failing run writes nothing. All randomness
+flows from the single configured seed, making reruns byte-identical.
 """
 
 import argparse
@@ -12,7 +13,9 @@ import json
 import os
 import sys
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +26,10 @@ from .decay import DecaySpec
 from .errors import AccessKitError, ConfigError
 from .travel import COST_UNITS, build_travel_matrix, load_od_matrix
 
-DEFAULT_THREADS_ENV = "ACCESSKIT_THREADS"
-
-
 def _env_threads() -> int | None:
     """The ACCESSKIT_THREADS thread count (at least 1), or None when the
     variable is unset or not an integer."""
-    raw = os.environ.get(DEFAULT_THREADS_ENV)
+    raw = os.environ.get("ACCESSKIT_THREADS")
     try:
         return max(1, int(raw)) if raw else None
     except ValueError:
@@ -90,35 +90,22 @@ class RunConfig:
             if key not in fields:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, _typed(key, value, fields[key].type))
-        base = path.parent
         for name in ("demand", "supply", "regions", "od_matrix"):
             value = getattr(cfg, name)
             if value is not None:
-                setattr(cfg, name, str((base / value).resolve()))
+                setattr(cfg, name, str((path.parent / value).resolve()))
         return cfg
 
     def apply_overrides(self, args) -> None:
-        """Flags win over config fields; the threads default may also come
-        from the ACCESSKIT_THREADS environment variable."""
-        for flag, name in (
-            ("method", "method"), ("objective", "objective"), ("budget", "budget"),
-            ("unit_size", "unit_size"), ("seed", "seed"), ("perms", "permutations"),
-            ("out", "out"),
-        ):
-            value = getattr(args, flag, None)
-            if value is not None:
+        """Every parsed flag whose dest is a config field wins over the
+        config; without --threads, a set ACCESSKIT_THREADS does."""
+        env = _env_threads()
+        for name, value in (({"threads": env} if env else {}) | vars(args)).items():
+            if name in self.__dataclass_fields__:
                 setattr(self, name, value)
-        if getattr(args, "per_thousand", False):
-            self.per_thousand = True
-        if getattr(args, "cost_unit", None) is not None:
-            self.cost_unit = args.cost_unit
-        if getattr(args, "threads", None) is not None:
-            self.threads = args.threads
-        else:
-            self.threads = _env_threads() or self.threads
 
     def validate(self) -> None:
-        """Whitelist checks so typos fail as config errors, not tracebacks."""
+        """Typos and missing files fail as config errors, not tracebacks."""
         for name, allowed in (
             ("coord_kind", ("geographic", "planar")),
             ("metric", ("haversine", "euclidean")),
@@ -131,6 +118,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for name in ("demand", "supply", "regions", "od_matrix"):
+            value = getattr(self, name)
+            if value is not None and not Path(value).is_file():
+                raise ConfigError(f"{name} file not found: {value}")
 
     def decay_spec(self) -> DecaySpec:
         if not self.decay:
@@ -139,23 +130,6 @@ class RunConfig:
             return DecaySpec.from_config(self.decay)
         except AccessKitError as err:
             raise ConfigError(f"decay: {err}") from None
-
-    def dataset(self):
-        if not self.demand or not self.supply:
-            raise ConfigError("config needs demand and supply paths")
-        for name in ("demand", "supply", "regions", "od_matrix"):
-            value = getattr(self, name)
-            if value is not None and not Path(value).is_file():
-                raise ConfigError(f"{name} file not found: {value}")
-        return load_dataset(self.demand, self.supply, regions_path=self.regions,
-                            coord_kind=self.coord_kind)
-
-    def travel_matrix(self, dataset):
-        if self.od_matrix is not None:
-            return load_od_matrix(self.od_matrix, dataset.demand, dataset.supply,
-                                  unit=self.cost_unit)
-        return build_travel_matrix(dataset, metric=self.metric,
-                                   speed=self.speed_km_per_min)
 
     def spatial_weights(self, locations, coord_kind):
         scheme = self.weights.get("scheme", "knn")
@@ -169,18 +143,98 @@ class RunConfig:
             return spatial_stats.build_weights(locations, band=band, coord_kind=coord_kind)
         raise ConfigError(f"weights: unknown scheme {scheme!r}")
 
-    def candidate_indices(self, dataset) -> tuple[int, ...]:
-        if self.candidates is None:
-            return tuple(range(len(dataset.supply)))
+
+class Run:
+    """A resolved config and its stages. Each stage is computed on first use
+    and kept, so the data behind each output file is built once."""
+
+    def __init__(self, args):
+        self.args = args
+        self.cfg = RunConfig.load(args.config) if "config" in args else RunConfig()
+        self.cfg.apply_overrides(args)
+        self.cfg.validate()
+        self.out = Path(self.cfg.out)
+        self.permutation_args = {"n_permutations": self.cfg.permutations,
+                                 "seed": self.cfg.seed, "threads": self.cfg.threads}
+
+    @cached_property
+    def dataset(self):
+        cfg = self.cfg
+        if not cfg.demand or not cfg.supply:
+            raise ConfigError("config needs demand and supply paths")
+        return load_dataset(cfg.demand, cfg.supply, regions_path=cfg.regions,
+                            coord_kind=cfg.coord_kind)
+
+    @cached_property
+    def matrix(self):
+        cfg, dataset = self.cfg, self.dataset
+        if cfg.od_matrix is not None:
+            return load_od_matrix(cfg.od_matrix, dataset.demand, dataset.supply,
+                                  unit=cfg.cost_unit)
+        return build_travel_matrix(dataset, metric=cfg.metric, speed=cfg.speed_km_per_min)
+
+    @cached_property
+    def access(self):
+        result = fca.compute_accessibility(self.cfg.method, self.dataset, self.matrix,
+                                           self.cfg.decay_spec())
+        for sid in result.warnings:
+            print(f"warning: supply {sid} captures no demand", file=sys.stderr)
+        return result
+
+    @cached_property
+    def stat_input(self):
+        """``(ids, locations, coord_kind, values)``: the --values table of
+        moran and lisa, else the demand sites and their access scores."""
+        if "values" in self.args:
+            if not Path(self.args.values).is_file():
+                raise ConfigError(f"values file not found: {self.args.values}")
+            return load_values(self.args.values, self.args.column)
+        demand = self.dataset.demand
+        return ([s.id for s in demand], np.array([(s.x, s.y) for s in demand]),
+                self.dataset.coord_kind, self.access.scores)
+
+    @cached_property
+    def weights(self):
+        ids, locations, coord_kind, _ = self.stat_input
+        weights = self.cfg.spatial_weights(locations, coord_kind)
+        for i in weights.isolated:
+            print(f"warning: unit {ids[i]} has no neighbors in the distance band",
+                  file=sys.stderr)
+        return weights
+
+    @cached_property
+    def moran(self):
+        return spatial_stats.morans_i(self.stat_input[3], self.weights, **self.permutation_args)
+
+    @cached_property
+    def lisa(self):
+        return spatial_stats.lisa(self.stat_input[3], self.weights, **self.permutation_args)
+
+    @cached_property
+    def hrad(self):
+        """hrad of the report's regions, or of the hrad command's --regions."""
+        if "config" in self.args:
+            return equity.hrad(self.dataset.regions)
+        measure = equity.hrad_vs_population if "with_population" in self.args else equity.hrad
+        return measure(load_regions(self.cfg.regions), epsilon=self.args.epsilon)
+
+    @cached_property
+    def plan(self):
+        """``(problem, plan)``: the greedy allocation improved by local search."""
+        cfg, dataset, matrix = self.cfg, self.dataset, self.matrix
+        if cfg.budget < 1:
+            raise ConfigError("optimization requires budget >= 1")
         index = {s.id: j for j, s in enumerate(dataset.supply)}
-        missing = [c for c in self.candidates if not isinstance(c, str) or c not in index]
+        candidates = list(index) if cfg.candidates is None else cfg.candidates
+        missing = [c for c in candidates if not isinstance(c, str) or c not in index]
         if missing:
             raise ConfigError(f"candidates reference unknown supply ids: {missing}")
-        return tuple(index[c] for c in self.candidates)
-
-    def echo_json(self) -> str:
-        data = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        problem = optimize.AllocationProblem(
+            dataset=dataset, matrix=matrix, decay=cfg.decay_spec(), budget=cfg.budget,
+            candidates=tuple(index[c] for c in candidates), method=cfg.method,
+            unit_size=cfg.unit_size, objective=cfg.objective,
+        )
+        return problem, optimize.local_search_improve(problem, optimize.greedy_allocate(problem))
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -194,172 +248,82 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# --- commands -------------------------------------------------------------
+# --- commands: each returns its output files {name: text} and its stdout line
 
-def cmd_access(args) -> int:
-    cfg = RunConfig.load(args.config)
-    cfg.apply_overrides(args)
-    cfg.validate()
-    dataset = cfg.dataset()
-    matrix = cfg.travel_matrix(dataset)
-    result = fca.compute_accessibility(cfg.method, dataset, matrix, cfg.decay_spec())
-    out = Path(cfg.out)
-    _write_atomic(out / "scores.csv",
-                  fca.scores_csv_text(result, dataset, per_thousand=cfg.per_thousand))
-    for sid in result.warnings:
-        print(f"warning: supply {sid} captures no demand", file=sys.stderr)
-    print(f"wrote {out / 'scores.csv'} ({cfg.method}, {len(dataset.demand)} sites)")
-    return 0
+def cmd_access(run):
+    text = fca.scores_csv_text(run.access, run.dataset, per_thousand=run.cfg.per_thousand)
+    return ({"scores.csv": text}, f"wrote {run.out / 'scores.csv'} "
+            f"({run.cfg.method}, {len(run.dataset.demand)} sites)")
 
 
-def _warn_isolated(weights, ids) -> None:
-    for i in weights.isolated:
-        print(f"warning: unit {ids[i]} has no neighbors in the distance band",
-              file=sys.stderr)
+def cmd_moran(run):
+    result = run.moran
+    return ({"moran.json": _json_text(spatial_stats.moran_json_dict(result))},
+            f"moran I={result.i:.6f} p={result.p_value:.4f} "
+            f"({result.n_permutations} permutations)")
 
 
-def _stat_inputs(args):
-    if not Path(args.values).is_file():
-        raise ConfigError(f"values file not found: {args.values}")
-    ids, locations, coord_kind, values = load_values(args.values, args.column)
-    if args.knn is not None:
-        weights = spatial_stats.build_weights(locations, k=args.knn, coord_kind=coord_kind)
-    else:
-        weights = spatial_stats.build_weights(locations, band=args.band, coord_kind=coord_kind)
-    _warn_isolated(weights, ids)
-    return ids, values, weights
+def cmd_lisa(run):
+    text = spatial_stats.lisa_csv_text(run.stat_input[0], run.lisa)
+    return {"lisa.csv": text}, f"wrote {run.out / 'lisa.csv'} ({run.weights.n} units)"
 
 
-def cmd_moran(args) -> int:
-    ids, values, weights = _stat_inputs(args)
-    result = spatial_stats.morans_i(values, weights, n_permutations=args.perms,
-                                    seed=args.seed, threads=args.threads)
-    out = Path(args.out)
-    _write_atomic(out / "moran.json", _json_text(spatial_stats.moran_json_dict(result)))
-    print(f"moran I={result.i:.6f} p={result.p_value:.4f} "
-          f"({result.n_permutations} permutations)")
-    return 0
+def cmd_hrad(run):
+    counts = run.hrad.by_class()
+    return ({"hrad.csv": equity.hrad_csv_text(run.hrad)},
+            "hrad classes: " + ", ".join(f"{k}={v}" for k, v in counts.items() if v))
 
 
-def cmd_lisa(args) -> int:
-    ids, values, weights = _stat_inputs(args)
-    result = spatial_stats.lisa(values, weights, n_permutations=args.perms,
-                                seed=args.seed, threads=args.threads)
-    out = Path(args.out)
-    _write_atomic(out / "lisa.csv", spatial_stats.lisa_csv_text(ids, result))
-    print(f"wrote {out / 'lisa.csv'} ({weights.n} units)")
-    return 0
+def cmd_optimize(run):
+    problem, plan = run.plan
+    return ({"plan.json": _json_text(optimize.plan_json_dict(problem, plan))},
+            f"objective {problem.objective}: "
+            f"{plan.objective_before!r} -> {plan.objective_after!r}")
 
 
-def cmd_hrad(args) -> int:
-    regions = load_regions(args.regions)
-    if args.with_population:
-        result = equity.hrad_vs_population(regions, epsilon=args.epsilon)
-    else:
-        result = equity.hrad(regions, epsilon=args.epsilon)
-    out = Path(args.out)
-    _write_atomic(out / "hrad.csv", equity.hrad_csv_text(result))
-    counts = result.by_class()
-    print("hrad classes: " + ", ".join(f"{k}={v}" for k, v in counts.items() if v))
-    return 0
-
-
-def _build_problem(cfg, dataset, matrix):
-    if cfg.budget < 1:
-        raise ConfigError("optimization requires budget >= 1")
-    return optimize.AllocationProblem(
-        dataset=dataset, matrix=matrix, decay=cfg.decay_spec(),
-        budget=cfg.budget, candidates=cfg.candidate_indices(dataset),
-        method=cfg.method, unit_size=cfg.unit_size, objective=cfg.objective,
-    )
-
-
-def cmd_optimize(args) -> int:
-    cfg = RunConfig.load(args.config)
-    cfg.apply_overrides(args)
-    cfg.validate()
-    dataset = cfg.dataset()
-    matrix = cfg.travel_matrix(dataset)
-    problem = _build_problem(cfg, dataset, matrix)
-    plan = optimize.local_search_improve(problem, optimize.greedy_allocate(problem))
-    out = Path(cfg.out)
-    _write_atomic(out / "plan.json", _json_text(optimize.plan_json_dict(problem, plan)))
-    print(f"objective {cfg.objective}: {plan.objective_before!r} -> {plan.objective_after!r}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    cfg = RunConfig.load(args.config)
-    cfg.apply_overrides(args)
-    cfg.validate()
-    dataset = cfg.dataset()
+def cmd_report(run):
+    """The files of access, moran, lisa, hrad and optimize on the access
+    scores, plus ``summary.json`` and the config echo ``config.json``."""
+    dataset = run.dataset
     if dataset.regions is None:
         raise ConfigError("report requires a regions file in the config")
-    matrix = cfg.travel_matrix(dataset)
-
-    access = fca.compute_accessibility(cfg.method, dataset, matrix, cfg.decay_spec())
-    locations = np.array([(s.x, s.y) for s in dataset.demand])
-    weights = cfg.spatial_weights(locations, dataset.coord_kind)
-    _warn_isolated(weights, [s.id for s in dataset.demand])
-    moran = spatial_stats.morans_i(access.scores, weights, n_permutations=cfg.permutations,
-                                   seed=cfg.seed, threads=cfg.threads)
-    lisa_res = spatial_stats.lisa(access.scores, weights, n_permutations=cfg.permutations,
-                                  seed=cfg.seed, threads=cfg.threads)
-    hrad_res = equity.hrad(dataset.regions)
-    problem = _build_problem(cfg, dataset, matrix)
-    plan = optimize.local_search_improve(problem, optimize.greedy_allocate(problem))
-
-    quadrant_counts = {}
-    for q in lisa_res.quadrant:
-        quadrant_counts[q] = quadrant_counts.get(q, 0) + 1
-    summary = {
+    files = {}
+    for command in (cmd_access, cmd_moran, cmd_lisa, cmd_hrad, cmd_optimize):
+        files.update(command(run)[0])
+    scores, lisa = run.access.scores, run.lisa
+    files["summary.json"] = _json_text({
         "n_demand": len(dataset.demand),
         "n_supply": len(dataset.supply),
         "n_regions": len(dataset.regions),
-        "method": cfg.method,
-        "seed": cfg.seed,
+        "method": run.cfg.method,
+        "seed": run.cfg.seed,
         "access": {
-            "mean_score": float(access.scores.mean()),
-            "min_score": float(access.scores.min()),
-            "max_score": float(access.scores.max()),
-            "zero_capture_supply_ids": list(access.warnings),
+            "mean_score": float(scores.mean()),
+            "min_score": float(scores.min()),
+            "max_score": float(scores.max()),
+            "zero_capture_supply_ids": list(run.access.warnings),
         },
-        "moran": spatial_stats.moran_json_dict(moran),
+        "moran": json.loads(files["moran.json"]),
         "lisa": {
-            "quadrant_counts": quadrant_counts,
-            "significant_at_0.05": int((lisa_res.p_value <= 0.05).sum()),
+            "quadrant_counts": Counter(lisa.quadrant),
+            "significant_at_0.05": int((lisa.p_value <= 0.05).sum()),
         },
-        "hrad": {"class_counts": hrad_res.by_class()},
-        "optimize": optimize.plan_json_dict(problem, plan),
-    }
-
-    out = Path(cfg.out)
-    ids = [s.id for s in dataset.demand]
-    _write_atomic(out / "scores.csv",
-                  fca.scores_csv_text(access, dataset, per_thousand=cfg.per_thousand))
-    _write_atomic(out / "moran.json", _json_text(spatial_stats.moran_json_dict(moran)))
-    _write_atomic(out / "lisa.csv", spatial_stats.lisa_csv_text(ids, lisa_res))
-    _write_atomic(out / "hrad.csv", equity.hrad_csv_text(hrad_res))
-    _write_atomic(out / "plan.json", _json_text(optimize.plan_json_dict(problem, plan)))
-    _write_atomic(out / "summary.json", _json_text(summary))
-    _write_atomic(out / "config.json", cfg.echo_json())
-    print(f"report written to {out}")
-    return 0
+        "hrad": {"class_counts": run.hrad.by_class()},
+        "optimize": json.loads(files["plan.json"]),
+    })
+    files["config.json"] = _json_text(vars(run.cfg))
+    return files, f"report written to {run.out}"
 
 
 # --- parser ----------------------------------------------------------------
 
-def _add_stat_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--values", required=True,
-                   help="CSV or GeoJSON table with id, coordinates, and value columns")
-    p.add_argument("--column", required=True, help="attribute column to test")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--knn", type=int, help="k nearest neighbors")
-    group.add_argument("--band", type=float, help="distance band radius in km")
-    p.add_argument("--perms", type=int, default=999, help="permutation count")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=int, default=_env_threads() or 1)
+class _WeightsFlag(argparse.Action):
+    """Stores ``--knn K`` or ``--band KM`` as the ``weights`` config value;
+    ``const`` is the scheme and the name of its parameter."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        scheme, key = self.const
+        setattr(namespace, self.dest, {"scheme": scheme, key: value})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,61 +333,72 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("access", help="compute accessibility scores")
+    def command(name, func, help_text):
+        # an absent flag sets nothing, so it never overwrites a config field
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("access", cmd_access, "compute accessibility scores")
     p.add_argument("--config", required=True)
     p.add_argument("--method", choices=fca.FCA_METHODS)
-    p.add_argument("--per-thousand", dest="per_thousand", action="store_true",
-                   help="report scores per 1000 people")
-    p.add_argument("--cost-unit", dest="cost_unit", choices=("km", "minutes"),
+    p.add_argument("--per-thousand", action="store_true", help="report scores per 1000 people")
+    p.add_argument("--cost-unit", choices=COST_UNITS,
                    help="unit of costs in an origin-destination file")
-    p.add_argument("--out")
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_access)
 
-    p = sub.add_parser("moran", help="global spatial autocorrelation")
-    _add_stat_flags(p)
-    p.set_defaults(func=cmd_moran)
+    for name, func, help_text in (("moran", cmd_moran, "global spatial autocorrelation"),
+                                  ("lisa", cmd_lisa, "local spatial autocorrelation")):
+        p = command(name, func, help_text)
+        p.add_argument("--values", required=True,
+                       help="CSV or GeoJSON table with id, coordinates, and value columns")
+        p.add_argument("--column", required=True, help="attribute column to test")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--knn", type=int, dest="weights", metavar="KNN",
+                           action=_WeightsFlag, const=("knn", "k"), help="k nearest neighbors")
+        group.add_argument("--band", type=float, dest="weights", metavar="BAND",
+                           action=_WeightsFlag, const=("distance_band", "band"),
+                           help="distance band radius in km")
+        p.add_argument("--perms", type=int, dest="permutations", metavar="PERMS",
+                       help="permutation count")
+        p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("lisa", help="local spatial autocorrelation")
-    _add_stat_flags(p)
-    p.set_defaults(func=cmd_lisa)
-
-    p = sub.add_parser("hrad", help="resource agglomeration equity")
+    p = command("hrad", cmd_hrad, "resource agglomeration equity")
     p.add_argument("--regions", required=True)
-    p.add_argument("--with-population", dest="with_population", action="store_true")
+    p.add_argument("--with-population", action="store_true")
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_hrad)
 
-    p = sub.add_parser("optimize", help="plan a capacity reallocation")
+    p = command("optimize", cmd_optimize, "plan a capacity reallocation")
     p.add_argument("--config", required=True)
     p.add_argument("--budget", type=int)
-    p.add_argument("--unit-size", dest="unit_size", type=float)
+    p.add_argument("--unit-size", type=float)
     p.add_argument("--objective", choices=optimize.OBJECTIVES)
     p.add_argument("--method", choices=fca.FCA_METHODS)
-    p.add_argument("--out")
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("report", help="full pipeline: access, stats, equity, plan")
+    p = command("report", cmd_report, "full pipeline: access, stats, equity, plan")
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--perms", type=int)
-    p.add_argument("--per-thousand", dest="per_thousand", action="store_true")
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_report)
+    p.add_argument("--perms", type=int, dest="permutations", metavar="PERMS")
+    p.add_argument("--per-thousand", action="store_true")
 
+    for name, p in sub.choices.items():
+        p.add_argument("--out")
+        if name != "hrad":
+            p.add_argument("--threads", type=int)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        run = Run(args)
+        files, line = args.func(run)
     except AccessKitError as err:
         print(f"error: {err.code}: {err}", file=sys.stderr)
         return 2
+    for name, text in files.items():
+        _write_atomic(run.out / name, text)
+    print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -151,10 +151,13 @@ def _coord_columns(coord_kind: str) -> tuple[str, str]:
 
 
 def _parse_float(raw, row_num: int, column: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise MalformedRow(f"row {row_num}: cannot parse {column}={raw!r}") from None
+    """A cell as a float; a GeoJSON ``true``/``false`` is no number."""
+    if not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            pass
+    raise MalformedRow(f"row {row_num}: cannot parse {column}={raw!r}")
 
 
 def _read_table(path, required: tuple[str, ...], point: tuple[str, str] | None = None):

@@ -6,6 +6,7 @@ its value is a genuine modeling choice and must be stated explicitly.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class DecaySpec:
         if self.kind == "zonal":
             if not self.zones or not self.weights:
                 raise InvalidDecaySpec("zonal decay requires zones and weights")
-            object.__setattr__(self, "zones", tuple(float(b) for b in self.zones))
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            object.__setattr__(self, "zones", _numbers("zones", self.zones))
+            object.__setattr__(self, "weights", _numbers("weights", self.weights))
             _check_breakpoints(self.zones)
             if len(self.weights) != len(self.zones):
                 raise InvalidDecaySpec("need exactly one weight per zone")
@@ -78,9 +79,9 @@ class DecaySpec:
 
     @classmethod
     def zonal(cls, zones, weights) -> "DecaySpec":
-        zones = tuple(float(b) for b in zones)
+        zones = _numbers("zones", zones)
         return cls(kind="zonal", d0=zones[-1] if zones else 0.0,
-                   zones=zones, weights=tuple(float(w) for w in weights))
+                   zones=zones, weights=_numbers("weights", weights))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DecaySpec":
@@ -117,10 +118,23 @@ class DecaySpec:
         return cfg
 
 
+def _finite_number(value) -> bool:
+    """A finite real number; a bool is not a number here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _positive_number(value) -> bool:
-    """A finite int or float above 0; a bool is not a number here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+    """A finite real number above 0; a bool is not a number here."""
+    return _finite_number(value) and value > 0
+
+
+def _numbers(name: str, values) -> tuple[float, ...]:
+    """Zonal ``zones`` or ``weights`` as floats. They must be a list, tuple
+    or array of finite numbers; anything else is InvalidDecaySpec."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_finite_number, values)):
+        raise InvalidDecaySpec(f"{name} must be a list of finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def _required(cfg: dict, key: str):
@@ -177,7 +191,7 @@ def zonal_from_gaussian(breakpoints, beta: float) -> DecaySpec:
     (the first zone's midpoint is b_1/2), normalized so zone 1 has weight 1.
     The resulting weights are strictly decreasing.
     """
-    breaks = tuple(float(b) for b in breakpoints)
+    breaks = _numbers("zones", breakpoints)
     _check_breakpoints(breaks)
     if not _positive_number(beta):
         raise InvalidDecaySpec(f"beta must be positive and finite, got {beta!r}")

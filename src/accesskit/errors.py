@@ -187,6 +187,10 @@ class NonPositiveUnitSize(OptimizeError, ValueError):
     """The capacity of one allocation unit is zero, negative or not a number."""
 
 
+class InvalidProblem(OptimizeError, ValueError):
+    """An allocation problem's method, objective, budget or candidates are invalid."""
+
+
 # --- cli ----------------------------------------------------------------
 
 class ConfigError(AccessKitError):

@@ -22,7 +22,7 @@ import numpy as np
 from .data_model import Dataset, SupplySite
 from .decay import DecaySpec
 from .equity import gini
-from .errors import InfeasibleAllocation, InstanceTooLarge, NonPositiveUnitSize
+from .errors import InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonPositiveUnitSize
 from .fca import FCA_METHODS, Catchment
 from .travel import TravelMatrix
 
@@ -46,20 +46,20 @@ class AllocationProblem:
         # stored sorted so "smaller candidate index" tie-breaking is positional
         object.__setattr__(self, "candidates", tuple(sorted(int(c) for c in self.candidates)))
         if self.method not in FCA_METHODS:
-            raise ValueError(f"method must be one of {FCA_METHODS}")
+            raise InvalidProblem(f"method must be one of {FCA_METHODS}")
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
+            raise InvalidProblem(f"objective must be one of {OBJECTIVES}")
         if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+            raise InvalidProblem("budget must be >= 0")
         if not self.unit_size > 0:
             raise NonPositiveUnitSize(f"unit_size must be positive, got {self.unit_size!r}")
         n_supply = len(self.dataset.supply)
         if not self.candidates:
-            raise ValueError("candidates must be nonempty")
+            raise InvalidProblem("candidates must be nonempty")
         if len(set(self.candidates)) != len(self.candidates):
-            raise ValueError("candidate indices must be unique")
+            raise InvalidProblem("candidate indices must be unique")
         if any(not 0 <= c < n_supply for c in self.candidates):
-            raise ValueError("candidate indices out of range")
+            raise InvalidProblem("candidate indices out of range")
 
     @property
     def maximize(self) -> bool:

@@ -333,6 +333,28 @@ ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
     pytest.param(lambda t: optimize_argv(t, [("demand.csv", ZERO_POPULATION)],
                                          objective="min_weighted_gini"),
                  "equity.EmptyInput", None, id="gini-objective-zero-population"),
+    pytest.param(lambda t: moran_argv(t, VALUES) + ["--threads", "0"],
+                 "cli.ConfigError", None, id="moran-threads-0"),
+    pytest.param(lambda t: ["lisa"] + moran_argv(t, VALUES)[1:] + ["--threads", "0"],
+                 "cli.ConfigError", None, id="lisa-threads-0"),
+    pytest.param(lambda t: report_argv(t, decay={"kind": "zonal", "zones": ["a", 20, 30],
+                                                 "weights": [1, 0.5, 0.2]}),
+                 "cli.ConfigError", None, id="config-zones-text-entry"),
+    pytest.param(lambda t: report_argv(t, decay={"kind": "zonal", "zones": 5, "weights": [1]}),
+                 "cli.ConfigError", None, id="config-zones-not-a-list"),
+    pytest.param(lambda t: report_argv(t, decay={"kind": "zonal", "zones": [10, 20, 30],
+                                                 "weights": ["x", 0.5, 0.2]}),
+                 "cli.ConfigError", None, id="config-zonal-weights-text-entry"),
+    pytest.param(lambda t: optimize_argv(t, candidates=[]),
+                 "optimize.InvalidProblem", None, id="config-candidates-empty"),
+    pytest.param(lambda t: optimize_argv(t, candidates=["h00", "h00"]),
+                 "optimize.InvalidProblem", None, id="config-candidates-repeated"),
+    pytest.param(lambda t: report_argv(t, demand_geojson(
+                     [([117.0, 36.6], {"id": "d1", "population": True})]),
+                     demand="demand.geojson"),
+                 "data_model.MalformedRow", 1, id="geojson-population-true"),
+    pytest.param(lambda t: hrad_argv(t, "id,area_km2,resource\n")[:2] + [str(t / "nope.csv")],
+                 "cli.ConfigError", None, id="hrad-regions-missing"),
 ])
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row):
     out = tmp_path / "out"
@@ -354,6 +376,36 @@ def test_geojson_demand_with_csv_supply(tmp_path):
     assert main(geojson_argv + ["--out", str(tmp_path / "b")]) == 0
     for name in ("scores.csv", "lisa.csv", "plan.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_report_writes_the_files_of_the_stage_commands(tmp_path):
+    cfg = write_city(tmp_path / "city", **CITY)
+    rep = tmp_path / "report"
+    stat_flags = ["--perms", "49", "--seed", "11"]
+    assert main(["report", "--config", str(cfg), *stat_flags, "--out", str(rep)]) == 0
+    # moran and lisa run on the report's scores, as a values table at the demand sites
+    sites = cfg.parent.joinpath("demand.csv").read_text().splitlines()[1:]
+    scores = rep.joinpath("scores.csv").read_text().splitlines()[1:]
+    values = tmp_path / "values.csv"
+    assert [s.split(",")[0] for s in sites] == [s.split(",")[0] for s in scores]
+    values.write_text("id,lon,lat,score\n" + "".join(
+        f"{site.rsplit(',', 1)[0]},{score.split(',')[1]}\n" for site, score in zip(sites, scores)))
+    knn = str(json.loads(cfg.read_text())["weights"]["k"])
+    stat = ["--values", str(values), "--column", "score", "--knn", knn, *stat_flags]
+    for argv, name in (
+        (["access", "--config", str(cfg)], "scores.csv"),
+        (["optimize", "--config", str(cfg)], "plan.json"),
+        (["hrad", "--regions", str(cfg.parent / "regions.csv")], "hrad.csv"),
+        (["moran", *stat], "moran.json"),
+        (["lisa", *stat], "lisa.csv"),
+    ):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [name]
+        assert out.joinpath(name).read_bytes() == rep.joinpath(name).read_bytes(), name
+    summary = json.loads(rep.joinpath("summary.json").read_text())
+    assert summary["moran"] == json.loads(rep.joinpath("moran.json").read_text())
+    assert summary["optimize"] == json.loads(rep.joinpath("plan.json").read_text())
 
 
 # What each config field accepts, by JSON kind; an int counts as a number.

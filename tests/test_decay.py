@@ -122,6 +122,23 @@ class TestSpecValidation:
         with pytest.raises(InvalidDecaySpec):
             DecaySpec.zonal([10, 20], [1.0, 0.0])  # zero weight
 
+    @pytest.mark.parametrize("zones, weights", [
+        (["a", 20, 30], [1.0, 0.5, 0.2]),
+        (5, [1.0]),
+        ([10, 20, 30], ["x", 0.5, 0.2]),
+        ([10, True], [1.0, 0.5]),
+        ([10, float("nan"), 30], [1.0, 0.5, 0.2]),
+    ])
+    def test_zonal_entries_must_be_numbers(self, zones, weights):
+        with pytest.raises(InvalidDecaySpec, match="list of finite numbers"):
+            DecaySpec.zonal(zones, weights)
+        with pytest.raises(InvalidDecaySpec, match="list of finite numbers"):
+            DecaySpec.from_config({"kind": "zonal", "zones": zones, "weights": weights})
+        if not all(isinstance(w, float) for w in weights):
+            return  # only the zones reach zonal_from_gaussian
+        with pytest.raises(InvalidDecaySpec, match="list of finite numbers"):
+            zonal_from_gaussian(zones, beta=100)
+
     def test_zonal_d0_tied_to_last_breakpoint(self):
         with pytest.raises(InvalidDecaySpec):
             DecaySpec(kind="zonal", d0=25, zones=(10, 20), weights=(1.0, 0.5))

@@ -3,7 +3,9 @@ import pytest
 
 from accesskit.decay import DecaySpec
 from accesskit.equity import gini
-from accesskit.errors import DimensionMismatch, InfeasibleAllocation, InstanceTooLarge
+from accesskit.errors import (
+    DimensionMismatch, InfeasibleAllocation, InstanceTooLarge, InvalidProblem,
+)
 from accesskit.fca import FCA_METHODS, compute_accessibility, g2sfca
 from accesskit.optimize import (
     OBJECTIVES,
@@ -267,6 +269,13 @@ class TestCandidateSites:
         assert problem.candidates == (0, 2)
         with pytest.raises(ValueError):
             make_problem([1], [1], [[0.0]], budget=1, candidates=(5,))
+
+    @pytest.mark.parametrize("candidates", [(), (0, 0), (5,)])
+    def test_bad_candidates_are_invalid_problems(self, candidates):
+        with pytest.raises(InvalidProblem) as info:
+            make_problem([1], [1], [[0.0]], budget=1, candidates=candidates)
+        assert isinstance(info.value, ValueError)
+        assert info.value.code == "optimize.InvalidProblem"
 
 
 class TestPlanJson:
