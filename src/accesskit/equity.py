@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     AllZeroValues,
     EmptyInput,
+    InvalidEpsilon,
     MissingPopulation,
     ZeroTotalPopulation,
     ZeroTotalResource,
@@ -49,13 +50,20 @@ class HradResult:
         return counts
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < float("inf"):  # NaN fails this test too
+        raise InvalidEpsilon(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 def classify(value: float, epsilon: float = 0.05) -> str:
     """Equity class for one agglomeration value.
 
     Exact parity never occurs on real-valued data, so a tolerance band
     around 1 stands in for "equal": within epsilon is equal, above it
-    relatively fair (resource-rich), below it unfair.
+    relatively fair (resource-rich), below it unfair. Raises InvalidEpsilon
+    for a negative, infinite or NaN epsilon.
     """
+    _check_epsilon(epsilon)
     if abs(value - 1.0) <= epsilon:
         return "equal"
     return "relatively_fair" if value > 1.0 else "unfair"
@@ -65,8 +73,10 @@ def hrad(regions, epsilon: float = 0.05) -> HradResult:
     """Resource agglomeration degree for each region.
 
     A region with zero resource gets degree 0 (maximally unfair). Raises
-    ZeroTotalResource when no region holds any resource.
+    ZeroTotalResource when no region holds any resource, InvalidEpsilon for
+    an epsilon ``classify`` rejects.
     """
+    _check_epsilon(epsilon)
     regions = list(regions)
     if not regions:
         raise EmptyInput("need at least one region")

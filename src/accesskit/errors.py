@@ -169,6 +169,10 @@ class EmptyInput(EquityError, ValueError):
     """An equity measure was given no regions or no values."""
 
 
+class InvalidEpsilon(EquityError, ValueError):
+    """The equality tolerance is negative, infinite or not a number."""
+
+
 # --- optimize -----------------------------------------------------------
 
 class OptimizeError(AccessKitError):

@@ -11,6 +11,13 @@ Objectives:
   max_min_access      raise the worst-off demand site's score (maximize)
   min_weighted_gini   population-weighted Gini of scores (minimize)
   min_variance        plain variance of scores (minimize)
+
+Step 2 is linear in capacity, so one unit added at candidate c shifts every
+score by a fixed column of ``AllocationProblem.shifts``. Greedy and local
+search rank all their options from that block with one array operation per
+chunk of candidates, then re-score the options that come within rounding of
+the best with the full kernel and decide on those exact values, in the same
+order and under the same strict comparison as a one-by-one search would.
 """
 
 import math
@@ -22,13 +29,21 @@ import numpy as np
 from .data_model import Dataset, SupplySite
 from .decay import DecaySpec
 from .equity import gini
-from .errors import InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonPositiveUnitSize
+from .errors import (
+    AllZeroValues, InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonPositiveUnitSize,
+)
 from .fca import FCA_METHODS, Catchment
 from .travel import TravelMatrix
 
 OBJECTIVES = ("max_min_access", "min_weighted_gini", "min_variance")
 
 BRUTE_FORCE_CAP = 100_000
+
+# Candidate columns per array operation: bounds the N x chunk score block.
+CHUNK = 32
+# Relative rounding allowance of the block scores against the full kernel;
+# options within it of the best are re-scored with the kernel.
+NEAR_TIE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,20 +100,96 @@ class AllocationProblem:
             raise InfeasibleAllocation("allocation exceeds the budget")
         return units
 
-    def _value(self, units) -> float:
-        """Objective value with ``units`` added per candidate."""
+    @cached_property
+    def shifts(self) -> np.ndarray:
+        """N x C score change per unit added at each candidate.
+
+        Column c is assign[:, c] * unit_size / captured[c], and 0 where no
+        demand reaches c, since step 2 is linear in the capacities.
+        """
+        catchment = self.catchment
+        cand = np.asarray(self.candidates)
+        per_unit = np.zeros(len(cand))
+        reached = catchment.reached[cand]
+        per_unit[reached] = self.unit_size / catchment.captured[cand][reached]
+        return catchment.assign[:, cand] * per_unit
+
+    def _scores(self, units) -> np.ndarray:
+        """Scores with ``units`` added per candidate, by the full kernel."""
         catchment = self.catchment
         capacity = catchment.capacity.copy()
         for c, u in zip(self.candidates, units):
             capacity[c] += u * self.unit_size
-        scores = catchment.solve(capacity)[1]
+        return catchment.solve(capacity)[1]
+
+    def _value(self, units) -> float:
+        """Objective value with ``units`` added per candidate."""
+        scores = self._scores(units)
         if self.objective == "max_min_access":
             return float(scores.min())
         if self.objective == "min_weighted_gini":
-            pop = catchment.population
+            pop = self.catchment.population
             mask = pop > 0
             return float(gini(scores[mask], pop[mask]))
         return float(np.var(scores))
+
+    def _unit_values(self, start: np.ndarray) -> np.ndarray:
+        """Objective of ``start`` plus one unit at each candidate, in one
+        array operation per chunk of candidates. These values rank options;
+        decisions and reported values come from ``_value``."""
+        shifts = self.shifts
+        pop = self.catchment.population
+        rows = pop > 0
+        out = np.empty(shifts.shape[1])
+        for lo in range(0, len(out), CHUNK):
+            block = start[:, None] + shifts[:, lo:lo + CHUNK]
+            if self.objective == "max_min_access":
+                out[lo:lo + CHUNK] = block.min(axis=0)
+            elif self.objective == "min_weighted_gini":
+                out[lo:lo + CHUNK] = _column_gini(block[rows], pop[rows])
+            else:
+                out[lo:lo + CHUNK] = block.var(axis=0)
+        return out
+
+    def _near_best(self, values: np.ndarray, scores: np.ndarray,
+                   current: float | None = None) -> list:
+        """Positions of ``values`` that could be the best option, ascending.
+
+        ``values`` come from ``_unit_values`` on kernel scores no larger
+        than ``scores``. Block and kernel scores are sums of the same
+        nonnegative terms, so they agree to a relative error e far below
+        NEAR_TIE. That moves a minimum by e of itself, a variance by less
+        than e times the variance plus the squared largest score, and a
+        weighted Gini by at most e times (1 + Gini). Options within that
+        allowance, taken at e = NEAR_TIE, of the best value and of
+        ``current`` when given are kept.
+        """
+        signed = values if self.maximize else -values
+        best = float(signed.max())
+        if current is not None:
+            best = max(best, current if self.maximize else -current)
+        if self.objective == "max_min_access":
+            scale = 0.0
+        elif self.objective == "min_weighted_gini":
+            scale = 1.0
+        else:
+            scale = (float(scores.max()) + float(self.shifts.max(initial=0.0))) ** 2
+        return np.flatnonzero(signed >= best - NEAR_TIE * (abs(best) + scale)).tolist()
+
+
+def _column_gini(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted Gini of each column: the Lorenz-curve trapezoid sum of
+    ``equity.gini`` taken down the columns after one stable sort."""
+    order = np.argsort(values, axis=0, kind="stable")
+    v = np.take_along_axis(values, order, axis=0)
+    w = weights[order]
+    cum_val = np.cumsum(w * v, axis=0)
+    if not (cum_val[-1] > 0).all():
+        raise AllZeroValues("every weighted value is zero")
+    cum_val /= cum_val[-1]
+    share = w / weights.sum()
+    under = (share[0] * cum_val[0] + (share[1:] * (cum_val[1:] + cum_val[:-1])).sum(axis=0)) / 2.0
+    return 1.0 - 2.0 * under
 
 
 @dataclass(frozen=True)
@@ -132,13 +223,14 @@ def greedy_allocate(problem: AllocationProblem) -> ReallocationPlan:
     single-unit addition yields the best objective; ties go to the smaller
     candidate index. Deterministic by construction.
     """
-    n_cand = len(problem.candidates)
-    units = np.zeros(n_cand, dtype=int)
+    units = np.zeros(len(problem.candidates), dtype=int)
     before = problem._value(units)
     trace = [before]
     for _ in range(problem.budget):
+        scores = problem._scores(units)
+        near = problem._near_best(problem._unit_values(scores), scores)
         best_c, best_val = None, None
-        for c in range(n_cand):
+        for c in near:
             units[c] += 1
             val = problem._value(units)
             units[c] -= 1
@@ -167,21 +259,30 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
     current = problem._value(units)
     trace = list(plan.trace) or [current]
     n_cand = len(problem.candidates)
+    worst = -np.inf if problem.maximize else np.inf
     for _ in range(max_iters):
+        donors = np.flatnonzero(units > 0)
+        if not donors.size:
+            break
+        # row r holds every move of one unit away from donor r, in (frm, to)
+        # order; the block starts from the kernel's scores without that unit
+        values = np.empty((donors.size, n_cand))
+        for row, frm in enumerate(donors):
+            units[frm] -= 1
+            values[row] = problem._unit_values(problem._scores(units))
+            units[frm] += 1
+            values[row, frm] = worst
+        near = problem._near_best(values.ravel(), problem._scores(units), current)
         best_move, best_val = None, current
-        for frm in range(n_cand):
-            if units[frm] == 0:
-                continue
-            for to in range(n_cand):
-                if to == frm:
-                    continue
-                units[frm] -= 1
-                units[to] += 1
-                val = problem._value(units)
-                units[frm] += 1
-                units[to] -= 1
-                if problem.better(val, best_val):
-                    best_move, best_val = (frm, to), val
+        for pos in near:
+            frm, to = int(donors[pos // n_cand]), pos % n_cand
+            units[frm] -= 1
+            units[to] += 1
+            val = problem._value(units)
+            units[frm] += 1
+            units[to] -= 1
+            if problem.better(val, best_val):
+                best_move, best_val = (frm, to), val
         if best_move is None:
             break
         frm, to = best_move

@@ -121,7 +121,7 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
             cols[i] = np.argsort(row, kind="stable")[:k]
         cols, rows = cols.ravel(), np.repeat(np.arange(n), k)
     else:
-        if band <= 0:
+        if not band > 0:  # NaN fails this test too
             raise InvalidStatArgument(f"band radius must be positive, got {band}")
         rows, cols = np.nonzero(dist <= band)
 

@@ -236,6 +236,7 @@ class TestReport:
 CITY = {"seed": 99, "n_demand": 60, "n_supply": 8, "n_regions": 5}
 VALUES = "id,lon,lat,score\nu0,117.0,36.6,1\nu1,117.1,36.7,2\nu2,117.2,36.5,5\nu3,117.05,36.62,3\n"
 OD = "demand_id,supply_id,cost\nd000,h00,3.0\n"
+REGIONS = "id,area_km2,resource\nr0,10,20\nr1,90,80\n"
 
 
 def feature_collection(features):
@@ -355,6 +356,14 @@ ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
                  "data_model.MalformedRow", 1, id="geojson-population-true"),
     pytest.param(lambda t: hrad_argv(t, "id,area_km2,resource\n")[:2] + [str(t / "nope.csv")],
                  "cli.ConfigError", None, id="hrad-regions-missing"),
+    pytest.param(lambda t: moran_argv(t, VALUES)[:-4] + ["--band", "nan", "--perms", "9"],
+                 "spatial_stats.InvalidStatArgument", None, id="moran-band-nan"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "distance_band", "band": float("nan")}),
+                 "spatial_stats.InvalidStatArgument", None, id="config-band-nan"),
+    pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "nan"],
+                 "equity.InvalidEpsilon", None, id="hrad-epsilon-nan"),
+    pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "-1"],
+                 "equity.InvalidEpsilon", None, id="hrad-epsilon-negative"),
 ])
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row):
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ from accesskit.equity import (
 )
 from accesskit.errors import (
     AllZeroValues,
+    InvalidEpsilon,
     MissingPopulation,
     ZeroTotalPopulation,
     ZeroTotalResource,
@@ -87,6 +88,21 @@ class TestHrad:
     def test_epsilon_configurable(self):
         assert classify(1.2, 0.25) == "equal"
         assert classify(1.2, 0.1) == "relatively_fair"
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0, -1e-300])
+    def test_bad_epsilon_rejected(self, epsilon):
+        rows = regions((10.0, 20.0, 5.0), (90.0, 80.0, 5.0))
+        for measure in (lambda: classify(1.0, epsilon), lambda: hrad(rows, epsilon),
+                        lambda: hrad_vs_population(rows, epsilon)):
+            with pytest.raises(InvalidEpsilon) as info:
+                measure()
+            assert isinstance(info.value, ValueError)
+            assert info.value.code == "equity.InvalidEpsilon"
+
+    def test_zero_epsilon_is_exact_parity(self):
+        assert classify(1.0, 0.0) == "equal"
+        assert classify(np.nextafter(1.0, 2.0), 0.0) == "relatively_fair"
+        assert hrad(regions((10.0, 10.0), (10.0, 10.0)), 0.0).records[0].classification == "equal"
 
 
 class TestHradVsPopulation:

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accesskit.decay import DecaySpec
 from accesskit.equity import gini
@@ -10,6 +14,7 @@ from accesskit.fca import FCA_METHODS, compute_accessibility, g2sfca
 from accesskit.optimize import (
     OBJECTIVES,
     AllocationProblem,
+    ReallocationPlan,
     add_candidate_sites,
     brute_force_allocate,
     evaluate_objective,
@@ -288,3 +293,172 @@ class TestPlanJson:
         assert sum(a["units_added"] for a in d["allocations"]) == 2
         for a in d["allocations"]:
             assert a["capacity_added"] == a["units_added"] * 3.0
+
+
+# --- the array search against the one-by-one search ---------------------
+
+def reference_greedy(problem):
+    """Greedy as a loop over evaluate_objective: every candidate, every unit."""
+    units = [0] * len(problem.candidates)
+    trace = [evaluate_objective(problem, units)]
+    for _ in range(problem.budget):
+        best_c, best_val = None, None
+        for c in range(len(units)):
+            units[c] += 1
+            val = evaluate_objective(problem, units)
+            units[c] -= 1
+            if best_val is None or problem.better(val, best_val):
+                best_c, best_val = c, val
+        units[best_c] += 1
+        trace.append(best_val)
+    return ReallocationPlan(tuple(units), trace[0], trace[-1], tuple(trace))
+
+
+def reference_local_search(problem, plan, max_iters=100):
+    """Local search as a loop over evaluate_objective: every (frm, to) move."""
+    units, current = list(plan.units), evaluate_objective(problem, plan.units)
+    trace = list(plan.trace) or [current]
+    for _ in range(max_iters):
+        best_move, best_val = None, current
+        for frm, to in itertools.permutations(range(len(units)), 2):
+            if units[frm]:
+                moved = list(units)
+                moved[frm], moved[to] = moved[frm] - 1, moved[to] + 1
+                val = evaluate_objective(problem, moved)
+                if problem.better(val, best_val):
+                    best_move, best_val = (frm, to), val
+        if best_move is None:
+            break
+        units[best_move[0]] -= 1
+        units[best_move[1]] += 1
+        current = best_val
+        trace.append(current)
+    return ReallocationPlan(tuple(units), plan.objective_before, current, tuple(trace))
+
+
+def sweep_problem(rng):
+    """A small problem over every method and objective, with random
+    candidate subsets, candidates no demand reaches, single candidates and
+    binary decay's exact ties."""
+    method = FCA_METHODS[rng.integers(0, len(FCA_METHODS))]
+    kinds = ("zonal",) if method == "e2sfca" else ("binary", "binary", "gaussian", "zonal")
+    ds, matrix, decay = random_instance(rng, max_demand=8, max_supply=5,
+                                        all_reachable=bool(rng.integers(0, 2)), kinds=kinds)
+    n_supply = len(ds.supply)
+    if rng.integers(0, 3) == 0:
+        far = float(matrix.cost.max()) * 1000.0 + 1e6  # beyond every cutoff, in meters
+        near = (ds.demand[0].x, ds.demand[0].y)
+        ds, _ = add_candidate_sites(ds, [("far", far, far), ("near", *near)])
+        matrix = build_travel_matrix(ds, metric="euclidean")
+        n_supply = len(ds.supply)
+    size = int(rng.integers(1, n_supply + 1))
+    candidates = tuple(rng.choice(n_supply, size=size, replace=False).tolist())
+    return AllocationProblem(
+        dataset=ds, matrix=matrix, decay=decay, budget=int(rng.integers(0, 5)),
+        candidates=candidates, method=method,
+        unit_size=float(rng.choice([1.0, 10.0, rng.uniform(0.5, 50)])),
+        objective=OBJECTIVES[rng.integers(0, len(OBJECTIVES))],
+    )
+
+
+def outcome(fn, *args):
+    """The plan, or the class of the error raised (a Gini over all-zero scores)."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err)
+
+
+def test_array_search_equals_one_by_one_search():
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for _ in range(300):
+        problem = sweep_problem(rng)
+        greedy = outcome(greedy_allocate, problem)
+        assert greedy == outcome(reference_greedy, problem)
+        if isinstance(greedy, ReallocationPlan):
+            for max_iters in (100, 1):
+                refined = outcome(local_search_improve, problem, greedy, max_iters)
+                assert refined == outcome(reference_local_search, problem, greedy, max_iters)
+            worse = ReallocationPlan((problem.budget,) + (0,) * (len(problem.candidates) - 1),
+                                     greedy.objective_before, greedy.objective_before)
+            assert outcome(local_search_improve, problem, worse) == \
+                outcome(reference_local_search, problem, worse)
+        seen.add((problem.method, problem.objective, isinstance(greedy, ReallocationPlan)))
+    for method in FCA_METHODS:
+        for objective in OBJECTIVES:
+            assert (method, objective, True) in seen
+
+
+def test_exact_ties_resolve_as_the_one_by_one_search():
+    # every candidate ties exactly: one demand site no facility reaches pins the minimum at 0
+    problem = make_problem([100, 50], [10, 10, 10], [[0.0, 0.0, 0.0], [99.0, 99.0, 99.0]],
+                           budget=3)
+    plan = greedy_allocate(problem)
+    assert plan == reference_greedy(problem)
+    assert plan.units == (3, 0, 0)
+    assert local_search_improve(problem, plan) == reference_local_search(problem, plan)
+
+
+def test_single_candidate_local_search_stops():
+    problem = make_problem([100, 50], [10, 10], [[0.0, 5.0], [5.0, 0.0]], budget=2,
+                           candidates=(1,), objective="min_variance")
+    plan = greedy_allocate(problem)
+    assert plan.units == (2,)
+    assert local_search_improve(problem, plan) == plan == reference_greedy(problem)
+
+
+# --- properties ------------------------------------------------------------
+
+@st.composite
+def problems(draw, max_candidates=4, max_budget=4):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problem = random_problem(rng, max_candidates=max_candidates, max_budget=max_budget,
+                             objective=draw(st.sampled_from(OBJECTIVES)))
+    units = np.zeros(len(problem.candidates), dtype=int)
+    for _ in range(draw(st.integers(0, problem.budget - 1))):
+        units[draw(st.integers(0, len(units) - 1))] += 1
+    return problem, units
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_block_objective_equals_kernel_for_every_single_unit_change(case):
+    problem, units = case
+    scores = problem._scores(units)
+    added = problem._unit_values(scores)
+    for c in range(len(units)):
+        units[c] += 1
+        assert added[c] == pytest.approx(problem._value(units), rel=1e-9, abs=1e-15)
+        units[c] -= 1
+    for frm in np.flatnonzero(units):  # local search's blocks: one unit taken from frm
+        units[frm] -= 1
+        moved = problem._unit_values(problem._scores(units))
+        for to in range(len(units)):
+            units[to] += 1
+            assert moved[to] == pytest.approx(problem._value(units), rel=1e-9, abs=1e-15)
+            units[to] -= 1
+        units[frm] += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_greedy_plus_local_search_never_worse_than_baseline(case):
+    # greedy spends the whole budget, and for variance and Gini an added
+    # unit can widen the spread; added capacity never lowers the minimum
+    problem, _ = case
+    greedy = greedy_allocate(problem)
+    refined = local_search_improve(problem, greedy)
+    if problem.objective == "max_min_access":
+        assert not problem.better(refined.objective_before, refined.objective_after)
+    assert not problem.better(greedy.objective_after, refined.objective_after)
+    assert refined.objective_after == evaluate_objective(problem, refined.units)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(max_candidates=3, max_budget=3))
+def test_brute_force_at_least_as_good_on_tiny_instances(case):
+    problem, _ = case
+    refined = local_search_improve(problem, greedy_allocate(problem))
+    assert not problem.better(refined.objective_after,
+                              brute_force_allocate(problem).objective_after)
