@@ -124,37 +124,44 @@ def hrad_vs_population(regions, epsilon: float = 0.05) -> HradResult:
     return HradResult(records=records, epsilon=epsilon)
 
 
-def gini(values, weights=None) -> float:
+def gini(values, weights=None):
     """Weighted Gini coefficient of a nonnegative value distribution.
 
     Sorts by value and integrates the Lorenz curve with the trapezoid rule;
     ``weights`` default to equal. 0 is perfect equality; the supremum 1 is
-    never attained on finite data.
+    never attained on finite data. A vector gives a float. An n x k matrix
+    gives the array of its k column coefficients under the same n weights,
+    each taken down its column as for a vector; this is the only Gini
+    implementation, for reported values and the optimizer's ranking alike.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("values must be a vector")
+    if v.ndim not in (1, 2):
+        raise ValueError("values must be a vector or a matrix")
     if v.size == 0:
-        raise EmptyInput("values must be a nonempty vector")
+        raise EmptyInput("values must be nonempty")
     if (v < 0).any():
         raise ValueError("values must be nonnegative")
     if weights is None:
-        w = np.ones_like(v)
+        w = np.ones(len(v))
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != v.shape:
+        if w.shape != v.shape[:1]:
             raise ValueError("weights must match values in length")
         if (w <= 0).any() or w.sum() <= 0:
             raise ValueError("weights must be positive")
-    if float(w @ v) <= 0:
+    if (w @ v <= 0).any():
         raise AllZeroValues("every weighted value is zero")
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    cum_pop = np.concatenate([[0.0], np.cumsum(w)]) / w.sum()
-    cum_val = np.concatenate([[0.0], np.cumsum(w * v)]) / float(w @ v)
+    order = np.argsort(v, axis=0, kind="stable")
+    v, w = np.take_along_axis(v, order, axis=0), w[order]
+    zero = np.zeros_like(v[:1])
+    cum_pop = np.concatenate([zero, np.cumsum(w, axis=0)]) / w.sum(axis=0)
+    # the sorted dot product; a matrix takes it column by column
+    total = w @ v if v.ndim == 1 else (w * v).sum(axis=0)
+    cum_val = np.concatenate([zero, np.cumsum(w * v, axis=0)]) / total
     # area under the Lorenz curve, trapezoid rule
-    under = float(np.sum(np.diff(cum_pop) * (cum_val[1:] + cum_val[:-1])) / 2.0)
-    return 1.0 - 2.0 * under
+    under = np.sum(np.diff(cum_pop, axis=0) * (cum_val[1:] + cum_val[:-1]), axis=0) / 2.0
+    g = 1.0 - 2.0 * under
+    return float(g) if v.ndim == 1 else g
 
 
 def hrad_csv_text(result: HradResult) -> str:

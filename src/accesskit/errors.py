@@ -188,7 +188,7 @@ class InfeasibleAllocation(OptimizeError):
 
 
 class NonPositiveUnitSize(OptimizeError, ValueError):
-    """The capacity of one allocation unit is zero, negative or not a number."""
+    """The capacity of one allocation unit is zero, negative, infinite or not a number."""
 
 
 class InvalidProblem(OptimizeError, ValueError):

@@ -14,10 +14,11 @@ Objectives:
 
 Step 2 is linear in capacity, so one unit added at candidate c shifts every
 score by a fixed column of ``AllocationProblem.shifts``. Greedy and local
-search rank all their options from that block with one array operation per
-chunk of candidates, then re-score the options that come within rounding of
-the best with the full kernel and decide on those exact values, in the same
-order and under the same strict comparison as a one-by-one search would.
+search share one step, ``AllocationProblem._best_step``: it ranks every
+option from that block with one array operation per chunk of candidates,
+then re-scores the options that come within rounding of the best with the
+full kernel and decides on those exact values, in the same order and under
+the same strict comparison as a one-by-one search would.
 """
 
 import math
@@ -30,7 +31,7 @@ from .data_model import Dataset, SupplySite
 from .decay import DecaySpec
 from .equity import gini
 from .errors import (
-    AllZeroValues, InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonPositiveUnitSize,
+    InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonPositiveUnitSize,
 )
 from .fca import FCA_METHODS, Catchment
 from .travel import TravelMatrix
@@ -66,8 +67,9 @@ class AllocationProblem:
             raise InvalidProblem(f"objective must be one of {OBJECTIVES}")
         if self.budget < 0:
             raise InvalidProblem("budget must be >= 0")
-        if not self.unit_size > 0:
-            raise NonPositiveUnitSize(f"unit_size must be positive, got {self.unit_size!r}")
+        if not 0 < self.unit_size < math.inf:  # NaN fails this test too
+            raise NonPositiveUnitSize(
+                f"unit_size must be positive and finite, got {self.unit_size!r}")
         n_supply = len(self.dataset.supply)
         if not self.candidates:
             raise InvalidProblem("candidates must be nonempty")
@@ -122,74 +124,83 @@ class AllocationProblem:
             capacity[c] += u * self.unit_size
         return catchment.solve(capacity)[1]
 
-    def _value(self, units) -> float:
-        """Objective value with ``units`` added per candidate."""
-        scores = self._scores(units)
+    def _objective(self, scores: np.ndarray):
+        """Objective of a score vector, or of each column of an N x k block."""
         if self.objective == "max_min_access":
-            return float(scores.min())
+            return scores.min(axis=0)
         if self.objective == "min_weighted_gini":
             pop = self.catchment.population
-            mask = pop > 0
-            return float(gini(scores[mask], pop[mask]))
-        return float(np.var(scores))
+            rows = pop > 0
+            return gini(scores[rows], pop[rows])
+        return scores.var(axis=0)
+
+    def _value(self, units) -> float:
+        """Objective value with ``units`` added per candidate."""
+        return float(self._objective(self._scores(units)))
 
     def _unit_values(self, start: np.ndarray) -> np.ndarray:
         """Objective of ``start`` plus one unit at each candidate, in one
         array operation per chunk of candidates. These values rank options;
         decisions and reported values come from ``_value``."""
         shifts = self.shifts
-        pop = self.catchment.population
-        rows = pop > 0
         out = np.empty(shifts.shape[1])
         for lo in range(0, len(out), CHUNK):
-            block = start[:, None] + shifts[:, lo:lo + CHUNK]
-            if self.objective == "max_min_access":
-                out[lo:lo + CHUNK] = block.min(axis=0)
-            elif self.objective == "min_weighted_gini":
-                out[lo:lo + CHUNK] = _column_gini(block[rows], pop[rows])
-            else:
-                out[lo:lo + CHUNK] = block.var(axis=0)
+            out[lo:lo + CHUNK] = self._objective(start[:, None] + shifts[:, lo:lo + CHUNK])
         return out
 
-    def _near_best(self, values: np.ndarray, scores: np.ndarray,
-                   current: float | None = None) -> list:
-        """Positions of ``values`` that could be the best option, ascending.
+    def _best_step(self, units: np.ndarray, donors, current: float | None = None):
+        """The best move of one unit from a donor to a candidate.
 
-        ``values`` come from ``_unit_values`` on kernel scores no larger
-        than ``scores``. Block and kernel scores are sums of the same
-        nonnegative terms, so they agree to a relative error e far below
-        NEAR_TIE. That moves a minimum by e of itself, a variance by less
-        than e times the variance plus the squared largest score, and a
-        weighted Gini by at most e times (1 + Gini). Options within that
-        allowance, taken at e = NEAR_TIE, of the best value and of
-        ``current`` when given are kept.
+        A donor is a candidate position, or None for the unspent budget.
+        Every (donor, to) option is ranked from the block of shifts on the
+        kernel's scores without the donor's unit. Block and kernel scores
+        are sums of the same nonnegative terms, so they agree to a relative
+        error e far below NEAR_TIE. That moves a minimum by e of itself, a
+        variance by less than e times the variance plus the squared largest
+        block score, and a weighted Gini by at most e times (1 + Gini). The
+        options within that allowance, taken at e = NEAR_TIE, of the best
+        ranked value and of ``current`` are re-scored with the kernel in
+        (donor, to) order; the first that strictly beats ``current`` and
+        every option before it wins. Returns (donor, to, value), or None
+        when no option beats ``current``.
         """
-        signed = values if self.maximize else -values
-        best = float(signed.max())
+        n_cand = len(self.candidates)
+        sign = 1.0 if self.maximize else -1.0  # signed values: larger is better
+        signed = np.empty((len(donors), n_cand))
+        top = 0.0
+        for row, frm in enumerate(donors):
+            start = self._scores(_moved(units, frm, None))
+            signed[row] = sign * self._unit_values(start)
+            top = max(top, float(start.max()))
+            if frm is not None:  # a unit stays put
+                signed[row, frm] = -np.inf
+        best = float(signed.max(initial=-np.inf))
         if current is not None:
-            best = max(best, current if self.maximize else -current)
+            best = max(best, sign * current)
         if self.objective == "max_min_access":
             scale = 0.0
         elif self.objective == "min_weighted_gini":
             scale = 1.0
         else:
-            scale = (float(scores.max()) + float(self.shifts.max(initial=0.0))) ** 2
-        return np.flatnonzero(signed >= best - NEAR_TIE * (abs(best) + scale)).tolist()
+            scale = (top + float(self.shifts.max(initial=0.0))) ** 2
+        step, best_val = None, current
+        for pos in np.flatnonzero(signed.ravel() >= best - NEAR_TIE * (abs(best) + scale)):
+            frm, to = donors[pos // n_cand], int(pos % n_cand)
+            val = self._value(_moved(units, frm, to))
+            if best_val is None or self.better(val, best_val):
+                step, best_val = (frm, to, val), val
+        return step
 
 
-def _column_gini(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted Gini of each column: the Lorenz-curve trapezoid sum of
-    ``equity.gini`` taken down the columns after one stable sort."""
-    order = np.argsort(values, axis=0, kind="stable")
-    v = np.take_along_axis(values, order, axis=0)
-    w = weights[order]
-    cum_val = np.cumsum(w * v, axis=0)
-    if not (cum_val[-1] > 0).all():
-        raise AllZeroValues("every weighted value is zero")
-    cum_val /= cum_val[-1]
-    share = w / weights.sum()
-    under = (share[0] * cum_val[0] + (share[1:] * (cum_val[1:] + cum_val[:-1])).sum(axis=0)) / 2.0
-    return 1.0 - 2.0 * under
+def _moved(units: np.ndarray, frm, to) -> np.ndarray:
+    """``units`` with one unit taken from ``frm`` and given to ``to``; None
+    stands for the unspent budget."""
+    moved = units.copy()
+    if frm is not None:
+        moved[frm] -= 1
+    if to is not None:
+        moved[to] += 1
+    return moved
 
 
 @dataclass(frozen=True)
@@ -227,17 +238,9 @@ def greedy_allocate(problem: AllocationProblem) -> ReallocationPlan:
     before = problem._value(units)
     trace = [before]
     for _ in range(problem.budget):
-        scores = problem._scores(units)
-        near = problem._near_best(problem._unit_values(scores), scores)
-        best_c, best_val = None, None
-        for c in near:
-            units[c] += 1
-            val = problem._value(units)
-            units[c] -= 1
-            if best_val is None or problem.better(val, best_val):
-                best_c, best_val = c, val
-        units[best_c] += 1
-        trace.append(best_val)
+        _, to, val = problem._best_step(units, [None])
+        units[to] += 1
+        trace.append(val)
     return ReallocationPlan(
         units=tuple(int(u) for u in units),
         objective_before=before,
@@ -258,37 +261,13 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
     units = problem._check(plan.units).copy()
     current = problem._value(units)
     trace = list(plan.trace) or [current]
-    n_cand = len(problem.candidates)
-    worst = -np.inf if problem.maximize else np.inf
     for _ in range(max_iters):
-        donors = np.flatnonzero(units > 0)
-        if not donors.size:
+        step = problem._best_step(units, np.flatnonzero(units > 0).tolist(), current)
+        if step is None:
             break
-        # row r holds every move of one unit away from donor r, in (frm, to)
-        # order; the block starts from the kernel's scores without that unit
-        values = np.empty((donors.size, n_cand))
-        for row, frm in enumerate(donors):
-            units[frm] -= 1
-            values[row] = problem._unit_values(problem._scores(units))
-            units[frm] += 1
-            values[row, frm] = worst
-        near = problem._near_best(values.ravel(), problem._scores(units), current)
-        best_move, best_val = None, current
-        for pos in near:
-            frm, to = int(donors[pos // n_cand]), pos % n_cand
-            units[frm] -= 1
-            units[to] += 1
-            val = problem._value(units)
-            units[frm] += 1
-            units[to] -= 1
-            if problem.better(val, best_val):
-                best_move, best_val = (frm, to), val
-        if best_move is None:
-            break
-        frm, to = best_move
+        frm, to, current = step
         units[frm] -= 1
         units[to] += 1
-        current = best_val
         trace.append(current)
     return ReallocationPlan(
         units=tuple(int(u) for u in units),

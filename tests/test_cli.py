@@ -329,6 +329,10 @@ ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
                  "cli.ConfigError", None, id="config-d0-bool"),
     pytest.param(lambda t: report_argv(t, unit_size=-1),
                  "optimize.NonPositiveUnitSize", None, id="config-unit-size-negative"),
+    pytest.param(lambda t: report_argv(t, unit_size=float("inf")),
+                 "optimize.NonPositiveUnitSize", None, id="config-unit-size-infinite"),
+    pytest.param(lambda t: optimize_argv(t) + ["--unit-size", "inf"],
+                 "optimize.NonPositiveUnitSize", None, id="unit-size-inf"),
     pytest.param(lambda t: report_argv(t, speed_km_per_min=0),
                  "travel.NonPositiveSpeed", None, id="config-speed-0"),
     pytest.param(lambda t: optimize_argv(t, [("demand.csv", ZERO_POPULATION)],

@@ -180,12 +180,30 @@ class TestGini:
     def test_all_zero_values(self):
         with pytest.raises(AllZeroValues):
             gini([0.0, 0.0, 0.0])
+        with pytest.raises(AllZeroValues):  # one all-zero column in a block
+            gini([[1.0, 0.0], [2.0, 0.0]])
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             gini([1.0, 2.0], [1.0, -1.0])
         with pytest.raises(ValueError):
             gini([1.0, -2.0])
+        with pytest.raises(ValueError):
+            gini(np.ones((2, 2, 2)))
+
+    def test_block_columns_match_vectors(self):
+        rng = np.random.default_rng(75)
+        for _ in range(50):
+            n, k = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+            block = rng.uniform(0, 100, size=(n, k)) * (rng.uniform(size=(n, k)) < 0.8)
+            block[0] += 1.0  # no all-zero column
+            w = rng.uniform(0.5, 5, size=n)
+            by_column = gini(block, w)
+            assert isinstance(by_column, np.ndarray) and by_column.shape == (k,)
+            for j in range(k):
+                one = gini(block[:, j], w)
+                assert type(one) is float
+                assert by_column[j] == pytest.approx(one, rel=1e-12, abs=1e-15)
 
 
 class TestCsv:

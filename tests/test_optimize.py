@@ -9,6 +9,7 @@ from accesskit.decay import DecaySpec
 from accesskit.equity import gini
 from accesskit.errors import (
     DimensionMismatch, InfeasibleAllocation, InstanceTooLarge, InvalidProblem,
+    NonPositiveUnitSize,
 )
 from accesskit.fca import FCA_METHODS, compute_accessibility, g2sfca
 from accesskit.optimize import (
@@ -281,6 +282,13 @@ class TestCandidateSites:
             make_problem([1], [1], [[0.0]], budget=1, candidates=candidates)
         assert isinstance(info.value, ValueError)
         assert info.value.code == "optimize.InvalidProblem"
+
+    @pytest.mark.parametrize("unit_size", [0.0, -1.0, float("nan"), float("inf")])
+    def test_unit_size_must_be_positive_and_finite(self, unit_size):
+        # an infinite unit would turn the block of score shifts into inf and NaN
+        with pytest.raises(NonPositiveUnitSize):
+            make_problem([100, 50], [10, 10], [[0.0, 5.0], [5.0, 0.0]], budget=3,
+                         unit_size=unit_size)
 
 
 class TestPlanJson:
