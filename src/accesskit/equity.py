@@ -139,8 +139,8 @@ def gini(values, weights=None):
         raise ValueError("values must be a vector or a matrix")
     if v.size == 0:
         raise EmptyInput("values must be nonempty")
-    if (v < 0).any():
-        raise ValueError("values must be nonnegative")
+    if not (np.isfinite(v) & (v >= 0)).all():
+        raise ValueError("values must be finite and nonnegative")
     if weights is None:
         w = np.ones(len(v))
     else:

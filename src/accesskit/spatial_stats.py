@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import COORD_KINDS
 from .errors import (
     InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance,
 )
@@ -96,6 +97,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
     band : float, optional
         Radius in km; all units within it (self excluded) are neighbors.
         Units with an empty row are reported in ``isolated``.
+    coord_kind : str
+        ``"geographic"`` or ``"planar"``; anything else is an error.
     row_standardize : bool
         Scale each nonempty row to sum to 1 (required by the statistics).
     """
@@ -107,25 +110,24 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         raise InvalidStatArgument("need at least 2 locations")
     if (k is None) == (band is None):
         raise InvalidStatArgument("give exactly one of k or band")
+    if coord_kind not in COORD_KINDS:
+        raise InvalidStatArgument(f"coord_kind must be one of {COORD_KINDS}, got {coord_kind!r}")
+    if k is not None and not 1 <= k < n:
+        raise KTooLarge(f"knn needs 1 <= k < n, got k={k} with n={n}")
+    if band is not None and not band > 0:  # NaN fails this test too
+        raise InvalidStatArgument(f"band radius must be positive, got {band}")
 
     dist_fn = haversine_matrix if coord_kind == "geographic" else euclidean_matrix
-    dist = dist_fn(pts, pts)
-    np.fill_diagonal(dist, np.inf)
-
-    if k is not None:
-        if not 1 <= k < n:
-            raise KTooLarge(f"knn needs 1 <= k < n, got k={k} with n={n}")
-        # nearest first; a stable sort breaks distance ties toward the smaller index
-        cols = np.empty((n, k), dtype=np.intp)
-        for i, row in enumerate(dist):
-            cols[i] = np.argsort(row, kind="stable")[:k]
-        cols, rows = cols.ravel(), np.repeat(np.arange(n), k)
-    else:
-        if not band > 0:  # NaN fails this test too
-            raise InvalidStatArgument(f"band radius must be positive, got {band}")
-        rows, cols = np.nonzero(dist <= band)
-
-    counts = np.bincount(rows, minlength=n)
+    neighbors = []
+    for i in range(n):
+        d = dist_fn(pts[i:i + 1], pts)[0]
+        d[i] = np.inf
+        # nearest first; a stable sort breaks distance ties toward the smaller index,
+        # and the copy keeps no view of the whole row's order alive
+        neighbors.append(np.argsort(d, kind="stable")[:k].copy() if k is not None
+                         else np.flatnonzero(d <= band))
+    counts = np.array([row.size for row in neighbors])
+    cols, rows = np.concatenate(neighbors), np.repeat(np.arange(n), counts)
     return SpatialWeights(
         n=n,
         indptr=np.concatenate(([0], np.cumsum(counts))),
@@ -187,14 +189,12 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
 
 def _distinct_indices(rng, m: int, k: int, rows: int) -> np.ndarray:
     """(rows, k) matrix of distinct ints in [0, m) per row (Floyd sampling)."""
-    out = np.empty((rows, k), dtype=np.int64)
-    for j, t in enumerate(range(m - k, m)):
-        r = rng.integers(0, t + 1, size=rows)
-        if j:
-            collide = (out[:, :j] == r[:, None]).any(axis=1)
-            r[collide] = t
-        out[:, j] = r
-    return out
+    # one call draws the same stream as k calls rng.integers(0, t + 1, size=rows), t = m-k..m-1
+    out = rng.integers(0, np.arange(m - k, m)[:, None] + 1, size=(k, rows))
+    for j in range(1, k):
+        out[j][(out[:j] == out[j]).any(axis=0)] = m - k + j
+    # C order: a transposed view would make permuted, the gather and @ sum in another order
+    return np.ascontiguousarray(out.T)
 
 
 def lisa(values, weights: SpatialWeights, n_permutations: int = 999,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -468,4 +469,44 @@ def test_malformed_config_exits_2_and_writes_nothing(small_city, capsys, field):
     out = small_city.parent / "out"
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: cli.ConfigError: {name} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Out-of-range values of each numeric flag, and the subcommands that take it;
+# the small city has 60 demand sites, so --knn 60 is one too many.
+BAD_FLAGS = {
+    "--epsilon": (("hrad",), ("-1", "nan", "inf")),
+    "--band": (("moran", "lisa"), ("0", "-1", "nan")),
+    "--knn": (("moran", "lisa"), ("0", "-1", str(CITY["n_demand"]), "1000")),
+    "--perms": (("moran", "lisa", "report"), ("0", "-5")),
+    "--seed": (("lisa", "report"), ("-1",)),
+    "--budget": (("optimize",), ("0", "-3")),
+    "--unit-size": (("optimize",), ("0", "-1", "nan", "inf")),
+}
+
+
+@st.composite
+def bad_flag(draw):
+    flag = draw(st.sampled_from(sorted(BAD_FLAGS)))
+    commands, values = BAD_FLAGS[flag]
+    return draw(st.sampled_from(commands)), flag, draw(st.sampled_from(values))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=bad_flag())
+def test_out_of_range_flag_exits_2_and_writes_nothing(small_city, capsys, case):
+    command, flag, value = case
+    city = small_city.parent
+    if command == "hrad":
+        argv = ["hrad", "--regions", str(city / "regions.csv")]
+    elif command in ("moran", "lisa"):
+        argv = [command, "--values", str(city / "demand.csv"), "--column", "population"]
+        if flag not in ("--knn", "--band"):
+            argv += ["--knn", "4"]
+    else:
+        argv = [command, "--config", str(small_city)]
+    out = city / "out"
+    assert main(argv + [flag, value, "--out", str(out)]) == 2
+    assert re.search(r"^error: [a-z_]+\.[A-Za-z]+: ", capsys.readouterr().err, re.MULTILINE)
     assert not out.exists()

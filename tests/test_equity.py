@@ -190,6 +190,11 @@ class TestGini:
             gini([1.0, -2.0])
         with pytest.raises(ValueError):
             gini(np.ones((2, 2, 2)))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                gini([bad, 1.0])
+            with pytest.raises(ValueError):
+                gini(np.array([[1.0, bad], [2.0, 1.0]]))
 
     def test_block_columns_match_vectors(self):
         rng = np.random.default_rng(75)

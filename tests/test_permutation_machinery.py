@@ -139,3 +139,17 @@ class TestDistinctIndexSampler:
         expected = rows * k / m
         sd = math.sqrt(rows * (k / m) * (1 - k / m))
         assert np.all(np.abs(counts - expected) < 5 * sd)
+
+    def test_one_draw_matches_one_call_per_column(self):
+        # the stream of k sequential integers calls with Floyd's collision fix-up
+        for m, k, rows in ((1999, 9, 999), (6, 6, 50), (2**33, 3, 20), (1, 1, 5)):
+            rng, ref_rng = np.random.default_rng([208, m]), np.random.default_rng([208, m])
+            ref = np.empty((rows, k), dtype=np.int64)
+            for j, t in enumerate(range(m - k, m)):
+                r = ref_rng.integers(0, t + 1, size=rows)
+                r[(ref[:, :j] == r[:, None]).any(axis=1)] = t
+                ref[:, j] = r
+            out = _distinct_indices(rng, m, k, rows)
+            assert out.dtype == ref.dtype and np.array_equal(out, ref)
+            assert out.flags.c_contiguous
+            assert rng.integers(2**62) == ref_rng.integers(2**62)

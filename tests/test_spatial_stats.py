@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from accesskit.errors import KTooLarge, NotRowStandardized, ZeroVariance
+from accesskit.errors import InvalidStatArgument, KTooLarge, NotRowStandardized, ZeroVariance
 from accesskit.spatial_stats import (
     SpatialWeights,
     build_weights,
@@ -70,6 +72,26 @@ class TestBuildWeights:
         pts = [(0.0, 0.0), (0.0, 0.5), (0.0, 80.0)]
         w = build_weights(pts, band=100.0, coord_kind="geographic")
         assert neighbors(w, 0) == (1,)
+
+    def test_memory_is_linear_in_n(self):
+        # at n=1500 an n x n float matrix alone is 18 MB; the CSR result is well under 4 MB
+        pts = np.random.default_rng(54).uniform(0, 5000, size=(1500, 2))
+        for scheme in ({"k": 8}, {"band": 0.25}):
+            tracemalloc.start()
+            try:
+                build_weights(pts, coord_kind="planar", **scheme)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, scheme
+
+    def test_unknown_coord_kind(self):
+        # lon/lat about 1-2 km apart; a misspelt kind must not fall back to planar distance
+        pts = [(117.0, 36.65), (117.01, 36.65), (117.0, 36.67)]
+        assert build_weights(pts, band=1.5, coord_kind="geographic").indices.size == 2
+        for kind in ("geograhpic", "Planar", None):
+            with pytest.raises(InvalidStatArgument):
+                build_weights(pts, band=1.5, coord_kind=kind)
 
     def test_to_dense_matches_lists(self):
         w = rook_weights()
