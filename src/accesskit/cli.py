@@ -50,7 +50,7 @@ def _typed(name: str, value, annotation):
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters; paths are absolute after loading."""
+    """Resolved run parameters; config-file paths are absolute after loading."""
 
     coord_kind: str = "geographic"
     demand: str | None = None
@@ -90,10 +90,9 @@ class RunConfig:
             if key not in fields:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, _typed(key, value, fields[key].type))
-        for name in ("demand", "supply", "regions", "od_matrix"):
-            value = getattr(cfg, name)
-            if value is not None:
-                setattr(cfg, name, str((path.parent / value).resolve()))
+        for name in ("demand", "supply", "regions", "od_matrix", "out"):
+            if raw.get(name) is not None:
+                setattr(cfg, name, str((path.parent / raw[name]).resolve()))
         return cfg
 
     def apply_overrides(self, args) -> None:

@@ -1,5 +1,6 @@
-"""Domain types, and the one table reader behind every input file: demand,
-supply, regions, origin-destination costs and per-unit values.
+"""Domain types, the one table reader behind every input file (demand,
+supply, regions, origin-destination costs and per-unit values), and the
+one CSV writer behind every output table.
 
 Coordinates are either geographic (lon, lat in decimal degrees) or planar
 (x, y in meters). The coordinate kind is declared per dataset; input file
@@ -12,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import (
     AccessKitError,
@@ -171,7 +173,7 @@ def _read_table(path, required: tuple[str, ...], point: tuple[str, str] | None =
     Every ``required`` column must be present.
     """
     if str(path).endswith(".geojson"):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 doc = json.load(fh)
             except ValueError as err:  # not JSON, or not UTF-8
@@ -195,7 +197,7 @@ def _read_table(path, required: tuple[str, ...], point: tuple[str, str] | None =
                     raise MissingColumn(f"row {row_num}: properties lack {col!r}")
             yield row_num, row
         return
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames or []
@@ -298,14 +300,27 @@ def load_dataset(demand_path, supply_path, regions_path=None,
     )
 
 
-# --- serialization --------------------------------------------------------
+# --- writing --------------------------------------------------------------
+
+def _csv_text(header, rows) -> str:
+    """The text of a CSV table: the ``header`` line, then one line per row.
+
+    Every line ends with a bare newline. A float, NumPy's included, is
+    written in its shortest round-trip form, None as an empty cell, and a
+    cell holding a comma, quote or line break is quoted.
+    """
+    # csv writes each cell's str(), the shortest round-trip text of a float
+    # or NumPy float64. It quotes a cell holding any character of the line
+    # terminator, so lines end "\r\n" as made (a bare "\r" would otherwise
+    # go unquoted and split the row on reading), then "\n"; writerow returns
+    # what the file's write returns, here the line itself.
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n").writerow
+    return "".join(line(row)[:-2] + "\n" for row in (header, *rows))
+
 
 def _sites_csv_text(sites, coord_kind: str, value: str) -> str:
-    cx, cy = _coord_columns(coord_kind)
-    lines = [f"id,{cx},{cy},{value}"]
-    for s in sites:
-        lines.append(f"{s.id},{s.x!r},{s.y!r},{getattr(s, value)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(("id", *_coord_columns(coord_kind), value),
+                     ((s.id, s.x, s.y, getattr(s, value)) for s in sites))
 
 
 def demand_csv_text(sites, coord_kind: str = "geographic") -> str:
@@ -317,14 +332,11 @@ def supply_csv_text(sites, coord_kind: str = "geographic") -> str:
 
 
 def regions_csv_text(regions) -> str:
-    with_pop = any(r.population is not None for r in regions)
-    lines = ["id,area_km2,resource" + (",population" if with_pop else "")]
-    for r in regions:
-        row = f"{r.id},{r.area_km2!r},{r.resource!r}"
-        if with_pop:
-            row += f",{r.population!r}" if r.population is not None else ","
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    header = ("id", "area_km2", "resource", "population")
+    if all(r.population is None for r in regions):
+        header = header[:3]
+    return _csv_text(header, ((r.id, r.area_km2, r.resource, r.population)[:len(header)]
+                              for r in regions))
 
 
 def write_dataset(dataset: Dataset, demand_path, supply_path, regions_path=None) -> None:

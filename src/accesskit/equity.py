@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import _csv_text
 from .errors import (
     AllZeroValues,
     EmptyInput,
@@ -166,15 +167,8 @@ def gini(values, weights=None):
 
 def hrad_csv_text(result: HradResult) -> str:
     """Equity table as CSV; pad columns appear when the comparator was run."""
-    with_pad = any(rec.pad is not None for rec in result.records)
-    header = "region_id,hrad,classification"
-    if with_pad:
-        header += ",pad,hrad_over_pad"
-    lines = [header]
-    for rec in result.records:
-        row = f"{rec.region_id},{rec.hrad!r},{rec.classification}"
-        if with_pad:
-            ratio = "" if rec.hrad_over_pad is None else repr(rec.hrad_over_pad)
-            row += f",{rec.pad!r},{ratio}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    header = ("region_id", "hrad", "classification", "pad", "hrad_over_pad")
+    if all(rec.pad is None for rec in result.records):
+        header = header[:3]
+    return _csv_text(header, ((rec.region_id, rec.hrad, rec.classification, rec.pad,
+                               rec.hrad_over_pad)[:len(header)] for rec in result.records))

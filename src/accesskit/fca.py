@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
+from .data_model import Dataset, _csv_text
 from .decay import DecaySpec, evaluate_decay
 from .errors import DimensionMismatch, WrongDecayKind
 from .travel import TravelMatrix
@@ -162,8 +162,5 @@ def m2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> Accessib
 def scores_csv_text(result: AccessibilityResult, dataset: Dataset,
                     per_thousand: bool = False) -> str:
     """Scores as CSV ``demand_id,score``, optionally inflated 1000x."""
-    factor = 1000.0 if per_thousand else 1.0
-    lines = ["demand_id,score"]
-    for site, score in zip(dataset.demand, result.scores):
-        lines.append(f"{site.id},{float(score * factor)!r}")
-    return "\n".join(lines) + "\n"
+    scores = (result.scores * (1000.0 if per_thousand else 1.0)).tolist()
+    return _csv_text(("demand_id", "score"), zip((site.id for site in dataset.demand), scores))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import COORD_KINDS
+from .data_model import COORD_KINDS, _csv_text
 from .errors import (
     InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance,
 )
@@ -83,8 +83,8 @@ class LisaResult:
 
 
 def build_weights(locations, *, k: int | None = None, band: float | None = None,
-                  coord_kind: str = "planar", row_standardize: bool = True) -> SpatialWeights:
-    """Construct k-nearest-neighbor or distance-band spatial weights.
+                  coord_kind: str = "planar") -> SpatialWeights:
+    """Construct row-standardized k-nearest-neighbor or distance-band weights.
 
     Parameters
     ----------
@@ -99,8 +99,6 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         Units with an empty row are reported in ``isolated``.
     coord_kind : str
         ``"geographic"`` or ``"planar"``; anything else is an error.
-    row_standardize : bool
-        Scale each nonempty row to sum to 1 (required by the statistics).
     """
     pts = np.asarray(locations, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -132,8 +130,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         n=n,
         indptr=np.concatenate(([0], np.cumsum(counts))),
         indices=cols,
-        data=1.0 / counts[rows] if row_standardize else np.ones(cols.size),
-        row_standardized=row_standardize,
+        data=1.0 / counts[rows],
+        row_standardized=True,
         isolated=tuple(np.flatnonzero(counts == 0).tolist()),
     )
 
@@ -255,7 +253,6 @@ def moran_json_dict(result: MoranResult) -> dict:
 
 def lisa_csv_text(unit_ids, result: LisaResult) -> str:
     """LISA table as CSV ``unit_id,local_i,quadrant,p_value``."""
-    lines = ["unit_id,local_i,quadrant,p_value"]
-    for uid, li, q, p in zip(unit_ids, result.local_i, result.quadrant, result.p_value):
-        lines.append(f"{uid},{float(li)!r},{q},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(("unit_id", "local_i", "quadrant", "p_value"),
+                     zip(unit_ids, result.local_i.tolist(), result.quadrant,
+                         result.p_value.tolist()))

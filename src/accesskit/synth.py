@@ -16,9 +16,7 @@ from .data_model import (
     DemandSite,
     Region,
     SupplySite,
-    demand_csv_text,
-    regions_csv_text,
-    supply_csv_text,
+    write_dataset,
 )
 
 CITY_CENTER = (117.0, 36.65)
@@ -108,12 +106,8 @@ def write_city(directory, seed: int = 2026, **kwargs) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     city = synthetic_city(seed=seed, **kwargs)
-    (directory / "demand.csv").write_text(
-        demand_csv_text(city.demand, city.coord_kind), encoding="utf-8")
-    (directory / "supply.csv").write_text(
-        supply_csv_text(city.supply, city.coord_kind), encoding="utf-8")
-    (directory / "regions.csv").write_text(
-        regions_csv_text(city.regions), encoding="utf-8")
+    write_dataset(city, directory / "demand.csv", directory / "supply.csv",
+                  directory / "regions.csv")
     config_path = directory / "city.json"
     config_path.write_text(
         json.dumps(default_config(out_dir="output"), indent=2, sort_keys=True) + "\n",

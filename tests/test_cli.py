@@ -1,5 +1,7 @@
+import csv
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from accesskit.cli import main
+from accesskit.data_model import demand_csv_text
 from accesskit.synth import synthetic_city, write_city
 
 
@@ -76,6 +79,17 @@ class TestAccess:
         cfg = write_files(tmp_path, extra={"demand": "nope.csv"})
         assert main(["access", "--config", str(cfg)]) == 2
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_config_out_is_relative_to_the_config_file(self, tmp_path, monkeypatch):
+        (tmp_path / "runs").mkdir()
+        cfg = write_files(tmp_path / "runs", extra={"out": "res"})
+        monkeypatch.chdir(tmp_path)
+        assert main(["access", "--config", str(cfg)]) == 0
+        assert (tmp_path / "runs" / "res" / "scores.csv").is_file()
+        assert not (tmp_path / "res").exists()
+        # the --out flag stays relative to the working directory
+        assert main(["access", "--config", str(cfg), "--out", "flagged"]) == 0
+        assert (tmp_path / "flagged" / "scores.csv").is_file()
 
     def test_unknown_config_field(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -390,6 +404,25 @@ def test_geojson_demand_with_csv_supply(tmp_path):
     assert main(geojson_argv + ["--out", str(tmp_path / "b")]) == 0
     for name in ("scores.csv", "lisa.csv", "plan.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_report_tables_quote_an_id_holding_a_comma(tmp_path):
+    cfg = write_city(tmp_path / "city", **CITY)
+    city = synthetic_city(**CITY)
+    demand = (replace(city.demand[0], id="Block 7, North"), *city.demand[1:])
+    (cfg.parent / "demand.csv").write_text(demand_csv_text(demand), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--perms", "19", "--out", str(out)]) == 0
+    for name, id_column, numeric in (("scores.csv", "demand_id", ("score",)),
+                                     ("lisa.csv", "unit_id", ("local_i", "p_value"))):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0][id_column] == "Block 7, North", name
+        assert len(rows) == CITY["n_demand"]
+        for row in rows:
+            assert None not in row
+            for column in numeric:
+                float(row[column])  # raises unless the cell is a number
 
 
 def test_report_writes_the_files_of_the_stage_commands(tmp_path):

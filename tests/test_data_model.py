@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from accesskit.data_model import (
     Dataset,
@@ -209,6 +211,38 @@ class TestRoundTrip:
             assert back.demand == ds.demand
             assert back.supply == ds.supply
             assert back.regions == ds.regions
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_awkward_ids_and_numpy_scalars_round_trip(self, tmp_path, data):
+        # CSV and UTF-8 carry any text but NUL and lone surrogates
+        text = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+                       | st.sampled_from([",", '"', "\r", "\n", " "]), max_size=8)
+        ids = data.draw(st.lists(text, min_size=3, max_size=12, unique=True))
+        number = data.draw(st.sampled_from([float, np.float64]))
+        coord = st.floats(-90, 90, allow_nan=False).map(number)
+        demand = [DemandSite(i, data.draw(coord), data.draw(coord), number(1.5)) for i in ids]
+        supply = [SupplySite(i, number(0.25), number(-0.5),
+                             data.draw(st.floats(1e-3, 1e4).map(number))) for i in ids]
+        regions = [Region(i, number(1.0), number(2.0),
+                          data.draw(st.none() | st.floats(0, 1e6).map(number))) for i in ids]
+        ds = Dataset(demand=demand, supply=supply, regions=regions)
+        write_dataset(ds, tmp_path / "d.csv", tmp_path / "s.csv", tmp_path / "r.csv")
+        back = load_dataset(tmp_path / "d.csv", tmp_path / "s.csv", tmp_path / "r.csv")
+        assert (back.demand, back.supply, back.regions) == (ds.demand, ds.supply, ds.regions)
+
+    @pytest.mark.parametrize("name", ["d.csv", "d.geojson"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, name):
+        sites = (DemandSite("d1", 117.0, 36.65, 1200.0), DemandSite("d2", 117.5, 36.0, 0.0))
+        text = demand_csv_text(sites) if name.endswith(".csv") else json.dumps({
+            "type": "FeatureCollection", "features": [
+                {"type": "Feature", "geometry": {"type": "Point", "coordinates": [s.x, s.y]},
+                 "properties": {"id": s.id, "population": s.population}} for s in sites]})
+        plain = write(tmp_path, name, text)
+        bom = tmp_path / f"bom-{name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_demand(bom) == load_demand(plain) == list(sites)
 
     def test_loading_is_deterministic(self, tmp_path):
         text = "id,lon,lat,population\n" + "\n".join(

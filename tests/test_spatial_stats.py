@@ -114,7 +114,10 @@ class TestMoran:
             morans_i([2.0, 2.0, 2.0, 2.0], rook_weights(), n_permutations=9, seed=1)
 
     def test_requires_row_standardized(self):
-        raw = build_weights(UNIT_SQUARE, k=2, coord_kind="planar", row_standardize=False)
+        rook = rook_weights()
+        raw = SpatialWeights(n=rook.n, indptr=rook.indptr, indices=rook.indices,
+                             data=np.ones(rook.indices.size), row_standardized=False,
+                             isolated=())
         with pytest.raises(NotRowStandardized):
             morans_i(CHECKERBOARD, raw, n_permutations=9, seed=1)
 
