@@ -132,15 +132,15 @@ class RunConfig:
 
     def spatial_weights(self, locations, coord_kind):
         scheme = self.weights.get("scheme", "knn")
-        if scheme == "knn":
-            k = _typed("weights.k", self.weights.get("k", 8), int)
-            return spatial_stats.build_weights(locations, k=k, coord_kind=coord_kind)
-        if scheme == "distance_band":
-            if "band" not in self.weights:
-                raise ConfigError("weights: distance_band scheme requires 'band'")
-            band = _typed("weights.band", self.weights["band"], float)
-            return spatial_stats.build_weights(locations, band=band, coord_kind=coord_kind)
-        raise ConfigError(f"weights: unknown scheme {scheme!r}")
+        if scheme not in ("knn", "distance_band"):
+            raise ConfigError(f"weights: unknown scheme {scheme!r}")
+        key, kind = ("k", int) if scheme == "knn" else ("band", float)
+        unknown = sorted(set(self.weights) - {"scheme", key})
+        if unknown:
+            raise ConfigError(f"weights: the {scheme} scheme takes only {key!r}, got {unknown}")
+        # only k has a default; a missing band fails as None
+        value = _typed(f"weights.{key}", self.weights.get(key, 8 if key == "k" else None), kind)
+        return spatial_stats.build_weights(locations, coord_kind=coord_kind, **{key: value})
 
 
 class Run:

@@ -7,7 +7,7 @@ its value is a genuine modeling choice and must be stated explicitly.
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,19 +18,24 @@ DECAY_KINDS = ("binary", "gaussian", "exponential", "power", "zonal")
 
 @dataclass(frozen=True)
 class DecaySpec:
-    """Parameters of one decay function.
+    """Parameters of one decay function, checked by the constructor, which
+    every other way of building a spec calls.
 
     kind      one of binary, gaussian, exponential, power, zonal
-    d0        catchment cutoff in the travel matrix's unit; weight is 0 past it
+    d0        catchment cutoff in the travel matrix's unit; weight is 0 past it.
+              A zonal spec may omit it; it is then the last zone breakpoint.
     beta      rate parameter for gaussian (exp(-d^2/beta)), exponential
-              (exp(-d/beta)) and power (d^-beta) kinds
+              (exp(-d/beta)) and power (d^-beta) kinds; given to a zonal spec
+              without weights, it derives them as zonal_from_gaussian does
     zones     for zonal: ascending breakpoints, the last one equal to d0;
               zone 1 is [0, zones[0]], zone z is (zones[z-2], zones[z-1]]
     weights   for zonal: strictly decreasing weights in (0, 1], one per zone
+
+    The fields a kind does not read are stored as None.
     """
 
     kind: str
-    d0: float
+    d0: float | None = None
     beta: float | None = None
     zones: tuple[float, ...] | None = None
     weights: tuple[float, ...] | None = None
@@ -38,28 +43,45 @@ class DecaySpec:
     def __post_init__(self):
         if self.kind not in DECAY_KINDS:
             raise InvalidDecaySpec(f"unknown decay kind {self.kind!r}")
+        if self.kind == "zonal":
+            self._set_zonal()
+        else:
+            self._set(zones=None, weights=None)
         if not _positive_number(self.d0):
             raise InvalidDecaySpec(f"d0 must be a positive finite cutoff, got {self.d0!r}")
-        if self.kind in ("gaussian", "exponential", "power"):
-            if self.beta is None:
-                raise InvalidDecaySpec(f"{self.kind} decay requires beta")
-            if not _positive_number(self.beta):
-                raise InvalidDecaySpec(f"beta must be positive and finite, got {self.beta!r}")
-        if self.kind == "zonal":
-            if not self.zones or not self.weights:
-                raise InvalidDecaySpec("zonal decay requires zones and weights")
-            object.__setattr__(self, "zones", _numbers("zones", self.zones))
-            object.__setattr__(self, "weights", _numbers("weights", self.weights))
-            _check_breakpoints(self.zones)
-            if len(self.weights) != len(self.zones):
-                raise InvalidDecaySpec("need exactly one weight per zone")
-            if self.zones[-1] != self.d0:
-                raise InvalidDecaySpec("last zone breakpoint must equal d0")
-            w = self.weights
-            if any(not (0 < wi <= 1) for wi in w):
-                raise InvalidDecaySpec("zonal weights must lie in (0, 1]")
-            if any(w[i] <= w[i + 1] for i in range(len(w) - 1)):
-                raise InvalidDecaySpec("zonal weights must be strictly decreasing")
+        if self.kind in ("binary", "zonal"):
+            self._set(beta=None)
+        elif not _positive_number(self.beta):
+            raise InvalidDecaySpec(
+                f"{self.kind} decay requires a positive finite beta, got {self.beta!r}")
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _set_zonal(self):
+        """Check the zonal fields; derive d0 and, from beta, the weights."""
+        zones = _numbers("zones", self.zones)
+        if self.weights is None and not _positive_number(self.beta):
+            raise InvalidDecaySpec(
+                f"zonal decay requires weights or a positive finite beta, got beta={self.beta!r}")
+        if zones[0] <= 0 or any(a >= b for a, b in zip(zones, zones[1:])):
+            raise NonAscendingBreakpoints(
+                f"breakpoints must be positive and strictly ascending, got {list(zones)}")
+        if self.d0 is not None and self.d0 != zones[-1]:
+            raise InvalidDecaySpec("last zone breakpoint must equal d0")
+        weights = self.weights
+        if weights is None:  # the midpoint rule zonal_from_gaussian describes
+            raw = np.exp(-np.square((np.array((0.0, *zones[:-1])) + zones) / 2.0) / self.beta)
+            weights = raw / raw[0]
+        weights = _numbers("weights", weights)
+        if len(weights) != len(zones):
+            raise InvalidDecaySpec("need exactly one weight per zone")
+        if any(not (0 < wi <= 1) for wi in weights):
+            raise InvalidDecaySpec("zonal weights must lie in (0, 1]")
+        if any(weights[i] <= weights[i + 1] for i in range(len(weights) - 1)):
+            raise InvalidDecaySpec("zonal weights must be strictly decreasing")
+        self._set(d0=zones[-1], zones=zones, weights=weights)
 
     @classmethod
     def binary(cls, d0: float) -> "DecaySpec":
@@ -79,43 +101,22 @@ class DecaySpec:
 
     @classmethod
     def zonal(cls, zones, weights) -> "DecaySpec":
-        zones = _numbers("zones", zones)
-        return cls(kind="zonal", d0=zones[-1] if zones else 0.0,
-                   zones=zones, weights=_numbers("weights", weights))
+        return cls(kind="zonal", zones=zones, weights=weights)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DecaySpec":
-        """Build a spec from a config mapping.
-
-        ``{"kind": "gaussian", "beta": 180.0, "d0": 30.0}`` or
-        ``{"kind": "zonal", "zones": [10, 20, 30], "weights": [1.0, 0.68, 0.22]}``.
-        A zonal entry may give ``beta`` instead of ``weights`` to derive
-        zone weights from the Gaussian midpoint rule.
-        """
-        kind = cfg.get("kind")
-        if kind == "zonal":
-            zones = cfg.get("zones")
-            if not zones:
-                raise InvalidDecaySpec("zonal decay config requires zones")
-            if cfg.get("weights") is not None:
-                return cls.zonal(zones, cfg["weights"])
-            if cfg.get("beta") is not None:
-                return zonal_from_gaussian(zones, cfg["beta"])
-            raise InvalidDecaySpec("zonal decay config requires weights or beta")
-        if kind == "binary":
-            return cls.binary(_required(cfg, "d0"))
-        if kind in ("gaussian", "exponential", "power"):
-            return cls(kind=kind, d0=_required(cfg, "d0"), beta=_required(cfg, "beta"))
-        raise InvalidDecaySpec(f"unknown decay kind {kind!r}")
+        """Build a spec from a mapping of its fields, such as
+        ``{"kind": "gaussian", "beta": 180.0, "d0": 30.0}``. A key that is
+        not a field, or a missing kind, is InvalidDecaySpec."""
+        names = [f.name for f in fields(cls)]
+        if "kind" not in cfg or not set(cfg) <= set(names):
+            raise InvalidDecaySpec(
+                f"a decay config needs 'kind' and takes only {names}, got {sorted(cfg)}")
+        return cls(**cfg)
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "d0": self.d0}
-        if self.beta is not None:
-            cfg["beta"] = self.beta
-        if self.kind == "zonal":
-            cfg["zones"] = list(self.zones)
-            cfg["weights"] = list(self.weights)
-        return cfg
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in vars(self).items() if value is not None}
 
 
 def _finite_number(value) -> bool:
@@ -130,26 +131,12 @@ def _positive_number(value) -> bool:
 
 
 def _numbers(name: str, values) -> tuple[float, ...]:
-    """Zonal ``zones`` or ``weights`` as floats. They must be a list, tuple
-    or array of finite numbers; anything else is InvalidDecaySpec."""
-    if not isinstance(values, (list, tuple, np.ndarray)) or not all(map(_finite_number, values)):
-        raise InvalidDecaySpec(f"{name} must be a list of finite numbers, got {values!r}")
+    """Zonal ``zones`` or ``weights`` as floats. They must be a nonempty
+    list, tuple or array of finite numbers; anything else is InvalidDecaySpec."""
+    if (not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0
+            or not all(map(_finite_number, values))):
+        raise InvalidDecaySpec(f"{name} must be a nonempty list of finite numbers, got {values!r}")
     return tuple(float(v) for v in values)
-
-
-def _required(cfg: dict, key: str):
-    if cfg.get(key) is None:
-        raise InvalidDecaySpec(f"{cfg.get('kind')} decay config requires {key!r}")
-    return cfg[key]
-
-
-def _check_breakpoints(breaks) -> None:
-    if len(breaks) == 0:
-        raise NonAscendingBreakpoints("need at least one breakpoint")
-    if breaks[0] <= 0 or any(breaks[i] >= breaks[i + 1] for i in range(len(breaks) - 1)):
-        raise NonAscendingBreakpoints(
-            f"breakpoints must be positive and strictly ascending, got {list(breaks)}"
-        )
 
 
 def evaluate_decay(spec: DecaySpec, d):
@@ -189,15 +176,7 @@ def zonal_from_gaussian(breakpoints, beta: float) -> DecaySpec:
 
     Zone z spanning (b_{z-1}, b_z] gets exp(-m_z^2/beta) at its midpoint m_z
     (the first zone's midpoint is b_1/2), normalized so zone 1 has weight 1.
-    The resulting weights are strictly decreasing.
+    The resulting weights are strictly decreasing. The same spec as
+    ``DecaySpec(kind="zonal", zones=breakpoints, beta=beta)``.
     """
-    breaks = _numbers("zones", breakpoints)
-    _check_breakpoints(breaks)
-    if not _positive_number(beta):
-        raise InvalidDecaySpec(f"beta must be positive and finite, got {beta!r}")
-    mids = [breaks[0] / 2.0]
-    for lo, hi in zip(breaks, breaks[1:]):
-        mids.append((lo + hi) / 2.0)
-    raw = np.exp(-np.square(mids) / beta)
-    weights = raw / raw[0]
-    return DecaySpec.zonal(breaks, weights)
+    return DecaySpec(kind="zonal", zones=breakpoints, beta=beta)

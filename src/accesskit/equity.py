@@ -23,6 +23,7 @@ from .errors import (
     EmptyInput,
     InvalidEpsilon,
     MissingPopulation,
+    NonFiniteTotal,
     ZeroTotalPopulation,
     ZeroTotalResource,
 )
@@ -140,24 +141,23 @@ def gini(values, weights=None):
         raise ValueError("values must be a vector or a matrix")
     if v.size == 0:
         raise EmptyInput("values must be nonempty")
-    if not (np.isfinite(v) & (v >= 0)).all():
-        raise ValueError("values must be finite and nonnegative")
-    if weights is None:
-        w = np.ones(len(v))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != v.shape[:1]:
-            raise ValueError("weights must match values in length")
-        if (w <= 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be positive")
-    if (w @ v <= 0).any():
-        raise AllZeroValues("every weighted value is zero")
+    w = np.ones(len(v)) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != v.shape[:1]:
+        raise ValueError("weights must match values in length")
+    if (v < 0).any() or (w <= 0).any():
+        raise ValueError("values must be nonnegative and weights positive")
     order = np.argsort(v, axis=0, kind="stable")
     v, w = np.take_along_axis(v, order, axis=0), w[order]
+    with np.errstate(over="ignore"):
+        w_total = w.sum(axis=0)
+        # the sorted dot product; a matrix takes it column by column
+        total = w @ v if v.ndim == 1 else (w * v).sum(axis=0)
+    if not (np.isfinite(v).all() and np.isfinite(w_total).all() and np.isfinite(total).all()):
+        raise NonFiniteTotal("values, their weight total and weighted total must be finite")
+    if (total <= 0).any():
+        raise AllZeroValues("every weighted value is zero")
     zero = np.zeros_like(v[:1])
-    cum_pop = np.concatenate([zero, np.cumsum(w, axis=0)]) / w.sum(axis=0)
-    # the sorted dot product; a matrix takes it column by column
-    total = w @ v if v.ndim == 1 else (w * v).sum(axis=0)
+    cum_pop = np.concatenate([zero, np.cumsum(w, axis=0)]) / w_total
     cum_val = np.concatenate([zero, np.cumsum(w * v, axis=0)]) / total
     # area under the Lorenz curve, trapezoid rule
     under = np.sum(np.diff(cum_pop, axis=0) * (cum_val[1:] + cum_val[:-1]), axis=0) / 2.0

@@ -169,6 +169,10 @@ class EmptyInput(EquityError, ValueError):
     """An equity measure was given no regions or no values."""
 
 
+class NonFiniteTotal(EquityError, ValueError):
+    """A Gini value, the weight total or the weighted value total is not finite."""
+
+
 class InvalidEpsilon(EquityError, ValueError):
     """The equality tolerance is negative, infinite or not a number."""
 
@@ -189,6 +193,10 @@ class InfeasibleAllocation(OptimizeError):
 
 class NonPositiveUnitSize(OptimizeError, ValueError):
     """The capacity of one allocation unit is zero, negative, infinite or not a number."""
+
+
+class NonFiniteObjective(OptimizeError, ValueError):
+    """An objective value or its rounding allowance overflowed to infinity or NaN."""
 
 
 class InvalidProblem(OptimizeError, ValueError):

@@ -31,7 +31,8 @@ from .data_model import Dataset, SupplySite
 from .decay import DecaySpec
 from .equity import gini
 from .errors import (
-    InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonPositiveUnitSize,
+    InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonFiniteObjective,
+    NonPositiveUnitSize,
 )
 from .fca import FCA_METHODS, Catchment
 from .travel import TravelMatrix
@@ -127,12 +128,17 @@ class AllocationProblem:
     def _objective(self, scores: np.ndarray):
         """Objective of a score vector, or of each column of an N x k block."""
         if self.objective == "max_min_access":
-            return scores.min(axis=0)
-        if self.objective == "min_weighted_gini":
+            values = scores.min(axis=0)
+        elif self.objective == "min_weighted_gini":
             pop = self.catchment.population
             rows = pop > 0
-            return gini(scores[rows], pop[rows])
-        return scores.var(axis=0)
+            values = gini(scores[rows], pop[rows])
+        else:
+            with np.errstate(over="ignore"):
+                values = scores.var(axis=0)
+        if not np.isfinite(values).all():
+            raise NonFiniteObjective(f"{self.objective} is not finite: scores overflow")
+        return values
 
     def _value(self, units) -> float:
         """Objective value with ``units`` added per candidate."""
@@ -181,10 +187,14 @@ class AllocationProblem:
             scale = 0.0
         elif self.objective == "min_weighted_gini":
             scale = 1.0
-        else:
-            scale = (top + float(self.shifts.max(initial=0.0))) ** 2
+        else:  # a float product overflows to inf where ** would raise
+            peak = top + float(self.shifts.max(initial=0.0))
+            scale = peak * peak
+        allowance = NEAR_TIE * (abs(best) + scale)
+        if not math.isfinite(allowance):
+            raise NonFiniteObjective(f"the rounding allowance of {self.objective} is not finite")
         step, best_val = None, current
-        for pos in np.flatnonzero(signed.ravel() >= best - NEAR_TIE * (abs(best) + scale)):
+        for pos in np.flatnonzero(signed.ravel() >= best - allowance):
             frm, to = donors[pos // n_cand], int(pos % n_cand)
             val = self._value(_moved(units, frm, to))
             if best_val is None or self.better(val, best_val):

@@ -5,9 +5,9 @@ small unit counts these analyses run on, while permutation inference is
 exact under a fixed seed. Every random draw comes from a stream derived
 from (seed, index), so a run is reproducible from its seed alone.
 
-Both statistics require row-standardized weights. That convention pins the
-global statistic to I = z'Wz / z'z and makes the decomposition
-sum_i I_i = n * I exact.
+Both statistics require, and check, row-standardized weights. That
+convention pins the global statistic to I = z'Wz / z'z and makes the
+decomposition sum_i I_i = n * I exact.
 """
 
 from dataclasses import dataclass
@@ -23,20 +23,26 @@ from .travel import euclidean_matrix, haversine_matrix
 
 @dataclass(frozen=True, eq=False)
 class SpatialWeights:
-    """Neighbor structure in compressed sparse row (CSR) form.
+    """Row-standardized neighbor structure in compressed sparse row (CSR) form.
 
     Row i's neighbors are ``indices[indptr[i]:indptr[i+1]]`` with weights
-    ``data[indptr[i]:indptr[i+1]]``. ``isolated`` lists units left without
-    neighbors (possible under a distance band); their rows are empty and
-    their spatial lag is zero.
+    ``data[indptr[i]:indptr[i+1]]``; every nonempty row's weights sum to 1,
+    which the statistics check. A unit with an empty row (possible under a
+    distance band) is ``isolated``; its spatial lag is zero.
     """
 
-    n: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    row_standardized: bool = False
-    isolated: tuple[int, ...] = ()
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def isolated(self) -> tuple[int, ...]:
+        """The units whose row is empty."""
+        return tuple(np.flatnonzero(np.diff(self.indptr) == 0).tolist())
 
     def _rows(self) -> np.ndarray:
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -125,15 +131,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         neighbors.append(np.argsort(d, kind="stable")[:k].copy() if k is not None
                          else np.flatnonzero(d <= band))
     counts = np.array([row.size for row in neighbors])
-    cols, rows = np.concatenate(neighbors), np.repeat(np.arange(n), counts)
-    return SpatialWeights(
-        n=n,
-        indptr=np.concatenate(([0], np.cumsum(counts))),
-        indices=cols,
-        data=1.0 / counts[rows],
-        row_standardized=True,
-        isolated=tuple(np.flatnonzero(counts == 0).tolist()),
-    )
+    return SpatialWeights(indptr=np.concatenate(([0], np.cumsum(counts))),
+                          indices=np.concatenate(neighbors), data=1.0 / np.repeat(counts, counts))
 
 
 def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, seed: int):
@@ -142,8 +141,9 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
         raise InvalidStatArgument(f"values must be a length-{weights.n} vector")
     if not np.isfinite(x).all():
         raise NonFiniteValue("values must be finite; found NaN or infinity")
-    if not weights.row_standardized:
-        raise NotRowStandardized("statistics require row-standardized weights")
+    sums = weights.lag(np.ones(weights.n))  # a 1/k row misses 1 by at most k * 2**-53
+    if not ((np.abs(sums - 1.0) <= 1e-9) | (np.diff(weights.indptr) == 0)).all():
+        raise NotRowStandardized("statistics require every nonempty weights row to sum to 1")
     if n_permutations < 1:
         raise InvalidStatArgument(f"n_permutations must be >= 1, got {n_permutations}")
     if seed < 0:

@@ -291,6 +291,10 @@ def demand_geojson(features):
 
 ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},0\n" for s in synthetic_city(**CITY).demand)
+# three populations whose total overflows a float; no facility's captured demand does
+HUGE_POPULATION = "id,lon,lat,population\n" + "".join(
+    f"{s.id},{s.x!r},{s.y!r},{6e307 if i < 3 else s.population!r}\n"
+    for i, s in enumerate(synthetic_city(**CITY).demand))
 
 
 @pytest.mark.parametrize("argv, code, row", [
@@ -383,6 +387,25 @@ ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
                  "equity.InvalidEpsilon", None, id="hrad-epsilon-nan"),
     pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "-1"],
                  "equity.InvalidEpsilon", None, id="hrad-epsilon-negative"),
+    pytest.param(lambda t: report_argv(t, decay={"kind": "gaussian", "d0": 30.0, "beta": 180.0,
+                                                 "betta": 5}),
+                 "cli.ConfigError", None, id="config-decay-unknown-key"),
+    pytest.param(lambda t: report_argv(t, decay={"kind": "zonal", "zones": [10, 20, 30],
+                                                 "weights": [1.0, 0.68, 0.22], "d0": 50}),
+                 "cli.ConfigError", None, id="config-zonal-d0-not-last-zone"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "knn", "K": 3}),
+                 "cli.ConfigError", None, id="config-weights-unknown-key"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "knn", "band": 3.0}),
+                 "cli.ConfigError", None, id="config-weights-key-of-other-scheme"),
+    pytest.param(lambda t: optimize_argv(t) + ["--budget", "2", "--unit-size", "1e200",
+                                               "--objective", "min_variance"],
+                 "optimize.NonFiniteObjective", None, id="variance-overflow"),
+    pytest.param(lambda t: optimize_argv(t) + ["--budget", "2", "--unit-size", "1e308",
+                                               "--objective", "min_weighted_gini"],
+                 "equity.NonFiniteTotal", None, id="gini-unit-size-overflow"),
+    pytest.param(lambda t: optimize_argv(t, [("demand.csv", HUGE_POPULATION)],
+                                         objective="min_weighted_gini"),
+                 "equity.NonFiniteTotal", None, id="gini-population-overflow"),
 ])
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row):
     out = tmp_path / "out"

@@ -1,9 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from accesskit.decay import DecaySpec, evaluate_decay, zonal_from_gaussian
+from accesskit.decay import DECAY_KINDS, DecaySpec, evaluate_decay, zonal_from_gaussian
 from accesskit.errors import InvalidDecaySpec, NonAscendingBreakpoints
 
 from helpers import random_decay
@@ -165,3 +168,43 @@ class TestSpecValidation:
     def test_config_round_trip(self):
         spec = DecaySpec.zonal([10, 20], [1.0, 0.5])
         assert DecaySpec.from_config(spec.to_config()) == spec
+
+
+positive = st.floats(1e-3, 1e3)
+zone_lists = st.lists(st.integers(1, 100), min_size=1, max_size=5, unique=True).map(sorted)
+
+
+@st.composite
+def valid_specs(draw):
+    """A valid spec of any kind, zonal ones with given or derived weights."""
+    kind = draw(st.sampled_from(DECAY_KINDS))
+    if kind != "zonal":
+        beta = draw(positive) if kind != "binary" else None
+        return DecaySpec(kind=kind, d0=draw(positive), beta=beta)
+    zones = draw(zone_lists)
+    if draw(st.booleans()):  # m^2 / beta <= 5 keeps every weight far from 0
+        return zonal_from_gaussian(zones, beta=draw(st.floats(0.2, 4.0)) * zones[-1] ** 2)
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(zones), max_size=len(zones),
+                            unique=True))
+    return DecaySpec.zonal(zones, sorted(weights, reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_specs(), st.text(min_size=1), st.none() | positive | st.text())
+def test_config_round_trip_and_unknown_keys(spec, key, value):
+    assert DecaySpec.from_config(spec.to_config()) == spec
+    assume(key not in {f.name for f in fields(DecaySpec)})
+    with pytest.raises(InvalidDecaySpec, match="takes only"):
+        DecaySpec.from_config({**spec.to_config(), key: value})
+
+
+@settings(max_examples=100, deadline=None)
+@given(zone_lists, st.floats(0.2, 4.0))
+def test_zonal_spec_from_beta_is_the_same_on_every_path(zones, scale):
+    beta = scale * zones[-1] ** 2
+    spec = zonal_from_gaussian(zones, beta)
+    assert spec == DecaySpec(kind="zonal", zones=zones, beta=beta)
+    assert spec == DecaySpec(kind="zonal", d0=zones[-1], zones=zones, beta=beta)
+    assert spec == DecaySpec.from_config({"kind": "zonal", "zones": zones, "beta": beta})
+    assert spec == DecaySpec.zonal(zones, spec.weights)
+    assert spec.d0 == zones[-1] and spec.beta is None

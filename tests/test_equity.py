@@ -13,6 +13,7 @@ from accesskit.errors import (
     AllZeroValues,
     InvalidEpsilon,
     MissingPopulation,
+    NonFiniteTotal,
     ZeroTotalPopulation,
     ZeroTotalResource,
 )
@@ -195,6 +196,16 @@ class TestGini:
                 gini([bad, 1.0])
             with pytest.raises(ValueError):
                 gini(np.array([[1.0, bad], [2.0, 1.0]]))
+
+    def test_overflowing_totals_raise(self):
+        # each input is finite; a total is not, and the result would be NaN
+        for values, weights in (([1.0, 2.0], [1e308, 1e308]),  # weight total
+                                ([1e308, 1e308], None),  # weighted value total
+                                ([[1.0, 1e308], [2.0, 1e308]], None),  # one block column
+                                ([1.0, 2.0], [np.nan, 1.0])):
+            with pytest.raises(NonFiniteTotal):
+                gini(values, weights)
+        assert issubclass(NonFiniteTotal, ValueError)
 
     def test_block_columns_match_vectors(self):
         rng = np.random.default_rng(75)

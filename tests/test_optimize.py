@@ -9,7 +9,7 @@ from accesskit.decay import DecaySpec
 from accesskit.equity import gini
 from accesskit.errors import (
     DimensionMismatch, InfeasibleAllocation, InstanceTooLarge, InvalidProblem,
-    NonPositiveUnitSize,
+    NonFiniteObjective, NonPositiveUnitSize,
 )
 from accesskit.fca import FCA_METHODS, compute_accessibility, g2sfca
 from accesskit.optimize import (
@@ -289,6 +289,24 @@ class TestCandidateSites:
         with pytest.raises(NonPositiveUnitSize):
             make_problem([100, 50], [10, 10], [[0.0, 5.0], [5.0, 0.0]], budget=3,
                          unit_size=unit_size)
+
+    def test_overflowing_variance_raises(self):
+        # finite scores near 1e198 whose variance overflows
+        problem = make_problem([100, 50], [10, 10], [[0.0, 50.0], [50.0, 0.0]], budget=2,
+                               unit_size=1e200, objective="min_variance")
+        with pytest.raises(NonFiniteObjective):
+            evaluate_objective(problem, [2, 0])
+        with pytest.raises(NonFiniteObjective):
+            greedy_allocate(problem)
+
+    def test_overflowing_allowance_raises(self):
+        # one unit shifts both scores by 5e157: the variance stays finite, the
+        # squared largest score in the rounding allowance does not
+        problem = make_problem([100, 100], [10, 10], [[0.0, 50.0], [0.0, 0.0]], budget=1,
+                               unit_size=1e160, objective="min_variance", candidates=(0,))
+        assert np.isfinite(evaluate_objective(problem, [1]))
+        with pytest.raises(NonFiniteObjective, match="allowance"):
+            greedy_allocate(problem)
 
 
 class TestPlanJson:

@@ -72,12 +72,10 @@ class TestLocalAgainstFullEnumeration:
         rng = np.random.default_rng(203)
         values = rng.normal(size=6)
         weights = SpatialWeights(
-            n=6,
             # rows: (1, 2), (0, 3), (4, 5), (1,), (2, 0), (3, 1)
             indptr=np.array([0, 2, 4, 6, 7, 9, 11]),
             indices=np.array([1, 2, 0, 3, 4, 5, 1, 2, 0, 3, 1]),
             data=np.array([0.7, 0.3, 0.2, 0.8, 0.5, 0.5, 1.0, 0.9, 0.1, 0.4, 0.6]),
-            row_standardized=True,
         )
         n_perm = 9999
         result = lisa(values, weights, n_permutations=n_perm, seed=31)

@@ -39,7 +39,6 @@ def test_lag_matches_dense_product(case):
 @given(weights_and_values())
 def test_rows_sum_to_one_and_isolated_rows_are_empty(case):
     w, _ = case
-    assert w.row_standardized
     counts = np.diff(w.indptr)
     assert w.isolated == tuple(np.flatnonzero(counts == 0).tolist())
     sums = w.to_dense().sum(axis=1)

@@ -49,7 +49,6 @@ class TestBuildWeights:
         rng = np.random.default_rng(51)
         pts = rng.uniform(0, 100, size=(20, 2))
         w = build_weights(pts, k=5, coord_kind="planar")
-        assert w.row_standardized
         for i in range(w.n):
             assert w.data[w.indptr[i]:w.indptr[i + 1]].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -100,6 +99,13 @@ class TestBuildWeights:
         assert dense[0, 1] == 0.5 and dense[0, 2] == 0.5 and dense[0, 3] == 0.0
 
 
+    def test_isolated_follows_empty_rows(self):
+        w = SpatialWeights(indptr=np.array([0, 0, 1, 1, 2, 2]), indices=np.array([3, 1]),
+                           data=np.array([1.0, 1.0]))
+        assert w.n == 5
+        assert w.isolated == (0, 2, 4)
+
+
 class TestMoran:
     def test_checkerboard_is_exactly_minus_one(self):
         result = morans_i(CHECKERBOARD, rook_weights(), n_permutations=99, seed=1)
@@ -115,11 +121,18 @@ class TestMoran:
 
     def test_requires_row_standardized(self):
         rook = rook_weights()
-        raw = SpatialWeights(n=rook.n, indptr=rook.indptr, indices=rook.indices,
-                             data=np.ones(rook.indices.size), row_standardized=False,
-                             isolated=())
+        raw = SpatialWeights(indptr=rook.indptr, indices=rook.indices,
+                             data=np.ones(rook.indices.size))
         with pytest.raises(NotRowStandardized):
             morans_i(CHECKERBOARD, raw, n_permutations=9, seed=1)
+
+    def test_doubled_weights_are_rejected(self):
+        # a hand-built record cannot claim row standardization it lacks
+        rook = rook_weights()
+        doubled = SpatialWeights(indptr=rook.indptr, indices=rook.indices, data=2 * rook.data)
+        for statistic in (morans_i, lisa):
+            with pytest.raises(NotRowStandardized):
+                statistic(CHECKERBOARD, doubled, n_permutations=9, seed=1)
 
     def test_matches_textbook_double_loop(self):
         rng = np.random.default_rng(53)
@@ -218,12 +231,9 @@ class TestLisa:
     def test_isolated_unit_rule(self):
         # unit 2 has an empty row: local value 0, lag 0 classified as low
         weights = SpatialWeights(
-            n=3,
             indptr=np.array([0, 1, 2, 2]),
             indices=np.array([1, 0]),
             data=np.array([1.0, 1.0]),
-            row_standardized=True,
-            isolated=(2,),
         )
         result = lisa([5.0, 1.0, 9.0], weights, n_permutations=99, seed=2)
         assert result.local_i[2] == 0.0
