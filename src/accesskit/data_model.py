@@ -2,17 +2,22 @@
 supply, regions, origin-destination costs and per-unit values), and the
 one CSV writer behind every output table.
 
+The reader streams a CSV or GeoJSON table as ``(row_number, cells)``
+pairs, ``cells`` a tuple of the asked-for columns in the order asked, so
+each loader reads a record by position, not by column name.
+
 Coordinates are either geographic (lon, lat in decimal degrees) or planar
 (x, y in meters). The coordinate kind is declared per dataset; input file
 headers must agree with the declared kind and mixing kinds is rejected.
 Loading is eager and fail-fast: the first defective row raises an error
-naming that row.
+naming that row, also where a loader checks its rows in bulk.
 """
 
 import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .errors import (
@@ -162,16 +167,29 @@ def _parse_float(raw, row_num: int, column: str) -> float:
     raise MalformedRow(f"row {row_num}: cannot parse {column}={raw!r}")
 
 
-def _read_table(path, required: tuple[str, ...], point: tuple[str, str] | None = None):
-    """Yield ``(row_number, row)`` for every record of a CSV or GeoJSON file.
+# An optional column the table lacks: its cell in every row (CSV), or in a
+# feature whose properties lack it (GeoJSON). Unlike None, the cell of a
+# short row, it tells a missing column from a missing cell.
+_ABSENT = object()
 
-    A ``.geojson`` extension selects GeoJSON, anything else CSV. CSV rows
-    map header names to cells and are numbered from 2, the header being
-    row 1; a cell missing from a short row is None. GeoJSON rows are the
-    features' properties, numbered from 1; when ``point`` names two
+
+def _read_table(path, columns: tuple[str, ...], optional: tuple[str, ...] = (),
+                point: tuple[str, str] | None = None):
+    """Yield ``(row_number, cells)`` for every record of a CSV or GeoJSON file.
+
+    ``cells`` is a tuple holding the record's value of each of ``columns``
+    and then of each ``optional`` column, in that order. Every one of
+    ``columns`` must be present; an ``optional`` column that is not gives
+    ``_ABSENT``. A ``.geojson`` extension selects GeoJSON, anything else CSV.
+
+    CSV follows the rules of the csv module's dictionary reader: the first
+    line is the header, row 1, and records are numbered from 2; blank lines
+    are skipped and not counted; a cell missing from a short row is None; a
+    column named twice is read from its last occurrence. GeoJSON records
+    are the features' properties, numbered from 1; when ``point`` names two
     columns, each feature must be a Point whose coordinates fill them.
-    Every ``required`` column must be present.
     """
+    names = (*columns, *optional)
     if str(path).endswith(".geojson"):
         with open(path, encoding="utf-8-sig") as fh:
             try:
@@ -192,19 +210,30 @@ def _read_table(path, required: tuple[str, ...], point: tuple[str, str] | None =
                         and geom.get("type") == "Point"):
                     raise MalformedRow(f"row {row_num}: geometry must be a Point")
                 row[point[0]], row[point[1]] = coords[0], coords[1]
-            for col in required:
+            for col in columns:
                 if row.get(col) is None:
                     raise MissingColumn(f"row {row_num}: properties lack {col!r}")
-            yield row_num, row
+            yield row_num, tuple(row.get(col, _ABSENT) for col in names)
         return
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
         try:
-            header = reader.fieldnames or []
-            for col in required:
-                if col not in header:
+            lines = csv.reader(fh)
+            header = next(lines, [])
+            where = {col: pos for pos, col in enumerate(header)}  # the last one wins
+            for col in columns:
+                if col not in where:
                     raise MissingColumn(f"{path}: header lacks column {col!r}")
-            yield from enumerate(reader, start=2)
+            # an absent column sits past the end of every row
+            at = tuple(where.get(col, math.inf) for col in names)
+            pick, width = itemgetter(*at), max(at) + 1
+            for row_num, cells in enumerate(filter(None, lines), start=2):
+                if len(cells) >= width:
+                    yield row_num, pick(cells)
+                else:
+                    yield row_num, tuple(
+                        cells[pos] if pos < len(cells)
+                        else None if pos < len(header) else _ABSENT
+                        for pos in at)
         except (UnicodeDecodeError, csv.Error) as err:
             raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
 
@@ -212,24 +241,27 @@ def _read_table(path, required: tuple[str, ...], point: tuple[str, str] | None =
 def _collect(rows, make, columns, optional=(), coord_kind: str | None = None) -> list:
     """Build ``make(id, *cells)`` for each row of a table.
 
-    ``columns`` are parsed as numbers; an ``optional`` column that is blank
-    or absent gives None. Ids must be unique. With a ``coord_kind`` the
-    first two columns are coordinates checked against it. An error the
-    record raises is re-raised naming its row.
+    Each row's cells are its id, then its ``columns``, parsed as numbers,
+    then its ``optional`` columns, where a blank or absent cell gives None.
+    Ids must be unique. With a ``coord_kind`` the first two columns are
+    coordinates checked against it. An error the record raises is
+    re-raised naming its row.
     """
+    n = len(columns) + 1
     records, seen = [], set()
-    for row_num, row in rows:
-        cells = [_parse_float(row[c], row_num, c) for c in columns]
-        cells += [None if row.get(c) in (None, "") else _parse_float(row[c], row_num, c)
-                  for c in optional]
-        rec_id = str(row["id"])
+    for row_num, cells in rows:
+        values = [_parse_float(cell, row_num, col) for cell, col in zip(cells[1:n], columns)]
+        values += [None if cell is _ABSENT or cell in (None, "")
+                   else _parse_float(cell, row_num, col)
+                   for cell, col in zip(cells[n:], optional)]
+        rec_id = str(cells[0])
         if rec_id in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
         seen.add(rec_id)
         try:
-            record = make(rec_id, *cells)
+            record = make(rec_id, *values)
             if coord_kind is not None:
-                _check_coords(cells[0], cells[1], coord_kind)
+                _check_coords(values[0], values[1], coord_kind)
         except AccessKitError as err:
             raise type(err)(f"row {row_num}: {err}") from None
         records.append(record)
@@ -257,7 +289,7 @@ def load_supply(path, coord_kind: str = "geographic") -> list[SupplySite]:
 def load_regions(path) -> list[Region]:
     """Load regions from CSV (``id,area_km2,resource[,population]``) or from
     GeoJSON features with those properties; a blank population is absent."""
-    rows = _read_table(path, ("id", "area_km2", "resource"))
+    rows = _read_table(path, ("id", "area_km2", "resource"), optional=("population",))
     return _collect(rows, Region, ("area_km2", "resource"), optional=("population",))
 
 
@@ -269,18 +301,20 @@ def load_values(path, column: str):
     are checked as for demand sites. Returns ``(ids, locations, coord_kind,
     values)`` with ``locations`` a list of (x, y) pairs.
     """
-    rows = list(_read_table(path, ("id", column), point=("lon", "lat")))
+    rows = list(_read_table(path, ("id", column), optional=("lon", "lat", "x", "y"),
+                            point=("lon", "lat")))
     if not rows:
         raise NoRecords(f"{path}: table has no rows")
-    header = rows[0][1]
-    if "lon" in header and "lat" in header:
-        coord_kind = "geographic"
-    elif "x" in header and "y" in header:
-        coord_kind = "planar"
+    first = rows[0][1]
+    if _ABSENT not in first[2:4]:
+        coord_kind, pick = "geographic", itemgetter(0, 2, 3, 1)  # id, lon, lat, value
+    elif _ABSENT not in first[4:6]:
+        coord_kind, pick = "planar", itemgetter(0, 4, 5, 1)  # id, x, y, value
     else:
         raise MissingColumn(f"{path}: need lon/lat or x/y coordinate columns")
-    cx, cy = _coord_columns(coord_kind)
-    units = _collect(rows, lambda *unit: unit, (cx, cy, column), coord_kind=coord_kind)
+    units = _collect(((row_num, pick(cells)) for row_num, cells in rows),
+                     lambda *unit: unit, (*_coord_columns(coord_kind), column),
+                     coord_kind=coord_kind)
     ids, xs, ys, values = zip(*units)
     return list(ids), list(zip(xs, ys)), coord_kind, list(values)
 

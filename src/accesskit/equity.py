@@ -146,7 +146,9 @@ def gini(values, weights=None):
         raise ValueError("weights must match values in length")
     if (v < 0).any() or (w <= 0).any():
         raise ValueError("values must be nonnegative and weights positive")
-    order = np.argsort(v, axis=0, kind="stable")
+    # tied values may take any order in a matrix column: that changes only
+    # the rounding of the Lorenz area, and the default sort is the faster
+    order = np.argsort(v, axis=0, kind="stable" if v.ndim == 1 else None)
     v, w = np.take_along_axis(v, order, axis=0), w[order]
     with np.errstate(over="ignore"):
         w_total = w.sum(axis=0)

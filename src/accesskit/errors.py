@@ -117,6 +117,10 @@ class WrongDecayKind(FcaError):
     """The method requires a different decay kind."""
 
 
+class NonFiniteCapture(FcaError, ValueError):
+    """A facility's captured demand, sum_k D_k f(d_kj), overflowed to infinity."""
+
+
 # --- spatial_stats ------------------------------------------------------
 
 class SpatialStatsError(AccessKitError):

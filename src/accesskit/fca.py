@@ -23,7 +23,7 @@ import numpy as np
 
 from .data_model import Dataset, _csv_text
 from .decay import DecaySpec, evaluate_decay
-from .errors import DimensionMismatch, WrongDecayKind
+from .errors import DimensionMismatch, NonFiniteCapture, WrongDecayKind
 from .travel import TravelMatrix
 
 
@@ -91,7 +91,12 @@ class Catchment:
         weights = evaluate_decay(self.decay, matrix.cost)
         self.population = np.array([s.population for s in dataset.demand], dtype=float)
         self.capacity = np.array([s.capacity for s in dataset.supply], dtype=float)
-        self.captured = self.population @ weights
+        with np.errstate(over="ignore"):
+            self.captured = self.population @ weights
+        overflowed = np.flatnonzero(~np.isfinite(self.captured))
+        if overflowed.size:
+            raise NonFiniteCapture(f"supply {dataset.supply[overflowed[0]].id!r}: "
+                                   "captured demand overflowed; populations are too large")
         # a facility no demand reaches gets ratio 0 instead of a division by 0
         self.reached = self.captured > 0
         self.assign = weights * weights if power == 2 else weights

@@ -115,7 +115,9 @@ class AllocationProblem:
         per_unit = np.zeros(len(cand))
         reached = catchment.reached[cand]
         per_unit[reached] = self.unit_size / catchment.captured[cand][reached]
-        return catchment.assign[:, cand] * per_unit
+        shifts = catchment.assign[:, cand]  # a copy, scaled in place
+        shifts *= per_unit
+        return shifts
 
     def _scores(self, units) -> np.ndarray:
         """Scores with ``units`` added per candidate, by the full kernel."""
@@ -164,6 +166,10 @@ class AllocationProblem:
         error e far below NEAR_TIE. That moves a minimum by e of itself, a
         variance by less than e times the variance plus the squared largest
         block score, and a weighted Gini by at most e times (1 + Gini). The
+        block's Gini may also order tied scores unlike the kernel's; that
+        moves only the rounding of the Lorenz area, and a column's block
+        Gini stays within 2n * 2**-53 of the kernel's for n demand sites,
+        far below NEAR_TIE for any n under a million. The
         options within that allowance, taken at e = NEAR_TIE, of the best
         ranked value and of ``current`` are re-scored with the kernel in
         (donor, to) order; the first that strictly beats ``current`` and

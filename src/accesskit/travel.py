@@ -6,12 +6,20 @@ weight 0, so infinity cleanly encodes "outside any catchment".
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import Dataset, _parse_float, _read_table
-from .errors import DuplicatePair, MetricMismatch, NegativeCost, NonPositiveSpeed, UnknownId
+from .errors import (
+    AccessKitError,
+    DuplicatePair,
+    MetricMismatch,
+    NegativeCost,
+    NonPositiveSpeed,
+    UnknownId,
+)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -114,29 +122,71 @@ def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
     return TravelMatrix(cost=km, unit="km")
 
 
+_OD_COLUMNS = ("demand_id", "supply_id", "cost")
+
+
 def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
     """Load a precomputed origin-destination cost table.
 
     Columns ``demand_id,supply_id,cost`` (CSV, or properties of GeoJSON
     features); each pair appears at most once.
     Pairs absent from the file are unreachable (+inf).
+
+    Rows are read into flat indices ``i * len(supply) + j`` and costs;
+    repeated pairs and NaN or negative costs are found with array checks
+    once the rows are in. The error names the first defective row of the
+    file, whatever its defect.
     """
     d_index = {s.id: i for i, s in enumerate(demand)}
     s_index = {s.id: j for j, s in enumerate(supply)}
-    cost = np.full((len(d_index), len(s_index)), np.inf)
-    filled = np.zeros_like(cost, dtype=bool)
-    for row_num, row in _read_table(path, ("demand_id", "supply_id", "cost")):
-        did, sid = row["demand_id"], row["supply_id"]
+    shape = (len(d_index), len(s_index))
+    m = shape[1]
+    pairs, costs = array("q"), array("d")
+    add_pair, add_cost = pairs.append, costs.append
+    try:
+        for row_num, (did, sid, raw) in _read_table(path, _OD_COLUMNS):
+            add_pair(d_index[did] * m + s_index[sid])
+            if raw.__class__ is bool:  # float() would take a GeoJSON true as 1
+                raise ValueError
+            add_cost(float(raw))
+    except (KeyError, TypeError, ValueError):
+        del pairs[len(costs):]
+        _cost_matrix(path, pairs, costs, shape)
         if did not in d_index:
-            raise UnknownId(f"row {row_num}: unknown demand id {did!r}")
+            raise UnknownId(f"row {row_num}: unknown demand id {did!r}") from None
         if sid not in s_index:
-            raise UnknownId(f"row {row_num}: unknown supply id {sid!r}")
-        i, j = d_index[did], s_index[sid]
-        if filled[i, j]:
-            raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated")
-        c = _parse_float(row["cost"], row_num, "cost")
-        if math.isnan(c) or c < 0:
-            raise NegativeCost(f"row {row_num}: cost {row['cost']!r} must be >= 0")
-        cost[i, j] = c
-        filled[i, j] = True
+            raise UnknownId(f"row {row_num}: unknown supply id {sid!r}") from None
+        if d_index[did] * m + s_index[sid] in pairs:
+            raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated") from None
+        _parse_float(raw, row_num, "cost")  # raises MalformedRow
+        raise
+    except AccessKitError:  # the reader's, from a row after those read
+        _cost_matrix(path, pairs, costs, shape)
+        raise
+    cost = _cost_matrix(path, pairs, costs, shape)
+    del pairs, costs  # before TravelMatrix takes its copy
     return TravelMatrix(cost=cost, unit=unit)
+
+
+def _cost_matrix(path, pairs, costs, shape) -> np.ndarray:
+    """The cost matrix of the rows read so far, each a flat pair index and a
+    cost; raises for the first row that repeats a pair or has a NaN or
+    negative cost."""
+    flat = np.frombuffer(pairs, dtype=np.int64)
+    cost = np.frombuffer(costs, dtype=float)
+    filled = np.zeros(shape[0] * shape[1], dtype=bool)
+    filled[flat] = True
+    if np.count_nonzero(filled) < len(flat) or not (cost >= 0).all():
+        order = np.argsort(flat, kind="stable")
+        repeat = np.zeros(len(flat), dtype=bool)
+        repeat[order[1:][flat[order[1:]] == flat[order[:-1]]]] = True
+        first = np.flatnonzero(repeat | ~(cost >= 0))[0]
+        # the message quotes the row's cells, so read up to that row again
+        row_num, (did, sid, raw) = next(
+            row for k, row in enumerate(_read_table(path, _OD_COLUMNS)) if k == first)
+        if repeat[first]:
+            raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated") from None
+        raise NegativeCost(f"row {row_num}: cost {raw!r} must be >= 0") from None
+    matrix = np.full(shape, np.inf)
+    matrix.reshape(-1)[flat] = cost
+    return matrix

@@ -295,9 +295,32 @@ ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
 HUGE_POPULATION = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},{6e307 if i < 3 else s.population!r}\n"
     for i, s in enumerate(synthetic_city(**CITY).demand))
+# three populations of 1e308: some facility's captured demand overflows
+OVERFLOWING_CAPTURE = "id,lon,lat,population\n" + "".join(
+    f"{s.id},{s.x!r},{s.y!r},{1e308 if i < 3 else s.population!r}\n"
+    for i, s in enumerate(synthetic_city(**CITY).demand))
+
+
+def od_argv(tmp_path, rows):
+    """``report`` reading costs from an OD table: ``OD`` then ``rows``, row 3 on."""
+    return report_argv(tmp_path, [("od.csv", OD + rows)], od_matrix="od.csv")
 
 
 @pytest.mark.parametrize("argv, code, row", [
+    pytest.param(lambda t: od_argv(t, "zz,h00,1\n"),
+                 "travel.UnknownId", 3, id="od-unknown-demand-id"),
+    pytest.param(lambda t: od_argv(t, "d001,zz,1\n"),
+                 "travel.UnknownId", 3, id="od-unknown-supply-id"),
+    pytest.param(lambda t: od_argv(t, "d001,h00,2\nd000,h00,4\n"),
+                 "travel.DuplicatePair", 4, id="od-repeated-pair"),
+    pytest.param(lambda t: od_argv(t, "d001,h00,-1\n"),
+                 "travel.NegativeCost", 3, id="od-negative-cost"),
+    pytest.param(lambda t: od_argv(t, "d001,h00,nan\n"),
+                 "travel.NegativeCost", 3, id="od-nan-cost"),
+    pytest.param(lambda t: od_argv(t, "d001,h00,-1\nd002,h00,1\nzz,h00,1\n"),
+                 "travel.NegativeCost", 3, id="od-first-defect-before-unknown-id"),
+    pytest.param(lambda t: ["access"] + report_argv(t, [("demand.csv", OVERFLOWING_CAPTURE)])[1:3],
+                 "fca.NonFiniteCapture", None, id="captured-demand-overflow"),
     pytest.param(lambda t: report_argv(t, [("od.csv", OD + "d001,h00,abc\n")], od_matrix="od.csv"),
                  "data_model.MalformedRow", 3, id="od-cost-not-a-number"),
     pytest.param(lambda t: report_argv(t, [("od.csv", OD + "d001,h00\n")], od_matrix="od.csv"),

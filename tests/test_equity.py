@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accesskit.data_model import Region
 from accesskit.equity import (
@@ -220,6 +222,23 @@ class TestGini:
                 one = gini(block[:, j], w)
                 assert type(one) is float
                 assert by_column[j] == pytest.approx(one, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_block_columns_with_ties_stay_within_rounding(self, data):
+        # few distinct values and weights, so columns hold many ties that the
+        # block may order unlike the stable sort of a single column
+        n, k = data.draw(st.integers(2, 80)), data.draw(st.integers(1, 8))
+        levels = data.draw(st.lists(st.floats(0, 1e3), min_size=1, max_size=4))
+        block = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n * k,
+                                            max_size=n * k))).reshape(n, k)
+        block[0] += 1.0  # no all-zero column
+        w = np.array(data.draw(st.lists(st.sampled_from((0.5, 1.0, 3.0, 40.0)),
+                                        min_size=n, max_size=n)))
+        by_column = gini(block, w)
+        for j in range(k):
+            # two roundings of the Lorenz area, each within n * 2**-53
+            assert abs(by_column[j] - gini(block[:, j], w)) <= 2 * n * 2.0**-53
 
 
 class TestCsv:

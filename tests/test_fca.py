@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from accesskit.decay import DecaySpec
-from accesskit.errors import DimensionMismatch, WrongDecayKind
+from accesskit.errors import DimensionMismatch, FcaError, NonFiniteCapture, WrongDecayKind
 from accesskit.fca import (
     e2sfca,
     g2sfca,
@@ -48,6 +48,16 @@ class TestStep1:
         bad = TravelMatrix(cost=np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
             step1_supply_ratios(ds, bad, HALVING)
+
+    def test_overflowing_captured_demand_raises(self):
+        # each population is finite; h1's captured demand is not, h0's is
+        ds, m = dataset_with_matrix([1e308, 1e308, 1.0], [5, 5],
+                                    [[50.0, 5.0], [50.0, 5.0], [5.0, 5.0]])
+        for method in (g2sfca, m2sfca):
+            with pytest.raises(NonFiniteCapture, match="supply 'h1'"):
+                method(ds, m, HALVING)
+        assert issubclass(NonFiniteCapture, FcaError)
+        assert issubclass(NonFiniteCapture, ValueError)
 
 
 class TestG2sfca:

@@ -1,10 +1,16 @@
+import csv
+import io
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from accesskit.data_model import Dataset, DemandSite, SupplySite
-from accesskit.errors import DuplicatePair, MetricMismatch, NegativeCost, UnknownId
+from accesskit.errors import DuplicatePair, MalformedRow, MetricMismatch, NegativeCost, UnknownId
 from accesskit.travel import (
     EARTH_RADIUS_KM,
     TravelMatrix,
@@ -14,7 +20,7 @@ from accesskit.travel import (
     load_od_matrix,
 )
 
-from helpers import planar_dataset
+from helpers import dataset_with_matrix, planar_dataset
 
 
 class TestHaversine:
@@ -154,3 +160,118 @@ class TestLoadOdMatrix:
         path = tmp_path / "od.csv"
         path.write_text("demand_id,supply_id,cost\nd0,h0,3.5\n")
         assert load_od_matrix(path, demand, supply, unit="km").unit == "km"
+
+
+# --- the OD loader against a row-by-row reference ---------------------------
+
+OD_DEMAND = ("d0", "d,1", 'd"2', "d 3")
+OD_SUPPLY = ("h0", "h,1", "h2")
+OD_DEFECTS = ("unknown-demand", "unknown-supply", "repeat", "negative", "nan",
+              "not-a-number", "short")
+
+
+def od_sites():
+    ds = dataset_with_matrix([1] * len(OD_DEMAND), [1] * len(OD_SUPPLY),
+                             np.zeros((len(OD_DEMAND), len(OD_SUPPLY))))[0]
+    demand = [replace(s, id=i) for s, i in zip(ds.demand, OD_DEMAND)]
+    supply = [replace(s, id=i) for s, i in zip(ds.supply, OD_SUPPLY)]
+    return demand, supply
+
+
+def reference_od(path):
+    """Each row checked in turn, in file order: the matrix, or the class and
+    row of the first defect."""
+    d_index = {d: i for i, d in enumerate(OD_DEMAND)}
+    s_index = {s: j for j, s in enumerate(OD_SUPPLY)}
+    cost = np.full((len(OD_DEMAND), len(OD_SUPPLY)), np.inf)
+    filled = np.zeros(cost.shape, dtype=bool)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for row_num, row in enumerate(csv.DictReader(fh), start=2):
+            if row["demand_id"] not in d_index or row["supply_id"] not in s_index:
+                return UnknownId, row_num
+            i, j = d_index[row["demand_id"]], s_index[row["supply_id"]]
+            if filled[i, j]:
+                return DuplicatePair, row_num
+            try:
+                c = float(row["cost"])
+            except (TypeError, ValueError):
+                return MalformedRow, row_num
+            if not c >= 0:
+                return NegativeCost, row_num
+            cost[i, j], filled[i, j] = c, True
+    return cost
+
+
+@st.composite
+def od_tables(draw):
+    """The text of an OD table: shuffled and extra columns, quoted ids, a
+    possible BOM, blank lines, ``inf`` costs and up to two defects."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(OD_DEMAND), st.sampled_from(OD_SUPPLY)),
+                          unique=True, max_size=len(OD_DEMAND) * len(OD_SUPPLY)))
+    costs = st.one_of(st.floats(0, 1e6).map(repr), st.just("inf"))
+    rows = [{"demand_id": d, "supply_id": s, "cost": draw(costs)} for d, s in pairs]
+    for defect in draw(st.lists(st.sampled_from(OD_DEFECTS), max_size=2)):
+        row = {"demand_id": draw(st.sampled_from(OD_DEMAND)),
+               "supply_id": draw(st.sampled_from(OD_SUPPLY)), "cost": "1.5"}
+        if defect == "unknown-demand":
+            row["demand_id"] = "d,9"
+        elif defect == "unknown-supply":
+            row["supply_id"] = "h9"
+        elif defect == "repeat" and rows:
+            row = dict(draw(st.sampled_from(rows)))
+        elif defect in ("negative", "nan", "not-a-number"):
+            row["cost"] = {"negative": "-0.5", "nan": "nan", "not-a-number": "1,5"}[defect]
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    extra = draw(st.lists(st.sampled_from(("mode", "note, quoted")), unique=True, max_size=2))
+    header = draw(st.permutations(["demand_id", "supply_id", "cost", *extra]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([row.get(col, "x, y") for col in header])
+    lines = out.getvalue().splitlines()
+    if "short" in draw(st.lists(st.sampled_from(OD_DEFECTS), max_size=1)) and len(lines) > 1:
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at] = lines[at].rsplit(",", 1)[0]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return draw(st.sampled_from(("", "﻿"))) + "\n".join(lines) + "\n"
+
+
+class TestOdReader:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=od_tables())
+    def test_matches_the_row_by_row_reference(self, tmp_path, text):
+        path = tmp_path / "od.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = reference_od(path)
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(load_od_matrix(path, *od_sites()).cost, expected)
+        else:
+            error, row_num = expected
+            with pytest.raises(error) as info:
+                load_od_matrix(path, *od_sites())
+            assert type(info.value) is error
+            assert str(info.value).startswith(f"row {row_num}: ")
+
+    def test_geojson_round_trip(self, tmp_path):
+        demand, supply = od_sites()
+        rows = [("d,1", "h0", 2.5), ('d"2', "h2", 0), ("d0", "h,1", 7.25)]
+        csv_path, geo_path = tmp_path / "od.csv", tmp_path / "od.geojson"
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("demand_id", "supply_id", "cost"), *rows])
+
+        def write_geojson(rows):
+            geo_path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+                {"type": "Feature", "geometry": None,
+                 "properties": {"demand_id": d, "supply_id": s, "cost": c}}
+                for d, s, c in rows]}), encoding="utf-8")
+
+        write_geojson(rows)
+        from_csv = load_od_matrix(csv_path, demand, supply).cost
+        assert np.array_equal(load_od_matrix(geo_path, demand, supply).cost, from_csv)
+        assert np.isfinite(from_csv).sum() == len(rows)
+        write_geojson([*rows[:2], ("d0", "h,1", True)])
+        with pytest.raises(MalformedRow, match="^row 3: cannot parse cost=True$"):
+            load_od_matrix(geo_path, demand, supply)
