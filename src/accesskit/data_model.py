@@ -162,7 +162,7 @@ def _parse_float(raw, row_num: int, column: str) -> float:
     if not isinstance(raw, bool):
         try:
             return float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int too large for a float
             pass
     raise MalformedRow(f"row {row_num}: cannot parse {column}={raw!r}")
 

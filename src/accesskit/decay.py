@@ -150,22 +150,28 @@ def evaluate_decay(spec: DecaySpec, d):
     a = np.atleast_1d(arr)
     out = np.zeros(a.shape, dtype=float)
     within = a <= spec.d0
-    dv = a[within]
+    dv = a[within]  # a copy, which each kind evaluates in place
     if spec.kind == "binary":
-        out[within] = 1.0
-    elif spec.kind == "gaussian":
-        out[within] = np.exp(-(dv * dv) / spec.beta)
-    elif spec.kind == "exponential":
-        out[within] = np.exp(-dv / spec.beta)
+        dv.fill(1.0)
+    elif spec.kind == "gaussian":  # exp(-(d * d) / beta)
+        np.multiply(dv, dv, out=dv)
+        np.negative(dv, out=dv)
+        dv /= spec.beta
+        np.exp(dv, out=dv)
+    elif spec.kind == "exponential":  # exp(-d / beta)
+        np.negative(dv, out=dv)
+        dv /= spec.beta
+        np.exp(dv, out=dv)
     elif spec.kind == "power":
         # d^-beta diverges at 0; clamp so f(0) = 1 and weights stay in [0, 1]
         with np.errstate(divide="ignore"):
-            out[within] = np.minimum(1.0, dv ** (-spec.beta))
+            dv **= -spec.beta
+        np.minimum(dv, 1.0, out=dv)
     else:  # zonal
         breaks = np.asarray(spec.zones, dtype=float)
         weights = np.asarray(spec.weights, dtype=float)
-        idx = np.searchsorted(breaks, dv, side="left")
-        out[within] = weights[idx]
+        dv = weights[np.searchsorted(breaks, dv, side="left")]
+    out[within] = dv
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)

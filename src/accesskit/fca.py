@@ -99,7 +99,9 @@ class Catchment:
                                    "captured demand overflowed; populations are too large")
         # a facility no demand reaches gets ratio 0 instead of a division by 0
         self.reached = self.captured > 0
-        self.assign = weights * weights if power == 2 else weights
+        if power == 2:  # captured is computed; f becomes f*f in place
+            np.multiply(weights, weights, out=weights)
+        self.assign = weights
 
     def solve(self, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Step-1 ratios R_j and step-2 scores A_i for capacities S_j."""

@@ -11,6 +11,7 @@ decomposition sum_i I_i = n * I exact.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .data_model import COORD_KINDS, _csv_text
 from .errors import (
     InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance,
 )
-from .travel import euclidean_matrix, haversine_matrix
+from .travel import _distance_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +45,19 @@ class SpatialWeights:
         """The units whose row is empty."""
         return tuple(np.flatnonzero(np.diff(self.indptr) == 0).tolist())
 
+    @cached_property
     def _rows(self) -> np.ndarray:
+        """The row of every stored weight, computed on first use."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def lag(self, v) -> np.ndarray:
         """Spatial lag sum_j w_ij v_j of every unit (0 for an empty row)."""
-        return np.bincount(self._rows(), weights=self.data * np.asarray(v)[self.indices],
+        return np.bincount(self._rows, weights=self.data * np.asarray(v)[self.indices],
                            minlength=self.n)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
-        dense[self._rows(), self.indices] = self.data
+        dense[self._rows, self.indices] = self.data
         return dense
 
 
@@ -95,8 +98,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
     Parameters
     ----------
     locations : (n, 2) array-like
-        (lon, lat) degrees when ``coord_kind`` is geographic, (x, y) meters
-        when planar.
+        Finite (lon, lat) degrees when ``coord_kind`` is geographic, (x, y)
+        meters when planar.
     k : int, optional
         Neighbor count, 1 <= k < n. Distance ties break toward the smaller
         index so construction is deterministic.
@@ -109,6 +112,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
     pts = np.asarray(locations, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidStatArgument("locations must be an (n, 2) array")
+    if not np.isfinite(pts).all():
+        raise InvalidStatArgument("locations must be finite; found NaN or infinity")
     n = pts.shape[0]
     if n < 2:
         raise InvalidStatArgument("need at least 2 locations")
@@ -121,16 +126,25 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
     if band is not None and not band > 0:  # NaN fails this test too
         raise InvalidStatArgument(f"band radius must be positive, got {band}")
 
-    dist_fn = haversine_matrix if coord_kind == "geographic" else euclidean_matrix
-    neighbors = []
-    for i in range(n):
-        d = dist_fn(pts[i:i + 1], pts)[0]
-        d[i] = np.inf
-        # nearest first; a stable sort breaks distance ties toward the smaller index,
-        # and the copy keeps no view of the whole row's order alive
-        neighbors.append(np.argsort(d, kind="stable")[:k].copy() if k is not None
-                         else np.flatnonzero(d <= band))
-    counts = np.array([row.size for row in neighbors])
+    metric = "haversine" if coord_kind == "geographic" else "euclidean"
+    counts, neighbors = np.zeros(n, dtype=np.intp), []
+    for lo, d in _distance_rows(pts, pts, metric):
+        rows = np.arange(len(d))
+        d[rows, lo + rows] = np.inf
+        if k is None:
+            r, c = np.nonzero(d <= band)
+        else:
+            # the k nearest, distance ties broken toward the smaller index: the
+            # entries at or below the k-th distance, stably sorted, first k kept
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+            r, c = np.nonzero(d <= kth)
+            order = np.lexsort((d[r, c], r))
+            r, c = r[order], c[order]
+            start = np.searchsorted(r, rows)
+            keep = np.arange(len(r)) - start[r] < k
+            r, c = r[keep], c[keep]
+        counts[lo:lo + len(d)] = np.bincount(r, minlength=len(d))
+        neighbors.append(c)
     return SpatialWeights(indptr=np.concatenate(([0], np.cumsum(counts))),
                           indices=np.concatenate(neighbors), data=1.0 / np.repeat(counts, counts))
 

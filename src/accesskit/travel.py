@@ -25,6 +25,10 @@ EARTH_RADIUS_KM = 6371.0
 
 COST_UNITS = ("km", "minutes")
 
+# Output entries per block of distance rows: a block's few temporaries take
+# a bounded amount of memory whatever the size of the whole matrix.
+BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class TravelMatrix:
@@ -68,23 +72,70 @@ def haversine_distance(p, q) -> float:
 
 def haversine_matrix(a, b) -> np.ndarray:
     """Pairwise great-circle km between two (n, 2) arrays of (lon, lat)."""
-    a = np.radians(np.asarray(a, dtype=float))
-    b = np.radians(np.asarray(b, dtype=float))
-    lon1, lat1 = a[:, 0][:, None], a[:, 1][:, None]
-    lon2, lat2 = b[:, 0][None, :], b[:, 1][None, :]
-    s = (
-        np.sin((lat2 - lat1) / 2) ** 2
-        + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
-    )
-    return EARTH_RADIUS_KM * 2 * np.arcsin(np.sqrt(s))
+    return _distance_matrix(a, b, "haversine")
 
 
 def euclidean_matrix(a, b) -> np.ndarray:
     """Pairwise planar distance in km between (n, 2) arrays of (x, y) meters."""
+    return _distance_matrix(a, b, "euclidean")
+
+
+def _distance_matrix(a, b, metric: str) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    out = np.empty((len(a), len(b)))
+    for lo, rows in _distance_rows(a, b, metric):
+        out[lo:lo + len(rows)] = rows
+    return out
+
+
+def _distance_rows(a, b, metric: str):
+    """Yield ``(lo, rows)``: the distances in km from a block of points
+    ``a[lo:lo + len(rows)]`` to every point of ``b``, block after block.
+
+    ``metric`` is "haversine" for (lon, lat) degrees or "euclidean" for
+    (x, y) meters. A block holds about ``BLOCK`` entries, at least one
+    row. Each entry is computed by the same expression, in the same order,
+    as a whole-matrix evaluation would use, so the distances do not depend
+    on the block size.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2)) / 1000.0
+    step = max(1, BLOCK // max(1, len(b)))
+    if metric == "haversine":
+        b = np.radians(b)
+        lon2, lat2 = b[:, 0], b[:, 1]
+        cos_lat2 = np.cos(lat2)
+    else:
+        x2, y2 = b[:, 0], b[:, 1]
+    for lo in range(0, len(a), step):
+        block = a[lo:lo + step]
+        if metric == "haversine":
+            block = np.radians(block)
+            lon1, lat1 = block[:, 0:1], block[:, 1:2]
+            # sin((lat2 - lat1) / 2) ** 2 + cos(lat1) cos(lat2) sin((lon2 - lon1) / 2) ** 2
+            s = np.subtract(lat2, lat1)
+            s /= 2
+            np.sin(s, out=s)
+            np.square(s, out=s)
+            t = np.subtract(lon2, lon1)
+            t /= 2
+            np.sin(t, out=t)
+            np.square(t, out=t)
+            t *= np.cos(lat1) * cos_lat2
+            s += t
+            np.sqrt(s, out=s)
+            np.arcsin(s, out=s)
+            s *= EARTH_RADIUS_KM * 2
+        else:
+            # sqrt(dx * dx + dy * dy) / 1000
+            s = np.subtract(block[:, 0:1], x2)
+            np.square(s, out=s)
+            t = np.subtract(block[:, 1:2], y2)
+            np.square(t, out=t)
+            s += t
+            np.sqrt(s, out=s)
+            s /= 1000.0
+        yield lo, s
 
 
 def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
@@ -105,21 +156,20 @@ def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
     if metric == "haversine":
         if dataset.coord_kind != "geographic":
             raise MetricMismatch("haversine requires geographic coordinates")
-        dist_fn = haversine_matrix
     elif metric == "euclidean":
         if dataset.coord_kind != "planar":
             raise MetricMismatch("euclidean requires planar coordinates")
-        dist_fn = euclidean_matrix
     else:
         raise ValueError(f"unknown metric {metric!r}")
+    if speed is not None and not speed > 0:
+        raise NonPositiveSpeed(f"speed must be positive km per minute, got {speed!r}")
     d_xy = np.array([(s.x, s.y) for s in dataset.demand], dtype=float)
     s_xy = np.array([(s.x, s.y) for s in dataset.supply], dtype=float)
-    km = dist_fn(d_xy, s_xy)
-    if speed is not None:
-        if not speed > 0:
-            raise NonPositiveSpeed(f"speed must be positive km per minute, got {speed!r}")
-        return TravelMatrix(cost=km / speed, unit="minutes")
-    return TravelMatrix(cost=km, unit="km")
+    km = _distance_matrix(d_xy, s_xy, metric)
+    if speed is None:
+        return TravelMatrix(cost=km, unit="km")
+    km /= speed
+    return TravelMatrix(cost=km, unit="minutes")
 
 
 _OD_COLUMNS = ("demand_id", "supply_id", "cost")
@@ -149,12 +199,12 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
             if raw.__class__ is bool:  # float() would take a GeoJSON true as 1
                 raise ValueError
             add_cost(float(raw))
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         del pairs[len(costs):]
         _cost_matrix(path, pairs, costs, shape)
-        if did not in d_index:
+        if not _known(did, d_index):
             raise UnknownId(f"row {row_num}: unknown demand id {did!r}") from None
-        if sid not in s_index:
+        if not _known(sid, s_index):
             raise UnknownId(f"row {row_num}: unknown supply id {sid!r}") from None
         if d_index[did] * m + s_index[sid] in pairs:
             raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated") from None
@@ -166,6 +216,14 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
     cost = _cost_matrix(path, pairs, costs, shape)
     del pairs, costs  # before TravelMatrix takes its copy
     return TravelMatrix(cost=cost, unit=unit)
+
+
+def _known(site_id, index) -> bool:
+    """Whether an id is a key of ``index``; a GeoJSON list or object is not."""
+    try:
+        return site_id in index
+    except TypeError:  # unhashable
+        return False
 
 
 def _cost_matrix(path, pairs, costs, shape) -> np.ndarray:

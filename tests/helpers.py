@@ -6,6 +6,7 @@ production implementations they check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -135,3 +136,22 @@ def oracle_moran(values, dense_w):
         for j in range(len(x)):
             num += dense_w[i][j] * z[i] * z[j]
     return num / float(z @ z)
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while ``fn()`` runs, its result still held."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_instance(n=1000, m=300, seed=0):
+    """An n x m instance with unit populations and capacities, costs drawn in
+    [0, 50) and a Gaussian decay with d0 = 32, so about 64 % of the pairs
+    fall within the cutoff."""
+    cost = np.random.default_rng(seed).uniform(0, 50, (n, m))
+    return (*dataset_with_matrix(np.ones(n), np.ones(m), cost, unit="minutes"),
+            DecaySpec.gaussian(32.0, 180.0))

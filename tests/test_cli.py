@@ -289,6 +289,13 @@ def demand_geojson(features):
     return [("demand.geojson", feature_collection(features))]
 
 
+def od_geojson_argv(tmp_path, *rows):
+    """``report`` reading costs from a GeoJSON OD table of ``rows``."""
+    features = [([0, 0], dict(zip(("demand_id", "supply_id", "cost"), row))) for row in rows]
+    return report_argv(tmp_path, [("od.geojson", feature_collection(features))],
+                       od_matrix="od.geojson")
+
+
 ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},0\n" for s in synthetic_city(**CITY).demand)
 # three populations whose total overflows a float; no facility's captured demand does
@@ -321,6 +328,16 @@ def od_argv(tmp_path, rows):
                  "travel.NegativeCost", 3, id="od-first-defect-before-unknown-id"),
     pytest.param(lambda t: ["access"] + report_argv(t, [("demand.csv", OVERFLOWING_CAPTURE)])[1:3],
                  "fca.NonFiniteCapture", None, id="captured-demand-overflow"),
+    pytest.param(lambda t: od_geojson_argv(t, ("d000", "h00", 3.0), (["d001"], "h00", 1.0)),
+                 "travel.UnknownId", 2, id="od-geojson-demand-id-a-list"),
+    pytest.param(lambda t: od_geojson_argv(t, ("d000", {"id": "h00"}, 3.0)),
+                 "travel.UnknownId", 1, id="od-geojson-supply-id-an-object"),
+    pytest.param(lambda t: od_geojson_argv(t, ("d000", "h00", 3.0), ("d001", "h00", 10**400)),
+                 "data_model.MalformedRow", 2, id="od-geojson-cost-overflows-a-float"),
+    pytest.param(lambda t: report_argv(t, demand_geojson(
+                     [([117.0, 36.6], {"id": "d1", "population": 10**400})]),
+                     demand="demand.geojson"),
+                 "data_model.MalformedRow", 1, id="geojson-population-overflows-a-float"),
     pytest.param(lambda t: report_argv(t, [("od.csv", OD + "d001,h00,abc\n")], od_matrix="od.csv"),
                  "data_model.MalformedRow", 3, id="od-cost-not-a-number"),
     pytest.param(lambda t: report_argv(t, [("od.csv", OD + "d001,h00\n")], od_matrix="od.csv"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from accesskit.decay import DECAY_KINDS, DecaySpec, evaluate_decay, zonal_from_gaussian
 from accesskit.errors import InvalidDecaySpec, NonAscendingBreakpoints
 
-from helpers import random_decay
+from helpers import dense_instance, random_decay, traced_peak
 
 
 class TestEvaluateDecay:
@@ -77,6 +77,12 @@ class TestEvaluateDecay:
             assert (np.diff(w) <= 1e-15).all(), f"not nonincreasing for {spec}"
             assert (w[grid > spec.d0] == 0).all()
             assert evaluate_decay(spec, np.inf) == 0.0
+
+    def test_memory_is_one_output_and_the_weights_within_d0(self):
+        # the output, the within-d0 mask and one compressed array of those
+        # entries: about 1.76x the output's bytes at 64 % within d0
+        _, matrix, spec = dense_instance()
+        assert traced_peak(lambda: evaluate_decay(spec, matrix.cost)) <= 2.0 * matrix.cost.nbytes
 
 
 class TestZonalFromGaussian:

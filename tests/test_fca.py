@@ -4,6 +4,7 @@ import pytest
 from accesskit.decay import DecaySpec
 from accesskit.errors import DimensionMismatch, FcaError, NonFiniteCapture, WrongDecayKind
 from accesskit.fca import (
+    Catchment,
     e2sfca,
     g2sfca,
     m2sfca,
@@ -13,7 +14,7 @@ from accesskit.fca import (
 )
 from accesskit.travel import TravelMatrix
 
-from helpers import dataset_with_matrix, oracle_g2sfca, random_instance
+from helpers import dataset_with_matrix, dense_instance, oracle_g2sfca, random_instance, traced_peak
 
 # decay with f=1 in [0,10], f=0.5 in (10,20], 0 beyond: makes the worked
 # instances below exact
@@ -226,6 +227,12 @@ class TestM2sfca:
                 m.cost.tolist(), decay, squared=True,
             )
             assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    def test_squares_the_weights_in_place(self):
+        # the decay's peak, about 1.76x the weights' bytes; squaring adds no array
+        ds, matrix, spec = dense_instance()
+        peak = traced_peak(lambda: Catchment("m2sfca", ds, matrix, spec))
+        assert peak <= 2.0 * matrix.cost.nbytes
 
 
 class TestScoresCsv:

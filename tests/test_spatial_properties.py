@@ -3,7 +3,7 @@
 Random planar point sets get either kNN or distance-band weights; small
 bands leave some units without neighbors. Points drawn on a coarse grid,
 planar or geographic, repeat and tie in distance, and the weights built
-one row at a time must equal those of the full distance matrix.
+from blocks of distance rows must equal those of the full distance matrix.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from accesskit import travel
 from accesskit.spatial_stats import build_weights, lisa, morans_i
 from accesskit.travel import euclidean_matrix, haversine_matrix
 
@@ -87,10 +88,13 @@ def dense_weights(pts, coord_kind, k=None, band=None):
 
 
 @settings(max_examples=150, deadline=None)
-@given(grid_weights_case())
-def test_row_by_row_build_matches_the_dense_matrix(case):
+@given(grid_weights_case(), st.sampled_from([travel.BLOCK, 1, 7, 33]))
+def test_row_by_row_build_matches_the_dense_matrix(case, block):
+    # a block of 1 entry gives one row per block; 7 and 33 split n rows unevenly
     pts, coord_kind, scheme = case
-    w = build_weights(pts, coord_kind=coord_kind, **scheme)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(travel, "BLOCK", block)
+        w = build_weights(pts, coord_kind=coord_kind, **scheme)
     indptr, indices, data, isolated = dense_weights(pts, coord_kind, **scheme)
     assert np.array_equal(w.indptr, indptr)
     assert np.array_equal(w.indices, indices)

@@ -84,6 +84,15 @@ class TestBuildWeights:
                 tracemalloc.stop()
             assert peak < 4e6, scheme
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_location(self, bad):
+        # a NaN point would otherwise be its own nearest neighbour
+        pts = [(0, 0), (bad, 0), (1, 1), (2, 2)]
+        for scheme in ({"k": 2}, {"band": 5.0}):
+            for kind in ("planar", "geographic"):
+                with pytest.raises(InvalidStatArgument, match="finite"):
+                    build_weights(pts, coord_kind=kind, **scheme)
+
     def test_unknown_coord_kind(self):
         # lon/lat about 1-2 km apart; a misspelt kind must not fall back to planar distance
         pts = [(117.0, 36.65), (117.01, 36.65), (117.0, 36.67)]
