@@ -8,6 +8,7 @@ expanding the existing clinics.
 
 from accesskit import (
     AllocationProblem,
+    Catchment,
     Dataset,
     DecaySpec,
     DemandSite,
@@ -39,7 +40,7 @@ matrix = build_travel_matrix(town, metric="euclidean", speed=0.5)
 decay = DecaySpec.gaussian(d0=30.0, beta=180.0)
 
 problem = AllocationProblem(
-    dataset=town, matrix=matrix, decay=decay,
+    catchment=Catchment("g2sfca", town, matrix, decay),
     budget=6, unit_size=5.0,                  # six expansions of 5 beds
     candidates=tuple(range(len(town.supply))),  # every site may grow
     objective="max_min_access",

@@ -28,6 +28,7 @@ from .decay import DecaySpec, evaluate_decay, zonal_from_gaussian
 from .equity import HradResult, RegionEquity, gini, hrad, hrad_vs_population
 from .fca import (
     AccessibilityResult,
+    Catchment,
     compute_accessibility,
     e2sfca,
     g2sfca,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessibilityResult",
     "AllocationProblem",
+    "Catchment",
     "Dataset",
     "DecaySpec",
     "DemandSite",

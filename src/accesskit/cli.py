@@ -121,6 +121,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not Path(value).is_file():
                 raise ConfigError(f"{name} file not found: {value}")
+        # the outputs are computed before any is written: fail on a bad out now
+        out = Path(self.out)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ConfigError(f"out must be a directory; {existing} is not one")
 
     def decay_spec(self) -> DecaySpec:
         if not self.decay:
@@ -165,17 +170,20 @@ class Run:
                             coord_kind=cfg.coord_kind)
 
     @cached_property
-    def matrix(self):
+    def catchment(self):
+        """The decay weights and captured demand that access and plan share;
+        the cost matrix is not kept."""
         cfg, dataset = self.cfg, self.dataset
         if cfg.od_matrix is not None:
-            return load_od_matrix(cfg.od_matrix, dataset.demand, dataset.supply,
-                                  unit=cfg.cost_unit)
-        return build_travel_matrix(dataset, metric=cfg.metric, speed=cfg.speed_km_per_min)
+            matrix = load_od_matrix(cfg.od_matrix, dataset.demand, dataset.supply,
+                                    unit=cfg.cost_unit)
+        else:
+            matrix = build_travel_matrix(dataset, metric=cfg.metric, speed=cfg.speed_km_per_min)
+        return fca.Catchment(cfg.method, dataset, matrix, cfg.decay_spec())
 
     @cached_property
     def access(self):
-        result = fca.compute_accessibility(self.cfg.method, self.dataset, self.matrix,
-                                           self.cfg.decay_spec())
+        result = self.catchment.accessibility()
         for sid in result.warnings:
             print(f"warning: supply {sid} captures no demand", file=sys.stderr)
         return result
@@ -220,7 +228,7 @@ class Run:
     @cached_property
     def plan(self):
         """``(problem, plan)``: the greedy allocation improved by local search."""
-        cfg, dataset, matrix = self.cfg, self.dataset, self.matrix
+        cfg, dataset, catchment = self.cfg, self.dataset, self.catchment
         if cfg.budget < 1:
             raise ConfigError("optimization requires budget >= 1")
         index = {s.id: j for j, s in enumerate(dataset.supply)}
@@ -229,8 +237,8 @@ class Run:
         if missing:
             raise ConfigError(f"candidates reference unknown supply ids: {missing}")
         problem = optimize.AllocationProblem(
-            dataset=dataset, matrix=matrix, decay=cfg.decay_spec(), budget=cfg.budget,
-            candidates=tuple(index[c] for c in candidates), method=cfg.method,
+            catchment=catchment, budget=cfg.budget,
+            candidates=tuple(index[c] for c in candidates),
             unit_size=cfg.unit_size, objective=cfg.objective,
         )
         return problem, optimize.local_search_improve(problem, optimize.greedy_allocate(problem))

@@ -72,11 +72,12 @@ class AccessibilityResult:
 class Catchment:
     """The part of one method's run on one dataset that capacity does not change.
 
-    The decay is evaluated once. What is kept is the demand each facility
-    captures, sum_k D_k f(d_kj), and the step-2 assignment weights (f, or
-    f*f for m2sfca). ``solve`` maps any capacity vector, the dataset's own
-    ``capacity`` or a reallocated one, to ratios and scores, so the library
-    and the optimizer share one step 1 and one step 2.
+    The decay is evaluated once. What is kept is the method, the dataset and
+    the decay it applies, the demand each facility captures,
+    sum_k D_k f(d_kj), and the step-2 assignment weights (f, or f*f for
+    m2sfca), but not the travel matrix. ``solve`` maps any capacity vector,
+    the dataset's own ``capacity`` or a reallocated one, to ratios and
+    scores, so the library and the optimizer share one step 1 and one step 2.
     """
 
     def __init__(self, method: str, dataset: Dataset, matrix: TravelMatrix,
@@ -84,7 +85,7 @@ class Catchment:
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {FCA_METHODS}")
         rule, power = _METHODS[method]
-        self.decay = rule(decay)
+        self.method, self.dataset, self.decay = method, dataset, rule(decay)
         shape = (len(dataset.demand), len(dataset.supply))
         if matrix.cost.shape != shape:
             raise DimensionMismatch(f"matrix is {matrix.cost.shape}, dataset is {shape}")
@@ -109,6 +110,19 @@ class Catchment:
         ratios[self.reached] = capacity[self.reached] / self.captured[self.reached]
         return ratios, self.assign @ ratios
 
+    def accessibility(self) -> AccessibilityResult:
+        """Ratios and scores at the dataset's own capacities.
+
+        A facility whose decay-weighted demand is zero sits outside everyone's
+        catchment; it gets ratio 0 and its id is reported as a warning.
+        """
+        ratios, scores = self.solve(self.capacity)
+        zero_capture = tuple(self.dataset.supply[j].id for j in np.flatnonzero(~self.reached))
+        return AccessibilityResult(
+            method=self.method, decay=self.decay, scores=scores,
+            supply_ratios=ratios, warnings=zero_capture,
+        )
+
 
 def step1_supply_ratios(dataset: Dataset, matrix: TravelMatrix,
                         decay: DecaySpec) -> np.ndarray:
@@ -120,17 +134,8 @@ def step1_supply_ratios(dataset: Dataset, matrix: TravelMatrix,
 def compute_accessibility(method: str, dataset: Dataset, matrix: TravelMatrix,
                           decay: DecaySpec) -> AccessibilityResult:
     """Run one method by name; two_sfca uses the decay's d0 as its cutoff.
-
-    A facility whose decay-weighted demand is zero sits outside everyone's
-    catchment; it gets ratio 0 and its id is reported as a warning.
-    """
-    catchment = Catchment(method, dataset, matrix, decay)
-    ratios, scores = catchment.solve(catchment.capacity)
-    zero_capture = tuple(dataset.supply[j].id for j in np.flatnonzero(~catchment.reached))
-    return AccessibilityResult(
-        method=method, decay=catchment.decay, scores=scores,
-        supply_ratios=ratios, warnings=zero_capture,
-    )
+    See ``Catchment.accessibility``."""
+    return Catchment(method, dataset, matrix, decay).accessibility()
 
 
 def g2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> AccessibilityResult:

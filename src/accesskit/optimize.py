@@ -12,6 +12,7 @@ Objectives:
   min_weighted_gini   population-weighted Gini of scores (minimize)
   min_variance        plain variance of scores (minimize)
 
+A problem is posed on an ``fca.Catchment`` its caller built and may share.
 Step 2 is linear in capacity, so one unit added at candidate c shifts every
 score by a fixed column of ``AllocationProblem.shifts``. Greedy and local
 search share one step, ``AllocationProblem._best_step``: it ranks every
@@ -28,14 +29,12 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import Dataset, SupplySite
-from .decay import DecaySpec
 from .equity import gini
 from .errors import (
     InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonFiniteObjective,
     NonPositiveUnitSize,
 )
-from .fca import FCA_METHODS, Catchment
-from .travel import TravelMatrix
+from .fca import Catchment
 
 OBJECTIVES = ("max_min_access", "min_weighted_gini", "min_variance")
 
@@ -50,20 +49,15 @@ NEAR_TIE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class AllocationProblem:
-    dataset: Dataset
-    matrix: TravelMatrix
-    decay: DecaySpec
+    catchment: Catchment
     budget: int
     candidates: tuple[int, ...]
-    method: str = "g2sfca"
     unit_size: float = 1.0
     objective: str = "max_min_access"
 
     def __post_init__(self):
         # stored sorted so "smaller candidate index" tie-breaking is positional
         object.__setattr__(self, "candidates", tuple(sorted(int(c) for c in self.candidates)))
-        if self.method not in FCA_METHODS:
-            raise InvalidProblem(f"method must be one of {FCA_METHODS}")
         if self.objective not in OBJECTIVES:
             raise InvalidProblem(f"objective must be one of {OBJECTIVES}")
         if self.budget < 0:
@@ -71,7 +65,7 @@ class AllocationProblem:
         if not 0 < self.unit_size < math.inf:  # NaN fails this test too
             raise NonPositiveUnitSize(
                 f"unit_size must be positive and finite, got {self.unit_size!r}")
-        n_supply = len(self.dataset.supply)
+        n_supply = len(self.catchment.capacity)
         if not self.candidates:
             raise InvalidProblem("candidates must be nonempty")
         if len(set(self.candidates)) != len(self.candidates):
@@ -87,21 +81,22 @@ class AllocationProblem:
         """True when objective value a strictly improves on b."""
         return a > b if self.maximize else a < b
 
-    @cached_property
-    def catchment(self) -> Catchment:
-        """Decay weights and captured demand depend only on travel costs and
-        demand, never on capacities, so every evaluation shares one."""
-        return Catchment(self.method, self.dataset, self.matrix, self.decay)
-
     def _check(self, units) -> np.ndarray:
-        units = np.asarray(units, dtype=int)
+        """``units`` as a new int array; InfeasibleAllocation unless it holds
+        one whole, nonnegative count per candidate and fits the budget."""
+        units = np.asarray(units)
         if units.shape != (len(self.candidates),):
             raise InfeasibleAllocation("allocation length must match candidates")
+        kind = units.dtype.kind
+        whole = kind in "iu" or (kind == "f" and np.isfinite(units).all()
+                                 and (units == np.trunc(units)).all())
+        if not whole:  # NaN, infinities, fractions, text and bools are not counts
+            raise InfeasibleAllocation("unit counts must be whole numbers")
         if (units < 0).any():
             raise InfeasibleAllocation("unit counts must be nonnegative")
         if units.sum() > self.budget:
             raise InfeasibleAllocation("allocation exceeds the budget")
-        return units
+        return units.astype(int)
 
     @cached_property
     def shifts(self) -> np.ndarray:
@@ -274,7 +269,7 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
     optimum or after ``max_iters``. The result is never worse than the
     input plan.
     """
-    units = problem._check(plan.units).copy()
+    units = problem._check(plan.units)
     current = problem._value(units)
     trace = list(plan.trace) or [current]
     for _ in range(max_iters):
@@ -334,8 +329,8 @@ def add_candidate_sites(dataset: Dataset, sites) -> tuple[Dataset, tuple[int, ..
     """Append prospective zero-capacity facilities and return their indices.
 
     ``sites`` is an iterable of (id, x, y). The returned dataset is the
-    original plus candidate-flagged supply rows; pair it with a rebuilt
-    travel matrix before optimizing.
+    original plus candidate-flagged supply rows; build a ``Catchment`` on a
+    rebuilt travel matrix before optimizing.
     """
     new_supply = list(dataset.supply)
     first = len(new_supply)
@@ -355,7 +350,7 @@ def plan_json_dict(problem: AllocationProblem, plan: ReallocationPlan) -> dict:
         "after": plan.objective_after,
         "allocations": [
             {
-                "supply_id": problem.dataset.supply[c].id,
+                "supply_id": problem.catchment.dataset.supply[c].id,
                 "units_added": int(u),
                 "capacity_added": u * problem.unit_size,
             }

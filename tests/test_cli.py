@@ -1,6 +1,8 @@
 import csv
+import gc
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from accesskit import cli, fca
 from accesskit.cli import main
 from accesskit.data_model import demand_csv_text
 from accesskit.synth import synthetic_city, write_city
@@ -313,6 +316,13 @@ def od_argv(tmp_path, rows):
     return report_argv(tmp_path, [("od.csv", OD + rows)], od_matrix="od.csv")
 
 
+def a_file(tmp_path):
+    """An existing file where an output directory is expected."""
+    path = tmp_path / "afile"
+    path.write_text("not a directory\n", encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("argv, code, row", [
     pytest.param(lambda t: od_argv(t, "zz,h00,1\n"),
                  "travel.UnknownId", 3, id="od-unknown-demand-id"),
@@ -446,10 +456,16 @@ def od_argv(tmp_path, rows):
     pytest.param(lambda t: optimize_argv(t, [("demand.csv", HUGE_POPULATION)],
                                          objective="min_weighted_gini"),
                  "equity.NonFiniteTotal", None, id="gini-population-overflow"),
+    pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t))],
+                 "cli.ConfigError", None, id="out-is-a-file"),
+    pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t) / "sub")],
+                 "cli.ConfigError", None, id="out-under-a-file"),
 ])
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row):
     out = tmp_path / "out"
-    assert main(argv(tmp_path) + ["--out", str(out)]) == 2
+    command, *rest = argv(tmp_path)
+    # ``out`` goes first, so a row's own --out wins
+    assert main([command, "--out", str(out), *rest]) == 2
     err = capsys.readouterr().err
     assert f"error: {code}: " in err
     if row is not None:
@@ -516,6 +532,41 @@ def test_report_writes_the_files_of_the_stage_commands(tmp_path):
     summary = json.loads(rep.joinpath("summary.json").read_text())
     assert summary["moran"] == json.loads(rep.joinpath("moran.json").read_text())
     assert summary["optimize"] == json.loads(rep.joinpath("plan.json").read_text())
+
+
+def test_report_evaluates_the_decay_once(tmp_path, monkeypatch):
+    # the access scores and the plan share one catchment
+    calls, evaluate_decay = [], fca.evaluate_decay
+
+    def counting(spec, d):
+        calls.append(spec)
+        return evaluate_decay(spec, d)
+
+    monkeypatch.setattr(fca, "evaluate_decay", counting)
+    assert main(report_argv(tmp_path) + ["--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("loader, argv", [
+    pytest.param("build_travel_matrix", optimize_argv, id="computed"),
+    pytest.param("load_od_matrix", lambda t: ["optimize"] + od_argv(t, "d001,h01,5.0\n")[1:3],
+                 id="od-table"),
+])
+def test_plan_keeps_no_travel_matrix(tmp_path, monkeypatch, loader, argv):
+    refs = []
+    load = getattr(cli, loader)
+
+    def recording(*args, **kwargs):
+        matrix = load(*args, **kwargs)
+        refs.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(cli, loader, recording)
+    run = cli.Run(cli.build_parser().parse_args(argv(tmp_path)))
+    problem, plan = run.plan
+    assert sum(plan.units) == problem.budget
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 # What each config field accepts, by JSON kind; an int counts as a number.

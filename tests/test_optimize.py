@@ -11,7 +11,7 @@ from accesskit.errors import (
     DimensionMismatch, InfeasibleAllocation, InstanceTooLarge, InvalidProblem,
     NonFiniteObjective, NonPositiveUnitSize,
 )
-from accesskit.fca import FCA_METHODS, compute_accessibility, g2sfca
+from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility, g2sfca
 from accesskit.optimize import (
     OBJECTIVES,
     AllocationProblem,
@@ -30,16 +30,18 @@ from helpers import dataset_with_matrix, random_instance
 BINARY30 = DecaySpec.binary(30.0)
 
 
+def problem_on(dataset, matrix, decay, method="g2sfca", **fields):
+    """An AllocationProblem on ``Catchment(method, dataset, matrix, decay)``."""
+    return AllocationProblem(catchment=Catchment(method, dataset, matrix, decay), **fields)
+
+
 def make_problem(demand_pop, supply_cap, cost, budget, *, objective="max_min_access",
                  candidates=None, unit_size=1.0, method="g2sfca", decay=BINARY30):
     ds, matrix = dataset_with_matrix(demand_pop, supply_cap, cost)
     if candidates is None:
         candidates = tuple(range(len(supply_cap)))
-    return AllocationProblem(
-        dataset=ds, matrix=matrix, decay=decay, budget=budget,
-        candidates=candidates, method=method, unit_size=unit_size,
-        objective=objective,
-    )
+    return problem_on(ds, matrix, decay, method, budget=budget, candidates=candidates,
+                      unit_size=unit_size, objective=objective)
 
 
 def random_problem(rng, max_candidates=3, max_budget=3, max_demand=5,
@@ -50,8 +52,8 @@ def random_problem(rng, max_candidates=3, max_budget=3, max_demand=5,
     if objective is None:
         objective = ("max_min_access", "min_weighted_gini", "min_variance")[
             rng.integers(0, 3)]
-    return AllocationProblem(
-        dataset=ds, matrix=matrix, decay=decay,
+    return problem_on(
+        ds, matrix, decay,
         budget=int(rng.integers(1, max_budget + 1)),
         candidates=tuple(range(len(ds.supply))),
         unit_size=float(rng.uniform(0.5, 20)),
@@ -74,11 +76,9 @@ class TestEvaluateObjective:
                 "min_variance": float(np.var(scores)),
             }
             for objective in OBJECTIVES:
-                problem = AllocationProblem(
-                    dataset=ds, matrix=matrix, decay=decay, budget=1,
-                    candidates=tuple(range(len(ds.supply))), method=method,
-                    objective=objective,
-                )
+                problem = problem_on(ds, matrix, decay, method, budget=1,
+                                     candidates=tuple(range(len(ds.supply))),
+                                     objective=objective)
                 zero = [0] * len(problem.candidates)
                 assert evaluate_objective(problem, zero) == expected[objective]
 
@@ -111,15 +111,27 @@ class TestEvaluateObjective:
         with pytest.raises(InfeasibleAllocation):
             evaluate_objective(problem, [1, 0, 0])
 
+    @pytest.mark.parametrize("units", [
+        [0.9, 1.5], [0.5, 0.0], [float("nan"), 0], [float("inf"), 0], ["a", 0], ["1", 0],
+        [None, 0], [True, False],
+    ])
+    def test_counts_that_are_not_whole_numbers_rejected(self, units):
+        problem = make_problem([100], [10, 5], [[0.0, 1.0]], budget=3)
+        with pytest.raises(InfeasibleAllocation, match="whole"):
+            evaluate_objective(problem, units)
+        with pytest.raises(InfeasibleAllocation, match="whole"):
+            local_search_improve(problem, ReallocationPlan(tuple(units), 0.0, 0.0))
+
+    def test_whole_float_counts_are_counts(self):
+        problem = make_problem([100], [10, 5], [[0.0, 1.0]], budget=3)
+        assert evaluate_objective(problem, [1.0, 2.0]) == evaluate_objective(problem, [1, 2])
+
     def test_matrix_shape_mismatch_is_a_dimension_error(self):
         ds, _ = dataset_with_matrix([100, 50], [10], [[0.0], [1.0]])
         _, wrong = dataset_with_matrix([100], [10], [[0.0]])
-        problem = AllocationProblem(dataset=ds, matrix=wrong, decay=BINARY30,
-                                    budget=1, candidates=(0,))
+        # a problem needs a catchment, which a mismatched matrix cannot build
         with pytest.raises(DimensionMismatch):
-            evaluate_objective(problem, [0])
-        with pytest.raises(DimensionMismatch):
-            greedy_allocate(problem)
+            problem_on(ds, wrong, BINARY30, budget=1, candidates=(0,))
         with pytest.raises(DimensionMismatch):
             g2sfca(ds, wrong, BINARY30)
 
@@ -260,8 +272,8 @@ class TestCandidateSites:
         assert grown.supply[new_idx[0]].capacity == 0.0
         matrix = build_travel_matrix(grown, metric="euclidean")
         d0 = float(matrix.cost.max()) * 1.5 + 1.0
-        problem = AllocationProblem(
-            dataset=grown, matrix=matrix, decay=DecaySpec.binary(d0),
+        problem = problem_on(
+            grown, matrix, DecaySpec.binary(d0),
             budget=2, candidates=new_idx, unit_size=5.0,
         )
         plan = greedy_allocate(problem)
@@ -379,9 +391,9 @@ def sweep_problem(rng):
         n_supply = len(ds.supply)
     size = int(rng.integers(1, n_supply + 1))
     candidates = tuple(rng.choice(n_supply, size=size, replace=False).tolist())
-    return AllocationProblem(
-        dataset=ds, matrix=matrix, decay=decay, budget=int(rng.integers(0, 5)),
-        candidates=candidates, method=method,
+    return problem_on(
+        ds, matrix, decay, method, budget=int(rng.integers(0, 5)),
+        candidates=candidates,
         unit_size=float(rng.choice([1.0, 10.0, rng.uniform(0.5, 50)])),
         objective=OBJECTIVES[rng.integers(0, len(OBJECTIVES))],
     )
@@ -410,7 +422,8 @@ def test_array_search_equals_one_by_one_search():
                                      greedy.objective_before, greedy.objective_before)
             assert outcome(local_search_improve, problem, worse) == \
                 outcome(reference_local_search, problem, worse)
-        seen.add((problem.method, problem.objective, isinstance(greedy, ReallocationPlan)))
+        seen.add((problem.catchment.method, problem.objective,
+                  isinstance(greedy, ReallocationPlan)))
     for method in FCA_METHODS:
         for objective in OBJECTIVES:
             assert (method, objective, True) in seen
