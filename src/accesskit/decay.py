@@ -142,36 +142,36 @@ def _numbers(name: str, values) -> tuple[float, ...]:
 def evaluate_decay(spec: DecaySpec, d):
     """Evaluate the decay weight f(d) for a scalar or array of travel costs.
 
-    Returns a value (or array) in [0, 1]; costs beyond ``spec.d0``,
-    including +inf, get weight 0.
-    """
+    Returns a value (or array) in [0, 1]; costs beyond ``spec.d0``, +inf and
+    NaN among them, get weight 0. Each kind writes straight into the output,
+    and the only other array held is one boolean mask of its shape."""
     arr = np.asarray(d, dtype=float)
     scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
     out = np.zeros(a.shape, dtype=float)
-    within = a <= spec.d0
-    dv = a[within]  # a copy, which each kind evaluates in place
+    mask = a <= spec.d0
     if spec.kind == "binary":
-        dv.fill(1.0)
-    elif spec.kind == "gaussian":  # exp(-(d * d) / beta)
-        np.multiply(dv, dv, out=dv)
-        np.negative(dv, out=dv)
-        dv /= spec.beta
-        np.exp(dv, out=dv)
-    elif spec.kind == "exponential":  # exp(-d / beta)
-        np.negative(dv, out=dv)
-        dv /= spec.beta
-        np.exp(dv, out=dv)
-    elif spec.kind == "power":
-        # d^-beta diverges at 0; clamp so f(0) = 1 and weights stay in [0, 1]
-        with np.errstate(divide="ignore"):
-            dv **= -spec.beta
-        np.minimum(dv, 1.0, out=dv)
-    else:  # zonal
-        breaks = np.asarray(spec.zones, dtype=float)
-        weights = np.asarray(spec.weights, dtype=float)
-        dv = weights[np.searchsorted(breaks, dv, side="left")]
-    out[within] = dv
+        np.copyto(out, mask)
+    elif spec.kind == "zonal":  # last zone first, so each cost ends with its own zone's weight
+        for b, w in zip(spec.zones[::-1], spec.weights[::-1]):
+            np.less_equal(a, b, out=mask)
+            out[mask] = w
+    else:  # every cost is evaluated; those beyond d0 overflow harmlessly and are set to 0
+        with np.errstate(over="ignore", divide="ignore"):
+            if spec.kind == "gaussian":  # exp(-(d * d) / beta)
+                np.multiply(a, a, out=out)
+                np.negative(out, out=out)
+                out /= spec.beta
+                np.exp(out, out=out)
+            elif spec.kind == "exponential":  # exp(-d / beta)
+                np.negative(a, out=out)
+                out /= spec.beta
+                np.exp(out, out=out)
+            else:  # power: d^-beta diverges at 0; clamp so f(0) = 1 and weights stay in [0, 1]
+                np.copyto(out, a)
+                out **= -spec.beta
+                np.minimum(out, 1.0, out=out)
+        out[np.logical_not(mask, out=mask)] = 0.0
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -10,6 +10,7 @@ convention pins the global statistic to I = z'Wz / z'z and makes the
 decomposition sum_i I_i = n * I exact.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,8 +124,9 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         raise InvalidStatArgument(f"coord_kind must be one of {COORD_KINDS}, got {coord_kind!r}")
     if k is not None and not 1 <= k < n:
         raise KTooLarge(f"knn needs 1 <= k < n, got k={k} with n={n}")
-    if band is not None and not band > 0:  # NaN fails this test too
-        raise InvalidStatArgument(f"band radius must be positive, got {band}")
+    # an infinite band would count each unit, whose own distance is set to inf, as a neighbor
+    if band is not None and not 0 < band < math.inf:  # NaN fails this test too
+        raise InvalidStatArgument(f"band radius must be positive and finite, got {band}")
 
     metric = "haversine" if coord_kind == "geographic" else "euclidean"
     counts, neighbors = np.zeros(n, dtype=np.intp), []
@@ -162,8 +164,11 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
         raise InvalidStatArgument(f"n_permutations must be >= 1, got {n_permutations}")
     if seed < 0:
         raise InvalidStatArgument(f"seed must be a nonnegative integer, got {seed}")
-    z = x - x.mean()
-    denom = float(z @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x - x.mean()
+        denom = float(z @ z)
+    if not math.isfinite(denom):
+        raise NonFiniteValue("the values are too large: their mean or squared deviations overflow")
     if denom == 0.0:
         raise ZeroVariance("attribute is constant; autocorrelation undefined")
     return z, denom
@@ -183,12 +188,15 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
     """
     z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
     n = weights.n
-    observed = float(z @ weights.lag(z) / denom)
-    expected = -1.0 / (n - 1)
     sim = np.empty(n_permutations)
-    for p in range(n_permutations):
-        zp = z[np.random.default_rng([seed, p]).permutation(n)]
-        sim[p] = zp @ weights.lag(zp) / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        observed = float(z @ weights.lag(z) / denom)
+        for p in range(n_permutations):
+            zp = z[np.random.default_rng([seed, p]).permutation(n)]
+            sim[p] = zp @ weights.lag(zp) / denom
+    if not (math.isfinite(observed) and np.isfinite(sim).all()):
+        raise NonFiniteValue("Moran's I overflows for these values; they are too large")
+    expected = -1.0 / (n - 1)
     count = int(np.count_nonzero(np.abs(sim - expected) >= abs(observed - expected)))
     p_value = (count + 1) / (n_permutations + 1)
     spread = sim.std(ddof=1) if n_permutations > 1 else 0.0

@@ -255,6 +255,9 @@ CITY = {"seed": 99, "n_demand": 60, "n_supply": 8, "n_regions": 5}
 VALUES = "id,lon,lat,score\nu0,117.0,36.6,1\nu1,117.1,36.7,2\nu2,117.2,36.5,5\nu3,117.05,36.62,3\n"
 OD = "demand_id,supply_id,cost\nd000,h00,3.0\n"
 REGIONS = "id,area_km2,resource\nr0,10,20\nr1,90,80\n"
+# values whose squared deviations from their mean overflow a float
+HUGE_VALUES = "id,lon,lat,score\n" + "".join(
+    f"u{i},{117.0 + i / 10},36.6,{(-1) ** i * 1e300}\n" for i in range(4))
 
 
 def feature_collection(features):
@@ -433,6 +436,12 @@ def a_file(tmp_path):
                  "spatial_stats.InvalidStatArgument", None, id="moran-band-nan"),
     pytest.param(lambda t: report_argv(t, weights={"scheme": "distance_band", "band": float("nan")}),
                  "spatial_stats.InvalidStatArgument", None, id="config-band-nan"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "distance_band", "band": float("inf")}),
+                 "spatial_stats.InvalidStatArgument", None, id="config-band-inf"),
+    pytest.param(lambda t: moran_argv(t, HUGE_VALUES),
+                 "spatial_stats.NonFiniteValue", None, id="moran-values-overflow"),
+    pytest.param(lambda t: ["lisa"] + moran_argv(t, HUGE_VALUES)[1:],
+                 "spatial_stats.NonFiniteValue", None, id="lisa-values-overflow"),
     pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "nan"],
                  "equity.InvalidEpsilon", None, id="hrad-epsilon-nan"),
     pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "-1"],
@@ -623,7 +632,7 @@ def test_malformed_config_exits_2_and_writes_nothing(small_city, capsys, field):
 # the small city has 60 demand sites, so --knn 60 is one too many.
 BAD_FLAGS = {
     "--epsilon": (("hrad",), ("-1", "nan", "inf")),
-    "--band": (("moran", "lisa"), ("0", "-1", "nan")),
+    "--band": (("moran", "lisa"), ("0", "-1", "nan", "inf")),
     "--knn": (("moran", "lisa"), ("0", "-1", str(CITY["n_demand"]), "1000")),
     "--perms": (("moran", "lisa", "report"), ("0", "-5")),
     "--seed": (("lisa", "report"), ("-1",)),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from accesskit.decay import DECAY_KINDS, DecaySpec, evaluate_decay, zonal_from_gaussian
 from accesskit.errors import InvalidDecaySpec, NonAscendingBreakpoints
 
-from helpers import dense_instance, random_decay, traced_peak
+from helpers import random_decay, traced_peak
 
 
 class TestEvaluateDecay:
@@ -78,11 +79,15 @@ class TestEvaluateDecay:
             assert (w[grid > spec.d0] == 0).all()
             assert evaluate_decay(spec, np.inf) == 0.0
 
-    def test_memory_is_one_output_and_the_weights_within_d0(self):
-        # the output, the within-d0 mask and one compressed array of those
-        # entries: about 1.76x the output's bytes at 64 % within d0
-        _, matrix, spec = dense_instance()
-        assert traced_peak(lambda: evaluate_decay(spec, matrix.cost)) <= 2.0 * matrix.cost.nbytes
+    @pytest.mark.parametrize("spec", [
+        DecaySpec.binary(30.0), DecaySpec.gaussian(30.0, 180.0), DecaySpec.exponential(30.0, 10.0),
+        DecaySpec.power(30.0, 1.5), DecaySpec.zonal([10, 20, 30], [1.0, 0.5, 0.2]),
+    ], ids=DECAY_KINDS)
+    def test_memory_is_one_output_and_one_mask(self, spec):
+        # half the costs lie within d0; a copy of those would add 4 bytes a cost
+        cost = np.random.default_rng(0).uniform(0, 60, (500, 400))
+        peak = traced_peak(lambda: evaluate_decay(spec, cost))
+        assert peak <= cost.nbytes + cost.size + 64 * 1024
 
 
 class TestZonalFromGaussian:
@@ -214,3 +219,46 @@ def test_zonal_spec_from_beta_is_the_same_on_every_path(zones, scale):
     assert spec == DecaySpec.from_config({"kind": "zonal", "zones": zones, "beta": beta})
     assert spec == DecaySpec.zonal(zones, spec.weights)
     assert spec.d0 == zones[-1] and spec.beta is None
+
+
+def decay_the_old_way(spec, a):
+    """The weights as a compressed copy of the costs within d0, scattered back."""
+    out = np.zeros(a.shape)
+    within = a <= spec.d0
+    dv = a[within]
+    if spec.kind == "binary":
+        dv = np.ones_like(dv)
+    elif spec.kind == "gaussian":
+        dv = np.exp(-(dv * dv) / spec.beta)
+    elif spec.kind == "exponential":
+        dv = np.exp(-dv / spec.beta)
+    elif spec.kind == "power":
+        with np.errstate(divide="ignore", over="ignore"):  # d^-beta is huge near 0
+            dv = np.minimum(dv ** -spec.beta, 1.0)
+    else:
+        dv = np.asarray(spec.weights)[np.searchsorted(spec.zones, dv, side="left")]
+    out[within] = dv
+    return out
+
+
+@st.composite
+def specs_and_costs(draw):
+    """A spec of any kind and costs around its d0, with +inf, 0, d0 itself
+    and huge finite costs beyond it among them."""
+    spec = draw(valid_specs())
+    cost = st.one_of(st.floats(0, 2 * spec.d0), st.floats(1e150, 1e308),
+                     st.sampled_from([0.0, spec.d0, math.inf]))
+    return spec, np.array(draw(st.lists(cost, min_size=1, max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs_and_costs())
+def test_weights_are_bit_identical_to_the_compressed_evaluation(case):
+    spec, cost = case
+    expected = decay_the_old_way(spec, cost)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert evaluate_decay(spec, cost).tobytes() == expected.tobytes()
+        assert evaluate_decay(spec, cost.reshape(-1, 1)).tobytes() == expected.tobytes()
+        scalars = np.array([evaluate_decay(spec, d) for d in cost.tolist()])
+    assert scalars.tobytes() == expected.tobytes()

@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from accesskit.errors import InvalidStatArgument, KTooLarge, NotRowStandardized, ZeroVariance
+from accesskit.errors import (
+    InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance,
+)
 from accesskit.spatial_stats import (
     SpatialWeights,
     build_weights,
@@ -93,6 +95,11 @@ class TestBuildWeights:
                 with pytest.raises(InvalidStatArgument, match="finite"):
                     build_weights(pts, coord_kind=kind, **scheme)
 
+    def test_infinite_band(self):
+        # each unit's distance to itself is set to inf, and inf <= inf
+        with pytest.raises(InvalidStatArgument, match="finite"):
+            build_weights(UNIT_SQUARE, band=np.inf)
+
     def test_unknown_coord_kind(self):
         # lon/lat about 1-2 km apart; a misspelt kind must not fall back to planar distance
         pts = [(117.0, 36.65), (117.01, 36.65), (117.0, 36.67)]
@@ -127,6 +134,28 @@ class TestMoran:
     def test_constant_values_raise(self):
         with pytest.raises(ZeroVariance):
             morans_i([2.0, 2.0, 2.0, 2.0], rook_weights(), n_permutations=9, seed=1)
+
+    @pytest.mark.parametrize("values", [
+        [1e300, -1e300, 1e300, -1e300],  # the centred squares overflow
+        [1e308, 1e308, -1e308, 1.0],  # so does the mean
+    ])
+    def test_overflowing_values_raise(self, values):
+        for statistic in (morans_i, lisa):
+            with pytest.raises(NonFiniteValue, match="too large"):
+                statistic(values, rook_weights(), n_permutations=9, seed=1)
+
+    def test_overflowing_statistic_raises(self):
+        # a hub that k leaves point to lifts z'Wz about sqrt(k) / 2 times above z'z,
+        # so z'z stays finite while the statistic overflows
+        k = m = 400
+        n = 1 + k + m
+        hub = SpatialWeights(indptr=np.arange(n + 1), data=np.ones(n), indices=np.array(
+            [1] + [0] * k + [1 + k + (j ^ 1) for j in range(m)]))
+        x = np.concatenate(([1.0], np.full(k, k ** -0.5), np.full(m, -(1 + k ** 0.5) / m)))
+        z = x - x.mean()
+        assert z @ hub.lag(z) / (z @ z) > 6
+        with pytest.raises(NonFiniteValue, match="too large"):
+            morans_i(x * np.sqrt(1.5e308 / (z @ z)), hub, n_permutations=9, seed=1)
 
     def test_requires_row_standardized(self):
         rook = rook_weights()
