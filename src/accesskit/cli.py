@@ -79,7 +79,9 @@ class RunConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config is not UTF-8 text: {err}") from None
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from None
         if not isinstance(raw, dict):

@@ -103,13 +103,22 @@ class AllocationProblem:
         """N x C score change per unit added at each candidate.
 
         Column c is assign[:, c] * unit_size / captured[c], and 0 where no
-        demand reaches c, since step 2 is linear in the capacities.
+        demand reaches c, since step 2 is linear in the capacities. Weights
+        lie in [0, 1], so every shift is finite and >= 0 once each per-unit
+        ratio is finite; NonFiniteObjective names a candidate whose ratio
+        overflows.
         """
         catchment = self.catchment
         cand = np.asarray(self.candidates)
         per_unit = np.zeros(len(cand))
         reached = catchment.reached[cand]
-        per_unit[reached] = self.unit_size / catchment.captured[cand][reached]
+        with np.errstate(over="ignore"):
+            per_unit[reached] = self.unit_size / catchment.captured[cand][reached]
+        overflowed = np.flatnonzero(~np.isfinite(per_unit))
+        if overflowed.size:
+            site = catchment.dataset.supply[self.candidates[overflowed[0]]].id
+            raise NonFiniteObjective(f"candidate {site!r}: one unit's score shift is not "
+                                     "finite; unit_size is too large for its captured demand")
         shifts = catchment.assign[:, cand]  # a copy, scaled in place
         shifts *= per_unit
         return shifts
@@ -144,19 +153,36 @@ class AllocationProblem:
     def _unit_values(self, start: np.ndarray) -> np.ndarray:
         """Objective of ``start`` plus one unit at each candidate, in one
         array operation per chunk of candidates. These values rank options;
-        decisions and reported values come from ``_value``."""
+        decisions and reported values come from the kernel.
+
+        Under max_min_access only the demand sites that can hold a column's
+        minimum are summed. Shifts are >= 0 and rounding is monotone, so
+        every column's minimum is at most U = start[low] + max(shifts[low])
+        at the lowest start, and a site whose start exceeds U exceeds it in
+        every column. The minima are the same bits as over all sites; a NaN
+        start is kept, so it still makes the objective non-finite. The kept
+        rows are gathered one chunk of columns at a time.
+        """
         shifts = self.shifts
         out = np.empty(shifts.shape[1])
+        rows = slice(None)
+        if self.objective == "max_min_access":
+            low = start.argmin()
+            rows = np.flatnonzero(~(start > start[low] + shifts[low].max()))
+        kept = start[rows, None]
         for lo in range(0, len(out), CHUNK):
-            out[lo:lo + CHUNK] = self._objective(start[:, None] + shifts[:, lo:lo + CHUNK])
+            out[lo:lo + CHUNK] = self._objective(kept + shifts[rows, lo:lo + CHUNK])
         return out
 
-    def _best_step(self, units: np.ndarray, donors, current: float | None = None):
+    def _best_step(self, units: np.ndarray, donors, current: float | None = None,
+                   scores: np.ndarray | None = None):
         """The best move of one unit from a donor to a candidate.
 
         A donor is a candidate position, or None for the unspent budget.
         Every (donor, to) option is ranked from the block of shifts on the
-        kernel's scores without the donor's unit. Block and kernel scores
+        kernel's scores without the donor's unit; for the unspent budget
+        those are ``scores``, the kernel's scores at ``units``, which the
+        caller passes in. Block and kernel scores
         are sums of the same nonnegative terms, so they agree to a relative
         error e far below NEAR_TIE. That moves a minimum by e of itself, a
         variance by less than e times the variance plus the squared largest
@@ -168,15 +194,16 @@ class AllocationProblem:
         options within that allowance, taken at e = NEAR_TIE, of the best
         ranked value and of ``current`` are re-scored with the kernel in
         (donor, to) order; the first that strictly beats ``current`` and
-        every option before it wins. Returns (donor, to, value), or None
-        when no option beats ``current``.
+        every option before it wins. Returns (donor, to, value, scores),
+        with the kernel's scores after that move, or None when no option
+        beats ``current``.
         """
         n_cand = len(self.candidates)
         sign = 1.0 if self.maximize else -1.0  # signed values: larger is better
         signed = np.empty((len(donors), n_cand))
         top = 0.0
         for row, frm in enumerate(donors):
-            start = self._scores(_moved(units, frm, None))
+            start = scores if frm is None else self._scores(_moved(units, frm, None))
             signed[row] = sign * self._unit_values(start)
             top = max(top, float(start.max()))
             if frm is not None:  # a unit stays put
@@ -197,9 +224,10 @@ class AllocationProblem:
         step, best_val = None, current
         for pos in np.flatnonzero(signed.ravel() >= best - allowance):
             frm, to = donors[pos // n_cand], int(pos % n_cand)
-            val = self._value(_moved(units, frm, to))
+            after = self._scores(_moved(units, frm, to))
+            val = float(self._objective(after))
             if best_val is None or self.better(val, best_val):
-                step, best_val = (frm, to, val), val
+                step, best_val = (frm, to, val, after), val
         return step
 
 
@@ -244,12 +272,16 @@ def greedy_allocate(problem: AllocationProblem) -> ReallocationPlan:
     """Assign budget units one at a time, each to the candidate whose
     single-unit addition yields the best objective; ties go to the smaller
     candidate index. Deterministic by construction.
+
+    The kernel solves once for the baseline and once per re-scored option:
+    each step ranks from the scores of the option the previous step took.
     """
     units = np.zeros(len(problem.candidates), dtype=int)
-    before = problem._value(units)
+    scores = problem._scores(units)
+    before = float(problem._objective(scores))
     trace = [before]
     for _ in range(problem.budget):
-        _, to, val = problem._best_step(units, [None])
+        _, to, val, scores = problem._best_step(units, [None], scores=scores)
         units[to] += 1
         trace.append(val)
     return ReallocationPlan(
@@ -276,7 +308,7 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
         step = problem._best_step(units, np.flatnonzero(units > 0).tolist(), current)
         if step is None:
             break
-        frm, to, current = step
+        frm, to, current, _ = step
         units[frm] -= 1
         units[to] += 1
         trace.append(current)

@@ -4,6 +4,7 @@ import json
 import re
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,10 +309,21 @@ ZERO_POPULATION = "id,lon,lat,population\n" + "".join(
 HUGE_POPULATION = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},{6e307 if i < 3 else s.population!r}\n"
     for i, s in enumerate(synthetic_city(**CITY).demand))
+# populations of 1e-200: with a unit of 1e200, one unit's score shift overflows
+TINY_POPULATION = "id,lon,lat,population\n" + "".join(
+    f"{s.id},{s.x!r},{s.y!r},1e-200\n" for s in synthetic_city(**CITY).demand)
 # three populations of 1e308: some facility's captured demand overflows
 OVERFLOWING_CAPTURE = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},{1e308 if i < 3 else s.population!r}\n"
     for i, s in enumerate(synthetic_city(**CITY).demand))
+
+
+def reencoded_config_argv(tmp_path, encoding):
+    """``report`` on a copy of its config file encoded in ``encoding``, beside the original."""
+    command, flag, cfg, *rest = report_argv(tmp_path)
+    copy = Path(cfg).with_name(f"city-{encoding}.json")
+    copy.write_bytes(Path(cfg).read_text(encoding="utf-8").encode(encoding))
+    return [command, flag, str(copy), *rest]
 
 
 def od_argv(tmp_path, rows):
@@ -465,6 +477,11 @@ def a_file(tmp_path):
     pytest.param(lambda t: optimize_argv(t, [("demand.csv", HUGE_POPULATION)],
                                          objective="min_weighted_gini"),
                  "equity.NonFiniteTotal", None, id="gini-population-overflow"),
+    pytest.param(lambda t: optimize_argv(t, [("demand.csv", TINY_POPULATION)], unit_size=1e200,
+                                         objective="min_weighted_gini"),
+                 "optimize.NonFiniteObjective", None, id="unit-shift-overflow"),
+    pytest.param(lambda t: reencoded_config_argv(t, "utf-16"),
+                 "cli.ConfigError", None, id="config-not-utf8"),
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t))],
                  "cli.ConfigError", None, id="out-is-a-file"),
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t) / "sub")],
@@ -480,6 +497,15 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row)
     if row is not None:
         assert f"row {row}: " in err
     assert not out.exists()
+
+
+def test_config_with_a_bom_writes_the_same_files(tmp_path):
+    out = tmp_path / "out"  # one --out, which config.json echoes
+    written = []
+    for argv in (report_argv(tmp_path), reencoded_config_argv(tmp_path, "utf-8-sig")):
+        assert main(argv + ["--out", str(out)]) == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert written[0] == written[1]
 
 
 def test_geojson_demand_with_csv_supply(tmp_path):

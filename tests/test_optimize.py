@@ -13,6 +13,7 @@ from accesskit.errors import (
 )
 from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility, g2sfca
 from accesskit.optimize import (
+    CHUNK,
     OBJECTIVES,
     AllocationProblem,
     ReallocationPlan,
@@ -25,7 +26,7 @@ from accesskit.optimize import (
 )
 from accesskit.travel import build_travel_matrix
 
-from helpers import dataset_with_matrix, random_instance
+from helpers import dataset_with_matrix, random_instance, traced_peak
 
 BINARY30 = DecaySpec.binary(30.0)
 
@@ -311,6 +312,16 @@ class TestCandidateSites:
         with pytest.raises(NonFiniteObjective):
             greedy_allocate(problem)
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_overflowing_unit_shift_raises(self, objective):
+        # the baseline is finite, but one unit over a captured demand of 1e-200
+        # would shift a score by 1e400
+        problem = make_problem([1e-200, 1e-200], [10, 10], [[0.0, 50.0], [50.0, 0.0]],
+                               budget=2, unit_size=1e200, objective=objective)
+        assert np.isfinite(evaluate_objective(problem, [0, 0]))
+        with pytest.raises(NonFiniteObjective, match="candidate 'h0'"):
+            greedy_allocate(problem)
+
     def test_overflowing_allowance_raises(self):
         # one unit shifts both scores by 5e157: the variance stays finite, the
         # squared largest score in the rounding allowance does not
@@ -447,6 +458,44 @@ def test_single_candidate_local_search_stops():
     assert local_search_improve(problem, plan) == plan == reference_greedy(problem)
 
 
+@pytest.mark.parametrize("demand_pop, cost, units, solves", [
+    # no near-ties: one re-scored option per step
+    pytest.param([100, 30], [[0.0, 99.0], [99.0, 0.0]], (3, 0), 1 + 3, id="distinct"),
+    # a site no facility reaches ties every option at 0: three re-scored per step
+    pytest.param([100, 50], [[0.0, 0.0, 0.0], [99.0, 99.0, 99.0]], (3, 0, 0), 1 + 3 * 3,
+                 id="all-tied"),
+])
+def test_greedy_solves_once_for_the_baseline_and_once_per_rescored_option(
+        monkeypatch, demand_pop, cost, units, solves):
+    problem = make_problem(demand_pop, [10] * len(cost[0]), cost, budget=3, unit_size=10.0)
+    calls = []
+    solve = Catchment.solve
+    monkeypatch.setattr(Catchment, "solve",
+                        lambda self, capacity: calls.append(1) or solve(self, capacity))
+    plan = greedy_allocate(problem)
+    assert len(calls) == solves
+    monkeypatch.undo()
+    assert plan == reference_greedy(problem)
+    assert plan.units == units
+
+
+@pytest.mark.parametrize("lowest, bound_blocks", [
+    pytest.param(1.0, 3, id="all-tied"), pytest.param(0.0, 0.25, id="one-low-site")])
+def test_ranking_memory_is_a_few_chunk_blocks(lowest, bound_blocks):
+    # every site ties, so no row can be pruned: the ranking holds a few
+    # N x CHUNK blocks, never all ten chunks of columns at once; one site
+    # below every other by more than any shift leaves one row to rank
+    n, n_cand = 2000, 10 * CHUNK
+    problem = make_problem([1.0] * n, [1.0] * n_cand, np.zeros((n, n_cand)), budget=1)
+    start = np.ones(n)
+    start[0] = lowest
+    problem.shifts  # built once per problem, before any ranking
+    expected = problem._objective(start[:, None] + problem.shifts)
+    peak = traced_peak(lambda: problem._unit_values(start))
+    assert peak <= bound_blocks * n * CHUNK * 8
+    assert problem._unit_values(start).tobytes() == expected.tobytes()
+
+
 # --- properties ------------------------------------------------------------
 
 @st.composite
@@ -501,3 +550,30 @@ def test_brute_force_at_least_as_good_on_tiny_instances(case):
     refined = local_search_improve(problem, greedy_allocate(problem))
     assert not problem.better(refined.objective_after,
                               brute_force_allocate(problem).objective_after)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["kernel", "tied", "nan", "inf"]))
+def test_max_min_ranking_equals_the_full_block_bit_for_bit(seed, kind):
+    # sites no facility reaches, binary decay's exact ties, one NaN or +inf start
+    rng = np.random.default_rng(seed)
+    ds, matrix, decay = random_instance(rng, max_demand=12, max_supply=5,
+                                        all_reachable=bool(rng.integers(0, 2)),
+                                        kinds=("binary", "binary", "gaussian"))
+    n_supply = len(ds.supply)
+    size = int(rng.integers(1, n_supply + 1))
+    problem = problem_on(ds, matrix, decay, budget=1,
+                         candidates=tuple(rng.choice(n_supply, size=size, replace=False).tolist()),
+                         unit_size=float(rng.choice([1.0, 10.0, rng.uniform(0.5, 50)])))
+    start = problem._scores(rng.integers(0, 3, size=size))
+    at = rng.integers(0, len(start))
+    if kind == "tied":
+        start[:] = start[at]
+    elif kind != "kernel":
+        start[at] = float(kind)
+    full = outcome(problem._objective, start[:, None] + problem.shifts)
+    ranked = outcome(problem._unit_values, start)
+    if isinstance(full, np.ndarray):
+        assert ranked.tobytes() == full.tobytes()
+    else:
+        assert ranked is full is NonFiniteObjective
