@@ -57,6 +57,7 @@ from .synth import synthetic_city, write_city
 from .travel import (
     TravelMatrix,
     build_travel_matrix,
+    cost_rows,
     haversine_distance,
     load_od_matrix,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "build_travel_matrix",
     "build_weights",
     "compute_accessibility",
+    "cost_rows",
     "e2sfca",
     "errors",
     "evaluate_decay",

@@ -24,7 +24,7 @@ from . import equity, fca, optimize, spatial_stats
 from .data_model import load_dataset, load_regions, load_values
 from .decay import DecaySpec
 from .errors import AccessKitError, ConfigError
-from .travel import COST_UNITS, build_travel_matrix, load_od_matrix
+from .travel import COST_UNITS, cost_rows, load_od_matrix
 
 def _env_threads() -> int | None:
     """The ACCESSKIT_THREADS thread count (at least 1), or None when the
@@ -173,15 +173,16 @@ class Run:
 
     @cached_property
     def catchment(self):
-        """The decay weights and captured demand that access and plan share;
-        the cost matrix is not kept."""
+        """The decay weights and captured demand that access and plan share.
+        Computed costs stream into the weights block by block; an OD table's
+        cost matrix is not kept."""
         cfg, dataset = self.cfg, self.dataset
         if cfg.od_matrix is not None:
-            matrix = load_od_matrix(cfg.od_matrix, dataset.demand, dataset.supply,
-                                    unit=cfg.cost_unit)
+            costs = load_od_matrix(cfg.od_matrix, dataset.demand, dataset.supply,
+                                   unit=cfg.cost_unit)
         else:
-            matrix = build_travel_matrix(dataset, metric=cfg.metric, speed=cfg.speed_km_per_min)
-        return fca.Catchment(cfg.method, dataset, matrix, cfg.decay_spec())
+            costs = cost_rows(dataset, metric=cfg.metric, speed=cfg.speed_km_per_min)
+        return fca.Catchment(cfg.method, dataset, costs, cfg.decay_spec())
 
     @cached_property
     def access(self):

@@ -121,6 +121,10 @@ class NonFiniteCapture(FcaError, ValueError):
     """A facility's captured demand, sum_k D_k f(d_kj), overflowed to infinity."""
 
 
+class NonFiniteScore(FcaError, ValueError):
+    """A supply-to-demand ratio or an accessibility score overflowed."""
+
+
 # --- spatial_stats ------------------------------------------------------
 
 class SpatialStatsError(AccessKitError):

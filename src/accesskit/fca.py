@@ -23,8 +23,8 @@ import numpy as np
 
 from .data_model import Dataset, _csv_text
 from .decay import DecaySpec, evaluate_decay
-from .errors import DimensionMismatch, NonFiniteCapture, WrongDecayKind
-from .travel import TravelMatrix
+from .errors import DimensionMismatch, NonFiniteCapture, NonFiniteScore, WrongDecayKind
+from .travel import TravelMatrix, _check_costs
 
 
 def _binary_at_d0(decay: DecaySpec) -> DecaySpec:
@@ -75,21 +75,32 @@ class Catchment:
     The decay is evaluated once. What is kept is the method, the dataset and
     the decay it applies, the demand each facility captures,
     sum_k D_k f(d_kj), and the step-2 assignment weights (f, or f*f for
-    m2sfca), but not the travel matrix. ``solve`` maps any capacity vector,
-    the dataset's own ``capacity`` or a reallocated one, to ratios and
-    scores, so the library and the optimizer share one step 1 and one step 2.
+    m2sfca), but not the travel costs. ``costs`` is a ``TravelMatrix`` or the
+    ``(lo, rows)`` cost blocks of ``travel.cost_rows``; either way each block
+    is turned into weights as it comes, so the weights are the only N x M
+    array built here. ``solve`` maps any capacity vector, the dataset's own
+    ``capacity`` or a reallocated one, to ratios and scores, so the library
+    and the optimizer share one step 1 and one step 2.
     """
 
-    def __init__(self, method: str, dataset: Dataset, matrix: TravelMatrix,
-                 decay: DecaySpec):
+    def __init__(self, method: str, dataset: Dataset, costs, decay: DecaySpec):
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {FCA_METHODS}")
         rule, power = _METHODS[method]
         self.method, self.dataset, self.decay = method, dataset, rule(decay)
-        shape = (len(dataset.demand), len(dataset.supply))
-        if matrix.cost.shape != shape:
-            raise DimensionMismatch(f"matrix is {matrix.cost.shape}, dataset is {shape}")
-        weights = evaluate_decay(self.decay, matrix.cost)
+        n, m = len(dataset.demand), len(dataset.supply)
+        weights = np.empty((n, m))
+        covered = 0
+        for lo, rows in costs.rows() if isinstance(costs, TravelMatrix) else costs:
+            rows = np.asarray(rows, dtype=float)
+            if rows.ndim != 2 or rows.shape[1] != m or lo != covered or lo + len(rows) > n:
+                raise DimensionMismatch(f"cost rows of shape {rows.shape} from row {lo} do not "
+                                        f"continue rows 0..{covered} of a {n} x {m} dataset")
+            _check_costs(rows)
+            weights[lo:lo + len(rows)] = evaluate_decay(self.decay, rows)
+            covered += len(rows)
+        if covered != n:
+            raise DimensionMismatch(f"cost rows cover {covered} demand sites, dataset has {n}")
         self.population = np.array([s.population for s in dataset.demand], dtype=float)
         self.capacity = np.array([s.capacity for s in dataset.supply], dtype=float)
         with np.errstate(over="ignore"):
@@ -105,10 +116,26 @@ class Catchment:
         self.assign = weights
 
     def solve(self, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Step-1 ratios R_j and step-2 scores A_i for capacities S_j."""
+        """Step-1 ratios R_j and step-2 scores A_i for capacities S_j.
+
+        NonFiniteScore names the first facility whose ratio overflows, or
+        else the first demand site whose score does.
+        """
         ratios = np.zeros_like(capacity)
-        ratios[self.reached] = capacity[self.reached] / self.captured[self.reached]
-        return ratios, self.assign @ ratios
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios[self.reached] = capacity[self.reached] / self.captured[self.reached]
+            scores = self.assign @ ratios
+        overflowed = np.flatnonzero(~np.isfinite(ratios))
+        if overflowed.size:
+            raise NonFiniteScore(f"supply {self.dataset.supply[overflowed[0]].id!r}: "
+                                 "supply-to-demand ratio overflowed; capacity is too large "
+                                 "for its captured demand")
+        overflowed = np.flatnonzero(~np.isfinite(scores))
+        if overflowed.size:
+            raise NonFiniteScore(f"demand {self.dataset.demand[overflowed[0]].id!r}: "
+                                 "accessibility score overflowed; capacities are too large "
+                                 "for the demand they serve")
+        return ratios, scores
 
     def accessibility(self) -> AccessibilityResult:
         """Ratios and scores at the dataset's own capacities.

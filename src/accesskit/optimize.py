@@ -14,12 +14,13 @@ Objectives:
 
 A problem is posed on an ``fca.Catchment`` its caller built and may share.
 Step 2 is linear in capacity, so one unit added at candidate c shifts every
-score by a fixed column of ``AllocationProblem.shifts``. Greedy and local
-search share one step, ``AllocationProblem._best_step``: it ranks every
-option from that block with one array operation per chunk of candidates,
-then re-scores the options that come within rounding of the best with the
-full kernel and decides on those exact values, in the same order and under
-the same strict comparison as a one-by-one search would.
+score by a fixed column, the catchment's ``assign[:, c]`` times
+``AllocationProblem.per_unit[c]``. Greedy and local search share one step,
+``AllocationProblem._best_step``: it ranks every option from those columns
+with one array operation per chunk of candidates, then re-scores the options
+that come within rounding of the best with the full kernel and decides on
+those exact values, in the same order and under the same strict comparison
+as a one-by-one search would.
 """
 
 import math
@@ -99,37 +100,46 @@ class AllocationProblem:
         return units.astype(int)
 
     @cached_property
-    def shifts(self) -> np.ndarray:
-        """N x C score change per unit added at each candidate.
+    def _columns(self) -> np.ndarray:
+        """The candidates' supply indices, as an array."""
+        return np.asarray(self.candidates)
 
-        Column c is assign[:, c] * unit_size / captured[c], and 0 where no
-        demand reaches c, since step 2 is linear in the capacities. Weights
+    @cached_property
+    def per_unit(self) -> np.ndarray:
+        """Score change per unit added at each candidate, per unit of weight.
+
+        Step 2 is linear in the capacities, so one unit at candidate c
+        shifts score i by assign[i, c] * per_unit[c], where per_unit[c] is
+        unit_size / captured[c], and 0 where no demand reaches c. Weights
         lie in [0, 1], so every shift is finite and >= 0 once each per-unit
         ratio is finite; NonFiniteObjective names a candidate whose ratio
         overflows.
         """
         catchment = self.catchment
-        cand = np.asarray(self.candidates)
-        per_unit = np.zeros(len(cand))
-        reached = catchment.reached[cand]
+        per_unit = np.zeros(len(self.candidates))
+        reached = catchment.reached[self._columns]
         with np.errstate(over="ignore"):
-            per_unit[reached] = self.unit_size / catchment.captured[cand][reached]
+            per_unit[reached] = self.unit_size / catchment.captured[self._columns][reached]
         overflowed = np.flatnonzero(~np.isfinite(per_unit))
         if overflowed.size:
             site = catchment.dataset.supply[self.candidates[overflowed[0]]].id
             raise NonFiniteObjective(f"candidate {site!r}: one unit's score shift is not "
                                      "finite; unit_size is too large for its captured demand")
-        shifts = catchment.assign[:, cand]  # a copy, scaled in place
-        shifts *= per_unit
-        return shifts
+        return per_unit
+
+    @cached_property
+    def _max_shift(self) -> float:
+        """The largest score shift of one unit: each candidate's largest
+        weight times its per-unit ratio. Rounding a product by a factor
+        >= 0 is monotone, so that is the largest of the products, exactly."""
+        largest = self.catchment.assign.max(axis=0, initial=0.0)[self._columns]
+        return float((largest * self.per_unit).max(initial=0.0))
 
     def _scores(self, units) -> np.ndarray:
         """Scores with ``units`` added per candidate, by the full kernel."""
-        catchment = self.catchment
-        capacity = catchment.capacity.copy()
-        for c, u in zip(self.candidates, units):
-            capacity[c] += u * self.unit_size
-        return catchment.solve(capacity)[1]
+        capacity = self.catchment.capacity.copy()
+        capacity[self._columns] += np.asarray(units) * self.unit_size
+        return self.catchment.solve(capacity)[1]
 
     def _objective(self, scores: np.ndarray):
         """Objective of a score vector, or of each column of an N x k block."""
@@ -157,21 +167,26 @@ class AllocationProblem:
 
         Under max_min_access only the demand sites that can hold a column's
         minimum are summed. Shifts are >= 0 and rounding is monotone, so
-        every column's minimum is at most U = start[low] + max(shifts[low])
-        at the lowest start, and a site whose start exceeds U exceeds it in
-        every column. The minima are the same bits as over all sites; a NaN
-        start is kept, so it still makes the objective non-finite. The kept
-        rows are gathered one chunk of columns at a time.
+        every column's minimum is at most U = start[low] + max_c assign[low,
+        c] * per_unit[c] at the lowest start, and a site whose start exceeds
+        U exceeds it in every column. The minima are the same bits as over
+        all sites; a NaN start is kept, so it still makes the objective
+        non-finite. The shifts of the kept rows are built one chunk of
+        columns at a time, never as one N x C block.
         """
-        shifts = self.shifts
-        out = np.empty(shifts.shape[1])
+        assign, cand, per_unit = self.catchment.assign, self._columns, self.per_unit
+        out = np.empty(len(cand))
         rows = slice(None)
         if self.objective == "max_min_access":
             low = start.argmin()
-            rows = np.flatnonzero(~(start > start[low] + shifts[low].max()))
-        kept = start[rows, None]
+            top = start[low] + (assign[low, cand] * per_unit).max()
+            rows = np.flatnonzero(~(start > top))[:, None]
+        kept = start[rows].reshape(-1, 1)
         for lo in range(0, len(out), CHUNK):
-            out[lo:lo + CHUNK] = self._objective(kept + shifts[rows, lo:lo + CHUNK])
+            block = assign[rows, cand[lo:lo + CHUNK]]  # a copy, shifted in place
+            block *= per_unit[lo:lo + CHUNK]
+            block += kept
+            out[lo:lo + CHUNK] = self._objective(block)
         return out
 
     def _best_step(self, units: np.ndarray, donors, current: float | None = None,
@@ -179,7 +194,7 @@ class AllocationProblem:
         """The best move of one unit from a donor to a candidate.
 
         A donor is a candidate position, or None for the unspent budget.
-        Every (donor, to) option is ranked from the block of shifts on the
+        Every (donor, to) option is ranked from the unit shifts on the
         kernel's scores without the donor's unit; for the unspent budget
         those are ``scores``, the kernel's scores at ``units``, which the
         caller passes in. Block and kernel scores
@@ -216,7 +231,7 @@ class AllocationProblem:
         elif self.objective == "min_weighted_gini":
             scale = 1.0
         else:  # a float product overflows to inf where ** would raise
-            peak = top + float(self.shifts.max(initial=0.0))
+            peak = top + self._max_shift
             scale = peak * peak
         allowance = NEAR_TIE * (abs(best) + scale)
         if not math.isfinite(allowance):

@@ -41,10 +41,7 @@ class TravelMatrix:
         arr = np.asarray(self.cost, dtype=float)
         if arr.ndim != 2:
             raise ValueError("cost must be a 2-d matrix")
-        if np.isnan(arr).any():
-            raise ValueError("cost entries must be finite or +inf, not NaN")
-        if (arr < 0).any():
-            raise ValueError("cost entries must be nonnegative")
+        _check_costs(arr)
         if self.unit not in COST_UNITS:
             raise ValueError(f"unit must be one of {COST_UNITS}")
         arr = arr.copy()
@@ -58,6 +55,28 @@ class TravelMatrix:
     @property
     def n_supply(self) -> int:
         return self.cost.shape[1]
+
+    def rows(self):
+        """Yield ``(lo, rows)``: read-only views of the cost rows
+        ``lo:lo + len(rows)``, in blocks of about ``BLOCK`` entries, as
+        ``cost_rows`` yields computed costs."""
+        step = _block_rows(self.n_supply)
+        for lo in range(0, self.n_demand, step):
+            yield lo, self.cost[lo:lo + step]
+
+
+def _check_costs(cost: np.ndarray) -> None:
+    """ValueError unless every cost is nonnegative, finite or +inf."""
+    if not (cost >= 0).all():  # NaN fails this test too
+        if np.isnan(cost).any():
+            raise ValueError("cost entries must be finite or +inf, not NaN")
+        raise ValueError("cost entries must be nonnegative")
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a matrix ``width`` entries wide: about ``BLOCK``
+    entries, at least one row."""
+    return max(1, BLOCK // max(1, width))
 
 
 def haversine_distance(p, q) -> float:
@@ -81,9 +100,13 @@ def euclidean_matrix(a, b) -> np.ndarray:
 
 
 def _distance_matrix(a, b, metric: str) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    out = np.empty((len(a), len(b)))
-    for lo, rows in _distance_rows(a, b, metric):
+    return _stacked(_distance_rows(a, b, metric), (len(a), len(b)))
+
+
+def _stacked(blocks, shape) -> np.ndarray:
+    """The matrix of ``shape`` whose rows ``blocks`` yields as ``(lo, rows)``."""
+    out = np.empty(shape)
+    for lo, rows in blocks:
         out[lo:lo + len(rows)] = rows
     return out
 
@@ -100,7 +123,7 @@ def _distance_rows(a, b, metric: str):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    step = max(1, BLOCK // max(1, len(b)))
+    step = _block_rows(len(b))
     if metric == "haversine":
         b = np.radians(b)
         lon2, lat2 = b[:, 0], b[:, 1]
@@ -138,9 +161,14 @@ def _distance_rows(a, b, metric: str):
         yield lo, s
 
 
-def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
-                        speed: float | None = None) -> TravelMatrix:
-    """Build the demand x supply cost matrix from site coordinates.
+def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None = None):
+    """An iterator of ``(lo, rows)``: the travel costs from the demand
+    sites ``lo:lo + len(rows)`` to every supply site, block after block.
+
+    The blocks hold about ``BLOCK`` entries each and cover the demand sites
+    in order, so a consumer such as ``fca.Catchment`` holds one block of
+    costs at a time instead of the whole matrix. The metric and the speed
+    are checked when this is called, before any block is computed.
 
     Parameters
     ----------
@@ -150,8 +178,8 @@ def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
         Must match the dataset's coordinate kind: haversine for geographic
         (degrees), euclidean for planar (meters).
     speed : float, optional
-        Km per minute. When given, entries are travel minutes (km / speed)
-        and the matrix unit is "minutes"; otherwise entries stay in km.
+        Km per minute. When given, costs are travel minutes (km / speed);
+        otherwise they stay in km.
     """
     if metric == "haversine":
         if dataset.coord_kind != "geographic":
@@ -165,11 +193,18 @@ def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
         raise NonPositiveSpeed(f"speed must be positive km per minute, got {speed!r}")
     d_xy = np.array([(s.x, s.y) for s in dataset.demand], dtype=float)
     s_xy = np.array([(s.x, s.y) for s in dataset.supply], dtype=float)
-    km = _distance_matrix(d_xy, s_xy, metric)
+    blocks = _distance_rows(d_xy, s_xy, metric)
     if speed is None:
-        return TravelMatrix(cost=km, unit="km")
-    km /= speed
-    return TravelMatrix(cost=km, unit="minutes")
+        return blocks
+    return ((lo, np.divide(km, speed, out=km)) for lo, km in blocks)
+
+
+def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
+                        speed: float | None = None) -> TravelMatrix:
+    """The demand x supply cost matrix of ``cost_rows``, whose parameters it
+    takes; its unit is "minutes" when a speed is given, else "km"."""
+    cost = _stacked(cost_rows(dataset, metric, speed), (len(dataset.demand), len(dataset.supply)))
+    return TravelMatrix(cost=cost, unit="km" if speed is None else "minutes")
 
 
 _OD_COLUMNS = ("demand_id", "supply_id", "cost")

@@ -11,10 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from accesskit import cli, fca
+from accesskit import cli, fca, travel
 from accesskit.cli import main
 from accesskit.data_model import demand_csv_text
+from accesskit.optimize import CHUNK
 from accesskit.synth import synthetic_city, write_city
+from accesskit.travel import TravelMatrix
+
+from helpers import traced_peak
 
 
 def write_files(tmp_path, *, decay=None, extra=None):
@@ -312,6 +316,9 @@ HUGE_POPULATION = "id,lon,lat,population\n" + "".join(
 # populations of 1e-200: with a unit of 1e200, one unit's score shift overflows
 TINY_POPULATION = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},1e-200\n" for s in synthetic_city(**CITY).demand)
+# capacities of 1e200: over populations of 1e-200, every supply-to-demand ratio overflows
+HUGE_CAPACITY = "id,lon,lat,capacity\n" + "".join(
+    f"{s.id},{s.x!r},{s.y!r},1e200\n" for s in synthetic_city(**CITY).supply)
 # three populations of 1e308: some facility's captured demand overflows
 OVERFLOWING_CAPTURE = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},{1e308 if i < 3 else s.population!r}\n"
@@ -353,6 +360,9 @@ def a_file(tmp_path):
                  "travel.NegativeCost", 3, id="od-first-defect-before-unknown-id"),
     pytest.param(lambda t: ["access"] + report_argv(t, [("demand.csv", OVERFLOWING_CAPTURE)])[1:3],
                  "fca.NonFiniteCapture", None, id="captured-demand-overflow"),
+    pytest.param(lambda t: ["access"] + report_argv(t, [("demand.csv", TINY_POPULATION),
+                                                        ("supply.csv", HUGE_CAPACITY)])[1:3],
+                 "fca.NonFiniteScore", None, id="supply-ratio-overflow"),
     pytest.param(lambda t: od_geojson_argv(t, ("d000", "h00", 3.0), (["d001"], "h00", 1.0)),
                  "travel.UnknownId", 2, id="od-geojson-demand-id-a-list"),
     pytest.param(lambda t: od_geojson_argv(t, ("d000", {"id": "h00"}, 3.0)),
@@ -583,7 +593,7 @@ def test_report_evaluates_the_decay_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("loader, argv", [
-    pytest.param("build_travel_matrix", optimize_argv, id="computed"),
+    pytest.param("cost_rows", optimize_argv, id="computed"),
     pytest.param("load_od_matrix", lambda t: ["optimize"] + od_argv(t, "d001,h01,5.0\n")[1:3],
                  id="od-table"),
 ])
@@ -602,6 +612,39 @@ def test_plan_keeps_no_travel_matrix(tmp_path, monkeypatch, loader, argv):
     assert sum(plan.units) == problem.budget
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
+
+
+@pytest.fixture(scope="module")
+def wide_city(tmp_path_factory):
+    """A city of 1500 demand and 320 supply sites: its N x M cost matrix is
+    several cost blocks, and its N x C shifts ten N x CHUNK blocks."""
+    return write_city(tmp_path_factory.mktemp("wide"), seed=5, n_demand=1500, n_supply=320,
+                      n_regions=3)
+
+
+def test_computed_catchment_holds_one_cost_sized_array(wide_city, monkeypatch):
+    # the weights, plus a few blocks of costs and decay temporaries; no
+    # cost matrix is built
+    built = []
+    monkeypatch.setattr(TravelMatrix, "__post_init__", lambda self: built.append(self))
+    run = cli.Run(cli.build_parser().parse_args(["access", "--config", str(wide_city)]))
+    n, m = len(run.dataset.demand), len(run.dataset.supply)
+    peak = traced_peak(lambda: run.catchment)
+    assert peak <= n * m * 8 + 6 * travel.BLOCK * 8
+    assert built == []
+
+
+@pytest.mark.parametrize("objective", ["max_min_access", "min_variance"])
+def test_plan_memory_is_a_few_chunk_blocks(wide_city, objective):
+    # every supply site is a candidate: the shifts are built one N x CHUNK
+    # block at a time, never as one N x C block
+    run = cli.Run(cli.build_parser().parse_args(
+        ["optimize", "--config", str(wide_city), "--objective", objective, "--budget", "5"]))
+    n = len(run.catchment.population)
+    peak = traced_peak(lambda: run.plan)
+    assert peak <= 3 * n * CHUNK * 8
+    problem, plan = run.plan
+    assert len(problem.candidates) == 10 * CHUNK and sum(plan.units) == 5
 
 
 # What each config field accepts, by JSON kind; an int counts as a number.

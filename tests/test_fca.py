@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accesskit.decay import DecaySpec
-from accesskit.errors import DimensionMismatch, FcaError, NonFiniteCapture, WrongDecayKind
+from accesskit import travel
+from accesskit.data_model import Dataset, DemandSite, SupplySite
+from accesskit.decay import DECAY_KINDS, DecaySpec, evaluate_decay
+from accesskit.errors import (
+    DimensionMismatch, FcaError, NonFiniteCapture, NonFiniteScore, WrongDecayKind,
+)
 from accesskit.fca import (
+    FCA_METHODS,
     Catchment,
     e2sfca,
     g2sfca,
@@ -12,9 +19,11 @@ from accesskit.fca import (
     step1_supply_ratios,
     two_sfca,
 )
-from accesskit.travel import TravelMatrix
+from accesskit.travel import TravelMatrix, build_travel_matrix, cost_rows
 
-from helpers import dataset_with_matrix, dense_instance, oracle_g2sfca, random_instance, traced_peak
+from helpers import (
+    dataset_with_matrix, dense_instance, oracle_g2sfca, random_decay, random_instance, traced_peak,
+)
 
 # decay with f=1 in [0,10], f=0.5 in (10,20], 0 beyond: makes the worked
 # instances below exact
@@ -59,6 +68,100 @@ class TestStep1:
                 method(ds, m, HALVING)
         assert issubclass(NonFiniteCapture, FcaError)
         assert issubclass(NonFiniteCapture, ValueError)
+
+    def test_overflowing_ratio_raises(self):
+        # a capacity of 1e200 over a captured demand of 1e-200; h0's ratio is finite
+        ds, m = dataset_with_matrix([1e-200, 1e-200], [5, 1e200], [[5.0, 5.0], [5.0, 50.0]])
+        with pytest.raises(NonFiniteScore, match="supply 'h1'"):
+            g2sfca(ds, m, HALVING)
+        assert issubclass(NonFiniteScore, FcaError)
+        assert issubclass(NonFiniteScore, ValueError)
+
+    def test_overflowing_score_raises(self):
+        # each ratio is 1.5e308; d1 reaches both facilities and its score overflows
+        ds, m = dataset_with_matrix([0.5, 0.5, 0.5], [1.5e308, 1.5e308],
+                                    [[5.0, 50.0], [5.0, 5.0], [50.0, 5.0]])
+        with pytest.raises(NonFiniteScore, match="demand 'd1'"):
+            g2sfca(ds, m, HALVING)
+
+
+def blocks_of(cost, bounds):
+    """The ``(lo, rows)`` blocks of ``cost`` split at ``bounds``."""
+    edges = [0, *bounds, len(cost)]
+    return [(lo, cost[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+
+
+class TestCostRows:
+    @pytest.mark.parametrize("blocks", [
+        pytest.param(lambda c: blocks_of(c[:, :0], [1]), id="too-narrow"),
+        pytest.param(lambda c: blocks_of(np.hstack([c, c]), [1]), id="too-wide"),
+        pytest.param(lambda c: blocks_of(c, [1])[:1], id="too-few-rows"),
+        pytest.param(lambda c: blocks_of(c, [1]) + [(2, c[:1])], id="too-many-rows"),
+        pytest.param(lambda c: [(0, c[:1]), (0, c[1:])], id="overlapping"),
+        pytest.param(lambda c: [(1, c[1:]), (0, c[:1])], id="out-of-order"),
+        pytest.param(lambda c: [(0, c[0])], id="one-dimensional"),
+    ])
+    def test_blocks_must_cover_the_dataset_in_order(self, blocks):
+        ds, m = halving_instance()
+        with pytest.raises(DimensionMismatch):
+            Catchment("g2sfca", ds, blocks(m.cost), HALVING)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_blocks_keep_the_matrix_guarantees(self, bad):
+        ds, m = halving_instance()
+        cost = m.cost.copy()
+        cost[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN" if np.isnan(bad) else "nonnegative"):
+            Catchment("g2sfca", ds, blocks_of(cost, [1]), HALVING)
+
+
+@st.composite
+def streamed_case(draw):
+    """A random geographic or planar dataset, metric, speed, method and decay."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    geographic = draw(st.booleans())
+    n_d, n_s = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+    if geographic:
+        low, high = (116.9, 36.5), (117.3, 36.8)
+    else:
+        low, high = (0.0, 0.0), (30_000.0, 30_000.0)
+    demand = tuple(DemandSite(f"d{i}", *map(float, rng.uniform(low, high)),
+                              float(rng.choice([0.0, rng.uniform(1, 2000)])))
+                   for i in range(n_d))
+    supply = tuple(SupplySite(f"h{j}", *map(float, rng.uniform(low, high)),
+                              float(rng.uniform(1, 500))) for j in range(n_s))
+    ds = Dataset(demand=demand, supply=supply,
+                 coord_kind="geographic" if geographic else "planar")
+    metric = "haversine" if geographic else "euclidean"
+    speed = draw(st.none() | st.floats(0.05, 5.0))
+    method = draw(st.sampled_from(FCA_METHODS))
+    kind = "zonal" if method == "e2sfca" else draw(st.sampled_from(DECAY_KINDS))
+    d_max = float(build_travel_matrix(ds, metric, speed).cost.max()) * rng.uniform(0.3, 1.2)
+    if kind == "power":
+        decay = DecaySpec.power(d_max + 1e-9, beta=float(rng.uniform(0.5, 3.0)))
+    else:
+        decay = random_decay(rng, d_max, kinds=(kind,))
+    return ds, metric, speed, method, decay
+
+
+@settings(max_examples=150, deadline=None)
+@given(streamed_case(), st.sampled_from([1, 7, travel.BLOCK]))
+def test_streamed_costs_give_the_matrix_catchment_bit_for_bit(case, block):
+    # blocks of one row, of a prime number of entries (short last blocks),
+    # and of the default size; all equal the whole-matrix decay
+    ds, metric, speed, method, decay = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(travel, "BLOCK", block)
+        streamed = Catchment(method, ds, cost_rows(ds, metric, speed), decay)
+        matrix = build_travel_matrix(ds, metric, speed)
+        stored = Catchment(method, ds, matrix, decay)
+    assert streamed.assign.tobytes() == stored.assign.tobytes()
+    assert streamed.captured.tobytes() == stored.captured.tobytes()
+    weights = evaluate_decay(stored.decay, matrix.cost)
+    assert stored.captured.tobytes() == (stored.population @ weights).tobytes()
+    if method == "m2sfca":
+        weights *= weights
+    assert stored.assign.tobytes() == weights.tobytes()
 
 
 class TestG2sfca:

@@ -479,6 +479,11 @@ def test_greedy_solves_once_for_the_baseline_and_once_per_rescored_option(
     assert plan.units == units
 
 
+def full_shifts(problem):
+    """The N x C block of every candidate's one-unit score shifts at once."""
+    return problem.catchment.assign[:, list(problem.candidates)] * problem.per_unit
+
+
 @pytest.mark.parametrize("lowest, bound_blocks", [
     pytest.param(1.0, 3, id="all-tied"), pytest.param(0.0, 0.25, id="one-low-site")])
 def test_ranking_memory_is_a_few_chunk_blocks(lowest, bound_blocks):
@@ -489,8 +494,8 @@ def test_ranking_memory_is_a_few_chunk_blocks(lowest, bound_blocks):
     problem = make_problem([1.0] * n, [1.0] * n_cand, np.zeros((n, n_cand)), budget=1)
     start = np.ones(n)
     start[0] = lowest
-    problem.shifts  # built once per problem, before any ranking
-    expected = problem._objective(start[:, None] + problem.shifts)
+    problem.per_unit  # built once per problem, before any ranking
+    expected = problem._objective(start[:, None] + full_shifts(problem))
     peak = traced_peak(lambda: problem._unit_values(start))
     assert peak <= bound_blocks * n * CHUNK * 8
     assert problem._unit_values(start).tobytes() == expected.tobytes()
@@ -571,7 +576,7 @@ def test_max_min_ranking_equals_the_full_block_bit_for_bit(seed, kind):
         start[:] = start[at]
     elif kind != "kernel":
         start[at] = float(kind)
-    full = outcome(problem._objective, start[:, None] + problem.shifts)
+    full = outcome(problem._objective, start[:, None] + full_shifts(problem))
     ranked = outcome(problem._unit_values, start)
     if isinstance(full, np.ndarray):
         assert ranked.tobytes() == full.tobytes()

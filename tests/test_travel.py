@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from accesskit import travel
 from accesskit.data_model import Dataset, DemandSite, SupplySite
-from accesskit.errors import DuplicatePair, MalformedRow, MetricMismatch, NegativeCost, UnknownId
+from accesskit.errors import (
+    DuplicatePair, MalformedRow, MetricMismatch, NegativeCost, NonPositiveSpeed, UnknownId,
+)
 from accesskit.travel import (
     EARTH_RADIUS_KM,
     TravelMatrix,
     build_travel_matrix,
+    cost_rows,
     euclidean_matrix,
     haversine_distance,
     haversine_matrix,
@@ -144,6 +147,26 @@ class TestBuildTravelMatrix:
                       supply=(SupplySite("h", 10.1, 10.1, 1.0),))
         with pytest.raises(MetricMismatch):
             build_travel_matrix(geo, metric="euclidean")
+
+    def test_cost_rows_checks_before_any_block(self):
+        # the checks run at the call, not at the first block
+        planar = planar_dataset([(0, 0)], [1], [(1, 1)], [1])
+        with pytest.raises(MetricMismatch):
+            cost_rows(planar, metric="haversine")
+        with pytest.raises(NonPositiveSpeed):
+            cost_rows(planar, metric="euclidean", speed=0.0)
+
+    def test_cost_rows_are_the_matrix_rows(self):
+        rng = np.random.default_rng(11)
+        ds = planar_dataset(rng.uniform(0, 9000, (9, 2)), np.ones(9),
+                            rng.uniform(0, 9000, (4, 2)), np.ones(4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(travel, "BLOCK", 10)  # two rows per block; the last has one
+            blocks = list(cost_rows(ds, metric="euclidean", speed=0.7))
+        assert [(lo, len(rows)) for lo, rows in blocks] == [(0, 2), (2, 2), (4, 2), (6, 2), (8, 1)]
+        stacked = np.concatenate([rows for _, rows in blocks])
+        want = build_travel_matrix(ds, metric="euclidean", speed=0.7).cost
+        assert stacked.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("metric", ["haversine", "euclidean"])
     def test_memory_is_the_matrix_and_its_copy(self, metric):
