@@ -13,7 +13,7 @@ comparator: agglomeration/pad >= 1 reads as resources keeping pace with
 where people actually concentrate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteTotal,
     ZeroTotalPopulation,
     ZeroTotalResource,
+    _finite,
 )
 
 CLASSIFICATIONS = ("equal", "relatively_fair", "unfair", "undefined")
@@ -76,7 +77,8 @@ def hrad(regions, epsilon: float = 0.05) -> HradResult:
 
     A region with zero resource gets degree 0 (maximally unfair). Raises
     ZeroTotalResource when no region holds any resource, InvalidEpsilon for
-    an epsilon ``classify`` rejects.
+    an epsilon ``classify`` rejects, NonFiniteTotal when a total or a degree
+    (naming its region) is not finite.
     """
     _check_epsilon(epsilon)
     regions = list(regions)
@@ -84,11 +86,13 @@ def hrad(regions, epsilon: float = 0.05) -> HradResult:
         raise EmptyInput("need at least one region")
     resource = np.array([r.resource for r in regions], dtype=float)
     area = np.array([r.area_km2 for r in regions], dtype=float)
-    total_resource = resource.sum()
+    total_resource = _finite(NonFiniteTotal, resource.sum, "the resource total overflows")
     if total_resource <= 0:
         raise ZeroTotalResource("all regions have zero resource")
-    overall_density = total_resource / area.sum()
-    degrees = resource / area / overall_density
+    total_area = _finite(NonFiniteTotal, area.sum, "the area total overflows")
+    degrees = _finite(NonFiniteTotal, lambda: resource / area / (total_resource / total_area),
+                      "region {.id!r}: its resource agglomeration degree is not finite",
+                      regions)
     records = tuple(
         RegionEquity(region_id=r.id, hrad=float(h), classification=classify(float(h), epsilon))
         for r, h in zip(regions, degrees)
@@ -100,7 +104,8 @@ def hrad_vs_population(regions, epsilon: float = 0.05) -> HradResult:
     """Agglomeration degrees with the population comparator attached.
 
     pad_i = (Pop_i/Pop_n)/(A_i/A_n); the ratio hrad_i/pad_i is None for an
-    uninhabited region (pad 0), where the comparison is undefined.
+    uninhabited region (pad 0), where the comparison is undefined. A pad or
+    ratio that is not finite is NonFiniteTotal, as in ``hrad``.
     """
     regions = list(regions)
     base = hrad(regions, epsilon)
@@ -109,21 +114,17 @@ def hrad_vs_population(regions, epsilon: float = 0.05) -> HradResult:
         raise MissingPopulation(f"regions lack population: {missing}")
     population = np.array([r.population for r in regions], dtype=float)
     area = np.array([r.area_km2 for r in regions], dtype=float)
-    total_pop = population.sum()
+    total_pop = _finite(NonFiniteTotal, population.sum, "the population total overflows")
     if total_pop <= 0:
         raise ZeroTotalPopulation("total population is zero")
-    pad = population / area / (total_pop / area.sum())
-    records = tuple(
-        RegionEquity(
-            region_id=rec.region_id,
-            hrad=rec.hrad,
-            classification=rec.classification,
-            pad=float(p),
-            hrad_over_pad=float(rec.hrad / p) if p > 0 else None,
-        )
-        for rec, p in zip(base.records, pad)
-    )
-    return HradResult(records=records, epsilon=epsilon)
+    pad = _finite(NonFiniteTotal, lambda: population / area / (total_pop / area.sum()),
+                  "region {.id!r}: its population agglomeration degree is not finite", regions)
+    ratios = _finite(NonFiniteTotal, lambda: np.divide(
+        [rec.hrad for rec in base.records], pad, out=np.zeros_like(pad), where=pad > 0),
+        "region {.id!r}: its hrad/pad ratio is not finite", regions)
+    return replace(base, records=tuple(
+        replace(rec, pad=float(p), hrad_over_pad=float(ratio) if p > 0 else None)
+        for rec, p, ratio in zip(base.records, pad, ratios)))
 
 
 def gini(values, weights=None):
@@ -150,12 +151,11 @@ def gini(values, weights=None):
     # the rounding of the Lorenz area, and the default sort is the faster
     order = np.argsort(v, axis=0, kind="stable" if v.ndim == 1 else None)
     v, w = np.take_along_axis(v, order, axis=0), w[order]
-    with np.errstate(over="ignore"):
-        w_total = w.sum(axis=0)
-        # the sorted dot product; a matrix takes it column by column
-        total = w @ v if v.ndim == 1 else (w * v).sum(axis=0)
-    if not (np.isfinite(v).all() and np.isfinite(w_total).all() and np.isfinite(total).all()):
-        raise NonFiniteTotal("values, their weight total and weighted total must be finite")
+    # the weight total and the sorted dot product, a matrix's column by
+    # column; positive weights carry a NaN or infinite value into the latter
+    w_total, total = _finite(NonFiniteTotal, lambda: (
+        w.sum(axis=0), w @ v if v.ndim == 1 else (w * v).sum(axis=0)),
+        "values, their weight total and weighted total must be finite")
     if (total <= 0).any():
         raise AllZeroValues("every weighted value is zero")
     zero = np.zeros_like(v[:1])

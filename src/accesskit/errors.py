@@ -4,7 +4,12 @@ Every error carries a ``code`` of the form ``<module>.<ClassName>`` so batch
 front ends can report failures with a stable, grep-friendly identifier.
 A class that also derives from ``ValueError`` replaced a bare
 ``ValueError``, so callers that catch ``ValueError`` still catch it.
+
+Every overflow check of the numeric stages goes through one private helper,
+``_finite``, which names the first record whose value is not finite.
 """
+
+import numpy as np
 
 
 class AccessKitError(Exception):
@@ -15,6 +20,19 @@ class AccessKitError(Exception):
     @property
     def code(self) -> str:
         return f"{self.module}.{type(self).__name__}"
+
+
+def _finite(error, compute, message: str, records=None):
+    """``compute()``, run under ``np.errstate(all="ignore")``, if every entry
+    of it is finite, else ``error(message)``. ``records``, one per entry of a
+    vector, name the first bad entry in ``message``: ``"supply {.id!r}: ..."``."""
+    with np.errstate(all="ignore"):
+        result = compute()
+    finite = np.isfinite(result)
+    if not finite.all():
+        raise error(message if records is None else
+                    message.format(records[np.flatnonzero(~finite)[0]]))
+    return result
 
 
 # --- data_model ---------------------------------------------------------
@@ -86,7 +104,7 @@ class NegativeCost(TravelError):
 
 
 class NonPositiveSpeed(TravelError, ValueError):
-    """A travel speed is zero, negative or not a number."""
+    """A travel speed is zero, negative, infinite or not a number."""
 
 
 # --- decay --------------------------------------------------------------
@@ -178,7 +196,8 @@ class EmptyInput(EquityError, ValueError):
 
 
 class NonFiniteTotal(EquityError, ValueError):
-    """A Gini value, the weight total or the weighted value total is not finite."""
+    """A Gini value, weight total or weighted value total is not finite, or a
+    region total (resource, area, population) or agglomeration degree is not."""
 
 
 class InvalidEpsilon(EquityError, ValueError):
@@ -204,7 +223,8 @@ class NonPositiveUnitSize(OptimizeError, ValueError):
 
 
 class NonFiniteObjective(OptimizeError, ValueError):
-    """An objective value or its rounding allowance overflowed to infinity or NaN."""
+    """An objective value, its rounding allowance, or a candidate's unit shift or
+    raised capacity overflowed to infinity or NaN."""
 
 
 class InvalidProblem(OptimizeError, ValueError):

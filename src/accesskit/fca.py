@@ -23,7 +23,7 @@ import numpy as np
 
 from .data_model import Dataset, _csv_text
 from .decay import DecaySpec, evaluate_decay
-from .errors import DimensionMismatch, NonFiniteCapture, NonFiniteScore, WrongDecayKind
+from .errors import DimensionMismatch, NonFiniteCapture, NonFiniteScore, WrongDecayKind, _finite
 from .travel import TravelMatrix, _check_costs
 
 
@@ -103,12 +103,9 @@ class Catchment:
             raise DimensionMismatch(f"cost rows cover {covered} demand sites, dataset has {n}")
         self.population = np.array([s.population for s in dataset.demand], dtype=float)
         self.capacity = np.array([s.capacity for s in dataset.supply], dtype=float)
-        with np.errstate(over="ignore"):
-            self.captured = self.population @ weights
-        overflowed = np.flatnonzero(~np.isfinite(self.captured))
-        if overflowed.size:
-            raise NonFiniteCapture(f"supply {dataset.supply[overflowed[0]].id!r}: "
-                                   "captured demand overflowed; populations are too large")
+        self.captured = _finite(NonFiniteCapture, lambda: self.population @ weights,
+                                "supply {.id!r}: captured demand overflowed; populations "
+                                "are too large", dataset.supply)
         # a facility no demand reaches gets ratio 0 instead of a division by 0
         self.reached = self.captured > 0
         if power == 2:  # captured is computed; f becomes f*f in place
@@ -121,20 +118,13 @@ class Catchment:
         NonFiniteScore names the first facility whose ratio overflows, or
         else the first demand site whose score does.
         """
-        ratios = np.zeros_like(capacity)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ratios[self.reached] = capacity[self.reached] / self.captured[self.reached]
-            scores = self.assign @ ratios
-        overflowed = np.flatnonzero(~np.isfinite(ratios))
-        if overflowed.size:
-            raise NonFiniteScore(f"supply {self.dataset.supply[overflowed[0]].id!r}: "
-                                 "supply-to-demand ratio overflowed; capacity is too large "
-                                 "for its captured demand")
-        overflowed = np.flatnonzero(~np.isfinite(scores))
-        if overflowed.size:
-            raise NonFiniteScore(f"demand {self.dataset.demand[overflowed[0]].id!r}: "
-                                 "accessibility score overflowed; capacities are too large "
-                                 "for the demand they serve")
+        ratios = _finite(NonFiniteScore, lambda: np.divide(
+            capacity, self.captured, out=np.zeros_like(capacity), where=self.reached),
+            "supply {.id!r}: supply-to-demand ratio overflowed; capacity is too large for "
+            "its captured demand", self.dataset.supply)
+        scores = _finite(NonFiniteScore, lambda: self.assign @ ratios,
+                         "demand {.id!r}: accessibility score overflowed; capacities are too "
+                         "large for the demand they serve", self.dataset.demand)
         return ratios, scores
 
     def accessibility(self) -> AccessibilityResult:

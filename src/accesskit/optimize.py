@@ -33,7 +33,7 @@ from .data_model import Dataset, SupplySite
 from .equity import gini
 from .errors import (
     InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonFiniteObjective,
-    NonPositiveUnitSize,
+    NonPositiveUnitSize, _finite,
 )
 from .fca import Catchment
 
@@ -115,17 +115,12 @@ class AllocationProblem:
         ratio is finite; NonFiniteObjective names a candidate whose ratio
         overflows.
         """
-        catchment = self.catchment
-        per_unit = np.zeros(len(self.candidates))
-        reached = catchment.reached[self._columns]
-        with np.errstate(over="ignore"):
-            per_unit[reached] = self.unit_size / catchment.captured[self._columns][reached]
-        overflowed = np.flatnonzero(~np.isfinite(per_unit))
-        if overflowed.size:
-            site = catchment.dataset.supply[self.candidates[overflowed[0]]].id
-            raise NonFiniteObjective(f"candidate {site!r}: one unit's score shift is not "
-                                     "finite; unit_size is too large for its captured demand")
-        return per_unit
+        catchment, cand = self.catchment, self._columns
+        return _finite(NonFiniteObjective, lambda: np.divide(
+            self.unit_size, catchment.captured[cand], out=np.zeros(len(cand)),
+            where=catchment.reached[cand]), "candidate {.id!r}: one unit's score shift is not "
+            "finite; unit_size is too large for its captured demand",
+            [catchment.dataset.supply[c] for c in self.candidates])
 
     @cached_property
     def _max_shift(self) -> float:
@@ -136,25 +131,24 @@ class AllocationProblem:
         return float((largest * self.per_unit).max(initial=0.0))
 
     def _scores(self, units) -> np.ndarray:
-        """Scores with ``units`` added per candidate, by the full kernel."""
-        capacity = self.catchment.capacity.copy()
-        capacity[self._columns] += np.asarray(units) * self.unit_size
-        return self.catchment.solve(capacity)[1]
+        """Scores with ``units`` added per candidate, by the full kernel: the
+        units' capacity is scattered onto the candidates' columns.
+        NonFiniteObjective names a candidate whose capacity overflows."""
+        catchment = self.catchment
+        capacity = _finite(NonFiniteObjective, lambda: catchment.capacity + np.bincount(
+            self._columns, np.asarray(units) * self.unit_size, len(catchment.capacity)),
+            "candidate {.id!r}: its capacity overflows; unit_size is too large",
+            catchment.dataset.supply)
+        return catchment.solve(capacity)[1]
 
     def _objective(self, scores: np.ndarray):
         """Objective of a score vector, or of each column of an N x k block."""
-        if self.objective == "max_min_access":
-            values = scores.min(axis=0)
-        elif self.objective == "min_weighted_gini":
-            pop = self.catchment.population
-            rows = pop > 0
-            values = gini(scores[rows], pop[rows])
-        else:
-            with np.errstate(over="ignore"):
-                values = scores.var(axis=0)
-        if not np.isfinite(values).all():
-            raise NonFiniteObjective(f"{self.objective} is not finite: scores overflow")
-        return values
+        pop = self.catchment.population
+        values = {"max_min_access": lambda: scores.min(axis=0),
+                  "min_weighted_gini": lambda: gini(scores[pop > 0], pop[pop > 0]),
+                  "min_variance": lambda: scores.var(axis=0)}[self.objective]
+        return _finite(NonFiniteObjective, values,
+                       f"{self.objective} is not finite: scores overflow")
 
     def _value(self, units) -> float:
         """Objective value with ``units`` added per candidate."""
@@ -233,9 +227,8 @@ class AllocationProblem:
         else:  # a float product overflows to inf where ** would raise
             peak = top + self._max_shift
             scale = peak * peak
-        allowance = NEAR_TIE * (abs(best) + scale)
-        if not math.isfinite(allowance):
-            raise NonFiniteObjective(f"the rounding allowance of {self.objective} is not finite")
+        allowance = _finite(NonFiniteObjective, lambda: NEAR_TIE * (abs(best) + scale),
+                            f"the rounding allowance of {self.objective} is not finite")
         step, best_val = None, current
         for pos in np.flatnonzero(signed.ravel() >= best - allowance):
             frm, to = donors[pos // n_cand], int(pos % n_cand)

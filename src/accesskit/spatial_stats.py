@@ -10,6 +10,7 @@ convention pins the global statistic to I = z'Wz / z'z and makes the
 decomposition sum_i I_i = n * I exact.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data_model import COORD_KINDS, _csv_text
 from .errors import (
-    InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance,
+    InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance, _finite,
 )
 from .travel import _distance_rows
 
@@ -113,8 +114,7 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
     pts = np.asarray(locations, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidStatArgument("locations must be an (n, 2) array")
-    if not np.isfinite(pts).all():
-        raise InvalidStatArgument("locations must be finite; found NaN or infinity")
+    _finite(InvalidStatArgument, lambda: pts, "locations must be finite; found NaN or infinity")
     n = pts.shape[0]
     if n < 2:
         raise InvalidStatArgument("need at least 2 locations")
@@ -155,8 +155,7 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] != weights.n:
         raise InvalidStatArgument(f"values must be a length-{weights.n} vector")
-    if not np.isfinite(x).all():
-        raise NonFiniteValue("values must be finite; found NaN or infinity")
+    _finite(NonFiniteValue, lambda: x, "values must be finite; found NaN or infinity")
     sums = weights.lag(np.ones(weights.n))  # a 1/k row misses 1 by at most k * 2**-53
     if not ((np.abs(sums - 1.0) <= 1e-9) | (np.diff(weights.indptr) == 0)).all():
         raise NotRowStandardized("statistics require every nonempty weights row to sum to 1")
@@ -164,11 +163,9 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
         raise InvalidStatArgument(f"n_permutations must be >= 1, got {n_permutations}")
     if seed < 0:
         raise InvalidStatArgument(f"seed must be a nonnegative integer, got {seed}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = x - x.mean()
-        denom = float(z @ z)
-    if not math.isfinite(denom):
-        raise NonFiniteValue("the values are too large: their mean or squared deviations overflow")
+    too_large = "the values are too large: their mean or squared deviations overflow"
+    z = _finite(NonFiniteValue, lambda: x - x.mean(), too_large)
+    denom = float(_finite(NonFiniteValue, lambda: z @ z, too_large))
     if denom == 0.0:
         raise ZeroVariance("attribute is constant; autocorrelation undefined")
     return z, denom
@@ -188,14 +185,12 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
     """
     z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
     n = weights.n
-    sim = np.empty(n_permutations)
-    with np.errstate(over="ignore", invalid="ignore"):
-        observed = float(z @ weights.lag(z) / denom)
-        for p in range(n_permutations):
-            zp = z[np.random.default_rng([seed, p]).permutation(n)]
-            sim[p] = zp @ weights.lag(zp) / denom
-    if not (math.isfinite(observed) and np.isfinite(sim).all()):
-        raise NonFiniteValue("Moran's I overflows for these values; they are too large")
+    # the observed I, then the I of each permutation
+    permuted = (z[np.random.default_rng([seed, p]).permutation(n)] for p in range(n_permutations))
+    stats = _finite(NonFiniteValue, lambda: np.fromiter(
+        (zp @ weights.lag(zp) / denom for zp in itertools.chain([z], permuted)), float,
+        n_permutations + 1), "Moran's I overflows for these values; they are too large")
+    observed, sim = float(stats[0]), stats[1:]
     expected = -1.0 / (n - 1)
     count = int(np.count_nonzero(np.abs(sim - expected) >= abs(observed - expected)))
     p_value = (count + 1) / (n_permutations + 1)

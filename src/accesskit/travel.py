@@ -178,8 +178,8 @@ def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None =
         Must match the dataset's coordinate kind: haversine for geographic
         (degrees), euclidean for planar (meters).
     speed : float, optional
-        Km per minute. When given, costs are travel minutes (km / speed);
-        otherwise they stay in km.
+        Km per minute, positive and finite. When given, costs are travel
+        minutes (km / speed); otherwise they stay in km.
     """
     if metric == "haversine":
         if dataset.coord_kind != "geographic":
@@ -189,14 +189,16 @@ def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None =
             raise MetricMismatch("euclidean requires planar coordinates")
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    if speed is not None and not speed > 0:
-        raise NonPositiveSpeed(f"speed must be positive km per minute, got {speed!r}")
+    if speed is not None and not 0 < speed < math.inf:  # NaN fails this test too
+        raise NonPositiveSpeed(f"speed must be positive and finite km per minute, got {speed!r}")
     d_xy = np.array([(s.x, s.y) for s in dataset.demand], dtype=float)
     s_xy = np.array([(s.x, s.y) for s in dataset.supply], dtype=float)
     blocks = _distance_rows(d_xy, s_xy, metric)
     if speed is None:
         return blocks
-    return ((lo, np.divide(km, speed, out=km)) for lo, km in blocks)
+    # in place; under a tiny speed a cost overflows to +inf, which is unreachable
+    minutes = np.errstate(over="ignore")(lambda km: np.divide(km, speed, out=km))
+    return ((lo, minutes(km)) for lo, km in blocks)
 
 
 def build_travel_matrix(dataset: Dataset, metric: str = "haversine",

@@ -5,10 +5,11 @@ import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from accesskit import cli, fca, travel
@@ -323,6 +324,10 @@ HUGE_CAPACITY = "id,lon,lat,capacity\n" + "".join(
 OVERFLOWING_CAPTURE = "id,lon,lat,population\n" + "".join(
     f"{s.id},{s.x!r},{s.y!r},{1e308 if i < 3 else s.population!r}\n"
     for i, s in enumerate(synthetic_city(**CITY).demand))
+# regions whose resource densities all underflow to 0: each degree is 0 / 0
+UNDERFLOWING_DENSITY = "id,area_km2,resource,population\n" + "".join(
+    f"r{k:02d},1e150,1e-310,100\n" for k in range(CITY["n_regions"]))
+HRAD_HEAD = "id,area_km2,resource,population\n"
 
 
 def reencoded_config_argv(tmp_path, encoding):
@@ -429,6 +434,8 @@ def a_file(tmp_path):
                  "optimize.NonPositiveUnitSize", None, id="unit-size-inf"),
     pytest.param(lambda t: report_argv(t, speed_km_per_min=0),
                  "travel.NonPositiveSpeed", None, id="config-speed-0"),
+    pytest.param(lambda t: report_argv(t, speed_km_per_min=float("inf")),
+                 "travel.NonPositiveSpeed", None, id="config-speed-inf"),
     pytest.param(lambda t: optimize_argv(t, [("demand.csv", ZERO_POPULATION)],
                                          objective="min_weighted_gini"),
                  "equity.EmptyInput", None, id="gini-objective-zero-population"),
@@ -468,6 +475,21 @@ def a_file(tmp_path):
                  "equity.InvalidEpsilon", None, id="hrad-epsilon-nan"),
     pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "-1"],
                  "equity.InvalidEpsilon", None, id="hrad-epsilon-negative"),
+    pytest.param(lambda t: hrad_argv(t, HRAD_HEAD + "r0,5e-324,1,1\nr1,5e-324,1,1\n"),
+                 "equity.NonFiniteTotal", None, id="hrad-degree-overflow"),
+    pytest.param(lambda t: hrad_argv(t, HRAD_HEAD + "r0,1,1.7e308,1\nr1,1,1.7e308,1\n"),
+                 "equity.NonFiniteTotal", None, id="hrad-resource-total-overflow"),
+    pytest.param(lambda t: hrad_argv(t, HRAD_HEAD + "r0,1e-300,1e-200,1e300\n"
+                                     "r1,1e-300,1e-200,1e300\n") + ["--with-population"],
+                 "equity.NonFiniteTotal", None, id="hrad-pad-overflow"),
+    pytest.param(lambda t: hrad_argv(t, HRAD_HEAD + "r0,10,20,1.7e308\nr1,90,80,1.7e308\n")
+                 + ["--with-population"],
+                 "equity.NonFiniteTotal", None, id="hrad-population-total-overflow"),
+    pytest.param(lambda t: hrad_argv(t, HRAD_HEAD + "r0,1,1,1e10\nr1,1,1e300,1e-300\n")
+                 + ["--with-population"],
+                 "equity.NonFiniteTotal", None, id="hrad-over-pad-overflow"),
+    pytest.param(lambda t: report_argv(t, [("regions.csv", UNDERFLOWING_DENSITY)]),
+                 "equity.NonFiniteTotal", None, id="report-hrad-density-underflow"),
     pytest.param(lambda t: report_argv(t, decay={"kind": "gaussian", "d0": 30.0, "beta": 180.0,
                                                  "betta": 5}),
                  "cli.ConfigError", None, id="config-decay-unknown-key"),
@@ -490,6 +512,9 @@ def a_file(tmp_path):
     pytest.param(lambda t: optimize_argv(t, [("demand.csv", TINY_POPULATION)], unit_size=1e200,
                                          objective="min_weighted_gini"),
                  "optimize.NonFiniteObjective", None, id="unit-shift-overflow"),
+    pytest.param(lambda t: optimize_argv(t, [("demand.csv", ZERO_POPULATION)])
+                 + ["--unit-size", "1.7e308"],
+                 "optimize.NonFiniteObjective", None, id="candidate-capacity-overflow"),
     pytest.param(lambda t: reencoded_config_argv(t, "utf-16"),
                  "cli.ConfigError", None, id="config-not-utf8"),
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t))],
@@ -507,6 +532,17 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row)
     if row is not None:
         assert f"row {row}: " in err
     assert not out.exists()
+
+
+def test_subnormal_speed_exits_0_with_every_facility_out_of_reach(tmp_path, capsys):
+    # each nonzero distance overflows to +inf minutes, which is unreachable,
+    # without a RuntimeWarning, which the test configuration makes an error
+    out = tmp_path / "out"
+    argv = report_argv(tmp_path, speed_km_per_min=5e-324)[1:3]
+    assert main(["access", *argv, "--out", str(out)]) == 0
+    rows = (out / "scores.csv").read_text().splitlines()[1:]
+    assert len(rows) == CITY["n_demand"] and {row.split(",")[1] for row in rows} == {"0.0"}
+    assert "captures no demand" in capsys.readouterr().err
 
 
 def test_config_with_a_bom_writes_the_same_files(tmp_path):
@@ -735,3 +771,86 @@ def test_out_of_range_flag_exits_2_and_writes_nothing(small_city, capsys, case):
     assert main(argv + [flag, value, "--out", str(out)]) == 2
     assert re.search(r"^error: [a-z_]+\.[A-Za-z]+: ", capsys.readouterr().err, re.MULTILINE)
     assert not out.exists()
+
+
+# Magnitudes from zero and the subnormals up to the largest floats. On any mix
+# of them, a run exits 0 with finite outputs or exits 2 with one diagnostic.
+MAGNITUDES = (0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1.0, 1e150, 1e200, 1e300, 1.7e308)
+CYCLE = st.lists(st.sampled_from(MAGNITUDES), min_size=1, max_size=3)
+SIGNS = st.lists(st.booleans(), min_size=1, max_size=3)
+EXTREMES = st.fixed_dictionaries({
+    "population": CYCLE, "capacity": CYCLE, "area_km2": CYCLE, "resource": CYCLE,
+    "region_population": CYCLE, "value": CYCLE, "value_sign": SIGNS,
+    "unit_size": st.sampled_from(MAGNITUDES), "speed": st.sampled_from(MAGNITUDES),
+})
+CONTRACT_COMMANDS = {
+    "access": ["access", "--config", "city.json"],
+    "moran": ["moran", "--values", "values.csv", "--column", "value", "--knn", "4",
+              "--perms", "19"],
+    "lisa": ["lisa", "--values", "values.csv", "--column", "value", "--knn", "4",
+             "--perms", "19"],
+    "hrad": ["hrad", "--regions", "regions.csv", "--with-population"],
+    **{f"optimize-{objective}": ["optimize", "--config", "city.json", "--objective", objective]
+       for objective in ("max_min_access", "min_weighted_gini", "min_variance")},
+    "report": ["report", "--config", "city.json", "--perms", "19"],
+}
+
+
+def with_cycles(text, cycles, signs=(False,)):
+    """A CSV table with each column named in ``cycles`` replaced by its
+    values repeated down the rows, negated where ``signs`` repeated says so."""
+    head, *rows = text.splitlines()
+    names = head.split(",")
+    cells = [row.split(",") for row in rows]
+    for name, cycle in cycles.items():
+        for i, row in enumerate(cells):
+            value = cycle[i % len(cycle)]
+            row[names.index(name)] = repr(-value if signs[i % len(signs)] else value)
+    return "\n".join([head] + [",".join(row) for row in cells]) + "\n"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(CONTRACT_COMMANDS)), sizes=EXTREMES)
+@example(command="hrad", sizes={"population": [1.0], "capacity": [1.0], "area_km2": [1e-300],
+                                "resource": [1e-200], "region_population": [1e300],
+                                "value": [1.0], "value_sign": [False], "unit_size": 1.0,
+                                "speed": 1.0})
+def test_extreme_magnitudes_exit_0_with_finite_outputs_or_exit_2(small_city, capsys, command,
+                                                                 sizes):
+    city = small_city.parent
+    with TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        demand = (city / "demand.csv").read_text()
+        for name, text in (
+            ("demand.csv", with_cycles(demand, {"population": sizes["population"]})),
+            ("supply.csv", with_cycles((city / "supply.csv").read_text(),
+                                       {"capacity": sizes["capacity"]})),
+            ("regions.csv", with_cycles((city / "regions.csv").read_text(), {
+                "area_km2": sizes["area_km2"], "resource": sizes["resource"],
+                "population": sizes["region_population"]})),
+            ("values.csv", with_cycles(demand.replace(",population\n", ",value\n", 1),
+                                       {"value": sizes["value"]}, sizes["value_sign"])),
+        ):
+            (tmp / name).write_text(text, encoding="utf-8")
+        (tmp / "city.json").write_text(json.dumps({
+            **json.loads(small_city.read_text()), "unit_size": sizes["unit_size"],
+            "speed_km_per_min": sizes["speed"]}))
+        out = tmp / "out"
+        argv = [str(tmp / arg) if arg.endswith((".json", ".csv")) else arg
+                for arg in CONTRACT_COMMANDS[command]]
+        capsys.readouterr()
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 2:
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and re.match(r"error: [a-z_]+\.[A-Za-z]+: ", errors[0]), err
+            assert not out.exists()
+            return
+        assert code == 0
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{path.name}: {c}"))
+        for path in out.glob("*.csv"):
+            with open(path, newline="", encoding="utf-8") as fh:
+                cells = [cell.lower() for row in csv.reader(fh) for cell in row]
+            assert not {"nan", "inf", "-inf"} & set(cells), path.name
