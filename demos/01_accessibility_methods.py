@@ -70,8 +70,8 @@ for i, site in enumerate(town.demand):
 # The generalized form conserves supply: decay-weighted demand times scores
 # adds back up to total capacity. The discounting variant keeps less, and
 # the shortfall measures how awkwardly the clinics sit relative to people.
-pop = np.array([s.population for s in town.demand])
-total = sum(s.capacity for s in town.supply)
+pop = town.demand.population  # a dataset keeps its sites as columns
+total = town.supply.capacity.sum()
 for name in ("g2sfca (gaussian)", "m2sfca (gaussian)"):
     captured = float(pop @ results[name].scores)
     print(f"\n{name}: captured {captured:.3f} of {total} capacity units "

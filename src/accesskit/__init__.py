@@ -16,8 +16,10 @@ from . import errors
 from .data_model import (
     Dataset,
     DemandSite,
+    DemandTable,
     Region,
     SupplySite,
+    SupplyTable,
     load_dataset,
     load_demand,
     load_regions,
@@ -71,6 +73,7 @@ __all__ = [
     "Dataset",
     "DecaySpec",
     "DemandSite",
+    "DemandTable",
     "HradResult",
     "LisaResult",
     "MoranResult",
@@ -79,6 +82,7 @@ __all__ = [
     "RegionEquity",
     "SpatialWeights",
     "SupplySite",
+    "SupplyTable",
     "TravelMatrix",
     "add_candidate_sites",
     "brute_force_allocate",

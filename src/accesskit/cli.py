@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from . import equity, fca, optimize, spatial_stats
 from .data_model import load_dataset, load_regions, load_values
 from .decay import DecaySpec
@@ -200,8 +198,7 @@ class Run:
                 raise ConfigError(f"values file not found: {self.args.values}")
             return load_values(self.args.values, self.args.column)
         demand = self.dataset.demand
-        return ([s.id for s in demand], np.array([(s.x, s.y) for s in demand]),
-                self.dataset.coord_kind, self.access.scores)
+        return demand.ids, demand.xy, self.dataset.coord_kind, self.access.scores
 
     @cached_property
     def weights(self):
@@ -234,7 +231,7 @@ class Run:
         cfg, dataset, catchment = self.cfg, self.dataset, self.catchment
         if cfg.budget < 1:
             raise ConfigError("optimization requires budget >= 1")
-        index = {s.id: j for j, s in enumerate(dataset.supply)}
+        index = {sid: j for j, sid in enumerate(dataset.supply.ids)}
         candidates = list(index) if cfg.candidates is None else cfg.candidates
         missing = [c for c in candidates if not isinstance(c, str) or c not in index]
         if missing:

@@ -91,8 +91,8 @@ def hrad(regions, epsilon: float = 0.05) -> HradResult:
         raise ZeroTotalResource("all regions have zero resource")
     total_area = _finite(NonFiniteTotal, area.sum, "the area total overflows")
     degrees = _finite(NonFiniteTotal, lambda: resource / area / (total_resource / total_area),
-                      "region {.id!r}: its resource agglomeration degree is not finite",
-                      regions)
+                      "region {!r}: its resource agglomeration degree is not finite",
+                      [r.id for r in regions])
     records = tuple(
         RegionEquity(region_id=r.id, hrad=float(h), classification=classify(float(h), epsilon))
         for r, h in zip(regions, degrees)
@@ -104,8 +104,9 @@ def hrad_vs_population(regions, epsilon: float = 0.05) -> HradResult:
     """Agglomeration degrees with the population comparator attached.
 
     pad_i = (Pop_i/Pop_n)/(A_i/A_n); the ratio hrad_i/pad_i is None for an
-    uninhabited region (pad 0), where the comparison is undefined. A pad or
-    ratio that is not finite is NonFiniteTotal, as in ``hrad``.
+    uninhabited region (population 0), where the comparison is undefined. A
+    pad or ratio that is not finite is NonFiniteTotal, as in ``hrad``; so is
+    the ratio of an inhabited region whose pad underflows to 0.
     """
     regions = list(regions)
     base = hrad(regions, epsilon)
@@ -117,14 +118,17 @@ def hrad_vs_population(regions, epsilon: float = 0.05) -> HradResult:
     total_pop = _finite(NonFiniteTotal, population.sum, "the population total overflows")
     if total_pop <= 0:
         raise ZeroTotalPopulation("total population is zero")
+    ids = [r.id for r in regions]
     pad = _finite(NonFiniteTotal, lambda: population / area / (total_pop / area.sum()),
-                  "region {.id!r}: its population agglomeration degree is not finite", regions)
+                  "region {!r}: its population agglomeration degree is not finite", ids)
+    # an inhabited region's pad may underflow to 0; its ratio is then not finite
+    inhabited = population > 0
     ratios = _finite(NonFiniteTotal, lambda: np.divide(
-        [rec.hrad for rec in base.records], pad, out=np.zeros_like(pad), where=pad > 0),
-        "region {.id!r}: its hrad/pad ratio is not finite", regions)
+        [rec.hrad for rec in base.records], pad, out=np.zeros_like(pad), where=inhabited),
+        "region {!r}: its hrad/pad ratio is not finite", ids)
     return replace(base, records=tuple(
-        replace(rec, pad=float(p), hrad_over_pad=float(ratio) if p > 0 else None)
-        for rec, p, ratio in zip(base.records, pad, ratios)))
+        replace(rec, pad=float(p), hrad_over_pad=float(ratio) if lived_in else None)
+        for rec, p, ratio, lived_in in zip(base.records, pad, ratios, inhabited)))
 
 
 def gini(values, weights=None):

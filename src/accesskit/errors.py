@@ -22,16 +22,15 @@ class AccessKitError(Exception):
         return f"{self.module}.{type(self).__name__}"
 
 
-def _finite(error, compute, message: str, records=None):
+def _finite(error, compute, message: str, ids=None):
     """``compute()``, run under ``np.errstate(all="ignore")``, if every entry
-    of it is finite, else ``error(message)``. ``records``, one per entry of a
-    vector, name the first bad entry in ``message``: ``"supply {.id!r}: ..."``."""
+    of it is finite, else ``error(message)``. ``ids``, one per entry of a
+    vector, name the first bad entry in ``message``: ``"supply {!r}: ..."``."""
     with np.errstate(all="ignore"):
         result = compute()
     finite = np.isfinite(result)
     if not finite.all():
-        raise error(message if records is None else
-                    message.format(records[np.flatnonzero(~finite)[0]]))
+        raise error(message if ids is None else message.format(ids[np.flatnonzero(~finite)[0]]))
     return result
 
 

@@ -101,11 +101,11 @@ class Catchment:
             covered += len(rows)
         if covered != n:
             raise DimensionMismatch(f"cost rows cover {covered} demand sites, dataset has {n}")
-        self.population = np.array([s.population for s in dataset.demand], dtype=float)
-        self.capacity = np.array([s.capacity for s in dataset.supply], dtype=float)
+        self.population = dataset.demand.population
+        self.capacity = dataset.supply.capacity
         self.captured = _finite(NonFiniteCapture, lambda: self.population @ weights,
-                                "supply {.id!r}: captured demand overflowed; populations "
-                                "are too large", dataset.supply)
+                                "supply {!r}: captured demand overflowed; populations "
+                                "are too large", dataset.supply.ids)
         # a facility no demand reaches gets ratio 0 instead of a division by 0
         self.reached = self.captured > 0
         if power == 2:  # captured is computed; f becomes f*f in place
@@ -120,11 +120,11 @@ class Catchment:
         """
         ratios = _finite(NonFiniteScore, lambda: np.divide(
             capacity, self.captured, out=np.zeros_like(capacity), where=self.reached),
-            "supply {.id!r}: supply-to-demand ratio overflowed; capacity is too large for "
-            "its captured demand", self.dataset.supply)
+            "supply {!r}: supply-to-demand ratio overflowed; capacity is too large for "
+            "its captured demand", self.dataset.supply.ids)
         scores = _finite(NonFiniteScore, lambda: self.assign @ ratios,
-                         "demand {.id!r}: accessibility score overflowed; capacities are too "
-                         "large for the demand they serve", self.dataset.demand)
+                         "demand {!r}: accessibility score overflowed; capacities are too "
+                         "large for the demand they serve", self.dataset.demand.ids)
         return ratios, scores
 
     def accessibility(self) -> AccessibilityResult:
@@ -134,7 +134,7 @@ class Catchment:
         catchment; it gets ratio 0 and its id is reported as a warning.
         """
         ratios, scores = self.solve(self.capacity)
-        zero_capture = tuple(self.dataset.supply[j].id for j in np.flatnonzero(~self.reached))
+        zero_capture = tuple(self.dataset.supply.ids[j] for j in np.flatnonzero(~self.reached))
         return AccessibilityResult(
             method=self.method, decay=self.decay, scores=scores,
             supply_ratios=ratios, warnings=zero_capture,
@@ -192,4 +192,4 @@ def scores_csv_text(result: AccessibilityResult, dataset: Dataset,
                     per_thousand: bool = False) -> str:
     """Scores as CSV ``demand_id,score``, optionally inflated 1000x."""
     scores = (result.scores * (1000.0 if per_thousand else 1.0)).tolist()
-    return _csv_text(("demand_id", "score"), zip((site.id for site in dataset.demand), scores))
+    return _csv_text(("demand_id", "score"), zip(dataset.demand.ids, scores))

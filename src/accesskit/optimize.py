@@ -118,9 +118,9 @@ class AllocationProblem:
         catchment, cand = self.catchment, self._columns
         return _finite(NonFiniteObjective, lambda: np.divide(
             self.unit_size, catchment.captured[cand], out=np.zeros(len(cand)),
-            where=catchment.reached[cand]), "candidate {.id!r}: one unit's score shift is not "
+            where=catchment.reached[cand]), "candidate {!r}: one unit's score shift is not "
             "finite; unit_size is too large for its captured demand",
-            [catchment.dataset.supply[c] for c in self.candidates])
+            [catchment.dataset.supply.ids[c] for c in self.candidates])
 
     @cached_property
     def _max_shift(self) -> float:
@@ -137,8 +137,8 @@ class AllocationProblem:
         catchment = self.catchment
         capacity = _finite(NonFiniteObjective, lambda: catchment.capacity + np.bincount(
             self._columns, np.asarray(units) * self.unit_size, len(catchment.capacity)),
-            "candidate {.id!r}: its capacity overflows; unit_size is too large",
-            catchment.dataset.supply)
+            "candidate {!r}: its capacity overflows; unit_size is too large",
+            catchment.dataset.supply.ids)
         return catchment.solve(capacity)[1]
 
     def _objective(self, scores: np.ndarray):
@@ -390,7 +390,7 @@ def plan_json_dict(problem: AllocationProblem, plan: ReallocationPlan) -> dict:
         "after": plan.objective_after,
         "allocations": [
             {
-                "supply_id": problem.catchment.dataset.supply[c].id,
+                "supply_id": problem.catchment.dataset.supply.ids[c],
                 "units_added": int(u),
                 "capacity_added": u * problem.unit_size,
             }

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, _parse_float, _read_table
+from .data_model import Dataset, DemandTable, SupplyTable, _parse_float, _read_table
 from .errors import (
     AccessKitError,
     DuplicatePair,
@@ -32,7 +32,12 @@ BLOCK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class TravelMatrix:
-    """Dense demand x supply cost matrix, immutable once built."""
+    """Dense demand x supply cost matrix, immutable once built.
+
+    A read-only float array that owns its data, such as a matrix built here
+    and then locked, is taken over as it is; any other cost array is copied,
+    so a change to the caller's array does not reach the matrix.
+    """
 
     cost: np.ndarray
     unit: str = "km"
@@ -44,8 +49,9 @@ class TravelMatrix:
         _check_costs(arr)
         if self.unit not in COST_UNITS:
             raise ValueError(f"unit must be one of {COST_UNITS}")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "cost", arr)
 
     @property
@@ -191,9 +197,7 @@ def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None =
         raise ValueError(f"unknown metric {metric!r}")
     if speed is not None and not 0 < speed < math.inf:  # NaN fails this test too
         raise NonPositiveSpeed(f"speed must be positive and finite km per minute, got {speed!r}")
-    d_xy = np.array([(s.x, s.y) for s in dataset.demand], dtype=float)
-    s_xy = np.array([(s.x, s.y) for s in dataset.supply], dtype=float)
-    blocks = _distance_rows(d_xy, s_xy, metric)
+    blocks = _distance_rows(dataset.demand.xy, dataset.supply.xy, metric)
     if speed is None:
         return blocks
     # in place; under a tiny speed a cost overflows to +inf, which is unreachable
@@ -206,6 +210,7 @@ def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
     """The demand x supply cost matrix of ``cost_rows``, whose parameters it
     takes; its unit is "minutes" when a speed is given, else "km"."""
     cost = _stacked(cost_rows(dataset, metric, speed), (len(dataset.demand), len(dataset.supply)))
+    cost.flags.writeable = False  # TravelMatrix takes it over without a copy
     return TravelMatrix(cost=cost, unit="km" if speed is None else "minutes")
 
 
@@ -224,8 +229,8 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
     once the rows are in. The error names the first defective row of the
     file, whatever its defect.
     """
-    d_index = {s.id: i for i, s in enumerate(demand)}
-    s_index = {s.id: j for j, s in enumerate(supply)}
+    d_index = {sid: i for i, sid in enumerate(DemandTable.of(demand).ids)}
+    s_index = {sid: j for j, sid in enumerate(SupplyTable.of(supply).ids)}
     shape = (len(d_index), len(s_index))
     m = shape[1]
     pairs, costs = array("q"), array("d")
@@ -233,8 +238,6 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
     try:
         for row_num, (did, sid, raw) in _read_table(path, _OD_COLUMNS):
             add_pair(d_index[did] * m + s_index[sid])
-            if raw.__class__ is bool:  # float() would take a GeoJSON true as 1
-                raise ValueError
             add_cost(float(raw))
     except (KeyError, TypeError, ValueError, OverflowError):
         del pairs[len(costs):]
@@ -251,7 +254,7 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
         _cost_matrix(path, pairs, costs, shape)
         raise
     cost = _cost_matrix(path, pairs, costs, shape)
-    del pairs, costs  # before TravelMatrix takes its copy
+    cost.flags.writeable = False  # TravelMatrix takes it over without a copy
     return TravelMatrix(cost=cost, unit=unit)
 
 

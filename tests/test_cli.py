@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from accesskit import cli, fca, travel
 from accesskit.cli import main
-from accesskit.data_model import demand_csv_text
+from accesskit.data_model import DemandSite, demand_csv_text
 from accesskit.optimize import CHUNK
 from accesskit.synth import synthetic_city, write_city
 from accesskit.travel import TravelMatrix
@@ -488,6 +488,9 @@ def a_file(tmp_path):
     pytest.param(lambda t: hrad_argv(t, HRAD_HEAD + "r0,1,1,1e10\nr1,1,1e300,1e-300\n")
                  + ["--with-population"],
                  "equity.NonFiniteTotal", None, id="hrad-over-pad-overflow"),
+    pytest.param(lambda t: hrad_argv(t, HRAD_HEAD + "r0,10,20,1e-320\nr1,90,80,1e300\n")
+                 + ["--with-population"],
+                 "equity.NonFiniteTotal", None, id="hrad-inhabited-pad-underflow"),
     pytest.param(lambda t: report_argv(t, [("regions.csv", UNDERFLOWING_DENSITY)]),
                  "equity.NonFiniteTotal", None, id="report-hrad-density-underflow"),
     pytest.param(lambda t: report_argv(t, decay={"kind": "gaussian", "d0": 30.0, "beta": 180.0,
@@ -683,6 +686,19 @@ def test_plan_memory_is_a_few_chunk_blocks(wide_city, objective):
     assert len(problem.candidates) == 10 * CHUNK and sum(plan.units) == 5
 
 
+def test_optimize_builds_no_demand_record(small_city, monkeypatch, capsys):
+    # the demand sites stay columns from the loader to plan.json
+    built = []
+    post_init = DemandSite.__post_init__
+    monkeypatch.setattr(DemandSite, "__post_init__",
+                        lambda self: built.append(self.id) or post_init(self))
+    out = small_city.parent / "out-optimize"
+    assert main(["optimize", "--config", str(small_city), "--out", str(out)]) == 0
+    assert built == []
+    DemandSite("d", 0.0, 0.0, 1.0)  # the count sees a construction
+    assert built == ["d"]
+
+
 # What each config field accepts, by JSON kind; an int counts as a number.
 FIELD_KINDS = {
     "coord_kind": {"str"}, "demand": {"str", "null"}, "supply": {"str", "null"},
@@ -780,7 +796,7 @@ CYCLE = st.lists(st.sampled_from(MAGNITUDES), min_size=1, max_size=3)
 SIGNS = st.lists(st.booleans(), min_size=1, max_size=3)
 EXTREMES = st.fixed_dictionaries({
     "population": CYCLE, "capacity": CYCLE, "area_km2": CYCLE, "resource": CYCLE,
-    "region_population": CYCLE, "value": CYCLE, "value_sign": SIGNS,
+    "region_population": CYCLE, "value": CYCLE, "value_sign": SIGNS, "cost": CYCLE,
     "unit_size": st.sampled_from(MAGNITUDES), "speed": st.sampled_from(MAGNITUDES),
 })
 CONTRACT_COMMANDS = {
@@ -793,6 +809,9 @@ CONTRACT_COMMANDS = {
     **{f"optimize-{objective}": ["optimize", "--config", "city.json", "--objective", objective]
        for objective in ("max_min_access", "min_weighted_gini", "min_variance")},
     "report": ["report", "--config", "city.json", "--perms", "19"],
+    # costs read from an OD table listing every pair
+    "access-od": ["access", "--config", "city-od.json"],
+    "report-od": ["report", "--config", "city-od.json", "--perms", "19"],
 }
 
 
@@ -814,8 +833,13 @@ def with_cycles(text, cycles, signs=(False,)):
 @given(command=st.sampled_from(sorted(CONTRACT_COMMANDS)), sizes=EXTREMES)
 @example(command="hrad", sizes={"population": [1.0], "capacity": [1.0], "area_km2": [1e-300],
                                 "resource": [1e-200], "region_population": [1e300],
-                                "value": [1.0], "value_sign": [False], "unit_size": 1.0,
-                                "speed": 1.0})
+                                "value": [1.0], "value_sign": [False], "cost": [1.0],
+                                "unit_size": 1.0, "speed": 1.0})
+@example(command="report-od", sizes={"population": [1.0], "capacity": [1.0], "area_km2": [1.0],
+                                     "resource": [1.0], "region_population": [1.0],
+                                     "value": [1.0], "value_sign": [False],
+                                     "cost": [0.0, 5e-324, 1.7e308], "unit_size": 1.0,
+                                     "speed": 1.0})
 def test_extreme_magnitudes_exit_0_with_finite_outputs_or_exit_2(small_city, capsys, command,
                                                                  sizes):
     city = small_city.parent
@@ -833,9 +857,15 @@ def test_extreme_magnitudes_exit_0_with_finite_outputs_or_exit_2(small_city, cap
                                        {"value": sizes["value"]}, sizes["value_sign"])),
         ):
             (tmp / name).write_text(text, encoding="utf-8")
-        (tmp / "city.json").write_text(json.dumps({
-            **json.loads(small_city.read_text()), "unit_size": sizes["unit_size"],
-            "speed_km_per_min": sizes["speed"]}))
+        pairs = [(d.split(",")[0], s.split(",")[0]) for d in demand.splitlines()[1:]
+                 for s in (city / "supply.csv").read_text().splitlines()[1:]]
+        (tmp / "od.csv").write_text("demand_id,supply_id,cost\n" + "".join(
+            f"{d},{s},{sizes['cost'][k % len(sizes['cost'])]!r}\n"
+            for k, (d, s) in enumerate(pairs)), encoding="utf-8")
+        config = {**json.loads(small_city.read_text()), "unit_size": sizes["unit_size"],
+                  "speed_km_per_min": sizes["speed"]}
+        (tmp / "city.json").write_text(json.dumps(config))
+        (tmp / "city-od.json").write_text(json.dumps({**config, "od_matrix": "od.csv"}))
         out = tmp / "out"
         argv = [str(tmp / arg) if arg.endswith((".json", ".csv")) else arg
                 for arg in CONTRACT_COMMANDS[command]]

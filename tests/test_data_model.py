@@ -1,15 +1,22 @@
+import csv
 import json
+from dataclasses import astuple, replace
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from accesskit.data_model import (
     Dataset,
     DemandSite,
+    DemandTable,
     Region,
     SupplySite,
+    SupplyTable,
+    _check_coords,
     demand_csv_text,
     load_demand,
     load_regions,
@@ -20,6 +27,7 @@ from accesskit.data_model import (
     load_dataset,
 )
 from accesskit.errors import (
+    AccessKitError,
     DuplicateId,
     MalformedRow,
     MissingColumn,
@@ -258,3 +266,194 @@ class TestRoundTrip:
         assert demand_csv_text(demand, "planar").startswith("id,x,y,population\n")
         assert supply_csv_text(supply).startswith("id,lon,lat,capacity\n")
         assert regions_csv_text(regions).startswith("id,area_km2,resource\n")
+
+
+# --- the columnar loader against a row-by-row reference ----------------------
+
+def row_by_row(path, record, value, coord_kind):
+    """The sites of a table read one row at a time, each through the record's
+    constructor: the records, or the error of the first defective row.
+
+    Cells are read by the csv module's dictionary reader or from the GeoJSON
+    features; a row's cells are parsed in column order (a JSON true or false
+    is no number), then its id must be new, then the record must construct
+    and its coordinates be of ``coord_kind``.
+    """
+    cx, cy = ("lon", "lat") if coord_kind == "geographic" else ("x", "y")
+    columns = ("id", cx, cy, value)
+    if path.suffix == ".geojson":
+        rows = []
+        for row_num, feat in enumerate(json.loads(path.read_text())["features"], start=1):
+            row = dict(feat["properties"])
+            row[cx], row[cy] = feat["geometry"]["coordinates"]
+            rows.append((row_num, row))
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(enumerate(csv.DictReader(fh), start=2))
+    records, seen = [], set()
+    for row_num, row in rows:
+        for col in columns:
+            if path.suffix == ".geojson" and row.get(col) is None:
+                raise MissingColumn(f"row {row_num}: properties lack {col!r}")
+        numbers = []
+        for col in columns[1:]:
+            raw = row[col]
+            try:
+                if isinstance(raw, bool):
+                    raise TypeError
+                numbers.append(float(raw))
+            except (TypeError, ValueError, OverflowError):
+                raise MalformedRow(f"row {row_num}: cannot parse {col}={raw!r}") from None
+        rec_id = str(row["id"])
+        if rec_id in seen:
+            raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
+        seen.add(rec_id)
+        try:
+            records.append(record(rec_id, *numbers))
+            _check_coords(numbers[0], numbers[1], coord_kind)
+        except AccessKitError as err:
+            raise type(err)(f"row {row_num}: {err}") from None
+    return records
+
+
+def outcome(load):
+    """What ``load()`` gives: each record's id and the bits of its numbers,
+    or the code and message of the error it raises."""
+    try:
+        return [(r.id, *(float(v).hex() for v in astuple(r)[1:4])) for r in load()]
+    except AccessKitError as err:
+        return err.code, str(err)
+
+
+# cells a row-by-row reading takes or rejects; the loader must agree on each
+ODD_CELLS = ("nan", "-inf", "inf", "1e400", "1_0", " 2 ", "", "x", "-4", "0", "-0.0",
+             "5e-324", "200", "-95", "1e309", "-180", "90", "90.00000000000001")
+ODD_JSON = (True, False, None, [1], {"a": 1}, 10 ** 400, 7, "nan", "1_0", " 2 ", "1e400")
+ID_CHARS = "ab1"
+
+
+@st.composite
+def site_tables(draw):
+    """A CSV or GeoJSON demand or supply table: valid rows, then zero or
+    more defects (odd cells, repeated ids, out-of-range coordinates, blank
+    and short CSV rows)."""
+    kind = draw(st.sampled_from(["demand", "supply"]))
+    coord_kind = draw(st.sampled_from(["geographic", "planar"]))
+    geojson = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3), min_size=n, max_size=n,
+                        unique=True))
+    low = 0.0 if kind == "demand" else 5e-324
+    rows = [[i, draw(st.floats(-180, 180)), draw(st.floats(-90, 90)),
+             draw(st.floats(low, 1e300))] for i in ids]
+    odd = st.sampled_from(ODD_JSON if geojson else ODD_CELLS)
+    inserted = []
+    for _ in range(draw(st.integers(0, 3))):
+        defect = draw(st.sampled_from(["cell", "cell", "repeat", "blank", "short"]))
+        k = draw(st.integers(0, n - 1))
+        if defect == "cell":
+            rows[k][draw(st.integers(1, 3))] = draw(odd)
+        elif defect == "repeat":
+            rows[k][0] = rows[draw(st.integers(0, n - 1))][0]
+        elif not geojson:  # blank and short rows exist only in CSV
+            inserted.append((k, [] if defect == "blank" else rows[k][:draw(st.integers(1, 3))]))
+    for k, row in sorted(inserted, key=lambda pair: -pair[0]):
+        rows.insert(k, row)
+    return kind, coord_kind, geojson, rows
+
+
+def write_site_table(directory, kind, coord_kind, geojson, rows):
+    value = "population" if kind == "demand" else "capacity"
+    cx, cy = ("lon", "lat") if coord_kind == "geographic" else ("x", "y")
+    if geojson:
+        path = directory / f"{kind}.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "Point", "coordinates": [x, y]},
+             "properties": {"id": i, value: v}} for i, x, y, v in rows]}), encoding="utf-8")
+    else:
+        path = directory / f"{kind}.csv"
+        path.write_text(f"id,{cx},{cy},{value}\n" + "".join(
+            ",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows),
+            encoding="utf-8")
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=site_tables())
+@example(table=("demand", "geographic", False, [["a", 1.0, 2.0, " 2 "], ["b", "1_0", 2.0, 3.0]]))
+@example(table=("supply", "geographic", True, [["a", 1.0, 2.0, True]]))
+@example(table=("supply", "geographic", True, [["a", None, 2.0, 1.0]]))
+@example(table=("supply", "planar", False, [["a", 1.0, 2.0, 5.0], ["b", 1.0, 2.0, "0"]]))
+@example(table=("demand", "geographic", False, [["a", 1.0, "-95", 5.0], ["a", 1.0, 2.0, 5.0]]))
+@example(table=("demand", "geographic", True, [["a", 1.0, 2.0, 5.0], ["b", "200", 2.0, "-4"]]))
+@example(table=("supply", "geographic", False, [["a", -180.0, 90.0, 5e-324], ["b", 180.0, -90.0, 1.0]]))
+@example(table=("supply", "geographic", False, [["a", 1.0, 2.0, 1.0], ["b", "200", 2.0, 1.0]]))
+@example(table=("demand", "geographic", False, [["a", 1.0, 2.0, 5.0], ["a", "x", 2.0, 5.0]]))
+@example(table=("demand", "planar", False, [["a", 1.0, 2.0, "1e400"], [], ["b", 1.0]]))
+def test_columnar_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
+    kind, coord_kind, geojson, rows = table
+    record, value = (DemandSite, "population") if kind == "demand" else (SupplySite, "capacity")
+    load = load_demand if kind == "demand" else load_supply
+    with TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = write_site_table(tmp, kind, coord_kind, geojson, rows)
+        other = write_site_table(tmp, "supply" if kind == "demand" else "demand", coord_kind,
+                                 False, [["z", 1.0, 2.0, 3.0]])
+        paths = (path, other) if kind == "demand" else (other, path)
+        want = outcome(lambda: row_by_row(path, record, value, coord_kind))
+        assert outcome(lambda: load(path, coord_kind=coord_kind)) == want
+        # the dataset's table, filled without building records, holds the same
+        dataset = outcome(lambda: getattr(load_dataset(*paths, coord_kind=coord_kind), kind))
+        assert dataset == (want or ("data_model.NoRecords",
+                                    "dataset needs at least one demand and one supply site"))
+
+
+class TestSiteTables:
+    DEMAND = (DemandSite("a", 1.0, 2.0, 3.0), DemandSite("b", -0.0, 5.0, 0.0),
+              DemandSite("c", 7.0, 8.0, 9.5))
+    SUPPLY = (SupplySite("h", 1.0, 2.0, 4.0), SupplySite("k", 3.0, 4.0, 0.0, candidate=True))
+
+    def dataset(self):
+        return Dataset(demand=self.DEMAND, supply=self.SUPPLY, coord_kind="planar")
+
+    def test_records_are_kept_as_columns(self):
+        ds = self.dataset()
+        assert isinstance(ds.demand, DemandTable) and isinstance(ds.supply, SupplyTable)
+        assert ds.demand.ids == ("a", "b", "c")
+        assert ds.demand.xy.tolist() == [[1.0, 2.0], [-0.0, 5.0], [7.0, 8.0]]
+        assert ds.demand.population.tolist() == [3.0, 0.0, 9.5]
+        assert ds.supply.capacity.tolist() == [4.0, 0.0]
+        assert ds.supply.candidate.tolist() == [False, True]
+
+    def test_indexing_and_iterating_give_the_records(self):
+        ds = self.dataset()
+        assert list(ds.demand) == list(self.DEMAND) and list(ds.supply) == list(self.SUPPLY)
+        assert ds.demand[-1] == self.DEMAND[-1] and ds.supply[1] == self.SUPPLY[1]
+        assert ds.demand[1:] == DemandTable.of(self.DEMAND[1:])
+        assert [s.x.hex() for s in ds.demand] == [s.x.hex() for s in self.DEMAND]
+        assert len(ds.demand) == 3 and self.DEMAND[2] in ds.demand
+        with pytest.raises(IndexError):
+            ds.demand[3]
+
+    def test_columns_are_read_only(self):
+        ds = self.dataset()
+        for column in (ds.demand.xy, ds.demand.population, ds.supply.capacity,
+                       ds.supply.candidate):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_replacing_sites_with_records(self):
+        ds = self.dataset()
+        grown = replace(ds, demand=(*ds.demand, DemandSite("d", 0.0, 0.0, 1.0)))
+        assert grown.demand.ids == ("a", "b", "c", "d") and grown.supply == ds.supply
+        assert replace(ds, demand=tuple(ds.demand)) == ds
+        assert hash(replace(ds, demand=tuple(ds.demand))) == hash(ds)
+
+    def test_columns_hold_only_valid_sites(self):
+        with pytest.raises(NegativePopulation, match="demand 'a': population -1.0"):
+            DemandTable(["a"], [[0.0, 0.0]], [-1.0])
+        with pytest.raises(NonPositiveCapacity, match="supply 'h'"):
+            SupplyTable(["h"], [[0.0, 0.0]], [0.0])
+        assert SupplyTable(["h"], [[0.0, 0.0]], [0.0], [True])[0].candidate is True
+        with pytest.raises(ValueError, match="shape"):
+            DemandTable(["a", "b"], [[0.0, 0.0]], [1.0, 2.0])

@@ -130,6 +130,11 @@ class TestHradVsPopulation:
         assert result.records[0].hrad_over_pad is None
         assert result.records[1].hrad_over_pad is not None
 
+    def test_inhabited_region_whose_pad_underflows_is_not_finite(self):
+        # pad r0 = (1e-320 / 1e300) / (10 / 100) underflows to 0, though r0 is inhabited
+        with pytest.raises(NonFiniteTotal, match="region 'r0': its hrad/pad ratio"):
+            hrad_vs_population(regions((10.0, 20.0, 1e-320), (90.0, 80.0, 1e300)))
+
     def test_missing_population(self):
         with pytest.raises(MissingPopulation):
             hrad_vs_population(regions((10.0, 5.0), (10.0, 5.0, 100.0)))

@@ -169,17 +169,29 @@ class TestBuildTravelMatrix:
         assert stacked.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("metric", ["haversine", "euclidean"])
-    def test_memory_is_the_matrix_and_its_copy(self, metric):
-        # the distances, divided by the speed in place, and TravelMatrix's
-        # defensive copy: about 2.13x the matrix's bytes at 1000 x 300
+    def test_memory_is_the_matrix(self, metric):
+        # the distances, divided by the speed in place, which TravelMatrix
+        # takes over without a copy, and about four blocks of temporaries
+        # (2 MB): about 1.3x the matrix's bytes at 3000 x 300
         rng = np.random.default_rng(7)
-        lon_lat = rng.uniform([116.9, 36.5], [117.3, 36.8], (1300, 2))
+        lon_lat = rng.uniform([116.9, 36.5], [117.3, 36.8], (3300, 2))
         xy = lon_lat * 1000.0 if metric == "euclidean" else lon_lat
-        ds = Dataset(demand=tuple(DemandSite(f"d{i}", x, y, 1.0) for i, (x, y) in enumerate(xy[:1000])),
-                     supply=tuple(SupplySite(f"h{j}", x, y, 1.0) for j, (x, y) in enumerate(xy[1000:])),
+        ds = Dataset(demand=tuple(DemandSite(f"d{i}", x, y, 1.0) for i, (x, y) in enumerate(xy[:3000])),
+                     supply=tuple(SupplySite(f"h{j}", x, y, 1.0) for j, (x, y) in enumerate(xy[3000:])),
                      coord_kind="geographic" if metric == "haversine" else "planar")
         peak = traced_peak(lambda: build_travel_matrix(ds, metric=metric, speed=0.5))
-        assert peak <= 2.5 * 1000 * 300 * 8
+        assert peak <= 1.5 * 3000 * 300 * 8
+
+    def test_matrix_copies_the_array_it_is_given(self):
+        cost = np.array([[1.0, 2.0]])
+        m = TravelMatrix(cost=cost)
+        cost[0, 0] = 9.0
+        assert m.cost[0, 0] == 1.0 and not np.shares_memory(m.cost, cost)
+        assert cost.flags.writeable
+        # a read-only view of that array could still change through it
+        view = cost[:]
+        view.flags.writeable = False
+        assert not np.shares_memory(TravelMatrix(cost=view).cost, cost)
 
     def test_matrix_is_immutable(self):
         ds = planar_dataset([(0, 0)], [1], [(1, 1)], [1])
@@ -242,6 +254,16 @@ class TestLoadOdMatrix:
         path = tmp_path / "od.csv"
         path.write_text("demand_id,supply_id,cost\nd0,h0,3.5\n")
         assert load_od_matrix(path, demand, supply, unit="km").unit == "km"
+
+    def test_memory_is_the_matrix_and_the_rows(self, tmp_path):
+        # 1000 x 300 with one pair in 20 listed: the matrix, taken over without
+        # a copy, the rows' pair indices and costs, and a mask of filled pairs
+        ds = planar_dataset(np.zeros((1000, 2)), np.ones(1000), np.ones((300, 2)), np.ones(300))
+        path = tmp_path / "od.csv"
+        path.write_text("demand_id,supply_id,cost\n" + "".join(
+            f"d{k // 300},h{k % 300},{k % 7}\n" for k in range(0, 300_000, 20)))
+        peak = traced_peak(lambda: load_od_matrix(path, ds.demand, ds.supply))
+        assert peak <= 1.5 * 1000 * 300 * 8
 
 
 # --- the OD loader against a row-by-row reference ---------------------------
