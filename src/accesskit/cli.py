@@ -25,13 +25,16 @@ from .errors import AccessKitError, ConfigError
 from .travel import COST_UNITS, cost_rows, load_od_matrix
 
 def _env_threads() -> int | None:
-    """The ACCESSKIT_THREADS thread count (at least 1), or None when the
-    variable is unset or not an integer."""
+    """The ACCESSKIT_THREADS worker count, or None when the variable is unset
+    or empty. A value that is not an integer is a ConfigError; one below 1
+    fails ``RunConfig.validate`` as it would from a flag or the config."""
     raw = os.environ.get("ACCESSKIT_THREADS")
-    try:
-        return max(1, int(raw)) if raw else None
-    except ValueError:
+    if not raw:
         return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"ACCESSKIT_THREADS must be an integer, got {raw!r}") from None
 
 
 def _typed(name: str, value, annotation):
@@ -98,8 +101,10 @@ class RunConfig:
     def apply_overrides(self, args) -> None:
         """Every parsed flag whose dest is a config field wins over the
         config; without --threads, a set ACCESSKIT_THREADS does."""
-        env = _env_threads()
-        for name, value in (({"threads": env} if env else {}) | vars(args)).items():
+        env = None if "threads" in vars(args) else _env_threads()
+        if env is not None:
+            self.threads = env
+        for name, value in vars(args).items():
             if name in self.__dataclass_fields__:
                 setattr(self, name, value)
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import InvalidDecaySpec, NonAscendingBreakpoints
 
 DECAY_KINDS = ("binary", "gaussian", "exponential", "power", "zonal")
+_MASK_SLICE = 4096  # entries of the output zeroed past d0 at a time
 
 
 @dataclass(frozen=True)
@@ -158,20 +159,23 @@ def evaluate_decay(spec: DecaySpec, d):
             out[mask] = w
     else:  # every cost is evaluated; those beyond d0 overflow harmlessly and are set to 0
         with np.errstate(over="ignore", divide="ignore"):
-            if spec.kind == "gaussian":  # exp(-(d * d) / beta)
+            if spec.kind == "gaussian":  # exp((d * d) / -beta), the bits of exp(-(d * d) / beta)
                 np.multiply(a, a, out=out)
-                np.negative(out, out=out)
-                out /= spec.beta
+                out /= -spec.beta
                 np.exp(out, out=out)
-            elif spec.kind == "exponential":  # exp(-d / beta)
-                np.negative(a, out=out)
-                out /= spec.beta
+            elif spec.kind == "exponential":  # exp(d / -beta)
+                np.divide(a, -spec.beta, out=out)
                 np.exp(out, out=out)
             else:  # power: d^-beta diverges at 0; clamp so f(0) = 1 and weights stay in [0, 1]
                 np.copyto(out, a)
                 out **= -spec.beta
                 np.minimum(out, 1.0, out=out)
-        out[np.logical_not(mask, out=mask)] = 0.0
+        # a product with the mask zeroes every weight past d0 but a NaN cost's; a slice
+        # at a time, so casting the mask to float takes a buffer of one slice
+        flat_out, flat_mask = out.reshape(-1), mask.reshape(-1)
+        for lo in range(0, out.size, _MASK_SLICE):
+            flat_out[lo:lo + _MASK_SLICE] *= flat_mask[lo:lo + _MASK_SLICE]
+        out[np.isnan(a, out=mask)] = 0.0
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)

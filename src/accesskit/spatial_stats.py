@@ -8,10 +8,16 @@ from (seed, index), so a run is reproducible from its seed alone.
 Both statistics require, and check, row-standardized weights. That
 convention pins the global statistic to I = z'Wz / z'z and makes the
 decomposition sum_i I_i = n * I exact.
+
+``threads`` is the number of worker processes the permutations may use:
+``_split`` hands contiguous runs of LISA's units or Moran's permutations to
+children made with ``os.fork`` (Linux only, capped at the CPUs this process
+may run on). Each unit's and permutation's stream is fixed by its index, so
+the results are identical at any ``threads``.
 """
 
-import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,6 +177,78 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     return z, denom
 
 
+def _workers(threads: int, items: int) -> int:
+    """How many parts ``_split`` makes of ``items`` items: ``threads``, capped
+    at the items and at the CPUs this process may run on; 1 off Linux."""
+    if threads <= 1 or not hasattr(os, "fork") or os.uname().sysname != "Linux":
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(threads, items, cpus or 1))
+
+
+def _split(compute, items, threads: int) -> np.ndarray:
+    """``compute(part)`` over contiguous parts of ``items``, concatenated.
+
+    ``compute`` returns one float64 per item of its part. The caller computes
+    the first part; each other part runs in a child made with a bare
+    ``os.fork``, which computes, writes its result to a pipe and leaves by
+    ``os._exit``, with no logging, stdio or imports in between. A part whose
+    child cannot be started or fails is recomputed here. No child outlives
+    the call: each is read and reaped before the return, and killed and
+    reaped if this process raises first.
+    """
+    workers = _workers(threads, len(items))
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children = []  # [pid, read end] per forked part; each is None once released
+    try:
+        for part in parts[1:]:
+            children.append(_fork(compute, part))
+        results = [compute(parts[0])]
+        for child, part in zip(children, parts[1:]):
+            data, status = b"", 1
+            if child[0] is not None:
+                with open(child[1], "rb") as pipe:
+                    child[1] = None
+                    data = pipe.read()
+                status = os.waitpid(child[0], 0)[1]
+                child[0] = None
+            ok = status == 0 and len(data) == 8 * len(part)
+            results.append(np.frombuffer(data) if ok else compute(part))
+    finally:
+        for pid, fd in children:
+            if fd is not None:
+                os.close(fd)
+            if pid is not None:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+    return np.concatenate(results)
+
+
+def _fork(compute, part) -> list:
+    """A child computing ``compute(part)`` into a pipe: ``[pid, read end]``,
+    or ``[None, None]`` if the system cannot start one."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return [None, None]
+    if pid == 0:  # the child; os._exit skips the parent's handlers and buffers
+        status = 1
+        try:
+            os.close(read)
+            data = memoryview(np.ascontiguousarray(compute(part), dtype=float)).cast("B")
+            while data:
+                data = data[os.write(write, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return [pid, read]
+
+
 def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
              seed: int = 0, threads: int = 1) -> MoranResult:
     """Global Moran's I under row-standardized weights.
@@ -180,16 +258,23 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
     similar values; the no-autocorrelation expectation is -1/(n-1). The
     p-value comes from ``n_permutations`` random relabelings of the
     attribute, each drawn from an RNG stream derived from (seed, permutation
-    index). ``threads`` is accepted for compatibility; the result and the
-    run time do not depend on it.
+    index). The permutations are split over up to ``threads`` worker
+    processes; the result does not depend on how many.
     """
     z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
     n = weights.n
+
+    def moran(zp):
+        return zp @ weights.lag(zp) / denom
+
+    def permuted(perms):
+        return np.fromiter((moran(z[np.random.default_rng([seed, p]).permutation(n)])
+                            for p in perms), float, len(perms))
+
     # the observed I, then the I of each permutation
-    permuted = (z[np.random.default_rng([seed, p]).permutation(n)] for p in range(n_permutations))
-    stats = _finite(NonFiniteValue, lambda: np.fromiter(
-        (zp @ weights.lag(zp) / denom for zp in itertools.chain([z], permuted)), float,
-        n_permutations + 1), "Moran's I overflows for these values; they are too large")
+    stats = _finite(NonFiniteValue, lambda: np.concatenate(
+        ([moran(z)], _split(permuted, range(n_permutations), threads))),
+        "Moran's I overflows for these values; they are too large")
     observed, sim = float(stats[0]), stats[1:]
     expected = -1.0 / (n - 1)
     count = int(np.count_nonzero(np.abs(sim - expected) >= abs(observed - expected)))
@@ -204,9 +289,9 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
 
 def _distinct_indices(rng, m: int, k: int, rows: int) -> np.ndarray:
     """(rows, k) matrix of distinct ints in [0, m) per row (Floyd sampling)."""
-    # one call draws the same stream as k calls rng.integers(0, t + 1, size=rows), t = m-k..m-1
-    out = rng.integers(0, np.arange(m - k, m)[:, None] + 1, size=(k, rows))
-    for j in range(1, k):
+    out = np.empty((k, rows), dtype=np.int64)
+    for j in range(k):  # a scalar bound per call draws faster than one broadcast call
+        out[j] = rng.integers(0, m - k + j + 1, size=rows)
         out[j][(out[:j] == out[j]).any(axis=0)] = m - k + j
     # C order: a transposed view would make permuted, the gather and @ sum in another order
     return np.ascontiguousarray(out.T)
@@ -223,8 +308,8 @@ def lisa(values, weights: SpatialWeights, n_permutations: int = 999,
     slots, weighted by row i of ``weights.data``; each unit draws from its
     own (seed, unit index) RNG stream, and the p-value is the
     plus-one-corrected two-sided count around the permuted sample mean,
-    mirroring the global convention. ``threads`` is accepted for
-    compatibility; the result and the run time do not depend on it.
+    mirroring the global convention. The units are split over up to
+    ``threads`` worker processes; the result does not depend on how many.
     """
     z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
     n = weights.n
@@ -236,19 +321,25 @@ def lisa(values, weights: SpatialWeights, n_permutations: int = 999,
         for zi, li in zip(z, lag)
     )
 
+    def p_values_of(units):
+        out = np.empty(len(units))
+        for slot, i in enumerate(units):
+            lo, hi = int(weights.indptr[i]), int(weights.indptr[i + 1])
+            rng = np.random.default_rng([seed, i])
+            sample = _distinct_indices(rng, n - 1, hi - lo, n_permutations)
+            sample = rng.permuted(sample, axis=1)
+            sample += sample >= i  # draws index the n-1 units other than i
+            sim = z[i] / m2 * (z[sample] @ weights.data[lo:hi])
+            center = sim.mean()
+            count = np.count_nonzero(np.abs(sim - center) >= abs(local[i] - center))
+            out[slot] = (count + 1) / (n_permutations + 1)
+        return out
+
+    # an isolated unit keeps p = 1
     p_values = np.ones(n)
-    for i in range(n):
-        lo, hi = int(weights.indptr[i]), int(weights.indptr[i + 1])
-        if lo == hi:
-            continue
-        rng = np.random.default_rng([seed, i])
-        sample = _distinct_indices(rng, n - 1, hi - lo, n_permutations)
-        sample = rng.permuted(sample, axis=1)
-        sample += sample >= i  # draws index the n-1 units other than i
-        sim = z[i] / m2 * (z[sample] @ weights.data[lo:hi])
-        center = sim.mean()
-        count = np.count_nonzero(np.abs(sim - center) >= abs(local[i] - center))
-        p_values[i] = (count + 1) / (n_permutations + 1)
+    units = np.flatnonzero(np.diff(weights.indptr)).tolist()
+    p_values[units] = _finite(NonFiniteValue, lambda: _split(p_values_of, units, threads),
+                              "LISA overflows for these values; they are too large")
     return LisaResult(
         local_i=local, quadrant=quadrant, p_value=p_values,
         n_permutations=n_permutations, seed=seed,

@@ -167,6 +167,12 @@ class TestMoranLisa:
               "--knn", "4", "--perms", "99", "--seed", "7", "--out", str(out2)])
         assert (out1 / "moran.json").read_bytes() == (out2 / "moran.json").read_bytes()
 
+    def test_threads_flag_wins_over_a_bad_env_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ACCESSKIT_THREADS", "abc")
+        assert main(["moran", "--values", str(values_csv(tmp_path)), "--column", "score",
+                     "--knn", "4", "--perms", "9", "--threads", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("command, bad", [
         ("moran", ["--knn", "4", "--perms", "0"]),
         ("moran", ["--knn", "4", "--seed", "-1"]),
@@ -443,6 +449,12 @@ def a_file(tmp_path):
                  "cli.ConfigError", None, id="moran-threads-0"),
     pytest.param(lambda t: ["lisa"] + moran_argv(t, VALUES)[1:] + ["--threads", "0"],
                  "cli.ConfigError", None, id="lisa-threads-0"),
+    pytest.param(lambda t: ["ACCESSKIT_THREADS=abc"] + moran_argv(t, VALUES),
+                 "cli.ConfigError", None, id="env-threads-text"),
+    pytest.param(lambda t: ["ACCESSKIT_THREADS=0"] + report_argv(t),
+                 "cli.ConfigError", None, id="env-threads-0"),
+    pytest.param(lambda t: ["ACCESSKIT_THREADS=-3", "lisa"] + moran_argv(t, VALUES)[1:],
+                 "cli.ConfigError", None, id="env-threads-negative"),
     pytest.param(lambda t: report_argv(t, decay={"kind": "zonal", "zones": ["a", 20, 30],
                                                  "weights": [1, 0.5, 0.2]}),
                  "cli.ConfigError", None, id="config-zones-text-entry"),
@@ -471,6 +483,10 @@ def a_file(tmp_path):
                  "spatial_stats.NonFiniteValue", None, id="moran-values-overflow"),
     pytest.param(lambda t: ["lisa"] + moran_argv(t, HUGE_VALUES)[1:],
                  "spatial_stats.NonFiniteValue", None, id="lisa-values-overflow"),
+    pytest.param(lambda t: moran_argv(t, HUGE_VALUES) + ["--threads", "2"],
+                 "spatial_stats.NonFiniteValue", None, id="moran-values-overflow-threads-2"),
+    pytest.param(lambda t: ["lisa"] + moran_argv(t, HUGE_VALUES)[1:] + ["--threads", "2"],
+                 "spatial_stats.NonFiniteValue", None, id="lisa-values-overflow-threads-2"),
     pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "nan"],
                  "equity.InvalidEpsilon", None, id="hrad-epsilon-nan"),
     pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--epsilon", "-1"],
@@ -525,9 +541,12 @@ def a_file(tmp_path):
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t) / "sub")],
                  "cli.ConfigError", None, id="out-under-a-file"),
 ])
-def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row):
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, code, row):
     out = tmp_path / "out"
-    command, *rest = argv(tmp_path)
+    argv = argv(tmp_path)
+    while "=" in argv[0]:  # a leading NAME=value sets an environment variable, as in a shell
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    command, *rest = argv
     # ``out`` goes first, so a row's own --out wins
     assert main([command, "--out", str(out), *rest]) == 2
     err = capsys.readouterr().err

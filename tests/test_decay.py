@@ -80,6 +80,31 @@ class TestEvaluateDecay:
             assert evaluate_decay(spec, np.inf) == 0.0
 
     @pytest.mark.parametrize("spec", [
+        DecaySpec.gaussian(30.0, 180.0), DecaySpec.exponential(30.0, 10.0),
+        DecaySpec.power(30.0, 1.5), DecaySpec.power(30.0, 2.0),
+    ], ids=["gaussian", "exponential", "power", "power-integer-beta"])
+    def test_bits_match_negating_then_zeroing_past_d0(self, spec):
+        # the expression evaluate_decay used before it divided by -beta and
+        # multiplied by the mask
+        def reference(a):
+            out, mask = np.zeros(a.shape), a <= spec.d0
+            with np.errstate(over="ignore", divide="ignore"):
+                if spec.kind == "gaussian":
+                    out = np.exp(np.negative(a * a) / spec.beta)
+                elif spec.kind == "exponential":
+                    out = np.exp(np.negative(a) / spec.beta)
+                else:
+                    out = np.minimum(a ** -spec.beta, 1.0)
+            out[~mask] = 0.0
+            return out
+
+        edges = [0.0, -0.0, spec.d0, np.nextafter(spec.d0, np.inf), np.inf, -np.inf, np.nan,
+                 1e300, -1e300, 5e-324, -5e-324]
+        cost = np.concatenate([np.random.default_rng(22).uniform(-100, 100, 200_000), edges])
+        with np.errstate(invalid="ignore"):  # a negative cost to a fractional power is NaN
+            assert evaluate_decay(spec, cost).tobytes() == reference(cost).tobytes()
+
+    @pytest.mark.parametrize("spec", [
         DecaySpec.binary(30.0), DecaySpec.gaussian(30.0, 180.0), DecaySpec.exponential(30.0, 10.0),
         DecaySpec.power(30.0, 1.5), DecaySpec.zonal([10, 20, 30], [1.0, 0.5, 0.2]),
     ], ids=DECAY_KINDS)

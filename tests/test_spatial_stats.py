@@ -1,4 +1,7 @@
+import os
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from accesskit.errors import (
 )
 from accesskit.spatial_stats import (
     SpatialWeights,
+    _split,
+    _workers,
     build_weights,
     lisa,
     lisa_csv_text,
@@ -29,6 +34,41 @@ def neighbors(w, i):
 def rook_weights():
     # knn k=2 on the unit square corners is exactly rook contiguity
     return build_weights(UNIT_SQUARE, k=2, coord_kind="planar")
+
+
+def random_case():
+    """Values and k=5 weights on 30 random planar points."""
+    rng = np.random.default_rng(62)
+    pts = rng.uniform(0, 100, size=(30, 2))
+    return rng.normal(size=30), build_weights(pts, k=5, coord_kind="planar")
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Two CPUs, whatever the machine has; records each fork and the status
+    of each reaped child, and checks that no child is left behind."""
+    record = SimpleNamespace(forks=0, statuses=[])
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        record.forks += 1
+        return fork()
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        record.statuses.append(reaped[1])
+        return reaped
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    yield record
+    with pytest.raises(ChildProcessError):
+        waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or os.uname().sysname != "Linux",
+                                reason="worker processes run on Linux only")
 
 
 class TestBuildWeights:
@@ -156,6 +196,21 @@ class TestMoran:
         assert z @ hub.lag(z) / (z @ z) > 6
         with pytest.raises(NonFiniteValue, match="too large"):
             morans_i(x * np.sqrt(1.5e308 / (z @ z)), hub, n_permutations=9, seed=1)
+
+    @needs_fork
+    def test_overflowing_permutations_raise_with_workers(self, workers):
+        # on a star, the observed I is 1/18 and permutations 2 and 7 of seed 1
+        # give -10/9: scaled to z'z = 1.65e308, only those two overflow, one in
+        # this process's part and one in the child's
+        star = SpatialWeights(indptr=np.arange(5), indices=np.array([1, 0, 0, 0]),
+                              data=np.ones(4))
+        values = np.array([1.0, 3.0, 1.0, -5.0]) * np.sqrt(1.65e308 / 36)
+        for threads in (1, 2):
+            with pytest.raises(NonFiniteValue, match="too large"):
+                morans_i(values, star, n_permutations=9, seed=1, threads=threads)
+        # a child's RuntimeWarning, an error under the test configuration, would
+        # end it with status 1
+        assert workers.forks == 1 and workers.statuses == [0]
 
     def test_requires_row_standardized(self):
         rook = rook_weights()
@@ -288,10 +343,7 @@ class TestLisa:
         assert (result.p_value <= 1.0).all()
 
     def test_thread_count_does_not_change_results(self):
-        rng = np.random.default_rng(62)
-        pts = rng.uniform(0, 100, size=(30, 2))
-        values = rng.normal(size=30)
-        w = build_weights(pts, k=5, coord_kind="planar")
+        values, w = random_case()
         base = lisa(values, w, n_permutations=199, seed=42, threads=1)
         for threads in (2, 8):
             other = lisa(values, w, n_permutations=199, seed=42, threads=threads)
@@ -308,6 +360,88 @@ class TestLisa:
         # with all others as neighbors every permutation gives the same lag,
         # so the p-value hits its ceiling
         assert (result.p_value == 1.0).all()
+
+
+@needs_fork
+class TestWorkers:
+    """``threads`` worker processes split LISA's units and Moran's permutations."""
+
+    def test_two_workers_fork_and_give_the_bits_of_one(self, workers):
+        values, w = random_case()
+        for statistic in (morans_i, lisa):
+            one = statistic(values, w, n_permutations=199, seed=42, threads=1)
+            forks = workers.forks
+            two = statistic(values, w, n_permutations=199, seed=42, threads=2)
+            assert workers.forks == forks + 1
+            for name in ("sim", "p_value", "local_i"):
+                if hasattr(one, name):
+                    assert np.asarray(getattr(two, name)).tobytes() == \
+                        np.asarray(getattr(one, name)).tobytes()
+        assert workers.statuses == [0, 0]
+
+    def test_a_failed_child_has_its_part_recomputed_here(self, workers, monkeypatch):
+        values, w = random_case()
+        ones = [f(values, w, n_permutations=99, seed=3, threads=1) for f in (morans_i, lisa)]
+        parent, rng = os.getpid(), np.random.default_rng
+        # each unit and each permutation starts by making its generator
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: os._exit(1) if os.getpid() != parent else rng(seed))
+        twos = [f(values, w, n_permutations=99, seed=3, threads=2) for f in (morans_i, lisa)]
+        assert workers.forks == 2
+        assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1, 1]
+        assert twos[0].sim.tobytes() == ones[0].sim.tobytes()
+        assert twos[0].p_value == ones[0].p_value
+        assert twos[1].p_value.tobytes() == ones[1].p_value.tobytes()
+
+    def test_a_raise_here_kills_and_reaps_every_child(self, workers, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        parent = os.getpid()
+
+        def compute(part):
+            if os.getpid() == parent:
+                raise LookupError("the caller's part failed")
+            time.sleep(60)
+            return np.zeros(len(part))
+
+        start = time.monotonic()
+        with pytest.raises(LookupError, match="the caller's part failed"):
+            _split(compute, range(8), threads=4)
+        assert time.monotonic() - start < 30
+        assert workers.forks == 3
+        assert [os.WIFSIGNALED(s) for s in workers.statuses] == [True] * 3
+
+    def test_a_part_larger_than_a_pipe_buffer_is_read_whole(self, workers):
+        # the child's half is 400 kB, several times what a pipe holds
+        out = _split(lambda part: np.asarray(part, dtype=float), range(100_000), threads=2)
+        assert out.tobytes() == np.arange(100_000.0).tobytes()
+        assert workers.forks == 1 and workers.statuses == [0]
+
+    def test_worker_count_is_capped_without_starting_a_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [_workers(t, items) for t, items in
+                ((10**6, 1000), (10**6, 1), (1, 1000), (0, 1000), (2, 0))] == [2, 1, 1, 1, 1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert _workers(3, 1000) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _workers(10**6, 1000) == 5
+        monkeypatch.delattr(os, "fork")
+        assert _workers(10**6, 1000) == 1
+
+    def test_without_a_fork_every_part_is_computed_here(self, monkeypatch):
+        values, w = random_case()
+        one = lisa(values, w, n_permutations=99, seed=4, threads=1)
+        calls = []
+
+        def no_fork():
+            calls.append(None)
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        many = lisa(values, w, n_permutations=99, seed=4, threads=10**6)
+        assert len(calls) == 1  # one part per CPU; this process computes the first
+        assert many.p_value.tobytes() == one.p_value.tobytes()
 
 
 class TestOutputs:
