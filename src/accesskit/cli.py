@@ -2,7 +2,9 @@
 
 Subcommands: access, moran, lisa, hrad, optimize, report. Parameters come
 from the JSON config file if there is one, else the defaults; flags
-override config fields. ``report`` is the other five commands on one run.
+override config fields. ``report`` is the other five commands on one run;
+when ``threads`` allows, it computes the plan in one forked worker while
+moran, lisa and hrad run, with the same files and errors as at one thread.
 All output texts are computed before any file is written, each atomically
 (temp file, then rename), so a failing run writes nothing. All randomness
 flows from the single configured seed, making reruns byte-identical.
@@ -295,13 +297,29 @@ def cmd_optimize(run):
 
 def cmd_report(run):
     """The files of access, moran, lisa, hrad and optimize on the access
-    scores, plus ``summary.json`` and the config echo ``config.json``."""
+    scores, plus ``summary.json`` and the config echo ``config.json``.
+
+    The plan reads only the catchment. When ``threads`` allows two workers,
+    a child from ``spatial_stats._fork`` computes ``plan.json`` while this
+    process runs moran, lisa and hrad. If the child cannot be started or
+    fails, the plan is computed here after hrad, as at one thread, so every
+    error and its order are the same at any ``threads``. A raise here kills
+    and reaps the child first.
+    """
     dataset = run.dataset
     if dataset.regions is None:
         raise ConfigError("report requires a regions file in the config")
-    files = {}
-    for command in (cmd_access, cmd_moran, cmd_lisa, cmd_hrad, cmd_optimize):
-        files.update(command(run)[0])
+    files = cmd_access(run)[0]
+    plan = [None, None]
+    if spatial_stats._workers(run.cfg.threads, 2) > 1:
+        plan = spatial_stats._fork(lambda: cmd_optimize(run)[0]["plan.json"].encode())
+    try:
+        for command in (cmd_moran, cmd_lisa, cmd_hrad):
+            files.update(command(run)[0])
+        data = spatial_stats._join(plan)
+    finally:
+        spatial_stats._kill(plan)
+    files.update({"plan.json": data.decode()} if data else cmd_optimize(run)[0])
     scores, lisa = run.access.scores, run.lisa
     files["summary.json"] = _json_text({
         "n_demand": len(dataset.demand),

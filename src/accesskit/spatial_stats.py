@@ -11,9 +11,11 @@ decomposition sum_i I_i = n * I exact.
 
 ``threads`` is the number of worker processes the permutations may use:
 ``_split`` hands contiguous runs of LISA's units or Moran's permutations to
-children made with ``os.fork`` (Linux only, capped at the CPUs this process
+children made with ``_fork`` (Linux only, capped at the CPUs this process
 may run on). Each unit's and permutation's stream is fixed by its index, so
-the results are identical at any ``threads``.
+the results are identical at any ``threads``. ``_fork``, ``_join`` and
+``_kill`` are the package's one fork, read and reap path: a child returns
+bytes, and ``cli.cmd_report`` computes its plan in such a child too.
 """
 
 import math
@@ -190,44 +192,42 @@ def _split(compute, items, threads: int) -> np.ndarray:
     """``compute(part)`` over contiguous parts of ``items``, concatenated.
 
     ``compute`` returns one float64 per item of its part. The caller computes
-    the first part; each other part runs in a child made with a bare
-    ``os.fork``, which computes, writes its result to a pipe and leaves by
-    ``os._exit``, with no logging, stdio or imports in between. A part whose
-    child cannot be started or fails is recomputed here. No child outlives
-    the call: each is read and reaped before the return, and killed and
-    reaped if this process raises first.
+    the first part; each other part runs in a child from ``_fork``. A part
+    whose child cannot be started or fails is recomputed here. No child
+    outlives the call: each is read and reaped before the return, and killed
+    and reaped if this process raises first.
     """
     workers = _workers(threads, len(items))
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    children = []  # [pid, read end] per forked part; each is None once released
+
+    def floats(part):
+        return np.ascontiguousarray(compute(part), dtype=float)
+
+    children = []
     try:
         for part in parts[1:]:
-            children.append(_fork(compute, part))
+            children.append(_fork(floats, part))
         results = [compute(parts[0])]
         for child, part in zip(children, parts[1:]):
-            data, status = b"", 1
-            if child[0] is not None:
-                with open(child[1], "rb") as pipe:
-                    child[1] = None
-                    data = pipe.read()
-                status = os.waitpid(child[0], 0)[1]
-                child[0] = None
-            ok = status == 0 and len(data) == 8 * len(part)
+            data = _join(child)
+            ok = data is not None and len(data) == 8 * len(part)
             results.append(np.frombuffer(data) if ok else compute(part))
     finally:
-        for pid, fd in children:
-            if fd is not None:
-                os.close(fd)
-            if pid is not None:
-                os.kill(pid, 9)  # SIGKILL
-                os.waitpid(pid, 0)
+        for child in children:
+            _kill(child)
     return np.concatenate(results)
 
 
-def _fork(compute, part) -> list:
-    """A child computing ``compute(part)`` into a pipe: ``[pid, read end]``,
-    or ``[None, None]`` if the system cannot start one."""
+def _fork(work, *args) -> list:
+    """A child writing the bytes of ``work(*args)`` to a pipe: ``[pid, read
+    end]``, or ``[None, None]`` if the system cannot start one.
+
+    The child is a bare ``os.fork``: it computes, writes and leaves by
+    ``os._exit``, with no logging, stdio or imports in between, and exits 1
+    if ``work`` raises. Take its bytes with ``_join``, and pass it to
+    ``_kill`` in a ``finally`` so that it never outlives its caller.
+    """
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -239,7 +239,7 @@ def _fork(compute, part) -> list:
         status = 1
         try:
             os.close(read)
-            data = memoryview(np.ascontiguousarray(compute(part), dtype=float)).cast("B")
+            data = memoryview(work(*args)).cast("B")
             while data:
                 data = data[os.write(write, data):]
             status = 0
@@ -247,6 +247,29 @@ def _fork(compute, part) -> list:
             os._exit(status)
     os.close(write)
     return [pid, read]
+
+
+def _join(child) -> bytes | None:
+    """The bytes a child from ``_fork`` wrote, read to the end, and the child
+    reaped; None if it exited other than 0 or was never started."""
+    data, status = None, 1
+    if child[0] is not None:
+        with open(child[1], "rb") as pipe:
+            child[1] = None
+            data = pipe.read()
+        status = os.waitpid(child[0], 0)[1]
+        child[0] = None
+    return data if status == 0 else None
+
+
+def _kill(child) -> None:
+    """Kill and reap a child from ``_fork`` that ``_join`` has not reaped."""
+    pid, fd = child
+    if fd is not None:
+        os.close(fd)
+    if pid is not None:
+        os.kill(pid, 9)  # SIGKILL
+        os.waitpid(pid, 0)
 
 
 def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,

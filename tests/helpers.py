@@ -6,13 +6,19 @@ production implementations they check.
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from accesskit.data_model import Dataset, DemandSite, SupplySite
 from accesskit.decay import DecaySpec
 from accesskit.travel import TravelMatrix
+
+# worker processes are forked on Linux only; elsewhere ``threads`` runs in one process
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or os.uname().sysname != "Linux",
+                                reason="worker processes run on Linux only")
 
 
 def planar_dataset(demand_xy, populations, supply_xy, capacities):

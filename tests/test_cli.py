@@ -1,7 +1,9 @@
 import csv
 import gc
 import json
+import os
 import re
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -12,14 +14,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from accesskit import cli, fca, travel
+from accesskit import cli, fca, optimize, spatial_stats, travel
 from accesskit.cli import main
 from accesskit.data_model import DemandSite, demand_csv_text
 from accesskit.optimize import CHUNK
 from accesskit.synth import synthetic_city, write_city
 from accesskit.travel import TravelMatrix
 
-from helpers import traced_peak
+from helpers import needs_fork, traced_peak
 
 
 def write_files(tmp_path, *, decay=None, extra=None):
@@ -334,6 +336,7 @@ OVERFLOWING_CAPTURE = "id,lon,lat,population\n" + "".join(
 UNDERFLOWING_DENSITY = "id,area_km2,resource,population\n" + "".join(
     f"r{k:02d},1e150,1e-310,100\n" for k in range(CITY["n_regions"]))
 HRAD_HEAD = "id,area_km2,resource,population\n"
+NEGATIVE_BAND = {"scheme": "distance_band", "band": -1.0}
 
 
 def reencoded_config_argv(tmp_path, encoding):
@@ -538,6 +541,23 @@ def a_file(tmp_path):
                  "cli.ConfigError", None, id="config-not-utf8"),
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t))],
                  "cli.ConfigError", None, id="out-is-a-file"),
+    # the plan's errors at one thread, and from a worker process at two
+    pytest.param(lambda t: report_argv(t, budget=0) + ["--threads", "1"],
+                 "cli.ConfigError", None, id="report-budget-0"),
+    pytest.param(lambda t: report_argv(t, budget=0) + ["--threads", "2"],
+                 "cli.ConfigError", None, id="report-budget-0-threads-2"),
+    pytest.param(lambda t: report_argv(t, unit_size=-1) + ["--threads", "2"],
+                 "optimize.NonPositiveUnitSize", None, id="config-unit-size-negative-threads-2"),
+    pytest.param(lambda t: report_argv(t, candidates=["h00", "zz"]) + ["--threads", "1"],
+                 "cli.ConfigError", None, id="report-unknown-candidate"),
+    pytest.param(lambda t: report_argv(t, candidates=["h00", "zz"]) + ["--threads", "2"],
+                 "cli.ConfigError", None, id="report-unknown-candidate-threads-2"),
+    # a bad band fails before the plan, at any thread count
+    pytest.param(lambda t: report_argv(t, weights=NEGATIVE_BAND, budget=0) + ["--threads", "1"],
+                 "spatial_stats.InvalidStatArgument", None, id="report-band-negative-budget-0"),
+    pytest.param(lambda t: report_argv(t, weights=NEGATIVE_BAND, budget=0) + ["--threads", "2"],
+                 "spatial_stats.InvalidStatArgument", None,
+                 id="report-band-negative-budget-0-threads-2"),
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t) / "sub")],
                  "cli.ConfigError", None, id="out-under-a-file"),
 ])
@@ -550,7 +570,7 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, arg
     # ``out`` goes first, so a row's own --out wins
     assert main([command, "--out", str(out), *rest]) == 2
     err = capsys.readouterr().err
-    assert f"error: {code}: " in err
+    assert f"error: {code}: " in err and err.count("error: ") == 1
     if row is not None:
         assert f"row {row}: " in err
     assert not out.exists()
@@ -648,6 +668,78 @@ def test_report_evaluates_the_decay_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fca, "evaluate_decay", counting)
     assert main(report_argv(tmp_path) + ["--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def full_od_argv(tmp_path, **config):
+    """``report`` reading costs from an OD table of every pair, 1 to 40 minutes."""
+    city = synthetic_city(**CITY)
+    rows = "".join(f"{d.id},{s.id},{1 + (7 * i + 3 * j) % 40}\n"
+                   for i, d in enumerate(city.demand) for j, s in enumerate(city.supply))
+    return report_argv(tmp_path, [("od.csv", "demand_id,supply_id,cost\n" + rows)],
+                       od_matrix="od.csv", **config)
+
+
+def output_bytes(out):
+    """Every output file but the config echo, which records the thread count."""
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.name != "config.json"}
+
+
+@needs_fork
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(lambda t, objective=objective: report_argv(t, objective=objective),
+                   id=objective) for objective in optimize.OBJECTIVES),
+    pytest.param(lambda t: full_od_argv(t, objective="min_weighted_gini"), id="od-table"),
+])
+def test_report_plan_worker_writes_the_files_of_one_thread(tmp_path, workers, monkeypatch,
+                                                          argv):
+    argv = argv(tmp_path)
+    calls, greedy = [], optimize.greedy_allocate  # a worker's calls are not recorded here
+    monkeypatch.setattr(optimize, "greedy_allocate",
+                        lambda problem: calls.append(None) or greedy(problem))
+    assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+    assert workers.forks == 0 and len(calls) == 1
+    assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
+    assert workers.forks == 3  # one each for the plan, Moran's permutations and LISA's units
+    assert workers.statuses == [0, 0, 0] and len(calls) == 1
+    one = output_bytes(tmp_path / "one")
+    assert "plan.json" in one and output_bytes(tmp_path / "two") == one
+
+
+@needs_fork
+def test_a_failed_plan_worker_has_its_plan_computed_here(tmp_path, workers, monkeypatch):
+    argv = report_argv(tmp_path, objective="min_weighted_gini")
+    assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+    parent, greedy = os.getpid(), optimize.greedy_allocate
+    monkeypatch.setattr(optimize, "greedy_allocate",
+                        lambda problem: os._exit(1) if os.getpid() != parent else greedy(problem))
+    assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
+    assert workers.forks == 3
+    assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [0, 0, 1]
+    assert output_bytes(tmp_path / "two") == output_bytes(tmp_path / "one")
+
+
+@needs_fork
+def test_a_raise_here_kills_and_reaps_the_plan_worker(tmp_path, workers, monkeypatch):
+    parent, greedy = os.getpid(), optimize.greedy_allocate
+
+    def slow(problem):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return greedy(problem)
+
+    def failing(*args, **kwargs):
+        raise LookupError("lisa failed")
+
+    monkeypatch.setattr(optimize, "greedy_allocate", slow)
+    monkeypatch.setattr(spatial_stats, "lisa", failing)
+    out = tmp_path / "out"
+    start = time.monotonic()
+    with pytest.raises(LookupError, match="lisa failed"):
+        main(report_argv(tmp_path) + ["--threads", "2", "--out", str(out)])
+    assert time.monotonic() - start < 30
+    assert workers.forks == 2  # the plan's, then Moran's
+    assert workers.statuses[0] == 0 and os.WIFSIGNALED(workers.statuses[1])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("loader, argv", [
@@ -859,8 +951,15 @@ def with_cycles(text, cycles, signs=(False,)):
                                      "value": [1.0], "value_sign": [False],
                                      "cost": [0.0, 5e-324, 1.7e308], "unit_size": 1.0,
                                      "speed": 1.0})
-def test_extreme_magnitudes_exit_0_with_finite_outputs_or_exit_2(small_city, capsys, command,
-                                                                 sizes):
+# a unit so large that a candidate's capacity overflows: the plan fails, in a worker at 2 threads
+@example(command="report", sizes={"population": [1.0], "capacity": [1.0], "area_km2": [1.0],
+                                  "resource": [1.0], "region_population": [1.0], "value": [1.0],
+                                  "value_sign": [False], "cost": [1.0], "unit_size": 1.7e308,
+                                  "speed": 1.0})
+def test_extreme_magnitudes_exit_0_with_finite_outputs_or_exit_2(
+        small_city, capsys, monkeypatch, command, sizes):
+    # two CPUs, so that a report at --threads 2 computes its plan in a worker process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     city = small_city.parent
     with TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -891,6 +990,11 @@ def test_extreme_magnitudes_exit_0_with_finite_outputs_or_exit_2(small_city, cap
         capsys.readouterr()
         code = main(argv + ["--out", str(out)])
         err = capsys.readouterr().err
+        if command.startswith("report"):
+            # the plan from a worker process: the same exit, diagnostics and files
+            assert main(argv + ["--threads", "2", "--out", str(tmp / "out-2")]) == code
+            assert capsys.readouterr().err == err
+            assert output_bytes(tmp / "out-2") == output_bytes(out)
         if code == 2:
             errors = [line for line in err.splitlines() if line.startswith("error: ")]
             assert len(errors) == 1 and re.match(r"error: [a-z_]+\.[A-Za-z]+: ", errors[0]), err

@@ -1,7 +1,6 @@
 import os
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from accesskit.errors import (
 )
 from accesskit.spatial_stats import (
     SpatialWeights,
+    _join,
     _split,
     _workers,
     build_weights,
@@ -20,7 +20,7 @@ from accesskit.spatial_stats import (
     morans_i,
 )
 
-from helpers import oracle_moran
+from helpers import needs_fork, oracle_moran
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 CHECKERBOARD = [1.0, 0.0, 0.0, 1.0]  # diagonal pairs equal
@@ -41,34 +41,6 @@ def random_case():
     rng = np.random.default_rng(62)
     pts = rng.uniform(0, 100, size=(30, 2))
     return rng.normal(size=30), build_weights(pts, k=5, coord_kind="planar")
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """Two CPUs, whatever the machine has; records each fork and the status
-    of each reaped child, and checks that no child is left behind."""
-    record = SimpleNamespace(forks=0, statuses=[])
-    fork, waitpid = os.fork, os.waitpid
-
-    def counted_fork():
-        record.forks += 1
-        return fork()
-
-    def recorded_waitpid(pid, options):
-        reaped = waitpid(pid, options)
-        record.statuses.append(reaped[1])
-        return reaped
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
-    yield record
-    with pytest.raises(ChildProcessError):
-        waitpid(-1, os.WNOHANG)
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or os.uname().sysname != "Linux",
-                                reason="worker processes run on Linux only")
 
 
 class TestBuildWeights:
@@ -415,6 +387,16 @@ class TestWorkers:
         out = _split(lambda part: np.asarray(part, dtype=float), range(100_000), threads=2)
         assert out.tobytes() == np.arange(100_000.0).tobytes()
         assert workers.forks == 1 and workers.statuses == [0]
+
+    def test_a_child_that_fails_after_writing_gives_no_bytes(self, workers):
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.write(write, b"part of a result")
+            os._exit(1)
+        os.close(write)
+        assert _join([pid, read]) is None
+        assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1]
 
     def test_worker_count_is_capped_without_starting_a_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
