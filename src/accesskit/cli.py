@@ -3,8 +3,8 @@
 Subcommands: access, moran, lisa, hrad, optimize, report. Parameters come
 from the JSON config file if there is one, else the defaults; flags
 override config fields. ``report`` is the other five commands on one run;
-when ``threads`` allows, it computes the plan in one forked worker while
-moran, lisa and hrad run, with the same files and errors as at one thread.
+when ``threads`` allows, it computes the plan in a ``_workers.run`` worker
+while moran, lisa and hrad run, with the files and errors of one thread.
 All output texts are computed before any file is written, each atomically
 (temp file, then rename), so a failing run writes nothing. All randomness
 flows from the single configured seed, making reruns byte-identical.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from . import equity, fca, optimize, spatial_stats
+from . import _workers, equity, fca, optimize, spatial_stats
 from .data_model import load_dataset, load_regions, load_values
 from .decay import DecaySpec
 from .errors import AccessKitError, ConfigError
@@ -102,8 +102,9 @@ class RunConfig:
 
     def apply_overrides(self, args) -> None:
         """Every parsed flag whose dest is a config field wins over the
-        config; without --threads, a set ACCESSKIT_THREADS does."""
-        env = None if "threads" in vars(args) else _env_threads()
+        config; without --threads, a set ACCESSKIT_THREADS does. hrad has no
+        --threads flag, so it never reads the variable."""
+        env = None if "threads" in vars(args) or args.command == "hrad" else _env_threads()
         if env is not None:
             self.threads = env
         for name, value in vars(args).items():
@@ -300,25 +301,23 @@ def cmd_report(run):
     scores, plus ``summary.json`` and the config echo ``config.json``.
 
     The plan reads only the catchment. When ``threads`` allows two workers,
-    a child from ``spatial_stats._fork`` computes ``plan.json`` while this
-    process runs moran, lisa and hrad. If the child cannot be started or
-    fails, the plan is computed here after hrad, as at one thread, so every
-    error and its order are the same at any ``threads``. A raise here kills
-    and reaps the child first.
+    ``_workers.run`` computes ``plan.json`` in a worker while this process
+    runs moran, lisa and hrad. If the worker cannot be started or fails, the
+    plan is computed here after hrad, as at one thread, so every error and
+    its order are the same at any ``threads``.
     """
     dataset = run.dataset
     if dataset.regions is None:
         raise ConfigError("report requires a regions file in the config")
     files = cmd_access(run)[0]
-    plan = [None, None]
-    if spatial_stats._workers(run.cfg.threads, 2) > 1:
-        plan = spatial_stats._fork(lambda: cmd_optimize(run)[0]["plan.json"].encode())
-    try:
+
+    def stats():
         for command in (cmd_moran, cmd_lisa, cmd_hrad):
             files.update(command(run)[0])
-        data = spatial_stats._join(plan)
-    finally:
-        spatial_stats._kill(plan)
+
+    plan = ([lambda: cmd_optimize(run)[0]["plan.json"].encode()]
+            if _workers.count(run.cfg.threads, 2) > 1 else [])
+    data = _workers.run(stats, *plan)[-1]  # stats() is None, as data is without a plan worker
     files.update({"plan.json": data.decode()} if data else cmd_optimize(run)[0])
     scores, lisa = run.access.scores, run.lisa
     files["summary.json"] = _json_text({

@@ -11,20 +11,18 @@ decomposition sum_i I_i = n * I exact.
 
 ``threads`` is the number of worker processes the permutations may use:
 ``_split`` hands contiguous runs of LISA's units or Moran's permutations to
-children made with ``_fork`` (Linux only, capped at the CPUs this process
-may run on). Each unit's and permutation's stream is fixed by its index, so
-the results are identical at any ``threads``. ``_fork``, ``_join`` and
-``_kill`` are the package's one fork, read and reap path: a child returns
-bytes, and ``cli.cmd_report`` computes its plan in such a child too.
+workers started by ``_workers.run`` (Linux only, capped at the CPUs this
+process may run on). Each unit's and permutation's stream is fixed by its
+index, so the results are identical at any ``threads``.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import _workers
 from .data_model import COORD_KINDS, _csv_text
 from .errors import (
     InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance, _finite,
@@ -179,97 +177,23 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     return z, denom
 
 
-def _workers(threads: int, items: int) -> int:
-    """How many parts ``_split`` makes of ``items`` items: ``threads``, capped
-    at the items and at the CPUs this process may run on; 1 off Linux."""
-    if threads <= 1 or not hasattr(os, "fork") or os.uname().sysname != "Linux":
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(threads, items, cpus or 1))
-
-
 def _split(compute, items, threads: int) -> np.ndarray:
     """``compute(part)`` over contiguous parts of ``items``, concatenated.
 
-    ``compute`` returns one float64 per item of its part. The caller computes
-    the first part; each other part runs in a child from ``_fork``. A part
-    whose child cannot be started or fails is recomputed here. No child
-    outlives the call: each is read and reaped before the return, and killed
-    and reaped if this process raises first.
+    ``compute`` returns one float64 per item of its part. This process
+    computes the first part; each other part runs in a ``_workers.run``
+    worker, and is recomputed here if that worker fails or is not started.
     """
-    workers = _workers(threads, len(items))
+    workers = _workers.count(threads, len(items))
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    def floats(part):
-        return np.ascontiguousarray(compute(part), dtype=float)
-
-    children = []
-    try:
-        for part in parts[1:]:
-            children.append(_fork(floats, part))
-        results = [compute(parts[0])]
-        for child, part in zip(children, parts[1:]):
-            data = _join(child)
-            ok = data is not None and len(data) == 8 * len(part)
-            results.append(np.frombuffer(data) if ok else compute(part))
-    finally:
-        for child in children:
-            _kill(child)
-    return np.concatenate(results)
-
-
-def _fork(work, *args) -> list:
-    """A child writing the bytes of ``work(*args)`` to a pipe: ``[pid, read
-    end]``, or ``[None, None]`` if the system cannot start one.
-
-    The child is a bare ``os.fork``: it computes, writes and leaves by
-    ``os._exit``, with no logging, stdio or imports in between, and exits 1
-    if ``work`` raises. Take its bytes with ``_join``, and pass it to
-    ``_kill`` in a ``finally`` so that it never outlives its caller.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return [None, None]
-    if pid == 0:  # the child; os._exit skips the parent's handlers and buffers
-        status = 1
-        try:
-            os.close(read)
-            data = memoryview(work(*args)).cast("B")
-            while data:
-                data = data[os.write(write, data):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return [pid, read]
-
-
-def _join(child) -> bytes | None:
-    """The bytes a child from ``_fork`` wrote, read to the end, and the child
-    reaped; None if it exited other than 0 or was never started."""
-    data, status = None, 1
-    if child[0] is not None:
-        with open(child[1], "rb") as pipe:
-            child[1] = None
-            data = pipe.read()
-        status = os.waitpid(child[0], 0)[1]
-        child[0] = None
-    return data if status == 0 else None
-
-
-def _kill(child) -> None:
-    """Kill and reap a child from ``_fork`` that ``_join`` has not reaped."""
-    pid, fd = child
-    if fd is not None:
-        os.close(fd)
-    if pid is not None:
-        os.kill(pid, 9)  # SIGKILL
-        os.waitpid(pid, 0)
+    first, *data = _workers.run(
+        lambda: compute(parts[0]),
+        *(lambda part=part: np.ascontiguousarray(compute(part), dtype=float)
+          for part in parts[1:]))
+    return np.concatenate([first] + [
+        np.frombuffer(d) if d is not None and len(d) == 8 * len(part) else compute(part)
+        for d, part in zip(data, parts[1:])])
 
 
 def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,

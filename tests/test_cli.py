@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import json
 import os
@@ -576,6 +577,16 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"], ids=["env-threads-text", "env-threads-0"])
+def test_hrad_has_no_threads_and_never_reads_the_variable(tmp_path, monkeypatch, value):
+    argv = hrad_argv(tmp_path, REGIONS)
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("ACCESSKIT_THREADS", value)
+    assert main(argv + ["--out", str(tmp_path / "env")]) == 0
+    assert (tmp_path / "env" / "hrad.csv").read_bytes() == \
+        (tmp_path / "plain" / "hrad.csv").read_bytes()
+
+
 def test_subnormal_speed_exits_0_with_every_facility_out_of_reach(tmp_path, capsys):
     # each nonzero distance overflows to +inf minutes, which is unreachable,
     # without a RuntimeWarning, which the test configuration makes an error
@@ -715,6 +726,20 @@ def test_a_failed_plan_worker_has_its_plan_computed_here(tmp_path, workers, monk
     assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
     assert workers.forks == 3
     assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [0, 0, 1]
+    assert output_bytes(tmp_path / "two") == output_bytes(tmp_path / "one")
+
+
+@needs_fork
+def test_report_without_a_pipe_writes_the_files_of_one_thread(tmp_path, workers, monkeypatch):
+    argv = report_argv(tmp_path)
+    assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
+    assert workers.forks == 0
     assert output_bytes(tmp_path / "two") == output_bytes(tmp_path / "one")
 
 

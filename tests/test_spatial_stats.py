@@ -10,9 +10,7 @@ from accesskit.errors import (
 )
 from accesskit.spatial_stats import (
     SpatialWeights,
-    _join,
     _split,
-    _workers,
     build_weights,
     lisa,
     lisa_csv_text,
@@ -381,49 +379,6 @@ class TestWorkers:
         assert time.monotonic() - start < 30
         assert workers.forks == 3
         assert [os.WIFSIGNALED(s) for s in workers.statuses] == [True] * 3
-
-    def test_a_part_larger_than_a_pipe_buffer_is_read_whole(self, workers):
-        # the child's half is 400 kB, several times what a pipe holds
-        out = _split(lambda part: np.asarray(part, dtype=float), range(100_000), threads=2)
-        assert out.tobytes() == np.arange(100_000.0).tobytes()
-        assert workers.forks == 1 and workers.statuses == [0]
-
-    def test_a_child_that_fails_after_writing_gives_no_bytes(self, workers):
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            os.write(write, b"part of a result")
-            os._exit(1)
-        os.close(write)
-        assert _join([pid, read]) is None
-        assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1]
-
-    def test_worker_count_is_capped_without_starting_a_process(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert [_workers(t, items) for t, items in
-                ((10**6, 1000), (10**6, 1), (1, 1000), (0, 1000), (2, 0))] == [2, 1, 1, 1, 1]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert _workers(3, 1000) == 3
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert _workers(10**6, 1000) == 5
-        monkeypatch.delattr(os, "fork")
-        assert _workers(10**6, 1000) == 1
-
-    def test_without_a_fork_every_part_is_computed_here(self, monkeypatch):
-        values, w = random_case()
-        one = lisa(values, w, n_permutations=99, seed=4, threads=1)
-        calls = []
-
-        def no_fork():
-            calls.append(None)
-            raise BlockingIOError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", no_fork)
-        many = lisa(values, w, n_permutations=99, seed=4, threads=10**6)
-        assert len(calls) == 1  # one part per CPU; this process computes the first
-        assert many.p_value.tobytes() == one.p_value.tobytes()
 
 
 class TestOutputs:
