@@ -3,8 +3,9 @@
 Subcommands: access, moran, lisa, hrad, optimize, report. Parameters come
 from the JSON config file if there is one, else the defaults; flags
 override config fields. ``report`` is the other five commands on one run;
-when ``threads`` allows, it computes the plan in a ``_workers.run`` worker
-while moran, lisa and hrad run, with the files and errors of one thread.
+when ``threads`` allows, it builds the spatial weights in a ``_workers.run``
+worker while the catchment runs, and computes the plan in another while
+moran, lisa and hrad run, with the files and errors of one thread.
 All output texts are computed before any file is written, each atomically
 (temp file, then rename), so a failing run writes nothing. All randomness
 flows from the single configured seed, making reruns byte-identical.
@@ -19,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from . import _workers, equity, fca, optimize, spatial_stats
 from .data_model import load_dataset, load_regions, load_values
@@ -37,6 +40,10 @@ def _env_threads() -> int | None:
         return int(raw)
     except ValueError:
         raise ConfigError(f"ACCESSKIT_THREADS must be an integer, got {raw!r}") from None
+
+
+# the commands that start worker processes, and so take --threads
+_THREADED = ("moran", "lisa", "report")
 
 
 def _typed(name: str, value, annotation):
@@ -102,9 +109,11 @@ class RunConfig:
 
     def apply_overrides(self, args) -> None:
         """Every parsed flag whose dest is a config field wins over the
-        config; without --threads, a set ACCESSKIT_THREADS does. hrad has no
-        --threads flag, so it never reads the variable."""
-        env = None if "threads" in vars(args) or args.command == "hrad" else _env_threads()
+        config; without --threads, a set ACCESSKIT_THREADS does. Only the
+        commands that start workers, moran, lisa and report, take --threads
+        and read the variable."""
+        env = (None if "threads" in vars(args) or args.command not in _THREADED
+               else _env_threads())
         if env is not None:
             self.threads = env
         for name, value in vars(args).items():
@@ -166,6 +175,7 @@ class Run:
         self.cfg.apply_overrides(args)
         self.cfg.validate()
         self.out = Path(self.cfg.out)
+        self.weights_data = None  # the spatial weights from report's worker, if any
         self.permutation_args = {"n_permutations": self.cfg.permutations,
                                  "seed": self.cfg.seed, "threads": self.cfg.threads}
 
@@ -210,8 +220,12 @@ class Run:
 
     @cached_property
     def weights(self):
+        """The spatial weights: decoded from ``weights_data`` when it holds
+        them, else built here."""
         ids, locations, coord_kind, _ = self.stat_input
-        weights = self.cfg.spatial_weights(locations, coord_kind)
+        weights = _decoded_weights(self.weights_data, len(locations))
+        if weights is None:
+            weights = self.cfg.spatial_weights(locations, coord_kind)
         for i in weights.isolated:
             print(f"warning: unit {ids[i]} has no neighbors in the distance band",
                   file=sys.stderr)
@@ -250,6 +264,29 @@ class Run:
             unit_size=cfg.unit_size, objective=cfg.objective,
         )
         return problem, optimize.local_search_improve(problem, optimize.greedy_allocate(problem))
+
+
+def _weights_bytes(weights) -> bytes:
+    """The arrays of ``weights`` as bytes, 8 per entry: ``indptr``, then
+    ``indices`` and ``data``."""
+    return b"".join((weights.indptr.astype(np.int64).tobytes(),
+                     weights.indices.astype(np.int64).tobytes(), weights.data.tobytes()))
+
+
+def _decoded_weights(data, n: int):
+    """The weights of ``n`` units whose ``_weights_bytes`` are ``data``, or
+    None when ``data`` is None or not of the length those arrays give."""
+    if data is None or len(data) < 8 * (n + 1):
+        return None
+    indptr = np.frombuffer(data, np.int64, n + 1)
+    nnz, at = int(indptr[-1]), 8 * (n + 1)
+    if len(data) != at + 16 * nnz:
+        return None
+    indices = np.frombuffer(data, np.int64, nnz, at)
+    weights = np.frombuffer(data, float, nnz, at + 8 * nnz)
+    # copies: arrays of their own, of the dtypes build_weights gives
+    return spatial_stats.SpatialWeights(indptr=indptr.astype(np.intp),
+                                        indices=indices.astype(np.intp), data=weights.copy())
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -300,23 +337,31 @@ def cmd_report(run):
     """The files of access, moran, lisa, hrad and optimize on the access
     scores, plus ``summary.json`` and the config echo ``config.json``.
 
-    The plan reads only the catchment. When ``threads`` allows two workers,
-    ``_workers.run`` computes ``plan.json`` in a worker while this process
-    runs moran, lisa and hrad. If the worker cannot be started or fails, the
-    plan is computed here after hrad, as at one thread, so every error and
-    its order are the same at any ``threads``.
+    The spatial weights need only the demand sites, and the plan only the
+    catchment. When ``threads`` allows two workers, ``_workers.run`` builds
+    the weights in a worker while this process computes the catchment and
+    the access scores, and then ``plan.json`` in another while this process
+    runs moran, lisa and hrad. If a worker cannot be started or fails, its
+    result is computed here where one thread computes it, so every error,
+    warning and their order are the same at any ``threads``.
     """
     dataset = run.dataset
     if dataset.regions is None:
         raise ConfigError("report requires a regions file in the config")
-    files = cmd_access(run)[0]
+    threaded = _workers.count(run.cfg.threads, 2) > 1
+    if threaded:
+        files, run.weights_data = _workers.run(
+            lambda: cmd_access(run)[0],
+            lambda: _weights_bytes(run.cfg.spatial_weights(dataset.demand.xy,
+                                                           dataset.coord_kind)))
+    else:
+        files = cmd_access(run)[0]
 
     def stats():
         for command in (cmd_moran, cmd_lisa, cmd_hrad):
             files.update(command(run)[0])
 
-    plan = ([lambda: cmd_optimize(run)[0]["plan.json"].encode()]
-            if _workers.count(run.cfg.threads, 2) > 1 else [])
+    plan = [lambda: cmd_optimize(run)[0]["plan.json"].encode()] if threaded else []
     data = _workers.run(stats, *plan)[-1]  # stats() is None, as data is without a plan worker
     files.update({"plan.json": data.decode()} if data else cmd_optimize(run)[0])
     scores, lisa = run.access.scores, run.lisa
@@ -411,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         p.add_argument("--out")
-        if name != "hrad":
+        if name in _THREADED:
             p.add_argument("--threads", type=int)
     return parser
 

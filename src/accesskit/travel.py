@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, DemandTable, SupplyTable, _parse_float, _read_table
+from .data_model import (
+    Dataset, DemandTable, SupplyTable, _parse_float, _read_plain, _read_table,
+)
 from .errors import (
     AccessKitError,
     DuplicatePair,
@@ -226,12 +228,35 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
 
     Rows are read into flat indices ``i * len(supply) + j`` and costs;
     repeated pairs and NaN or negative costs are found with array checks
-    once the rows are in. The error names the first defective row of the
-    file, whatever its defect.
+    once the rows are in. A plain CSV table is read in bulk, any other row
+    by row. The error names the first defective row of the file, whatever
+    its defect.
     """
     d_index = {sid: i for i, sid in enumerate(DemandTable.of(demand).ids)}
     s_index = {sid: j for j, sid in enumerate(SupplyTable.of(supply).ids)}
     shape = (len(d_index), len(s_index))
+    pairs, costs = array("q"), array("d")
+
+    def parse(d_ids, s_ids, cells):
+        flat = _indices(d_index, d_ids) * shape[1] + _indices(s_index, s_ids)
+        pairs.frombytes(flat.tobytes())
+        costs.extend(map(float, cells))
+
+    if not _read_plain(path, _OD_COLUMNS, parse):
+        pairs, costs = _read_rows(path, d_index, s_index, shape)
+    cost = _cost_matrix(path, pairs, costs, shape)
+    cost.flags.writeable = False  # TravelMatrix takes it over without a copy
+    return TravelMatrix(cost=cost, unit=unit)
+
+
+def _indices(index, ids) -> np.ndarray:
+    """The position of each of ``ids`` in ``index``; KeyError for an unknown one."""
+    return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+
+
+def _read_rows(path, d_index, s_index, shape):
+    """The flat pair indices and the costs of an OD table read row by row,
+    as arrays; the first defective row raises its error."""
     m = shape[1]
     pairs, costs = array("q"), array("d")
     add_pair, add_cost = pairs.append, costs.append
@@ -253,9 +278,7 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
     except AccessKitError:  # the reader's, from a row after those read
         _cost_matrix(path, pairs, costs, shape)
         raise
-    cost = _cost_matrix(path, pairs, costs, shape)
-    cost.flags.writeable = False  # TravelMatrix takes it over without a copy
-    return TravelMatrix(cost=cost, unit=unit)
+    return pairs, costs
 
 
 def _known(site_id, index) -> bool:

@@ -587,6 +587,20 @@ def test_hrad_has_no_threads_and_never_reads_the_variable(tmp_path, monkeypatch,
         (tmp_path / "plain" / "hrad.csv").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"], ids=["env-threads-text", "env-threads-0"])
+def test_access_and_optimize_never_read_the_variable(tmp_path, monkeypatch, value):
+    for argv, name in ((["access", *report_argv(tmp_path)[1:3]], "scores.csv"),
+                       (optimize_argv(tmp_path), "plan.json")):
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+        with monkeypatch.context() as env:
+            env.setenv("ACCESSKIT_THREADS", value)
+            assert main(argv + ["--out", str(tmp_path / "env")]) == 0
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        # neither starts a worker, so neither takes the flag
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv + ["--threads", "2"])
+
+
 def test_subnormal_speed_exits_0_with_every_facility_out_of_reach(tmp_path, capsys):
     # each nonzero distance overflows to +inf minutes, which is unreachable,
     # without a RuntimeWarning, which the test configuration makes an error
@@ -710,8 +724,9 @@ def test_report_plan_worker_writes_the_files_of_one_thread(tmp_path, workers, mo
     assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
     assert workers.forks == 0 and len(calls) == 1
     assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
-    assert workers.forks == 3  # one each for the plan, Moran's permutations and LISA's units
-    assert workers.statuses == [0, 0, 0] and len(calls) == 1
+    # one each for the weights, the plan, Moran's permutations and LISA's units
+    assert workers.forks == 4
+    assert workers.statuses == [0, 0, 0, 0] and len(calls) == 1
     one = output_bytes(tmp_path / "one")
     assert "plan.json" in one and output_bytes(tmp_path / "two") == one
 
@@ -724,8 +739,8 @@ def test_a_failed_plan_worker_has_its_plan_computed_here(tmp_path, workers, monk
     monkeypatch.setattr(optimize, "greedy_allocate",
                         lambda problem: os._exit(1) if os.getpid() != parent else greedy(problem))
     assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
-    assert workers.forks == 3
-    assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [0, 0, 1]
+    assert workers.forks == 4
+    assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [0, 0, 0, 1]
     assert output_bytes(tmp_path / "two") == output_bytes(tmp_path / "one")
 
 
@@ -762,9 +777,66 @@ def test_a_raise_here_kills_and_reaps_the_plan_worker(tmp_path, workers, monkeyp
     with pytest.raises(LookupError, match="lisa failed"):
         main(report_argv(tmp_path) + ["--threads", "2", "--out", str(out)])
     assert time.monotonic() - start < 30
-    assert workers.forks == 2  # the plan's, then Moran's
-    assert workers.statuses[0] == 0 and os.WIFSIGNALED(workers.statuses[1])
+    assert workers.forks == 3  # the weights', the plan's, then Moran's
+    # the weights' and Moran's workers reaped as they finished, the plan's killed
+    assert workers.statuses[:2] == [0, 0] and os.WIFSIGNALED(workers.statuses[2])
     assert not out.exists()
+
+
+BAND_WITH_ISOLATED_UNITS = {"scheme": "distance_band", "band": 2.0}  # 20 of CITY's 60
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["exits-1", "short-bytes"])
+def test_a_failed_weights_worker_has_its_weights_built_here(tmp_path, workers, monkeypatch,
+                                                            capsys, failure):
+    argv = report_argv(tmp_path, weights=BAND_WITH_ISOLATED_UNITS)
+    assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("has no neighbors in the distance band") == 20
+    parent, build, encode = os.getpid(), spatial_stats.build_weights, cli._weights_bytes
+    if failure == "exits-1":
+        monkeypatch.setattr(spatial_stats, "build_weights", lambda *args, **kwargs: (
+            os._exit(1) if os.getpid() != parent else build(*args, **kwargs)))
+    else:  # one entry short
+        monkeypatch.setattr(cli, "_weights_bytes", lambda weights: encode(weights)[:-8])
+    assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
+    assert capsys.readouterr().err == err
+    assert workers.forks == 4
+    assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == \
+        [1 if failure == "exits-1" else 0, 0, 0, 0]
+    assert output_bytes(tmp_path / "two") == output_bytes(tmp_path / "one")
+
+
+@pytest.mark.parametrize("weights", [{"k": 4}, {"band": 2.0}], ids=["knn", "band-isolated"])
+def test_decoded_weights_are_the_built_weights_bit_for_bit(weights):
+    city = synthetic_city(**CITY)
+    built = spatial_stats.build_weights([(s.x, s.y) for s in city.demand],
+                                        coord_kind=city.coord_kind, **weights)
+    assert "band" not in weights or len(built.isolated) == 20
+    data = cli._weights_bytes(built)
+    decoded = cli._decoded_weights(data, len(city.demand))
+    for name in ("indptr", "indices", "data"):
+        want, got = getattr(built, name), getattr(decoded, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert got.flags.writeable and got.flags.owndata, name
+    for bad in (None, data[:-8], data + bytes(8), data[:8 * len(city.demand)]):
+        assert cli._decoded_weights(bad, len(city.demand)) is None
+    assert cli._decoded_weights(data, len(city.demand) + 1) is None
+
+
+@needs_fork
+def test_a_bad_od_table_is_reported_before_bad_weights_at_any_threads(tmp_path, workers,
+                                                                      capsys):
+    argv = report_argv(tmp_path, [("od.csv", OD + "zz,h00,1.0\n")], od_matrix="od.csv",
+                       weights={"scheme": "rook"})
+    errs = []
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 2
+        errs.append(capsys.readouterr().err)
+        assert not (tmp_path / threads).exists()
+    assert errs[0] == errs[1] == "error: travel.UnknownId: row 3: unknown demand id 'zz'\n"
+    assert workers.forks == 1  # the weights' worker, killed or reaped as the load raised
 
 
 @pytest.mark.parametrize("loader, argv", [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from accesskit import data_model
 from accesskit.data_model import (
     Dataset,
     DemandSite,
@@ -289,7 +290,10 @@ def row_by_row(path, record, value, coord_kind):
             rows.append((row_num, row))
     else:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(enumerate(csv.DictReader(fh), start=2))
+            try:
+                rows = list(enumerate(csv.DictReader(fh), start=2))
+            except csv.Error as err:  # a NUL before Python 3.11
+                raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
     records, seen = [], set()
     for row_num, row in rows:
         for col in columns:
@@ -327,7 +331,8 @@ def outcome(load):
 
 # cells a row-by-row reading takes or rejects; the loader must agree on each
 ODD_CELLS = ("nan", "-inf", "inf", "1e400", "1_0", " 2 ", "", "x", "-4", "0", "-0.0",
-             "5e-324", "200", "-95", "1e309", "-180", "90", "90.00000000000001")
+             "5e-324", "200", "-95", "1e309", "-180", "90", "90.00000000000001",
+             "1_000.5", "\uff15", "\u0663.5", "1\0")
 ODD_JSON = (True, False, None, [1], {"a": 1}, 10 ** 400, 7, "nan", "1_0", " 2 ", "1e400")
 ID_CHARS = "ab1"
 
@@ -336,7 +341,8 @@ ID_CHARS = "ab1"
 def site_tables(draw):
     """A CSV or GeoJSON demand or supply table: valid rows, then zero or
     more defects (odd cells, repeated ids, out-of-range coordinates, blank
-    and short CSV rows)."""
+    and short CSV rows), and for half the CSV tables a ``write_site_table``
+    layout (line ends, final newline, a repeated column, quoted ids)."""
     kind = draw(st.sampled_from(["demand", "supply"]))
     coord_kind = draw(st.sampled_from(["geographic", "planar"]))
     geojson = draw(st.booleans())
@@ -359,10 +365,18 @@ def site_tables(draw):
             inserted.append((k, [] if defect == "blank" else rows[k][:draw(st.integers(1, 3))]))
     for k, row in sorted(inserted, key=lambda pair: -pair[0]):
         rows.insert(k, row)
-    return kind, coord_kind, geojson, rows
+    layout = {} if geojson or draw(st.booleans()) else draw(st.fixed_dictionaries({
+        "newline": st.sampled_from(("\n", "\r\n")), "final_newline": st.booleans(),
+        "repeat": st.sampled_from((None, 0, 1, 2, 3)), "quote_ids": st.booleans()}))
+    return kind, coord_kind, geojson, rows, layout
 
 
-def write_site_table(directory, kind, coord_kind, geojson, rows):
+def write_site_table(directory, kind, coord_kind, geojson, rows, newline="\n",
+                     final_newline=True, repeat=None, quote_ids=False):
+    """The table's file. A CSV table's lines end in ``newline``, the last
+    one too if ``final_newline``; the column at position ``repeat``, if
+    any, is named again at the end of the header, and the first occurrence
+    of a full row's cell holds junk; ``quote_ids`` quotes every id."""
     value = "population" if kind == "demand" else "capacity"
     cx, cy = ("lon", "lat") if coord_kind == "geographic" else ("x", "y")
     if geojson:
@@ -370,11 +384,21 @@ def write_site_table(directory, kind, coord_kind, geojson, rows):
         path.write_text(json.dumps({"type": "FeatureCollection", "features": [
             {"type": "Feature", "geometry": {"type": "Point", "coordinates": [x, y]},
              "properties": {"id": i, value: v}} for i, x, y, v in rows]}), encoding="utf-8")
-    else:
-        path = directory / f"{kind}.csv"
-        path.write_text(f"id,{cx},{cy},{value}\n" + "".join(
-            ",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n" for row in rows),
-            encoding="utf-8")
+        return path
+    header = ["id", cx, cy, value]
+    lines = []
+    for row in [header, *rows]:
+        cells = [c if isinstance(c, str) else repr(c) for c in row]
+        if quote_ids and row is not header and cells:
+            cells[0] = f'"{cells[0]}"'
+        if repeat is not None and len(cells) == len(header):
+            cells.append(cells[repeat])
+            if row is not header:
+                cells[repeat] = "junk"
+        lines.append(",".join(cells))
+    path = directory / f"{kind}.csv"
+    path.write_text(newline.join(lines) + (newline if final_newline else ""),
+                    encoding="utf-8", newline="")
     return path
 
 
@@ -391,12 +415,13 @@ def write_site_table(directory, kind, coord_kind, geojson, rows):
 @example(table=("demand", "geographic", False, [["a", 1.0, 2.0, 5.0], ["a", "x", 2.0, 5.0]]))
 @example(table=("demand", "planar", False, [["a", 1.0, 2.0, "1e400"], [], ["b", 1.0]]))
 def test_columnar_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
-    kind, coord_kind, geojson, rows = table
+    kind, coord_kind, geojson, rows = table[:4]
+    layout = table[4] if len(table) > 4 else {}
     record, value = (DemandSite, "population") if kind == "demand" else (SupplySite, "capacity")
     load = load_demand if kind == "demand" else load_supply
     with TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        path = write_site_table(tmp, kind, coord_kind, geojson, rows)
+        path = write_site_table(tmp, kind, coord_kind, geojson, rows, **layout)
         other = write_site_table(tmp, "supply" if kind == "demand" else "demand", coord_kind,
                                  False, [["z", 1.0, 2.0, 3.0]])
         paths = (path, other) if kind == "demand" else (other, path)
@@ -406,6 +431,58 @@ def test_columnar_loader_takes_and_rejects_what_a_row_by_row_reading_does(table)
         dataset = outcome(lambda: getattr(load_dataset(*paths, coord_kind=coord_kind), kind))
         assert dataset == (want or ("data_model.NoRecords",
                                     "dataset needs at least one demand and one supply site"))
+
+
+class TestBulkReader:
+    """A plain CSV site table is read in bulk; anything else, row by row,
+    with the errors a row-by-row reading gives."""
+
+    TEXT = "id,lon,lat,population\n" + "".join(
+        f"d{k},{k / 7!r},{k / 11!r},{k}\n" for k in range(40))
+
+    def test_a_plain_table_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        demand = write(tmp_path, "d.csv", self.TEXT)
+        supply = write(tmp_path, "s.csv", "id,lon,lat,capacity\nh1,1,2,3\n")
+        want = load_demand(demand), load_supply(supply)
+        monkeypatch.setattr(data_model, "_read_table", lambda *args, **kwargs: 1 / 0)
+        assert (load_demand(demand), load_supply(supply)) == want and len(want[0]) == 40
+        assert load_dataset(demand, supply).demand == DemandTable.of(want[0])
+
+    def test_a_cell_past_the_field_size_limit_is_the_row_loops_error(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = write(tmp_path, "d.csv", self.TEXT + f"{'d' * (limit + 1)},1,2,3\n")
+        with pytest.raises(MalformedRow, match=f"field larger than field limit \\({limit}\\)"):
+            load_demand(path)
+        # a line past the limit whose cells are all within it is read
+        cell = "d" * (limit // 2)
+        path = write(tmp_path, "d.csv", f"id,lon,lat,population,note\n{cell},1,2,3,{cell}\n")
+        assert load_demand(path) == [DemandSite(cell, 1.0, 2.0, 3.0)]
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda lines: lines.__setitem__(30, "d29,1,2,x"), "MalformedRow"),
+        (lambda lines: lines.__setitem__(30, "d29,1,2,-4"), "NegativePopulation"),
+        (lambda lines: lines.__setitem__(30, "d3,1,2,3"), "DuplicateId"),
+        (lambda lines: lines.__setitem__(30, "d29,1,95,3"), "OutOfRangeCoordinate"),
+        (lambda lines: lines.__setitem__(30, '"d29",1,2,3'), None),
+        (lambda lines: lines.insert(20, ""), None),
+        (lambda lines: (lines.insert(20, ""), lines.__setitem__(31, "d29,1,2,-4")),
+         "NegativePopulation"),
+    ], ids=["unparsed", "negative", "repeat", "out-of-range", "quoted", "blank-line",
+            "blank-line-then-negative"])
+    def test_a_defect_in_a_later_block_names_the_row_of_the_row_loop(self, tmp_path,
+                                                                      monkeypatch, edit, error):
+        lines = self.TEXT.splitlines()
+        edit(lines)  # row 31 is well past the first block of 100 characters
+        path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+        monkeypatch.setattr(data_model, "_read_plain", lambda *args: None)
+        want = outcome(lambda: load_demand(path))
+        monkeypatch.undo()
+        monkeypatch.setattr(data_model, "CSV_BLOCK", 100)
+        assert outcome(lambda: load_demand(path)) == want
+        if error is None:
+            assert len(want) == 40
+        else:
+            assert want[0] == f"data_model.{error}" and want[1].startswith("row 31: ")
 
 
 class TestSiteTables:

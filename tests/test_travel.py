@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from accesskit import travel
+from accesskit import data_model, travel
 from accesskit.data_model import Dataset, DemandSite, SupplySite
 from accesskit.errors import (
     DuplicatePair, MalformedRow, MetricMismatch, NegativeCost, NonPositiveSpeed, UnknownId,
@@ -270,8 +270,12 @@ class TestLoadOdMatrix:
 
 OD_DEMAND = ("d0", "d,1", 'd"2', "d 3")
 OD_SUPPLY = ("h0", "h,1", "h2")
+# ids that need no quoting, for tables the bulk reader takes
+PLAIN_DEMAND, PLAIN_SUPPLY = ("d0", "d 3"), ("h0", "h2")
 OD_DEFECTS = ("unknown-demand", "unknown-supply", "repeat", "negative", "nan",
-              "not-a-number", "short")
+              "not-a-number", "nul", "short")
+# costs float() reads, written in forms other than its own
+ODD_COSTS = ("1_0", "1_000.5", " 2 ", "\u0663", "\uff15.5", "-0.0")
 
 
 def od_sites():
@@ -284,62 +288,82 @@ def od_sites():
 
 def reference_od(path):
     """Each row checked in turn, in file order: the matrix, or the class and
-    row of the first defect."""
+    row of the first defect (row None for a file the csv module rejects)."""
     d_index = {d: i for i, d in enumerate(OD_DEMAND)}
     s_index = {s: j for j, s in enumerate(OD_SUPPLY)}
     cost = np.full((len(OD_DEMAND), len(OD_SUPPLY)), np.inf)
     filled = np.zeros(cost.shape, dtype=bool)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row_num, row in enumerate(csv.DictReader(fh), start=2):
-            if row["demand_id"] not in d_index or row["supply_id"] not in s_index:
-                return UnknownId, row_num
-            i, j = d_index[row["demand_id"]], s_index[row["supply_id"]]
-            if filled[i, j]:
-                return DuplicatePair, row_num
-            try:
-                c = float(row["cost"])
-            except (TypeError, ValueError):
-                return MalformedRow, row_num
-            if not c >= 0:
-                return NegativeCost, row_num
-            cost[i, j], filled[i, j] = c, True
+        try:
+            rows = list(csv.DictReader(fh))
+        except csv.Error:  # a NUL before Python 3.11
+            return MalformedRow, None
+    for row_num, row in enumerate(rows, start=2):
+        if row["demand_id"] not in d_index or row["supply_id"] not in s_index:
+            return UnknownId, row_num
+        i, j = d_index[row["demand_id"]], s_index[row["supply_id"]]
+        if filled[i, j]:
+            return DuplicatePair, row_num
+        try:
+            c = float(row["cost"])
+        except (TypeError, ValueError):
+            return MalformedRow, row_num
+        if not c >= 0:
+            return NegativeCost, row_num
+        cost[i, j], filled[i, j] = c, True
     return cost
 
 
 @st.composite
 def od_tables(draw):
-    """The text of an OD table: shuffled and extra columns, quoted ids, a
-    possible BOM, blank lines, ``inf`` costs and up to two defects."""
-    pairs = draw(st.lists(st.tuples(st.sampled_from(OD_DEMAND), st.sampled_from(OD_SUPPLY)),
-                          unique=True, max_size=len(OD_DEMAND) * len(OD_SUPPLY)))
-    costs = st.one_of(st.floats(0, 1e6).map(repr), st.just("inf"))
+    """The text of an OD table: shuffled, extra and repeated columns, quoted
+    or plain ids, a possible BOM, ``\n`` or ``\r\n`` line ends, blank lines,
+    a possible missing final newline, ``inf`` costs, costs with underscores,
+    spaces or non-ASCII digits, and up to two defects. A repeated column's
+    earlier cells hold junk, as the last one is read. A tidy table has
+    plain ids and none of the blank lines, ``\r\n``, missing final newline,
+    repeated column, short row or NUL that make the bulk reader give way."""
+    plain = draw(st.booleans())
+    tidy = plain and draw(st.booleans())
+    demand_ids, supply_ids = (PLAIN_DEMAND, PLAIN_SUPPLY) if plain else (OD_DEMAND, OD_SUPPLY)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(demand_ids), st.sampled_from(supply_ids)),
+                          unique=True, max_size=len(demand_ids) * len(supply_ids)))
+    costs = st.one_of(st.floats(0, 1e6).map(repr), st.just("inf"), st.sampled_from(ODD_COSTS))
     rows = [{"demand_id": d, "supply_id": s, "cost": draw(costs)} for d, s in pairs]
-    for defect in draw(st.lists(st.sampled_from(OD_DEFECTS), max_size=2)):
-        row = {"demand_id": draw(st.sampled_from(OD_DEMAND)),
-               "supply_id": draw(st.sampled_from(OD_SUPPLY)), "cost": "1.5"}
+    defects = OD_DEFECTS[:-2] if tidy else OD_DEFECTS
+    for defect in draw(st.lists(st.sampled_from(defects), max_size=2)):
+        row = {"demand_id": draw(st.sampled_from(demand_ids)),
+               "supply_id": draw(st.sampled_from(supply_ids)), "cost": "1.5"}
         if defect == "unknown-demand":
-            row["demand_id"] = "d,9"
+            row["demand_id"] = "d9" if plain else "d,9"
         elif defect == "unknown-supply":
             row["supply_id"] = "h9"
         elif defect == "repeat" and rows:
             row = dict(draw(st.sampled_from(rows)))
-        elif defect in ("negative", "nan", "not-a-number"):
-            row["cost"] = {"negative": "-0.5", "nan": "nan", "not-a-number": "1,5"}[defect]
+        elif defect in ("negative", "nan", "not-a-number", "nul"):
+            row["cost"] = {"negative": "-0.5", "nan": "nan", "not-a-number": "1;5" if plain
+                           else "1,5", "nul": "1\0"}[defect]
         rows.insert(draw(st.integers(0, len(rows))), row)
-    extra = draw(st.lists(st.sampled_from(("mode", "note, quoted")), unique=True, max_size=2))
+    extra = draw(st.lists(st.sampled_from(("mode",) if plain else ("mode", "note, quoted")),
+                          unique=True, max_size=2))
     header = draw(st.permutations(["demand_id", "supply_id", "cost", *extra]))
+    header += draw(st.lists(st.sampled_from(header), max_size=0 if tidy else 1))
+    last = {col: k for k, col in enumerate(header)}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([row.get(col, "x, y") for col in header])
+        writer.writerow([row.get(col, "x y" if plain else "x, y") if last[col] == k else "junk"
+                         for k, col in enumerate(header)])
     lines = out.getvalue().splitlines()
-    if "short" in draw(st.lists(st.sampled_from(OD_DEFECTS), max_size=1)) and len(lines) > 1:
+    if "short" in draw(st.lists(st.sampled_from(defects), max_size=1)) and len(lines) > 1:
         at = draw(st.integers(1, len(lines) - 1))
         lines[at] = lines[at].rsplit(",", 1)[0]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 0 if tidy else 2))):
         lines.insert(draw(st.integers(1, len(lines))), "")
-    return draw(st.sampled_from(("", "﻿"))) + "\n".join(lines) + "\n"
+    end = "\n" if tidy else draw(st.sampled_from(("\n", "\r\n")))
+    text = end.join(lines) + (end if tidy else draw(st.sampled_from((end, ""))))
+    return draw(st.sampled_from(("", "\ufeff"))) + text
 
 
 class TestOdReader:
@@ -348,7 +372,7 @@ class TestOdReader:
     @given(text=od_tables())
     def test_matches_the_row_by_row_reference(self, tmp_path, text):
         path = tmp_path / "od.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="")
         expected = reference_od(path)
         if isinstance(expected, np.ndarray):
             assert np.array_equal(load_od_matrix(path, *od_sites()).cost, expected)
@@ -357,7 +381,45 @@ class TestOdReader:
             with pytest.raises(error) as info:
                 load_od_matrix(path, *od_sites())
             assert type(info.value) is error
-            assert str(info.value).startswith(f"row {row_num}: ")
+            assert str(info.value).startswith(f"row {row_num}: " if row_num else f"{path}: ")
+
+    # every pair of the plain ids but ("d 3", "h2"), one row each, costs 0 to 2
+    PLAIN = "cost,supply_id,demand_id\n" + "".join(
+        f"{k},{s},{d}\n" for k, (d, s) in enumerate(
+            [(d, s) for d in PLAIN_DEMAND for s in PLAIN_SUPPLY][:-1]))
+
+    def test_a_plain_table_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "od.csv"
+        path.write_text(self.PLAIN, encoding="utf-8")
+        want = reference_od(path)
+        monkeypatch.setattr(travel, "_read_table", lambda *args, **kwargs: 1 / 0)
+        assert np.array_equal(load_od_matrix(path, *od_sites()).cost, want)
+        assert np.isfinite(want).sum() == 3
+
+    def test_a_cell_past_the_field_size_limit_is_the_row_loops_error(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "od.csv"
+        path.write_text(self.PLAIN + f"d0,h0,{'1' * (limit + 1)}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=f"field larger than field limit \\({limit}\\)"):
+            load_od_matrix(path, *od_sites())
+
+    @pytest.mark.parametrize("row, error", [
+        ("1,h9,d0", UnknownId), ("x,h2,d 3", MalformedRow), ("-1,h2,d 3", NegativeCost),
+        ("1,h0,d0", DuplicatePair), ('1,"h0",d0', DuplicatePair), ("nan,h2,d 3", NegativeCost),
+    ], ids=["unknown-id", "unparsed", "negative", "repeat", "quoted-repeat", "nan"])
+    def test_a_defect_in_a_later_block_names_the_row_of_the_row_loop(self, tmp_path,
+                                                                      monkeypatch, row, error):
+        path = tmp_path / "od.csv"
+        path.write_text(self.PLAIN + row + "\n", encoding="utf-8")  # row 5, past block 1
+        assert reference_od(path) == (error, 5)
+        monkeypatch.setattr(travel, "_read_plain", lambda *args: None)
+        with pytest.raises(error) as row_loop:
+            load_od_matrix(path, *od_sites())
+        monkeypatch.undo()
+        monkeypatch.setattr(data_model, "CSV_BLOCK", 20)
+        with pytest.raises(error) as bulk:
+            load_od_matrix(path, *od_sites())
+        assert str(bulk.value) == str(row_loop.value) and str(bulk.value).startswith("row 5: ")
 
     def test_geojson_round_trip(self, tmp_path):
         demand, supply = od_sites()
