@@ -1,12 +1,14 @@
 """Worker processes: the package's one fork, read, reap and kill path.
 
-A worker is a bare ``os.fork`` that computes one task, writes its bytes to
-a pipe and leaves by ``os._exit``, with no logging, stdio or imports in
-between. No worker outlives the ``run`` call that started it. Workers run
-on Linux only.
+A worker is a bare ``os.fork`` that computes one task, writes its value,
+pickled, to a pipe and leaves by ``os._exit``, with no logging, stdio or
+imports in between. No worker outlives the ``run`` call that started it.
+Workers run on Linux only.
 """
 
+import contextlib
 import os
+import pickle
 
 
 def count(threads: int, items: int) -> int:
@@ -19,13 +21,13 @@ def count(threads: int, items: int) -> int:
 
 
 def run(here, *away) -> list:
-    """``[here(), data, ...]``: ``here()`` computed in this process while each
-    task of ``away`` runs in a child forked for it.
+    """``[here(), *(task() for task in away)]``: ``here()`` computed in this
+    process while each task of ``away`` runs in a child forked for it.
 
-    Each ``data`` is the bytes its task returned, read to the end, or None if
-    its child could not be started or did not exit 0. The children are read
-    and reaped in order once ``here()`` returns; if anything raises first,
-    every child not yet reaped is killed and reaped.
+    The children are read and reaped in task order once ``here()`` returns;
+    if anything raises before, every child not yet reaped is killed and
+    reaped. Then each task whose child could not be started, did not exit 0
+    or sent bytes that do not unpickle is run here, in task order.
     """
     children = []
     try:
@@ -33,14 +35,14 @@ def run(here, *away) -> list:
             children.append(_fork(task))
         results = [here()]
         for child in children:
-            data, status = None, 1
+            data, status = b"", 1
             if child[0] is not None:
                 with open(child[1], "rb") as pipe:
                     child[1] = None
                     data = pipe.read()
                 status = os.waitpid(child[0], 0)[1]
                 child[0] = None
-            results.append(data if status == 0 else None)
+            results.append(data if status == 0 else b"")
     finally:
         for pid, fd in children:
             if fd is not None:
@@ -48,12 +50,19 @@ def run(here, *away) -> list:
             if pid is not None:
                 os.kill(pid, 9)  # SIGKILL
                 os.waitpid(pid, 0)
-    return results
+    return results[:1] + [_value(data, task) for data, task in zip(results[1:], away)]
+
+
+def _value(data: bytes, task):
+    """The value pickled in ``data``, else ``task()`` computed here."""
+    with contextlib.suppress(pickle.UnpicklingError, EOFError):  # b"" or bytes cut short
+        return pickle.loads(data)
+    return task()
 
 
 def _fork(task) -> list:
-    """``[pid, read end]`` of a child writing the bytes of ``task()`` to a
-    pipe, or ``[None, None]`` if the system cannot make the pipe or the child.
+    """``[pid, read end]`` of a child writing ``task()``, pickled, to a pipe,
+    or ``[None, None]`` if the system cannot make the pipe or the child.
     The child exits 1 if ``task`` raises."""
     fds = ()
     try:
@@ -67,7 +76,7 @@ def _fork(task) -> list:
         status = 1
         try:
             os.close(read)
-            data = memoryview(task()).cast("B")
+            data = memoryview(pickle.dumps(task(), protocol=5))
             while data:
                 data = data[os.write(write, data):]
             status = 0

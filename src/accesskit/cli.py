@@ -3,9 +3,9 @@
 Subcommands: access, moran, lisa, hrad, optimize, report. Parameters come
 from the JSON config file if there is one, else the defaults; flags
 override config fields. ``report`` is the other five commands on one run;
-when ``threads`` allows, it builds the spatial weights in a ``_workers.run``
-worker while the catchment runs, and computes the plan in another while
-moran, lisa and hrad run, with the files and errors of one thread.
+when ``threads`` allows, ``_workers.run`` returns its spatial weights from
+a worker beside the catchment and its plan from one beside moran, lisa and
+hrad, each computed here if its worker fails: the files and errors of one thread.
 All output texts are computed before any file is written, each atomically
 (temp file, then rename), so a failing run writes nothing. All randomness
 flows from the single configured seed, making reruns byte-identical.
@@ -20,8 +20,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 from . import _workers, equity, fca, optimize, spatial_stats
 from .data_model import load_dataset, load_regions, load_values
@@ -175,7 +173,6 @@ class Run:
         self.cfg.apply_overrides(args)
         self.cfg.validate()
         self.out = Path(self.cfg.out)
-        self.weights_data = None  # the spatial weights from report's worker, if any
         self.permutation_args = {"n_permutations": self.cfg.permutations,
                                  "seed": self.cfg.seed, "threads": self.cfg.threads}
 
@@ -208,36 +205,44 @@ class Run:
         return result
 
     @cached_property
-    def stat_input(self):
-        """``(ids, locations, coord_kind, values)``: the --values table of
-        moran and lisa, else the demand sites and their access scores."""
+    def units(self):
+        """``(ids, locations, coord_kind, values)`` of moran and lisa: the
+        --values table, else the demand sites with values None, so that
+        report's weights worker never computes the access scores."""
         if "values" in self.args:
             if not Path(self.args.values).is_file():
                 raise ConfigError(f"values file not found: {self.args.values}")
             return load_values(self.args.values, self.args.column)
         demand = self.dataset.demand
-        return demand.ids, demand.xy, self.dataset.coord_kind, self.access.scores
+        return demand.ids, demand.xy, self.dataset.coord_kind, None
+
+    @cached_property
+    def values(self):
+        """The values moran and lisa test: the --values column, else the access scores."""
+        return self.units[3] if "values" in self.args else self.access.scores
+
+    @cached_property
+    def unit_weights(self):
+        """The spatial weights of ``units``, unless report's worker built them."""
+        _, locations, coord_kind, _ = self.units
+        return self.cfg.spatial_weights(locations, coord_kind)
 
     @cached_property
     def weights(self):
-        """The spatial weights: decoded from ``weights_data`` when it holds
-        them, else built here."""
-        ids, locations, coord_kind, _ = self.stat_input
-        weights = _decoded_weights(self.weights_data, len(locations))
-        if weights is None:
-            weights = self.cfg.spatial_weights(locations, coord_kind)
+        """``unit_weights``, with a warning for each isolated unit."""
+        weights = self.unit_weights
         for i in weights.isolated:
-            print(f"warning: unit {ids[i]} has no neighbors in the distance band",
+            print(f"warning: unit {self.units[0][i]} has no neighbors in the distance band",
                   file=sys.stderr)
         return weights
 
     @cached_property
     def moran(self):
-        return spatial_stats.morans_i(self.stat_input[3], self.weights, **self.permutation_args)
+        return spatial_stats.morans_i(self.values, self.weights, **self.permutation_args)
 
     @cached_property
     def lisa(self):
-        return spatial_stats.lisa(self.stat_input[3], self.weights, **self.permutation_args)
+        return spatial_stats.lisa(self.values, self.weights, **self.permutation_args)
 
     @cached_property
     def hrad(self):
@@ -264,29 +269,6 @@ class Run:
             unit_size=cfg.unit_size, objective=cfg.objective,
         )
         return problem, optimize.local_search_improve(problem, optimize.greedy_allocate(problem))
-
-
-def _weights_bytes(weights) -> bytes:
-    """The arrays of ``weights`` as bytes, 8 per entry: ``indptr``, then
-    ``indices`` and ``data``."""
-    return b"".join((weights.indptr.astype(np.int64).tobytes(),
-                     weights.indices.astype(np.int64).tobytes(), weights.data.tobytes()))
-
-
-def _decoded_weights(data, n: int):
-    """The weights of ``n`` units whose ``_weights_bytes`` are ``data``, or
-    None when ``data`` is None or not of the length those arrays give."""
-    if data is None or len(data) < 8 * (n + 1):
-        return None
-    indptr = np.frombuffer(data, np.int64, n + 1)
-    nnz, at = int(indptr[-1]), 8 * (n + 1)
-    if len(data) != at + 16 * nnz:
-        return None
-    indices = np.frombuffer(data, np.int64, nnz, at)
-    weights = np.frombuffer(data, float, nnz, at + 8 * nnz)
-    # copies: arrays of their own, of the dtypes build_weights gives
-    return spatial_stats.SpatialWeights(indptr=indptr.astype(np.intp),
-                                        indices=indices.astype(np.intp), data=weights.copy())
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -316,7 +298,7 @@ def cmd_moran(run):
 
 
 def cmd_lisa(run):
-    text = spatial_stats.lisa_csv_text(run.stat_input[0], run.lisa)
+    text = spatial_stats.lisa_csv_text(run.units[0], run.lisa)
     return {"lisa.csv": text}, f"wrote {run.out / 'lisa.csv'} ({run.weights.n} units)"
 
 
@@ -341,29 +323,25 @@ def cmd_report(run):
     catchment. When ``threads`` allows two workers, ``_workers.run`` builds
     the weights in a worker while this process computes the catchment and
     the access scores, and then ``plan.json`` in another while this process
-    runs moran, lisa and hrad. If a worker cannot be started or fails, its
-    result is computed here where one thread computes it, so every error,
-    warning and their order are the same at any ``threads``.
+    runs moran, lisa and hrad. It runs a failed worker's task here, at the
+    place one thread runs it, so every error, warning and their order are
+    the same at any ``threads``.
     """
     dataset = run.dataset
     if dataset.regions is None:
         raise ConfigError("report requires a regions file in the config")
     threaded = _workers.count(run.cfg.threads, 2) > 1
-    if threaded:
-        files, run.weights_data = _workers.run(
-            lambda: cmd_access(run)[0],
-            lambda: _weights_bytes(run.cfg.spatial_weights(dataset.demand.xy,
-                                                           dataset.coord_kind)))
-    else:
-        files = cmd_access(run)[0]
+
+    def beside(here, task):  # [here(), task()], with task in a worker if threaded
+        return _workers.run(here, task) if threaded else [here(), task()]
+
+    files, run.unit_weights = beside(lambda: cmd_access(run)[0], lambda: run.unit_weights)
 
     def stats():
         for command in (cmd_moran, cmd_lisa, cmd_hrad):
             files.update(command(run)[0])
 
-    plan = [lambda: cmd_optimize(run)[0]["plan.json"].encode()] if threaded else []
-    data = _workers.run(stats, *plan)[-1]  # stats() is None, as data is without a plan worker
-    files.update({"plan.json": data.decode()} if data else cmd_optimize(run)[0])
+    files.update(beside(stats, lambda: cmd_optimize(run)[0])[1])
     scores, lisa = run.access.scores, run.lisa
     files["summary.json"] = _json_text({
         "n_demand": len(dataset.demand),

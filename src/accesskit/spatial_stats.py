@@ -11,9 +11,9 @@ decomposition sum_i I_i = n * I exact.
 
 ``threads`` is the number of worker processes the permutations may use:
 ``_split`` hands contiguous runs of LISA's units or Moran's permutations to
-workers started by ``_workers.run`` (Linux only, capped at the CPUs this
-process may run on). Each unit's and permutation's stream is fixed by its
-index, so the results are identical at any ``threads``.
+``_workers.run``, whose workers return their runs' arrays (Linux only, capped
+at the CPUs this process may run on). Each unit's and permutation's stream
+is fixed by its index, so the results are identical at any ``threads``.
 """
 
 import math
@@ -180,20 +180,13 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
 def _split(compute, items, threads: int) -> np.ndarray:
     """``compute(part)`` over contiguous parts of ``items``, concatenated.
 
-    ``compute`` returns one float64 per item of its part. This process
-    computes the first part; each other part runs in a ``_workers.run``
-    worker, and is recomputed here if that worker fails or is not started.
+    This process computes the first part; each other part runs in a
+    ``_workers.run`` worker, or here if that worker fails or is not started.
     """
     workers = _workers.count(threads, len(items))
     bounds = [len(items) * w // workers for w in range(workers + 1)]
     parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    first, *data = _workers.run(
-        lambda: compute(parts[0]),
-        *(lambda part=part: np.ascontiguousarray(compute(part), dtype=float)
-          for part in parts[1:]))
-    return np.concatenate([first] + [
-        np.frombuffer(d) if d is not None and len(d) == 8 * len(part) else compute(part)
-        for d, part in zip(data, parts[1:])])
+    return np.concatenate(_workers.run(*(lambda part=part: compute(part) for part in parts)))
 
 
 def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,

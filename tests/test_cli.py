@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import os
+import pickle
 import re
 import time
 import weakref
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from accesskit import cli, fca, optimize, spatial_stats, travel
+from accesskit import _workers, cli, fca, optimize, spatial_stats, travel
 from accesskit.cli import main
 from accesskit.data_model import DemandSite, demand_csv_text
 from accesskit.optimize import CHUNK
@@ -794,12 +795,13 @@ def test_a_failed_weights_worker_has_its_weights_built_here(tmp_path, workers, m
     assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
     err = capsys.readouterr().err
     assert err.count("has no neighbors in the distance band") == 20
-    parent, build, encode = os.getpid(), spatial_stats.build_weights, cli._weights_bytes
+    parent, build, dumps = os.getpid(), spatial_stats.build_weights, pickle.dumps
     if failure == "exits-1":
         monkeypatch.setattr(spatial_stats, "build_weights", lambda *args, **kwargs: (
             os._exit(1) if os.getpid() != parent else build(*args, **kwargs)))
-    else:  # one entry short
-        monkeypatch.setattr(cli, "_weights_bytes", lambda weights: encode(weights)[:-8])
+    else:  # the weights' pickle cut short by 8 bytes
+        monkeypatch.setattr(pickle, "dumps", lambda value, **kwargs: dumps(value, **kwargs)[
+            :-8 if isinstance(value, spatial_stats.SpatialWeights) else None])
     assert main(argv + ["--threads", "2", "--out", str(tmp_path / "two")]) == 0
     assert capsys.readouterr().err == err
     assert workers.forks == 4
@@ -808,21 +810,20 @@ def test_a_failed_weights_worker_has_its_weights_built_here(tmp_path, workers, m
     assert output_bytes(tmp_path / "two") == output_bytes(tmp_path / "one")
 
 
+@needs_fork
 @pytest.mark.parametrize("weights", [{"k": 4}, {"band": 2.0}], ids=["knn", "band-isolated"])
-def test_decoded_weights_are_the_built_weights_bit_for_bit(weights):
+def test_weights_from_a_worker_are_the_built_weights_bit_for_bit(workers, weights):
     city = synthetic_city(**CITY)
-    built = spatial_stats.build_weights([(s.x, s.y) for s in city.demand],
-                                        coord_kind=city.coord_kind, **weights)
+    xy = [(s.x, s.y) for s in city.demand]
+    built, sent = _workers.run(*[lambda: spatial_stats.build_weights(
+        xy, coord_kind=city.coord_kind, **weights)] * 2)
     assert "band" not in weights or len(built.isolated) == 20
-    data = cli._weights_bytes(built)
-    decoded = cli._decoded_weights(data, len(city.demand))
     for name in ("indptr", "indices", "data"):
-        want, got = getattr(built, name), getattr(decoded, name)
+        want, got = getattr(built, name), getattr(sent, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        assert got.flags.writeable and got.flags.owndata, name
-    for bad in (None, data[:-8], data + bytes(8), data[:8 * len(city.demand)]):
-        assert cli._decoded_weights(bad, len(city.demand)) is None
-    assert cli._decoded_weights(data, len(city.demand) + 1) is None
+        assert got.flags.writeable, name
+    assert sent.isolated == built.isolated
+    assert workers.forks == 1 and workers.statuses == [0]
 
 
 @needs_fork

@@ -1,8 +1,9 @@
 """The worker module: ``count`` caps the workers, ``run`` forks, reads, reaps
-and kills them."""
+and kills them, and runs here each task whose child failed."""
 
 import errno
 import os
+import pickle
 import time
 
 import numpy as np
@@ -47,8 +48,9 @@ def test_run_without_tasks_forks_nothing(workers):
 @needs_fork
 def test_a_part_larger_than_a_pipe_buffer_is_read_whole(workers):
     # 800 kB, several times what a pipe holds
-    assert run(lambda: None, lambda: np.arange(100_000.0)) == \
-        [None, np.arange(100_000.0).tobytes()]
+    here, away = run(lambda: None, lambda: np.arange(100_000.0))
+    assert here is None
+    assert away.dtype == np.float64 and away.tobytes() == np.arange(100_000.0).tobytes()
     assert workers.forks == 1 and workers.statuses == [0]
 
 
@@ -62,12 +64,20 @@ def test_results_come_back_in_task_order(workers):
     assert workers.forks == 2 and workers.statuses == [0, 0]
 
 
+# a failed child gives no bytes, and its task's value is computed here: the
+# tasks below return the id of the process that ran them
+
 @needs_fork
 def test_a_task_that_raises_in_its_child_gives_no_bytes(workers):
-    def failing():
-        raise LookupError("the task failed")
+    parent = os.getpid()
 
-    assert run(lambda: "here", failing, lambda: b"ok") == ["here", None, b"ok"]
+    def failing():
+        if os.getpid() != parent:
+            raise LookupError("the task failed")
+        return os.getpid()
+
+    here, first, second = run(lambda: "here", failing, os.getpid)
+    assert (here, first) == ("here", parent) and second != parent
     assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1, 0]
 
 
@@ -80,8 +90,35 @@ def test_a_child_that_fails_after_writing_gives_no_bytes(workers, monkeypatch):
         os._exit(1)
 
     monkeypatch.setattr(os, "write", write_then_fail)
-    assert run(lambda: "here", lambda: b"part of a result") == ["here", None]
+    assert run(lambda: "here", os.getpid) == ["here", os.getpid()]
     assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1]
+
+
+@needs_fork
+def test_a_child_that_exits_0_with_bytes_cut_short_is_rerun_here(workers, monkeypatch):
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda value, **kwargs: dumps(value, **kwargs)[:-1])
+    assert run(lambda: "here", os.getpid) == ["here", os.getpid()]
+    assert workers.forks == 1 and workers.statuses == [0]
+
+
+@needs_fork
+def test_a_task_that_fails_here_too_raises_its_error_once_every_child_is_reaped(workers):
+    reaped = []
+
+    def failing():
+        reaped.append(len(workers.statuses))  # in a child, recorded only there
+        raise LookupError("the task failed")
+
+    def slow():
+        time.sleep(0.5)
+        return "slow"
+
+    with pytest.raises(LookupError, match="the task failed") as raised:
+        run(lambda: "here", failing, slow)
+    assert reaped == [2]
+    assert raised.value.__context__ is None  # its own error, not one about the child's bytes
+    assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1, 0]
 
 
 @needs_fork
@@ -90,7 +127,7 @@ def test_no_pipe_or_fork_gives_no_bytes_and_leaves_no_descriptor_open(workers, m
                                                                       fails):
     opened = sorted(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, fails, no_resource)
-    assert run(lambda: "here", lambda: b"away") == ["here", None]
+    assert run(lambda: "here", os.getpid) == ["here", os.getpid()]
     assert workers.forks == 0 and sorted(os.listdir("/proc/self/fd")) == opened
 
 
