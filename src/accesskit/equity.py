@@ -151,22 +151,36 @@ def gini(values, weights=None):
         raise ValueError("weights must match values in length")
     if (v < 0).any() or (w <= 0).any():
         raise ValueError("values must be nonnegative and weights positive")
-    # tied values may take any order in a matrix column: that changes only
-    # the rounding of the Lorenz area, and the default sort is the faster
-    order = np.argsort(v, axis=0, kind="stable" if v.ndim == 1 else None)
-    v, w = np.take_along_axis(v, order, axis=0), w[order]
+    # a matrix's columns are taken as the rows of its transpose, so sorts,
+    # sums and cumulative sums run along contiguous memory; tied values may
+    # take any order in a column: that changes only the rounding of the
+    # Lorenz area, and the default sort is the faster
+    if v.ndim == 2:
+        v = np.ascontiguousarray(v.T)
+    order = np.argsort(v, axis=-1, kind="stable" if v.ndim == 1 else None)
+    w = w[order]
+    if v.ndim == 2:  # flat indices into the transpose
+        order += np.arange(0, v.size, v.shape[1])[:, None]
+    v = v.take(order)
     # the weight total and the sorted dot product, a matrix's column by
     # column; positive weights carry a NaN or infinite value into the latter
     w_total, total = _finite(NonFiniteTotal, lambda: (
-        w.sum(axis=0), w @ v if v.ndim == 1 else (w * v).sum(axis=0)),
+        w.sum(axis=-1), w @ v if v.ndim == 1 else (w * v).sum(axis=-1)),
         "values, their weight total and weighted total must be finite")
     if (total <= 0).any():
         raise AllZeroValues("every weighted value is zero")
-    zero = np.zeros_like(v[:1])
-    cum_pop = np.concatenate([zero, np.cumsum(w, axis=0)]) / w_total
-    cum_val = np.concatenate([zero, np.cumsum(w * v, axis=0)]) / total
+    # the Lorenz curve from (0, 0), built in place: a large temporary costs
+    # more in fresh pages than in arithmetic
+    cum_pop, cum_val = np.zeros((2, *v.shape[:-1], v.shape[-1] + 1))
+    np.cumsum(w, axis=-1, out=cum_pop[..., 1:])
+    np.multiply(w, v, out=cum_val[..., 1:])
+    np.cumsum(cum_val[..., 1:], axis=-1, out=cum_val[..., 1:])
+    cum_pop /= w_total[..., None]
+    cum_val /= total[..., None]
     # area under the Lorenz curve, trapezoid rule
-    under = np.sum(np.diff(cum_pop, axis=0) * (cum_val[1:] + cum_val[:-1]), axis=0) / 2.0
+    heights = cum_val[..., 1:] + cum_val[..., :-1]
+    heights *= np.diff(cum_pop, axis=-1)
+    under = heights.sum(axis=-1) / 2.0
     g = 1.0 - 2.0 * under
     return float(g) if v.ndim == 1 else g
 

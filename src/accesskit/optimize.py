@@ -196,10 +196,12 @@ class AllocationProblem:
         error e far below NEAR_TIE. That moves a minimum by e of itself, a
         variance by less than e times the variance plus the squared largest
         block score, and a weighted Gini by at most e times (1 + Gini). The
-        block's Gini may also order tied scores unlike the kernel's; that
-        moves only the rounding of the Lorenz area, and a column's block
-        Gini stays within 2n * 2**-53 of the kernel's for n demand sites,
-        far below NEAR_TIE for any n under a million. The
+        block's Gini takes each column through the kernel's steps, but may
+        order tied scores unlike the kernel's and sums the weighted total
+        where the kernel takes a dot product. That moves only the rounding
+        of the total and the Lorenz area, and a column's block Gini stays
+        within 2n * 2**-53 of the kernel's for n demand sites, far below
+        NEAR_TIE for any n under a million. The
         options within that allowance, taken at e = NEAR_TIE, of the best
         ranked value and of ``current`` are re-scored with the kernel in
         (donor, to) order; the first that strictly beats ``current`` and

@@ -3,7 +3,10 @@
 Significance is permutation-based: analytic normality is a poor fit at the
 small unit counts these analyses run on, while permutation inference is
 exact under a fixed seed. Every random draw comes from a stream derived
-from (seed, index), so a run is reproducible from its seed alone.
+from (seed, index), so a run is reproducible from its seed alone. LISA's
+neighbour samples are the draws of k ``Generator.integers`` calls per
+unit, taken from one raw PCG64 block when NumPy would serve those calls
+from it without a redraw (``_distinct_indices``), from the calls otherwise.
 
 Both statistics require, and check, row-standardized weights. That
 convention pins the global statistic to I = z'Wz / z'z and makes the
@@ -203,12 +206,14 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
     """
     z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
     n = weights.n
+    # NumPy imports numpy.random on first use: here, before the workers fork, not in each
+    default_rng = np.random.default_rng
 
     def moran(zp):
         return zp @ weights.lag(zp) / denom
 
     def permuted(perms):
-        return np.fromiter((moran(z[np.random.default_rng([seed, p]).permutation(n)])
+        return np.fromiter((moran(z[default_rng([seed, p]).permutation(n)])
                             for p in perms), float, len(perms))
 
     # the observed I, then the I of each permutation
@@ -227,11 +232,60 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
     )
 
 
+def _lemire_draws(bit_generator, low: int, high: int, rows: int) -> np.ndarray | None:
+    """``rng.integers(0, h, size=rows)`` for each bound h = low .. high in
+    turn, as rows of one array drawn from one raw block, or None with the
+    generator untouched.
+
+    For a bound 2 <= h < 2**32 NumPy takes a 32-bit half-word x of PCG64's
+    output, low half first, and returns the high 32 bits of x * h (Lemire's
+    method), redrawing x when the product's low 32 bits are below
+    (2**32 - h) % h. The block gives the same draws whenever no half-word
+    is redrawn. It gives None, having restored the generator's state, when
+    one would be, and leaves the generator alone for any other bit
+    generator, a carried half-word, or a bound NumPy serves otherwise (1
+    draws nothing, >= 2**32 draws 64 bits or a bare half-word).
+    """
+    if type(bit_generator) is not np.random.PCG64 or not 2 <= low <= high < 2**32:
+        return None
+    state = bit_generator.state
+    if state["has_uint32"]:
+        return None
+    bounds = np.arange(low, high + 1, dtype=np.uint64)
+    size = len(bounds) * rows
+    raw = bit_generator.random_raw(-(-size // 2)).astype("<u8", copy=False)
+    out = raw.view("<u4")[:size].reshape(-1, rows).astype("<u8")
+    out *= bounds[:, None]
+    # each product's low 32 bits, without a copy
+    if (out.view("<u4")[:, ::2].min(axis=1) < (2**32 - bounds) % bounds).any():
+        bit_generator.state = state
+        return None
+    # as the calls leave it: the last word's high half kept, and the next
+    # 32-bit draw if k * rows is odd
+    bit_generator.state = {**bit_generator.state, "has_uint32": size % 2,
+                           "uinteger": int(raw[-1] >> 32)}
+    out >>= 32
+    return out.view("<i8")
+
+
 def _distinct_indices(rng, m: int, k: int, rows: int) -> np.ndarray:
-    """(rows, k) matrix of distinct ints in [0, m) per row (Floyd sampling)."""
-    out = np.empty((k, rows), dtype=np.int64)
-    for j in range(k):  # a scalar bound per call draws faster than one broadcast call
-        out[j] = rng.integers(0, m - k + j + 1, size=rows)
+    """(rows, k) matrix of distinct ints in [0, m) per row (Floyd sampling).
+
+    Column j is ``rng.integers(0, m - k + j + 1, size=rows)``, taken for
+    j = 0 .. k-1 in turn, with each draw already in an earlier column of its
+    row replaced by m - k + j. A PCG64 generator serves the k calls from
+    one ``random_raw`` block (``_lemire_draws``) and is left where the calls
+    leave it; the code falls back to the k calls, with the same draws and
+    state, for any other bit generator, a half-word carried over from an
+    earlier draw, a bound of 1 or >= 2**32, or a half-word that NumPy
+    would reject and redraw.
+    """
+    out = _lemire_draws(rng.bit_generator, m - k + 1, m, rows)
+    if out is None:
+        out = np.empty((k, rows), dtype=np.int64)
+        for j in range(k):  # a scalar bound per call draws faster than one broadcast call
+            out[j] = rng.integers(0, m - k + j + 1, size=rows)
+    for j in range(1, k):
         out[j][(out[:j] == out[j]).any(axis=0)] = m - k + j
     # C order: a transposed view would make permuted, the gather and @ sum in another order
     return np.ascontiguousarray(out.T)
@@ -267,9 +321,9 @@ def lisa(values, weights: SpatialWeights, n_permutations: int = 999,
             lo, hi = int(weights.indptr[i]), int(weights.indptr[i + 1])
             rng = np.random.default_rng([seed, i])
             sample = _distinct_indices(rng, n - 1, hi - lo, n_permutations)
-            sample = rng.permuted(sample, axis=1)
-            sample += sample >= i  # draws index the n-1 units other than i
-            sim = z[i] / m2 * (z[sample] @ weights.data[lo:hi])
+            rng.permuted(sample, axis=1, out=sample)
+            # draws index the n-1 units other than i
+            sim = z[i] / m2 * (np.delete(z, i)[sample] @ weights.data[lo:hi])
             center = sim.mean()
             count = np.count_nonzero(np.abs(sim - center) >= abs(local[i] - center))
             out[slot] = (count + 1) / (n_permutations + 1)

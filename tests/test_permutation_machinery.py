@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accesskit.spatial_stats import (
     SpatialWeights,
     _distinct_indices,
+    _lemire_draws,
     build_weights,
     lisa,
     morans_i,
@@ -139,15 +142,66 @@ class TestDistinctIndexSampler:
         assert np.all(np.abs(counts - expected) < 5 * sd)
 
     def test_one_draw_matches_one_call_per_column(self):
-        # the stream of k sequential integers calls with Floyd's collision fix-up
-        for m, k, rows in ((1999, 9, 999), (6, 6, 50), (2**33, 3, 20), (1, 1, 5)):
-            rng, ref_rng = np.random.default_rng([208, m]), np.random.default_rng([208, m])
-            ref = np.empty((rows, k), dtype=np.int64)
-            for j, t in enumerate(range(m - k, m)):
-                r = ref_rng.integers(0, t + 1, size=rows)
-                r[(ref[:, :j] == r[:, None]).any(axis=1)] = t
-                ref[:, j] = r
+        # the stream of k sequential integers calls with Floyd's collision fix-up,
+        # and the draws that follow it: permuted, then a 32-bit draw that
+        # takes a carried half-word
+        cases = (
+            (1999, 9, 999),            # odd k * rows: a half-word is carried over
+            (1999, 10, 999),           # even k * rows
+            (6, 6, 50),                # m == k: the first bound is 1
+            (2**31, 5, 41),            # bounds up to 2**31, rejections rare
+            (2**31 + 2, 3, 41),        # bounds 2**31 + 1 and 2**31 + 2: half the draws rejected
+            (2**32 - 1, 4, 25),        # the largest bound of Lemire's 32-bit method
+            (3 * 2**30, 2, 30),        # a third of the draws rejected
+            (2**32, 2, 7),             # a bare 32-bit half-word
+            (2**33, 3, 20),            # 64-bit draws
+            (1, 1, 5),
+        )
+        makers = (np.random.default_rng, lambda seed: np.random.Generator(np.random.MT19937(seed)))
+        for (m, k, rows), make in itertools.product(cases, makers):
+            rng, ref_rng = make([208, m, k]), make([208, m, k])
+            ref = _k_integers_calls(ref_rng, m, k, rows)
             out = _distinct_indices(rng, m, k, rows)
             assert out.dtype == ref.dtype and np.array_equal(out, ref)
             assert out.flags.c_contiguous
+            assert np.array_equal(rng.permuted(out, axis=1), ref_rng.permuted(ref, axis=1))
+            assert (rng.integers(2**32, dtype=np.uint32)
+                    == ref_rng.integers(2**32, dtype=np.uint32))
             assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    def test_raw_block_serves_what_it_can_and_restores_the_rest(self):
+        rng = np.random.default_rng(209)
+        assert _lemire_draws(rng.bit_generator, 1991, 1999, 999) is not None
+        assert rng.bit_generator.state["has_uint32"] == 1  # 8991 halves: one is left over
+        assert _lemire_draws(rng.bit_generator, 1990, 1999, 999) is None  # it is carried
+        # a rejected draw, a bound of 1, a bound of 2**32
+        for low, high in ((2**31 + 1, 2**31 + 2), (1, 5), (2**32 - 1, 2**32)):
+            rng = np.random.default_rng(209)
+            state = rng.bit_generator.state
+            assert _lemire_draws(rng.bit_generator, low, high, 41) is None
+            assert rng.bit_generator.state == state
+        assert _lemire_draws(np.random.MT19937(209), 10, 20, 5) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.one_of(st.integers(1, 3000), st.integers(2**31 - 40, 2**31 + 40),
+                       st.integers(2**32 - 40, 2**32 + 40)),
+           k=st.integers(1, 12), rows=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           carried=st.booleans())
+    def test_draws_equal_k_integers_calls(self, m, k, rows, seed, carried):
+        k = min(k, m)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if carried:  # a half-word left over by an earlier 32-bit draw
+            rng.integers(7, dtype=np.uint32), ref_rng.integers(7, dtype=np.uint32)
+        ref = _k_integers_calls(ref_rng, m, k, rows)
+        assert np.array_equal(_distinct_indices(rng, m, k, rows), ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _k_integers_calls(rng, m, k, rows):
+    """Floyd's sample as k ``integers`` calls, one bound per call."""
+    ref = np.empty((rows, k), dtype=np.int64)
+    for j, t in enumerate(range(m - k, m)):
+        r = rng.integers(0, t + 1, size=rows)
+        r[(ref[:, :j] == r[:, None]).any(axis=1)] = t
+        ref[:, j] = r
+    return ref
