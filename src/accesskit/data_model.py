@@ -9,21 +9,22 @@ a sequence of records: indexing or iterating it builds each ``DemandSite``
 or ``SupplySite`` through the record's own constructor, so the numeric
 stages read the columns and build no record at all.
 
-The reader streams a CSV or GeoJSON table as ``(row_number, cells)``
-pairs, ``cells`` a tuple of the asked-for columns in the order asked, so
-each loader reads a record by position, not by column name. The loaders
-parse the cells straight into columns and check them in bulk. Site and
-origin-destination CSV tables are first tried by a bulk reader, which
-splits a plain table (no quotes, one cell per header column on every line)
-a block of lines at a time; any other table, or one with a cell that does
-not parse, is read row by row.
+Every input table takes one loading path, ``_load_table``. A plain CSV
+table (no quotes, one cell per header column on every line) is split a
+block of lines at a time; any other table, GeoJSON included, is streamed
+as ``(row_number, cells)`` pairs, ``cells`` a tuple of the asked-for
+columns in the order asked, and handed on a block of rows at a time. Each
+loader parses a block's cells straight into columns, and checks the
+columns in bulk once the last block is in.
 
 Coordinates are either geographic (lon, lat in decimal degrees) or planar
 (x, y in meters). The coordinate kind is declared per dataset; input file
 headers must agree with the declared kind and mixing kinds is rejected.
-Loading is eager and fail-fast: the first defective row raises an error
-naming that row, the error the record's constructor or the coordinate
-check raises for that row alone.
+Loading is eager and fail-fast. On any defect (a cell that does not
+parse, an error of the reader, a bulk check that fails) the table is read
+once more row by row, and its first defective row raises an error naming
+that row: the error the record's constructor or the coordinate check
+raises for that row alone.
 """
 
 import csv
@@ -32,7 +33,8 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import partial
+from itertools import islice, repeat
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -155,14 +157,6 @@ class Region:
             raise NegativePopulation(
                 f"region {self.id!r}: population {self.population} must be >= 0"
             )
-
-
-def _regions_ok(values: np.ndarray, extra) -> np.ndarray:
-    """Per row of (area, resource) values and (population,) extras, None where
-    absent, whether ``Region`` accepts it."""
-    population = np.array([0.0 if p is None else p for p, in extra])
-    return (_in_range(values[:, 0], 0.0, closed=False) & _in_range(values[:, 1], 0.0)
-            & _in_range(population, 0.0))
 
 
 class _SiteTable(Sequence):
@@ -408,6 +402,10 @@ def _read_table(path, columns: tuple[str, ...], optional: tuple[str, ...] = (),
 # memory by about 1 MB.
 CSV_BLOCK = 1 << 14
 
+# Rows per block that the row reader hands a table's parser at once, which
+# bounds the memory of the block's cells the same way.
+ROW_BLOCK = 1 << 10
+
 
 def _plain_text(lines, width: int):
     """The text of ``lines`` if the csv module reads each line as its text
@@ -424,150 +422,145 @@ def _plain_text(lines, width: int):
     return None
 
 
-def _read_plain(path, columns: tuple[str, ...], parse) -> bool:
+def _read_plain(path, columns: tuple[str, ...], optional: tuple[str, ...], parse) -> bool:
     """Whether ``path`` is a plain CSV table, each block of which ``parse``
-    has taken.
+    has been given.
 
     The table is read ``CSV_BLOCK`` characters of lines at a time, and a
     block is split into cells once. ``parse`` is given, per column of
-    ``columns``, the list of that column's cells in the block's rows, in
-    row order; it keeps what it makes of them.
+    ``columns`` and then of ``optional``, the list of that column's cells
+    in the block's rows, in row order; an optional column the header lacks
+    gives ``_ABSENT`` in every row, as ``_read_table`` gives it.
 
     A table is plain when it is not GeoJSON, its header names each column
     once and names every one of ``columns``, and ``_plain_text`` takes the
     header and every block; its rows are then numbered from 2 without a gap.
-    False, also when ``parse`` raises KeyError or ValueError (a
-    UnicodeDecodeError included), tells the caller to drop what ``parse``
-    kept and read the table row by row with ``_read_table``, which raises
-    the error of the first defective row.
+    False tells the caller to drop what ``parse`` was given and read the
+    table with ``_read_table``. What ``parse`` raises, and a
+    UnicodeDecodeError, is raised.
     """
     if str(path).endswith(".geojson"):
         return False
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = fh.readline()
-            names = header[:-1].split(",")
-            if (_plain_text([header], len(names)) is None or len(set(names)) < len(names)
-                    or not set(columns) <= set(names)):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = fh.readline()
+        names = header[:-1].split(",")
+        if (_plain_text([header], len(names)) is None or len(set(names)) < len(names)
+                or not set(columns) <= set(names)):
+            return False
+        width = len(names)
+        at = [names.index(col) if col in names else None for col in (*columns, *optional)]
+        while lines := fh.readlines(CSV_BLOCK):
+            text = _plain_text(lines, width)
+            if text is None:
                 return False
-            width, at = len(names), [names.index(col) for col in columns]
-            while lines := fh.readlines(CSV_BLOCK):
-                text = _plain_text(lines, width)
-                if text is None:
-                    return False
-                cells = text[:-1].replace("\n", ",").split(",")
-                parse(*(cells[pos::width] for pos in at))
-    except (KeyError, ValueError):
-        return False
+            cells = text[:-1].replace("\n", ",").split(",")
+            parse(*(cells[pos::width] if pos is not None else [_ABSENT] * len(lines)
+                    for pos in at))
     return True
+
+
+def _load_table(path, columns, table, parse, build, check_row, optional=(), point=None):
+    """What ``build`` makes of the columns of ``table`` filled from a
+    table's cells by ``parse``; else the error of the table's first
+    defective row.
+
+    ``table`` holds empty columns, each an ``array.array`` or a list.
+    ``parse`` is given a block of rows as one sequence of cells per column
+    of ``columns`` and then of ``optional``, and returns, per column of
+    ``table``, what extends it. It raises KeyError, TypeError, ValueError
+    or OverflowError for a cell it cannot take, or an AccessKitError for a
+    block it cannot read. A plain CSV table is read a block of lines at a
+    time by ``_read_plain``, any other table ``ROW_BLOCK`` rows at a time
+    by ``_read_table``, which takes ``optional`` and ``point`` as it
+    describes. Once the last block is in, ``build`` is given the columns,
+    each array column viewed as a NumPy array; it runs the bulk checks and
+    returns None if a row fails them.
+
+    When a cell does not parse, the reader raises or ``build`` gives None,
+    the table is read again row by row, and ``check_row(row_num, cells, seen)``
+    checks each row in turn, ``seen`` a set kept across the rows; it raises
+    the error of the first defective row, naming that row.
+    """
+    def take(*cells):
+        for column, part in zip(table, parse(*cells)):
+            column.extend(part)
+
+    try:
+        if not _read_plain(path, columns, optional, take):
+            for column in table:
+                del column[:]
+            rows = _read_table(path, columns, optional, point)
+            while block := [cells for _, cells in islice(rows, ROW_BLOCK)]:
+                take(*zip(*block))
+        built = build(*(np.frombuffer(column, column.typecode) if isinstance(column, array)
+                        else column for column in table))
+        if built is not None:
+            return built
+    except (AccessKitError, KeyError, TypeError, ValueError, OverflowError):
+        pass
+    seen = set()
+    for row_num, cells in _read_table(path, columns, optional, point):
+        check_row(row_num, cells, seen)
+    raise AssertionError(f"{path}: the bulk checks reject a table whose rows all pass")
 
 
 def _blank(cell) -> bool:
     return cell is _ABSENT or cell is None or cell == ""
 
 
-def _optional_float(cell):
-    """An optional cell as a float, or None where it is blank or absent."""
-    return None if _blank(cell) else float(cell)
+def _check_record(row_num, cells, seen, columns, optional=(), make=None, coord_kind=None):
+    """Check one row of a table of records as a row-by-row reading does.
 
-
-def _collect(rows, columns, optional=(), make=None, ok=None, coord_kind=None):
-    """Stream a table's rows into columns: ``(ids, values, extra)``.
-
-    Each row's cells are its id, then its ``columns``, then its
-    ``optional`` columns. ``ids`` is the list of ids as text; ``values``
-    the read-only (rows, len(columns)) array of the columns' cells, each
-    parsed by ``float()``; ``extra`` the list, one tuple per row, of the
-    optional cells parsed the same way, None where blank or absent.
-
-    Once the rows are in, ids must be unique and, per row, ``ok(values,
-    extra)`` must hold (all rows pass without an ``ok``) and, with a
-    ``coord_kind``, the first two columns must be coordinates of that
-    kind. The first row that fails a check or holds a cell that does not
-    parse raises. Its error is the one a row-by-row reading raises: a
-    cell's MalformedRow, else DuplicateId, else what ``make(id, *values,
-    *extra)`` and then the coordinate check raise for that row alone,
-    each naming the row.
+    The row's cells are its id, then those of ``columns[1:]``, then those
+    of ``optional``. They parse in that order by ``float()``, an optional
+    cell that is blank or absent as None; then the id, as text, is new to
+    ``seen``; then ``make(id, *numbers)`` and, with a ``coord_kind``, the
+    check of the first two numbers as coordinates of that kind pass. The
+    first that fails raises its error, naming the row.
     """
-    n, width = len(columns) + 1, len(columns)
-    ids, numbers, extra = [], array("d"), []
-    add_id, add_numbers, add_extra = ids.append, numbers.extend, extra.append
-    row_num, unparsed, reader_error = 0, None, None
+    numbers = [_parse_float(cell, row_num, col) for cell, col in zip(cells[1:], columns[1:])]
+    numbers += [None if _blank(cell) else _parse_float(cell, row_num, col)
+                for cell, col in zip(cells[len(columns):], optional)]
+    rec_id = str(cells[0])
+    if rec_id in seen:
+        raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
+    seen.add(rec_id)
     try:
-        for row_num, cells in rows:
-            try:
-                add_numbers(map(float, cells[1:n]))
-                if optional:
-                    add_extra(tuple(map(_optional_float, cells[n:])))
-            except (TypeError, ValueError, OverflowError):
-                del numbers[len(ids) * width:], extra[len(ids):]
-                unparsed = cells
-                break
-            add_id(cells[0])
-    except AccessKitError as err:  # the reader's, from a row after those read
-        reader_error = err
-    # rows are numbered consecutively; row_num is the last one read
-    ids, values = list(map(str, ids)), np.frombuffer(numbers).reshape(-1, width)
-    values.flags.writeable = False
-    _check_rows(ids, values, extra, row_num - len(ids) + (unparsed is None), make, ok,
-                coord_kind)
-    if unparsed is not None:
-        for cell, col in zip(unparsed[1:n], columns):
-            _parse_float(cell, row_num, col)
-        for cell, col in zip(unparsed[n:], optional):
-            if not _blank(cell):
-                _parse_float(cell, row_num, col)
-    if reader_error is not None:
-        raise reader_error
-    return ids, values, extra
-
-
-def _check_rows(ids, values, extra, first_row: int, make=None, ok=None, coord_kind=None):
-    """Check the parsed rows of a table, numbered from ``first_row``, as
-    ``_collect`` describes: the first row that fails a check raises."""
-    good = np.ones(len(ids), bool) if ok is None else ok(values, extra)
-    if coord_kind is not None:
-        good &= _coords_ok(values[:, :2], coord_kind)
-    # the checks of one row, from the first the bulk tests reject; no row
-    # before the first repeated id repeats one
-    repeat = _first_repeat(ids)
-    for k in sorted({repeat, *np.flatnonzero(~good).tolist()}):
-        if k == len(ids):
-            break
-        if k == repeat:
-            raise DuplicateId(f"row {first_row + k}: duplicate id {ids[k]!r}")
-        row = values[k].tolist()
-        try:
-            if make is not None:
-                make(ids[k], *row, *(extra[k] if extra else ()))
-            if coord_kind is not None:
-                _check_coords(row[0], row[1], coord_kind)
-        except AccessKitError as err:
-            raise type(err)(f"row {first_row + k}: {err}") from None
+        if make is not None:
+            make(rec_id, *numbers)
+        if coord_kind is not None:
+            _check_coords(numbers[0], numbers[1], coord_kind)
+    except AccessKitError as err:
+        raise type(err)(f"row {row_num}: {err}") from None
 
 
 # --- loaders --------------------------------------------------------------
 
+def _points():
+    """The empty columns of a table of points: ids, x, y and values."""
+    return [], array("d"), array("d"), array("d")
+
+
+def _parse_points(ids, xs, ys, values):
+    """A block of a table of points: ids as text, and x, y and value floats."""
+    return map(str, ids), map(float, xs), map(float, ys), map(float, values)
+
+
 def _load_sites(path, table, coord_kind: str):
     """A ``DemandTable`` or ``SupplyTable`` read from a file."""
-    cx, cy = _coord_columns(coord_kind)
-    value = next(iter(table.COLUMNS))
-    checks = dict(make=table.RECORD, ok=lambda v, _: table.ok(v[:, :2], v[:, 2]),
-                  coord_kind=coord_kind)
-    ids, numbers = [], (array("d"), array("d"), array("d"))
+    columns = ("id", *_coord_columns(coord_kind), next(iter(table.COLUMNS)))
 
-    def parse(block_ids, *cells):
-        for column, column_cells in zip(numbers, cells):
-            column.extend(map(float, column_cells))
-        ids.extend(block_ids)
+    def build(ids, x, y, values):
+        xy = np.column_stack([x, y])
+        if (table.ok(xy, values).all() and _coords_ok(xy, coord_kind).all()
+                and _first_repeat(ids) == len(ids)):
+            return table(ids, xy, values)
+        return None
 
-    if _read_plain(path, ("id", cx, cy, value), parse):
-        values = np.column_stack([np.frombuffer(column) for column in numbers])
-        _check_rows(ids, values, [], 2, **checks)
-    else:
-        rows = _read_table(path, ("id", cx, cy, value), point=(cx, cy))
-        ids, values, _ = _collect(rows, (cx, cy, value), **checks)
-    return table(ids, values[:, :2], values[:, 2])
+    return _load_table(
+        path, columns, _points(), _parse_points, build,
+        partial(_check_record, columns=columns, make=table.RECORD, coord_kind=coord_kind),
+        point=columns[1:3])
 
 
 def load_demand(path, coord_kind: str = "geographic") -> list[DemandSite]:
@@ -580,13 +573,39 @@ def load_supply(path, coord_kind: str = "geographic") -> list[SupplySite]:
     return list(_load_sites(path, SupplyTable, coord_kind))
 
 
+def _parse_regions(ids, area, resource, population):
+    """A block of a regions table: ids as text, area and resource floats,
+    and populations, None where blank or absent."""
+    return (map(str, ids), map(float, area), map(float, resource),
+            (None if _blank(cell) else float(cell) for cell in population))
+
+
+def _regions(ids, area, resource, population):
+    """The regions of the columns; None unless ``Region`` accepts every
+    row and the ids are unique."""
+    given = np.array([0.0 if p is None else p for p in population])
+    if (_in_range(area, 0.0, closed=False).all() and _in_range(resource, 0.0).all()
+            and _in_range(given, 0.0).all() and _first_repeat(ids) == len(ids)):
+        return list(map(Region, ids, area.tolist(), resource.tolist(), population))
+    return None
+
+
 def load_regions(path) -> list[Region]:
     """Load regions from CSV (``id,area_km2,resource[,population]``) or from
     GeoJSON features with those properties; a blank population is absent."""
-    rows = _read_table(path, ("id", "area_km2", "resource"), optional=("population",))
-    ids, values, extra = _collect(rows, ("area_km2", "resource"), optional=("population",),
-                                  make=Region, ok=_regions_ok)
-    return [Region(i, *v, *e) for i, v, e in zip(ids, values.tolist(), extra)]
+    columns, optional = ("id", "area_km2", "resource"), ("population",)
+    return _load_table(
+        path, columns, ([], array("d"), array("d"), []), _parse_regions, _regions,
+        partial(_check_record, columns=columns, optional=optional, make=Region), optional)
+
+
+def _values_kind(path, lon, lat, x, y) -> str:
+    """The coordinate kind of a values table whose row holds these cells."""
+    if _ABSENT not in (lon, lat):
+        return "geographic"
+    if _ABSENT not in (x, y):
+        return "planar"
+    raise MissingColumn(f"{path}: need lon/lat or x/y coordinate columns")
 
 
 def load_values(path, column: str):
@@ -598,21 +617,32 @@ def load_values(path, column: str):
     values)`` with ``locations`` a read-only (n, 2) array and ``values`` a
     read-only array.
     """
-    rows = _read_table(path, ("id", column), optional=("lon", "lat", "x", "y"),
-                       point=("lon", "lat"))
-    head = next(rows, None)
-    if head is None:
+    kind = []  # the coordinate kind, as the first row's cells show it
+
+    def parse(ids, values, *coords):
+        if not kind:
+            kind.append(_values_kind(path, *(cells[0] for cells in coords)))
+        at = 0 if kind == ["geographic"] else 2
+        return _parse_points(ids, *coords[at:at + 2], values)
+
+    def build(ids, x, y, values):
+        xy = np.column_stack([x, y])
+        if ids and not (_coords_ok(xy, kind[0]).all() and _first_repeat(ids) == len(ids)):
+            return None
+        xy.flags.writeable = values.flags.writeable = False
+        return ids, xy, values
+
+    def check_row(row_num, cells, seen):
+        row_kind = _values_kind(path, *cells[2:])
+        at = 2 if row_kind == "geographic" else 4
+        _check_record(row_num, (cells[0], *cells[at:at + 2], cells[1]), seen,
+                      ("id", *_coord_columns(row_kind), column), coord_kind=row_kind)
+
+    ids, locations, values = _load_table(path, ("id", column), _points(), parse, build,
+                                         check_row, ("lon", "lat", "x", "y"), ("lon", "lat"))
+    if not ids:
         raise NoRecords(f"{path}: table has no rows")
-    first = head[1]
-    if _ABSENT not in first[2:4]:
-        coord_kind, pick = "geographic", itemgetter(0, 2, 3, 1)  # id, lon, lat, value
-    elif _ABSENT not in first[4:6]:
-        coord_kind, pick = "planar", itemgetter(0, 4, 5, 1)  # id, x, y, value
-    else:
-        raise MissingColumn(f"{path}: need lon/lat or x/y coordinate columns")
-    ids, values, _ = _collect(((row_num, pick(cells)) for row_num, cells in chain([head], rows)),
-                              (*_coord_columns(coord_kind), column), coord_kind=coord_kind)
-    return ids, values[:, :2], coord_kind, values[:, 2]
+    return ids, locations, kind[0], values
 
 
 def load_dataset(demand_path, supply_path, regions_path=None,

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import (
-    Dataset, DemandTable, SupplyTable, _parse_float, _read_plain, _read_table,
+    Dataset, DemandTable, SupplyTable, _load_table, _parse_float,
 )
 from .errors import (
-    AccessKitError,
     DuplicatePair,
     MetricMismatch,
     NegativeCost,
@@ -226,88 +225,52 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
     features); each pair appears at most once.
     Pairs absent from the file are unreachable (+inf).
 
-    Rows are read into flat indices ``i * len(supply) + j`` and costs;
-    repeated pairs and NaN or negative costs are found with array checks
-    once the rows are in. A plain CSV table is read in bulk, any other row
-    by row. The error names the first defective row of the file, whatever
-    its defect.
+    The table goes through ``data_model``'s one loading path: its rows are
+    parsed into flat indices ``i * len(supply) + j`` and costs a block at a
+    time, and repeated pairs and NaN or negative costs are found with array
+    checks once the rows are in. On any defect the table is read again row
+    by row, and the error names its first defective row.
     """
     d_index = {sid: i for i, sid in enumerate(DemandTable.of(demand).ids)}
     s_index = {sid: j for j, sid in enumerate(SupplyTable.of(supply).ids)}
-    shape = (len(d_index), len(s_index))
-    pairs, costs = array("q"), array("d")
+    n, m = len(d_index), len(s_index)
 
     def parse(d_ids, s_ids, cells):
-        flat = _indices(d_index, d_ids) * shape[1] + _indices(s_index, s_ids)
-        pairs.frombytes(flat.tobytes())
-        costs.extend(map(float, cells))
+        flat = _indices(d_index, d_ids) * m + _indices(s_index, s_ids)
+        return array("q", flat.tobytes()), map(float, cells)
 
-    if not _read_plain(path, _OD_COLUMNS, parse):
-        pairs, costs = _read_rows(path, d_index, s_index, shape)
-    cost = _cost_matrix(path, pairs, costs, shape)
-    cost.flags.writeable = False  # TravelMatrix takes it over without a copy
-    return TravelMatrix(cost=cost, unit=unit)
+    def build(flat, cost):
+        filled = np.zeros(n * m, dtype=bool)
+        filled[flat] = True
+        if np.count_nonzero(filled) < len(flat) or not (cost >= 0).all():
+            return None
+        del filled  # before the matrix is made
+        matrix = np.full((n, m), np.inf)
+        matrix.reshape(-1)[flat] = cost
+        matrix.flags.writeable = False  # TravelMatrix takes it over without a copy
+        return TravelMatrix(cost=matrix, unit=unit)
+
+    def check_row(row_num, cells, seen):
+        """A row, as a row-by-row reading checks it: its demand id is known,
+        then its supply id, then its pair is new, then its cost parses and
+        is >= 0."""
+        did, sid, raw = cells
+        at = []
+        for site_id, index, label in ((did, d_index, "demand"), (sid, s_index, "supply")):
+            try:
+                at.append(index[site_id])
+            except (KeyError, TypeError):  # TypeError: a GeoJSON list or object
+                raise UnknownId(f"row {row_num}: unknown {label} id {site_id!r}") from None
+        flat = at[0] * m + at[1]  # a pair as an int, which takes less memory than its ids
+        if flat in seen:
+            raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated")
+        seen.add(flat)
+        if not _parse_float(raw, row_num, "cost") >= 0:
+            raise NegativeCost(f"row {row_num}: cost {raw!r} must be >= 0")
+
+    return _load_table(path, _OD_COLUMNS, (array("q"), array("d")), parse, build, check_row)
 
 
 def _indices(index, ids) -> np.ndarray:
     """The position of each of ``ids`` in ``index``; KeyError for an unknown one."""
     return np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
-
-
-def _read_rows(path, d_index, s_index, shape):
-    """The flat pair indices and the costs of an OD table read row by row,
-    as arrays; the first defective row raises its error."""
-    m = shape[1]
-    pairs, costs = array("q"), array("d")
-    add_pair, add_cost = pairs.append, costs.append
-    try:
-        for row_num, (did, sid, raw) in _read_table(path, _OD_COLUMNS):
-            add_pair(d_index[did] * m + s_index[sid])
-            add_cost(float(raw))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        del pairs[len(costs):]
-        _cost_matrix(path, pairs, costs, shape)
-        if not _known(did, d_index):
-            raise UnknownId(f"row {row_num}: unknown demand id {did!r}") from None
-        if not _known(sid, s_index):
-            raise UnknownId(f"row {row_num}: unknown supply id {sid!r}") from None
-        if d_index[did] * m + s_index[sid] in pairs:
-            raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated") from None
-        _parse_float(raw, row_num, "cost")  # raises MalformedRow
-        raise
-    except AccessKitError:  # the reader's, from a row after those read
-        _cost_matrix(path, pairs, costs, shape)
-        raise
-    return pairs, costs
-
-
-def _known(site_id, index) -> bool:
-    """Whether an id is a key of ``index``; a GeoJSON list or object is not."""
-    try:
-        return site_id in index
-    except TypeError:  # unhashable
-        return False
-
-
-def _cost_matrix(path, pairs, costs, shape) -> np.ndarray:
-    """The cost matrix of the rows read so far, each a flat pair index and a
-    cost; raises for the first row that repeats a pair or has a NaN or
-    negative cost."""
-    flat = np.frombuffer(pairs, dtype=np.int64)
-    cost = np.frombuffer(costs, dtype=float)
-    filled = np.zeros(shape[0] * shape[1], dtype=bool)
-    filled[flat] = True
-    if np.count_nonzero(filled) < len(flat) or not (cost >= 0).all():
-        order = np.argsort(flat, kind="stable")
-        repeat = np.zeros(len(flat), dtype=bool)
-        repeat[order[1:][flat[order[1:]] == flat[order[:-1]]]] = True
-        first = np.flatnonzero(repeat | ~(cost >= 0))[0]
-        # the message quotes the row's cells, so read up to that row again
-        row_num, (did, sid, raw) = next(
-            row for k, row in enumerate(_read_table(path, _OD_COLUMNS)) if k == first)
-        if repeat[first]:
-            raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated") from None
-        raise NegativeCost(f"row {row_num}: cost {raw!r} must be >= 0") from None
-    matrix = np.full(shape, np.inf)
-    matrix.reshape(-1)[flat] = cost
-    return matrix

@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import astuple, replace
+from itertools import chain
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -22,6 +23,7 @@ from accesskit.data_model import (
     load_demand,
     load_regions,
     load_supply,
+    load_values,
     regions_csv_text,
     supply_csv_text,
     write_dataset,
@@ -34,6 +36,7 @@ from accesskit.errors import (
     MissingColumn,
     NegativePopulation,
     NegativeResource,
+    NoRecords,
     NonFiniteCoordinate,
     NonPositiveArea,
     NonPositiveCapacity,
@@ -340,9 +343,10 @@ ID_CHARS = "ab1"
 @st.composite
 def site_tables(draw):
     """A CSV or GeoJSON demand or supply table: valid rows, then zero or
-    more defects (odd cells, repeated ids, out-of-range coordinates, blank
-    and short CSV rows), and for half the CSV tables a ``write_site_table``
-    layout (line ends, final newline, a repeated column, quoted ids)."""
+    more defects (odd cells, repeated ids, out-of-range coordinates, blank,
+    short and long CSV rows), and for half the CSV tables a
+    ``write_site_table`` layout (line ends, final newline, a repeated
+    column, quoted ids)."""
     kind = draw(st.sampled_from(["demand", "supply"]))
     coord_kind = draw(st.sampled_from(["geographic", "planar"]))
     geojson = draw(st.booleans())
@@ -355,13 +359,17 @@ def site_tables(draw):
     odd = st.sampled_from(ODD_JSON if geojson else ODD_CELLS)
     inserted = []
     for _ in range(draw(st.integers(0, 3))):
-        defect = draw(st.sampled_from(["cell", "cell", "repeat", "blank", "short"]))
+        defect = draw(st.sampled_from(["cell", "cell", "repeat", "blank", "short", "long"]))
         k = draw(st.integers(0, n - 1))
         if defect == "cell":
             rows[k][draw(st.integers(1, 3))] = draw(odd)
         elif defect == "repeat":
             rows[k][0] = rows[draw(st.integers(0, n - 1))][0]
-        elif not geojson:  # blank and short rows exist only in CSV
+        elif geojson:  # blank, short and long rows exist only in CSV
+            pass
+        elif defect == "long":  # the csv module drops the cells past the header's
+            rows[k] = [*rows[k], draw(odd)]
+        else:
             inserted.append((k, [] if defect == "blank" else rows[k][:draw(st.integers(1, 3))]))
     for k, row in sorted(inserted, key=lambda pair: -pair[0]):
         rows.insert(k, row)
@@ -481,6 +489,273 @@ class TestBulkReader:
         assert outcome(lambda: load_demand(path)) == want
         if error is None:
             assert len(want) == 40
+        else:
+            assert want[0] == f"data_model.{error}" and want[1].startswith("row 31: ")
+
+
+# --- regions and values tables against a row-by-row reference --------------
+
+def dict_rows(path, point=None):
+    """Yield a table's rows as ``(row_number, row)`` pairs, ``row`` a dict:
+    the csv module's dictionary reader's, or each GeoJSON feature's
+    properties, with a Point's coordinates under the two names of
+    ``point``. A row the csv module rejects raises where it is read."""
+    if path.suffix == ".geojson":
+        for row_num, feat in enumerate(json.loads(path.read_text())["features"], start=1):
+            row = dict(feat["properties"])
+            if point is not None:
+                row[point[0]], row[point[1]] = feat["geometry"]["coordinates"]
+            yield row_num, row
+        return
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(csv.DictReader(fh), start=2)
+        except csv.Error as err:  # a NUL before Python 3.11
+            raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
+
+
+def parse_cell(row, col, row_num):
+    """A cell as ``float()`` reads it; a JSON true or false is no number."""
+    raw = row[col]
+    try:
+        if isinstance(raw, bool):
+            raise TypeError
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRow(f"row {row_num}: cannot parse {col}={raw!r}") from None
+
+
+def require(path, row, row_num, columns):
+    """A GeoJSON feature's properties must hold each of ``columns``."""
+    for col in columns:
+        if path.suffix == ".geojson" and row.get(col) is None:
+            raise MissingColumn(f"row {row_num}: properties lack {col!r}")
+
+
+def new_id(row, row_num, seen):
+    rec_id = str(row["id"])
+    if rec_id in seen:
+        raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
+    seen.add(rec_id)
+    return rec_id
+
+
+def regions_by_row(path):
+    """The regions of a table read one row at a time: the records, or the
+    error of the first defective row. A row's area and resource parse in
+    that order, then its population unless blank or absent; then its id
+    must be new; then the region must construct."""
+    records, seen = [], set()
+    for row_num, row in dict_rows(path):
+        require(path, row, row_num, ("id", "area_km2", "resource"))
+        numbers = [parse_cell(row, col, row_num) for col in ("area_km2", "resource")]
+        blank = row.get("population") in (None, "")
+        numbers.append(None if blank else parse_cell(row, "population", row_num))
+        rec_id = new_id(row, row_num, seen)
+        try:
+            records.append(Region(rec_id, *numbers))
+        except AccessKitError as err:
+            raise type(err)(f"row {row_num}: {err}") from None
+    return records
+
+
+def values_by_row(path, column="score"):
+    """A values table read one row at a time: ``(ids, locations, coord_kind,
+    values)``, or the error of the first defective row. A table needs a row,
+    then lon/lat or x/y columns, the first row tells which; a row's
+    coordinates and value parse in that order, then its id must be new, then
+    its coordinates must be of that kind."""
+    rows = dict_rows(path, point=("lon", "lat"))
+    head = next(rows, None)
+    if head is None:
+        raise NoRecords(f"{path}: table has no rows")
+    first = head[1]
+    if "lon" in first and "lat" in first:
+        coord_kind, columns = "geographic", ("lon", "lat", column)
+    elif "x" in first and "y" in first:
+        coord_kind, columns = "planar", ("x", "y", column)
+    else:
+        raise MissingColumn(f"{path}: need lon/lat or x/y coordinate columns")
+    ids, numbers, seen = [], [], set()
+    for row_num, row in chain([head], rows):
+        require(path, row, row_num, ("id", column))
+        numbers.append([parse_cell(row, col, row_num) for col in columns])
+        ids.append(new_id(row, row_num, seen))
+        try:
+            _check_coords(*numbers[-1][:2], coord_kind)
+        except AccessKitError as err:
+            raise type(err)(f"row {row_num}: {err}") from None
+    table = np.array(numbers)
+    return ids, table[:, :2], coord_kind, table[:, 2]
+
+
+def regions_outcome(load):
+    try:
+        return [(r.id, r.area_km2.hex(), r.resource.hex(),
+                 None if r.population is None else r.population.hex()) for r in load()]
+    except AccessKitError as err:
+        return err.code, str(err)
+
+
+def values_outcome(load):
+    try:
+        ids, locations, coord_kind, values = load()
+        return (ids, coord_kind, [v.hex() for v in locations.ravel().tolist()],
+                [v.hex() for v in values.tolist()], locations.shape)
+    except AccessKitError as err:
+        return err.code, str(err)
+
+
+def write_table(directory, name, geojson, header, rows, point=None):
+    """A table of ``rows`` under ``header``. In GeoJSON each row is a
+    feature whose properties are its cells but those of the two ``point``
+    columns, which give a Point's coordinates; in CSV each row is a line,
+    any cell not text written by ``repr``."""
+    if geojson:
+        path = directory / f"{name}.geojson"
+        features = []
+        for row in rows:
+            cells = dict(zip(header, row))
+            geometry = None if point is None else {
+                "type": "Point", "coordinates": [cells.pop(point[0]), cells.pop(point[1])]}
+            features.append({"type": "Feature", "geometry": geometry, "properties": cells})
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": features}),
+                        encoding="utf-8")
+        return path
+    path = directory / f"{name}.csv"
+    path.write_text("".join(",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n"
+                            for row in [header, *rows]), encoding="utf-8")
+    return path
+
+
+def add_defects(draw, rows, geojson, odd):
+    """Zero or more defects in ``rows``, whose first cell is an id: odd
+    cells, repeated ids, and blank, short and long CSV rows."""
+    inserted = []
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        defect = draw(st.sampled_from(["cell", "cell", "repeat", "blank", "short", "long"]))
+        k = draw(st.integers(0, len(rows) - 1))
+        if defect == "cell":
+            rows[k][draw(st.integers(1, len(rows[k]) - 1))] = draw(odd)
+        elif defect == "repeat":
+            rows[k][0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        elif geojson:  # blank, short and long rows exist only in CSV
+            pass
+        elif defect == "long":
+            rows[k] = [*rows[k], draw(odd)]
+        else:
+            inserted.append((k, [] if defect == "blank"
+                             else rows[k][:draw(st.integers(1, len(rows[k]) - 1))]))
+    for k, row in sorted(inserted, key=lambda pair: -pair[0]):
+        rows.insert(k, row)
+
+
+@st.composite
+def region_tables(draw):
+    """A CSV or GeoJSON regions table: valid rows, with a population column
+    that is absent or holds numbers and blank cells, then zero or more
+    ``add_defects`` defects."""
+    geojson = draw(st.booleans())
+    header = ["id", "area_km2", "resource", *draw(st.sampled_from([[], ["population"]]))]
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3), min_size=1, max_size=6,
+                        unique=True))
+    blank = st.sampled_from((None, "")) if geojson else st.just("")
+    rows = [[i, draw(st.floats(5e-324, 1e300)), draw(st.floats(0, 1e300)),
+             draw(st.floats(0, 1e300) | blank)][:len(header)] for i in ids]
+    add_defects(draw, rows, geojson, st.sampled_from(ODD_JSON if geojson else ODD_CELLS))
+    return geojson, header, rows
+
+
+@st.composite
+def value_tables(draw):
+    """A CSV or GeoJSON values table, maybe without rows: valid rows under
+    lon/lat, x/y, both or neither coordinate columns (GeoJSON: a Point's
+    lon/lat), then zero or more ``add_defects`` defects."""
+    geojson = draw(st.booleans())
+    coords = ["lon", "lat"] if geojson else draw(st.sampled_from(
+        [["lon", "lat"], ["x", "y"], ["x", "y", "lon", "lat"], []]))
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=3), max_size=6, unique=True))
+    rows = [[i, *(draw(st.floats(-90, 90)) for _ in coords), draw(st.floats())] for i in ids]
+    add_defects(draw, rows, geojson, st.sampled_from(ODD_JSON if geojson else ODD_CELLS))
+    return geojson, ["id", *coords, "score"], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=region_tables())
+@example(table=(False, ["id", "area_km2", "resource", "population"],
+                [["a", 1.0, 2.0, ""], ["b", 1.0, 2.0, "-4"]]))
+@example(table=(True, ["id", "area_km2", "resource", "population"],
+                [["a", 1.0, 2.0, None], ["b", True, 2.0, 1.0]]))
+@example(table=(False, ["id", "area_km2", "resource"], [["a", 1.0, 2.0], [], ["a", 1.0]]))
+def test_regions_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
+    with TemporaryDirectory() as tmp:
+        path = write_table(Path(tmp), "regions", *table)
+        assert regions_outcome(lambda: load_regions(path)) == \
+            regions_outcome(lambda: regions_by_row(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=value_tables())
+@example(table=(False, ["id", "score"], []))
+@example(table=(False, ["id", "score"], [["a", "x"]]))
+@example(table=(False, ["id", "x", "y", "score"], [["a", 1.0, 2.0, 3.0], ["b", 1.0]]))
+@example(table=(True, ["id", "lon", "lat", "score"], [["a", 1.0, None, 3.0]]))
+def test_values_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
+    with TemporaryDirectory() as tmp:
+        path = write_table(Path(tmp), "values", *table, point=("lon", "lat"))
+        assert values_outcome(lambda: load_values(path, "score")) == \
+            values_outcome(lambda: values_by_row(path))
+
+
+class TestBulkReaderRegionsAndValues:
+    """Plain regions and values tables are read in bulk too, and a defect
+    in a later block is the row-by-row reading's."""
+
+    REGIONS = "id,area_km2,resource,population\n" + "".join(
+        f"r{k},{k + 1},{k / 3!r},{k * 10 if k % 4 else ''}\n" for k in range(40))
+    VALUES = "id,x,y,score\n" + "".join(
+        f"u{k},{k * 100.5!r},{k * -7.25!r},{k / 9!r}\n" for k in range(40))
+
+    def test_a_plain_table_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        regions = write(tmp_path, "r.csv", self.REGIONS)
+        values = write(tmp_path, "v.csv", self.VALUES)
+        want = regions_by_row(regions), values_outcome(lambda: values_by_row(values))
+        monkeypatch.setattr(data_model, "_read_table", lambda *args, **kwargs: 1 / 0)
+        assert load_regions(regions) == want[0] and len(want[0]) == 40
+        assert values_outcome(lambda: load_values(values, "score")) == want[1]
+        assert want[1][1] == "planar" and [r.population for r in want[0][:2]] == [None, 10.0]
+
+    @pytest.mark.parametrize("table, row, error", [
+        ("regions", "r29,x,2,3", "MalformedRow"),
+        ("regions", "r29,0,2,3", "NonPositiveArea"),
+        ("regions", "r29,1,-2,3", "NegativeResource"),
+        ("regions", "r29,1,2,-3", "NegativePopulation"),
+        ("regions", "r3,1,2,", "DuplicateId"),
+        ("regions", '"r29",1,2,', None),
+        ("values", "u29,1,2,x", "MalformedRow"),
+        ("values", "u29,nan,2,3", "NonFiniteCoordinate"),
+        ("values", "u3,1,2,3", "DuplicateId"),
+        ("values", "u29,1,2,3,4", None),
+    ], ids=["regions-unparsed", "regions-zero-area", "regions-negative-resource",
+            "regions-negative-population", "regions-repeat", "regions-quoted",
+            "values-unparsed", "values-nan", "values-repeat", "values-long"])
+    def test_a_defect_in_a_later_block_names_the_row_of_the_row_loop(self, tmp_path,
+                                                                      monkeypatch, table,
+                                                                      row, error):
+        lines = getattr(self, table.upper()).splitlines()
+        lines[30] = row  # row 31 is well past the first block of 100 characters
+        path = write(tmp_path, f"{table}.csv", "\n".join(lines) + "\n")
+        load, reference, outcome_of = {
+            "regions": (load_regions, regions_by_row, regions_outcome),
+            "values": (lambda p: load_values(p, "score"), values_by_row, values_outcome),
+        }[table]
+        want = outcome_of(lambda: reference(path))
+        monkeypatch.setattr(data_model, "CSV_BLOCK", 100)
+        assert outcome_of(lambda: load(path)) == want
+        if error is None:
+            assert len(want[0] if table == "values" else want) == 40
         else:
             assert want[0] == f"data_model.{error}" and want[1].startswith("row 31: ")
 

@@ -273,7 +273,7 @@ OD_SUPPLY = ("h0", "h,1", "h2")
 # ids that need no quoting, for tables the bulk reader takes
 PLAIN_DEMAND, PLAIN_SUPPLY = ("d0", "d 3"), ("h0", "h2")
 OD_DEFECTS = ("unknown-demand", "unknown-supply", "repeat", "negative", "nan",
-              "not-a-number", "nul", "short")
+              "not-a-number", "nul", "short", "long")
 # costs float() reads, written in forms other than its own
 ODD_COSTS = ("1_0", "1_000.5", " 2 ", "\u0663", "\uff15.5", "-0.0")
 
@@ -319,10 +319,12 @@ def od_tables(draw):
     """The text of an OD table: shuffled, extra and repeated columns, quoted
     or plain ids, a possible BOM, ``\n`` or ``\r\n`` line ends, blank lines,
     a possible missing final newline, ``inf`` costs, costs with underscores,
-    spaces or non-ASCII digits, and up to two defects. A repeated column's
-    earlier cells hold junk, as the last one is read. A tidy table has
-    plain ids and none of the blank lines, ``\r\n``, missing final newline,
-    repeated column, short row or NUL that make the bulk reader give way."""
+    spaces or non-ASCII digits, up to two defects, and a possible short or
+    long row (a cell fewer or more than the header). A repeated column's
+    earlier cells hold junk, as the last one is read. A tidy table has plain
+    ids and none of the blank lines, ``\r\n``, missing final newline,
+    repeated column, short or long row or NUL that make the bulk reader
+    give way."""
     plain = draw(st.booleans())
     tidy = plain and draw(st.booleans())
     demand_ids, supply_ids = (PLAIN_DEMAND, PLAIN_SUPPLY) if plain else (OD_DEMAND, OD_SUPPLY)
@@ -330,7 +332,7 @@ def od_tables(draw):
                           unique=True, max_size=len(demand_ids) * len(supply_ids)))
     costs = st.one_of(st.floats(0, 1e6).map(repr), st.just("inf"), st.sampled_from(ODD_COSTS))
     rows = [{"demand_id": d, "supply_id": s, "cost": draw(costs)} for d, s in pairs]
-    defects = OD_DEFECTS[:-2] if tidy else OD_DEFECTS
+    defects = OD_DEFECTS[:-3] if tidy else OD_DEFECTS
     for defect in draw(st.lists(st.sampled_from(defects), max_size=2)):
         row = {"demand_id": draw(st.sampled_from(demand_ids)),
                "supply_id": draw(st.sampled_from(supply_ids)), "cost": "1.5"}
@@ -356,9 +358,10 @@ def od_tables(draw):
         writer.writerow([row.get(col, "x y" if plain else "x, y") if last[col] == k else "junk"
                          for k, col in enumerate(header)])
     lines = out.getvalue().splitlines()
-    if "short" in draw(st.lists(st.sampled_from(defects), max_size=1)) and len(lines) > 1:
+    row_defect = draw(st.lists(st.sampled_from(defects), max_size=1))
+    if row_defect in (["short"], ["long"]) and len(lines) > 1:
         at = draw(st.integers(1, len(lines) - 1))
-        lines[at] = lines[at].rsplit(",", 1)[0]
+        lines[at] = lines[at].rsplit(",", 1)[0] if row_defect == ["short"] else lines[at] + ",x"
     for _ in range(draw(st.integers(0, 0 if tidy else 2))):
         lines.insert(draw(st.integers(1, len(lines))), "")
     end = "\n" if tidy else draw(st.sampled_from(("\n", "\r\n")))
@@ -392,7 +395,7 @@ class TestOdReader:
         path = tmp_path / "od.csv"
         path.write_text(self.PLAIN, encoding="utf-8")
         want = reference_od(path)
-        monkeypatch.setattr(travel, "_read_table", lambda *args, **kwargs: 1 / 0)
+        monkeypatch.setattr(data_model, "_read_table", lambda *args, **kwargs: 1 / 0)
         assert np.array_equal(load_od_matrix(path, *od_sites()).cost, want)
         assert np.isfinite(want).sum() == 3
 
@@ -412,7 +415,7 @@ class TestOdReader:
         path = tmp_path / "od.csv"
         path.write_text(self.PLAIN + row + "\n", encoding="utf-8")  # row 5, past block 1
         assert reference_od(path) == (error, 5)
-        monkeypatch.setattr(travel, "_read_plain", lambda *args: None)
+        monkeypatch.setattr(data_model, "_read_plain", lambda *args: None)
         with pytest.raises(error) as row_loop:
             load_od_matrix(path, *od_sites())
         monkeypatch.undo()
