@@ -2,10 +2,12 @@
 
 Subcommands: access, moran, lisa, hrad, optimize, report. Parameters come
 from the JSON config file if there is one, else the defaults; flags
-override config fields. ``report`` is the other five commands on one run;
-when ``threads`` allows, ``_workers.run`` returns its spatial weights from
-a worker beside the catchment and its plan from one beside moran, lisa and
-hrad, each computed here if its worker fails: the files and errors of one thread.
+override config fields. A bad command line, config or input exits 2 with
+one ``error: module.Class: ...`` line. ``report`` is the other five
+commands on one run; when ``threads`` allows, ``_workers.run`` returns its
+spatial weights from a worker beside the catchment and its plan from one
+beside moran, lisa and hrad, each computed here if its worker fails: the
+files and errors of one thread.
 All output texts are computed before any file is written, each atomically
 (temp file, then rename), so a failing run writes nothing. All randomness
 flows from the single configured seed, making reruns byte-identical.
@@ -26,19 +28,6 @@ from .data_model import load_dataset, load_regions, load_values
 from .decay import DecaySpec
 from .errors import AccessKitError, ConfigError
 from .travel import COST_UNITS, cost_rows, load_od_matrix
-
-def _env_threads() -> int | None:
-    """The ACCESSKIT_THREADS worker count, or None when the variable is unset
-    or empty. A value that is not an integer is a ConfigError; one below 1
-    fails ``RunConfig.validate`` as it would from a flag or the config."""
-    raw = os.environ.get("ACCESSKIT_THREADS")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"ACCESSKIT_THREADS must be an integer, got {raw!r}") from None
-
 
 # the commands that start worker processes, and so take --threads
 _THREADED = ("moran", "lisa", "report")
@@ -106,14 +95,7 @@ class RunConfig:
         return cfg
 
     def apply_overrides(self, args) -> None:
-        """Every parsed flag whose dest is a config field wins over the
-        config; without --threads, a set ACCESSKIT_THREADS does. Only the
-        commands that start workers, moran, lisa and report, take --threads
-        and read the variable."""
-        env = (None if "threads" in vars(args) or args.command not in _THREADED
-               else _env_threads())
-        if env is not None:
-            self.threads = env
+        """Every parsed flag whose dest is a config field wins over the config."""
         for name, value in vars(args).items():
             if name in self.__dataclass_fields__:
                 setattr(self, name, value)
@@ -378,8 +360,16 @@ class _WeightsFlag(argparse.Action):
         setattr(namespace, self.dest, {"scheme": scheme, key: value})
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and each subcommand's, whose every error is a
+    ConfigError: a bad command line exits as any other bad input does."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="accesskit",
         description="Facility accessibility, spatial equity, and reallocation planning",
     )
@@ -440,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         run = Run(args)
         files, line = args.func(run)
     except AccessKitError as err:

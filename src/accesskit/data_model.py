@@ -474,9 +474,9 @@ def _load_table(path, columns, table, parse, build, check_row, optional=(), poin
     by ``_read_table``, which takes ``optional`` and ``point`` as it
     describes. Once the last block is in, ``build`` is given the columns,
     each array column viewed as a NumPy array; it runs the bulk checks and
-    returns None if a row fails them.
+    returns None, or raises an AccessKitError, if a row fails them.
 
-    When a cell does not parse, the reader raises or ``build`` gives None,
+    When a cell does not parse or ``build`` rejects the rows,
     the table is read again row by row, and ``check_row(row_num, cells, seen)``
     checks each row in turn, ``seen`` a set kept across the rows; it raises
     the error of the first defective row, naming that row.
@@ -550,10 +550,9 @@ def _load_sites(path, table, coord_kind: str):
     """A ``DemandTable`` or ``SupplyTable`` read from a file."""
     columns = ("id", *_coord_columns(coord_kind), next(iter(table.COLUMNS)))
 
-    def build(ids, x, y, values):
+    def build(ids, x, y, values):  # the table's constructor runs its own checks
         xy = np.column_stack([x, y])
-        if (table.ok(xy, values).all() and _coords_ok(xy, coord_kind).all()
-                and _first_repeat(ids) == len(ids)):
+        if _coords_ok(xy, coord_kind).all() and _first_repeat(ids) == len(ids):
             return table(ids, xy, values)
         return None
 
@@ -581,11 +580,9 @@ def _parse_regions(ids, area, resource, population):
 
 
 def _regions(ids, area, resource, population):
-    """The regions of the columns; None unless ``Region`` accepts every
-    row and the ids are unique."""
-    given = np.array([0.0 if p is None else p for p in population])
-    if (_in_range(area, 0.0, closed=False).all() and _in_range(resource, 0.0).all()
-            and _in_range(given, 0.0).all() and _first_repeat(ids) == len(ids)):
+    """The regions of the columns, each checked by ``Region``; None unless
+    the ids are unique."""
+    if _first_repeat(ids) == len(ids):
         return list(map(Region, ids, area.tolist(), resource.tolist(), population))
     return None
 

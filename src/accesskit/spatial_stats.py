@@ -66,11 +66,6 @@ class SpatialWeights:
         return np.bincount(self._rows, weights=self.data * np.asarray(v)[self.indices],
                            minlength=self.n)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
-        dense[self._rows, self.indices] = self.data
-        return dense
-
 
 @dataclass(frozen=True, eq=False)
 class MoranResult:

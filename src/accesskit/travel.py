@@ -96,20 +96,6 @@ def haversine_distance(p, q) -> float:
     return EARTH_RADIUS_KM * 2 * math.asin(math.sqrt(a))
 
 
-def haversine_matrix(a, b) -> np.ndarray:
-    """Pairwise great-circle km between two (n, 2) arrays of (lon, lat)."""
-    return _distance_matrix(a, b, "haversine")
-
-
-def euclidean_matrix(a, b) -> np.ndarray:
-    """Pairwise planar distance in km between (n, 2) arrays of (x, y) meters."""
-    return _distance_matrix(a, b, "euclidean")
-
-
-def _distance_matrix(a, b, metric: str) -> np.ndarray:
-    return _stacked(_distance_rows(a, b, metric), (len(a), len(b)))
-
-
 def _stacked(blocks, shape) -> np.ndarray:
     """The matrix of ``shape`` whose rows ``blocks`` yields as ``(lo, rows)``."""
     out = np.empty(shape)
@@ -250,10 +236,13 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
         matrix.flags.writeable = False  # TravelMatrix takes it over without a copy
         return TravelMatrix(cost=matrix, unit=unit)
 
+    pairs = None  # a byte per pair, set once a row holds it; made on the replay's first row
+
     def check_row(row_num, cells, seen):
         """A row, as a row-by-row reading checks it: its demand id is known,
         then its supply id, then its pair is new, then its cost parses and
         is >= 0."""
+        nonlocal pairs
         did, sid, raw = cells
         at = []
         for site_id, index, label in ((did, d_index, "demand"), (sid, s_index, "supply")):
@@ -261,10 +250,12 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
                 at.append(index[site_id])
             except (KeyError, TypeError):  # TypeError: a GeoJSON list or object
                 raise UnknownId(f"row {row_num}: unknown {label} id {site_id!r}") from None
-        flat = at[0] * m + at[1]  # a pair as an int, which takes less memory than its ids
-        if flat in seen:
+        if pairs is None:
+            pairs = bytearray(n * m)
+        flat = at[0] * m + at[1]
+        if pairs[flat]:
             raise DuplicatePair(f"row {row_num}: pair ({did!r}, {sid!r}) repeated")
-        seen.add(flat)
+        pairs[flat] = 1
         if not _parse_float(raw, row_num, "cost") >= 0:
             raise NegativeCost(f"row {row_num}: cost {raw!r} must be >= 0")
 

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from accesskit import travel
 from accesskit.data_model import Dataset, DemandSite, SupplySite
 from accesskit.decay import DecaySpec
 from accesskit.travel import TravelMatrix
@@ -44,6 +45,21 @@ def dataset_with_matrix(demand_pop, supply_cap, cost, unit="km"):
     )
     ds = Dataset(demand=demand, supply=supply, coord_kind="planar")
     return ds, TravelMatrix(cost=np.asarray(cost, dtype=float), unit=unit)
+
+
+def distance_matrix(a, b, metric):
+    """Pairwise km between two (n, 2) arrays: (lon, lat) degrees under
+    "haversine", (x, y) meters under "euclidean"; travel's blocks of distance
+    rows stacked into one matrix."""
+    return travel._stacked(travel._distance_rows(a, b, metric), (len(a), len(b)))
+
+
+def dense(weights):
+    """The n x n matrix of CSR spatial ``weights``, 0 where none is stored."""
+    matrix = np.zeros((weights.n, weights.n))
+    rows = np.repeat(np.arange(weights.n), np.diff(weights.indptr))
+    matrix[rows, weights.indices] = weights.data
+    return matrix
 
 
 def random_decay(rng, d_max, kinds=("binary", "gaussian", "zonal")):

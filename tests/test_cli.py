@@ -161,22 +161,6 @@ class TestMoranLisa:
         assert (tmp_path / "a" / "lisa.csv").read_bytes() == \
             (tmp_path / "b" / "lisa.csv").read_bytes()
 
-    def test_env_threads_do_not_change_output(self, tmp_path, monkeypatch):
-        vals = values_csv(tmp_path)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["moran", "--values", str(vals), "--column", "score",
-              "--knn", "4", "--perms", "99", "--seed", "7", "--out", str(out1)])
-        monkeypatch.setenv("ACCESSKIT_THREADS", "4")
-        main(["moran", "--values", str(vals), "--column", "score",
-              "--knn", "4", "--perms", "99", "--seed", "7", "--out", str(out2)])
-        assert (out1 / "moran.json").read_bytes() == (out2 / "moran.json").read_bytes()
-
-    def test_threads_flag_wins_over_a_bad_env_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ACCESSKIT_THREADS", "abc")
-        assert main(["moran", "--values", str(values_csv(tmp_path)), "--column", "score",
-                     "--knn", "4", "--perms", "9", "--threads", "2",
-                     "--out", str(tmp_path / "out")]) == 0
-
     @pytest.mark.parametrize("command, bad", [
         ("moran", ["--knn", "4", "--perms", "0"]),
         ("moran", ["--knn", "4", "--seed", "-1"]),
@@ -454,12 +438,6 @@ def a_file(tmp_path):
                  "cli.ConfigError", None, id="moran-threads-0"),
     pytest.param(lambda t: ["lisa"] + moran_argv(t, VALUES)[1:] + ["--threads", "0"],
                  "cli.ConfigError", None, id="lisa-threads-0"),
-    pytest.param(lambda t: ["ACCESSKIT_THREADS=abc"] + moran_argv(t, VALUES),
-                 "cli.ConfigError", None, id="env-threads-text"),
-    pytest.param(lambda t: ["ACCESSKIT_THREADS=0"] + report_argv(t),
-                 "cli.ConfigError", None, id="env-threads-0"),
-    pytest.param(lambda t: ["ACCESSKIT_THREADS=-3", "lisa"] + moran_argv(t, VALUES)[1:],
-                 "cli.ConfigError", None, id="env-threads-negative"),
     pytest.param(lambda t: report_argv(t, decay={"kind": "zonal", "zones": ["a", 20, 30],
                                                  "weights": [1, 0.5, 0.2]}),
                  "cli.ConfigError", None, id="config-zones-text-entry"),
@@ -562,44 +540,43 @@ def a_file(tmp_path):
                  id="report-band-negative-budget-0-threads-2"),
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t) / "sub")],
                  "cli.ConfigError", None, id="out-under-a-file"),
+    # a bad command line is a ConfigError too, with no usage text
+    pytest.param(lambda t: optimize_argv(t) + ["--budget", "abc"],
+                 "cli.ConfigError", None, id="budget-text"),
+    pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--method", "bogus"],
+                 "cli.ConfigError", None, id="method-unknown"),
+    pytest.param(lambda t: ["access"], "cli.ConfigError", None, id="access-without-config"),
+    pytest.param(lambda t: report_argv(t) + ["--bogus"], "cli.ConfigError", None,
+                 id="flag-unknown"),
+    pytest.param(lambda t: ["bogus"], "cli.ConfigError", None, id="command-unknown"),
+    # only the commands that start workers take --threads
+    pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--threads", "2"],
+                 "cli.ConfigError", None, id="access-takes-no-threads"),
+    pytest.param(lambda t: optimize_argv(t) + ["--threads", "2"],
+                 "cli.ConfigError", None, id="optimize-takes-no-threads"),
+    pytest.param(lambda t: hrad_argv(t, REGIONS) + ["--threads", "2"],
+                 "cli.ConfigError", None, id="hrad-takes-no-threads"),
 ])
-def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, code, row):
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row):
     out = tmp_path / "out"
-    argv = argv(tmp_path)
-    while "=" in argv[0]:  # a leading NAME=value sets an environment variable, as in a shell
-        monkeypatch.setenv(*argv.pop(0).split("=", 1))
-    command, *rest = argv
+    command, *rest = argv(tmp_path)
     # ``out`` goes first, so a row's own --out wins
     assert main([command, "--out", str(out), *rest]) == 2
     err = capsys.readouterr().err
     assert f"error: {code}: " in err and err.count("error: ") == 1
+    assert "usage:" not in err
     if row is not None:
         assert f"row {row}: " in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0"], ids=["env-threads-text", "env-threads-0"])
-def test_hrad_has_no_threads_and_never_reads_the_variable(tmp_path, monkeypatch, value):
-    argv = hrad_argv(tmp_path, REGIONS)
-    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-    monkeypatch.setenv("ACCESSKIT_THREADS", value)
-    assert main(argv + ["--out", str(tmp_path / "env")]) == 0
-    assert (tmp_path / "env" / "hrad.csv").read_bytes() == \
-        (tmp_path / "plain" / "hrad.csv").read_bytes()
-
-
-@pytest.mark.parametrize("value", ["abc", "0"], ids=["env-threads-text", "env-threads-0"])
-def test_access_and_optimize_never_read_the_variable(tmp_path, monkeypatch, value):
-    for argv, name in ((["access", *report_argv(tmp_path)[1:3]], "scores.csv"),
-                       (optimize_argv(tmp_path), "plan.json")):
-        assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-        with monkeypatch.context() as env:
-            env.setenv("ACCESSKIT_THREADS", value)
-            assert main(argv + ["--out", str(tmp_path / "env")]) == 0
-        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
-        # neither starts a worker, so neither takes the flag
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(argv + ["--threads", "2"])
+@pytest.mark.parametrize("argv", [[], ["access"], ["moran"], ["lisa"], ["hrad"],
+                                  ["optimize"], ["report"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: accesskit")
 
 
 def test_subnormal_speed_exits_0_with_every_facility_out_of_reach(tmp_path, capsys):

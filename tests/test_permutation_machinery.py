@@ -22,16 +22,18 @@ from accesskit.spatial_stats import (
     morans_i,
 )
 
+from helpers import dense
+
 
 class TestGlobalAgainstFullEnumeration:
-    def exact_null(self, values, dense):
+    def exact_null(self, values, matrix):
         """Moments of I over every permutation of the values."""
         z = np.asarray(values) - np.mean(values)
         denom = z @ z
         stats = []
         for perm in itertools.permutations(range(len(z))):
             zp = z[list(perm)]
-            stats.append(zp @ (dense @ zp) / denom)
+            stats.append(zp @ (matrix @ zp) / denom)
         return np.array(stats)
 
     def test_sampled_moments_match_enumeration(self):
@@ -39,7 +41,7 @@ class TestGlobalAgainstFullEnumeration:
         pts = rng.uniform(0, 10, size=(7, 2))
         values = rng.normal(size=7)
         w = build_weights(pts, k=3, coord_kind="planar")
-        exact = self.exact_null(values, w.to_dense())
+        exact = self.exact_null(values, dense(w))
 
         result = morans_i(values, w, n_permutations=4999, seed=17)
         # expectation under relabeling is exactly -1/(n-1)
@@ -55,7 +57,7 @@ class TestGlobalAgainstFullEnumeration:
         pts = rng.uniform(0, 10, size=(7, 2))
         values = rng.normal(size=7)
         w = build_weights(pts, k=2, coord_kind="planar")
-        exact = self.exact_null(values, w.to_dense())
+        exact = self.exact_null(values, dense(w))
 
         n_perm = 19999
         result = morans_i(values, w, n_permutations=n_perm, seed=23)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from accesskit import travel
 from accesskit.spatial_stats import build_weights, lisa, morans_i
-from accesskit.travel import euclidean_matrix, haversine_matrix
+
+from helpers import dense, distance_matrix
 
 
 @st.composite
@@ -33,7 +34,7 @@ def weights_and_values(draw):
 @given(weights_and_values())
 def test_lag_matches_dense_product(case):
     w, values = case
-    assert np.allclose(w.lag(values), w.to_dense() @ values, rtol=1e-12, atol=1e-12)
+    assert np.allclose(w.lag(values), dense(w) @ values, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -42,7 +43,7 @@ def test_rows_sum_to_one_and_isolated_rows_are_empty(case):
     w, _ = case
     counts = np.diff(w.indptr)
     assert w.isolated == tuple(np.flatnonzero(counts == 0).tolist())
-    sums = w.to_dense().sum(axis=1)
+    sums = dense(w).sum(axis=1)
     assert np.allclose(sums[counts > 0], 1.0, rtol=0, atol=1e-12)
     assert (sums[counts == 0] == 0.0).all()
     assert (w.indices != np.repeat(np.arange(w.n), counts)).all()  # no self-neighbors
@@ -74,7 +75,7 @@ def grid_weights_case(draw):
 
 def dense_weights(pts, coord_kind, k=None, band=None):
     """CSR arrays from the full n x n distance matrix with an infinite diagonal."""
-    dist = (haversine_matrix if coord_kind == "geographic" else euclidean_matrix)(pts, pts)
+    dist = distance_matrix(pts, pts, "haversine" if coord_kind == "geographic" else "euclidean")
     np.fill_diagonal(dist, np.inf)
     n = len(pts)
     if k is not None:

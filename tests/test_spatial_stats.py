@@ -18,7 +18,7 @@ from accesskit.spatial_stats import (
     morans_i,
 )
 
-from helpers import needs_fork, oracle_moran
+from helpers import dense, needs_fork, oracle_moran
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 CHECKERBOARD = [1.0, 0.0, 0.0, 1.0]  # diagonal pairs equal
@@ -119,10 +119,9 @@ class TestBuildWeights:
                 build_weights(pts, band=1.5, coord_kind=kind)
 
     def test_to_dense_matches_lists(self):
-        w = rook_weights()
-        dense = w.to_dense()
-        assert dense.shape == (4, 4)
-        assert dense[0, 1] == 0.5 and dense[0, 2] == 0.5 and dense[0, 3] == 0.0
+        matrix = dense(rook_weights())
+        assert matrix.shape == (4, 4)
+        assert matrix[0, 1] == 0.5 and matrix[0, 2] == 0.5 and matrix[0, 3] == 0.0
 
 
     def test_isolated_follows_empty_rows(self):
@@ -205,7 +204,7 @@ class TestMoran:
             values = rng.normal(size=n)
             w = build_weights(pts, k=min(4, n - 1), coord_kind="planar")
             result = morans_i(values, w, n_permutations=9, seed=0)
-            assert result.i == pytest.approx(oracle_moran(values, w.to_dense()), rel=1e-12)
+            assert result.i == pytest.approx(oracle_moran(values, dense(w)), rel=1e-12)
 
     def test_permutation_mean_near_expectation(self):
         rng = np.random.default_rng(54)

@@ -19,13 +19,11 @@ from accesskit.travel import (
     TravelMatrix,
     build_travel_matrix,
     cost_rows,
-    euclidean_matrix,
     haversine_distance,
-    haversine_matrix,
     load_od_matrix,
 )
 
-from helpers import dataset_with_matrix, planar_dataset, traced_peak
+from helpers import dataset_with_matrix, distance_matrix, planar_dataset, traced_peak
 
 
 class TestHaversine:
@@ -60,7 +58,7 @@ class TestHaversine:
         rng = np.random.default_rng(13)
         a = rng.uniform([-180, -90], [180, 90], size=(5, 2))
         b = rng.uniform([-180, -90], [180, 90], size=(4, 2))
-        mat = haversine_matrix(a, b)
+        mat = distance_matrix(a, b, "haversine")
         for i in range(5):
             for j in range(4):
                 assert mat[i, j] == pytest.approx(
@@ -101,11 +99,11 @@ def test_blocks_give_the_one_shot_distances_bit_for_bit(block, geographic, data)
     # blocks of one to all of its rows, with 0-row and 0-column inputs too
     points = LON_LAT if geographic else METERS
     a, b = data.draw(points), data.draw(points)
-    blocked, one_shot = ((haversine_matrix, one_shot_haversine) if geographic
-                         else (euclidean_matrix, one_shot_euclidean))
+    metric, one_shot = (("haversine", one_shot_haversine) if geographic
+                        else ("euclidean", one_shot_euclidean))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(travel, "BLOCK", block)
-        got = blocked(a, b)
+        got = distance_matrix(a, b, metric)
     want = one_shot(a, b)
     assert got.shape == want.shape == (len(a), len(b))
     assert got.tobytes() == want.tobytes()
