@@ -1,4 +1,5 @@
-"""Worker processes: the package's one fork, read, reap and kill path.
+"""Worker processes: the package's one fork, read, reap and kill path, and
+the one place that decides, from ``threads``, whether a step forks.
 
 A worker is a bare ``os.fork`` that computes one task, writes its value,
 pickled, to a pipe and leaves by ``os._exit``, with no logging, stdio or
@@ -20,15 +21,28 @@ def count(threads: int, items: int) -> int:
     return max(1, min(threads, items, cpus or 1))
 
 
-def run(here, *away) -> list:
-    """``[here(), *(task() for task in away)]``: ``here()`` computed in this
-    process while each task of ``away`` runs in a child forked for it.
+def split(compute, items, threads: int) -> list:
+    """``compute(part)`` for each of ``count(threads, len(items))`` contiguous
+    parts of ``items``, in order; ``run`` computes the first part here and
+    each other in a worker."""
+    workers = count(threads, len(items))
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    return run(threads, *(lambda lo=lo, hi=hi: compute(items[lo:hi])
+                          for lo, hi in zip(bounds, bounds[1:])))
+
+
+def run(threads: int, here, *away) -> list:
+    """``[here(), *(task() for task in away)]``, all computed here, in order,
+    when ``count(threads, 1 + len(away))`` is 1; else ``here()`` computed
+    here while each task of ``away`` runs in a child forked for it.
 
     The children are read and reaped in task order once ``here()`` returns;
     if anything raises before, every child not yet reaped is killed and
     reaped. Then each task whose child could not be started, did not exit 0
     or sent bytes that do not unpickle is run here, in task order.
     """
+    if count(threads, 1 + len(away)) == 1:
+        return [here(), *(task() for task in away)]
     children = []
     try:
         for task in away:

@@ -4,10 +4,10 @@ Subcommands: access, moran, lisa, hrad, optimize, report. Parameters come
 from the JSON config file if there is one, else the defaults; flags
 override config fields. A bad command line, config or input exits 2 with
 one ``error: module.Class: ...`` line. ``report`` is the other five
-commands on one run; when ``threads`` allows, ``_workers.run`` returns its
-spatial weights from a worker beside the catchment and its plan from one
-beside moran, lisa and hrad, each computed here if its worker fails: the
-files and errors of one thread.
+commands on one run; ``_workers.run(threads, ...)`` returns its spatial
+weights from a worker beside the catchment and its plan from one beside
+moran, lisa and hrad when ``threads`` allows, each computed here if its
+worker fails: the files and errors of one thread.
 All output texts are computed before any file is written, each atomically
 (temp file, then rename), so a failing run writes nothing. All randomness
 flows from the single configured seed, making reruns byte-identical.
@@ -302,28 +302,24 @@ def cmd_report(run):
     scores, plus ``summary.json`` and the config echo ``config.json``.
 
     The spatial weights need only the demand sites, and the plan only the
-    catchment. When ``threads`` allows two workers, ``_workers.run`` builds
-    the weights in a worker while this process computes the catchment and
-    the access scores, and then ``plan.json`` in another while this process
-    runs moran, lisa and hrad. It runs a failed worker's task here, at the
-    place one thread runs it, so every error, warning and their order are
-    the same at any ``threads``.
+    catchment. ``_workers.run`` builds the weights in a worker while this
+    process computes the catchment and the access scores, and then
+    ``plan.json`` in another while this process runs moran, lisa and hrad,
+    when ``threads`` allows two processes. It runs a failed worker's task
+    here, at the place one thread runs it, so every error, warning and their
+    order are the same at any ``threads``.
     """
-    dataset = run.dataset
+    dataset, threads = run.dataset, run.cfg.threads
     if dataset.regions is None:
         raise ConfigError("report requires a regions file in the config")
-    threaded = _workers.count(run.cfg.threads, 2) > 1
-
-    def beside(here, task):  # [here(), task()], with task in a worker if threaded
-        return _workers.run(here, task) if threaded else [here(), task()]
-
-    files, run.unit_weights = beside(lambda: cmd_access(run)[0], lambda: run.unit_weights)
+    files, run.unit_weights = _workers.run(threads, lambda: cmd_access(run)[0],
+                                           lambda: run.unit_weights)
 
     def stats():
         for command in (cmd_moran, cmd_lisa, cmd_hrad):
             files.update(command(run)[0])
 
-    files.update(beside(stats, lambda: cmd_optimize(run)[0])[1])
+    files.update(_workers.run(threads, stats, lambda: cmd_optimize(run)[0])[1])
     scores, lisa = run.access.scores, run.lisa
     files["summary.json"] = _json_text({
         "n_demand": len(dataset.demand),

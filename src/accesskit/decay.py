@@ -143,6 +143,8 @@ def _numbers(name: str, values) -> tuple[float, ...]:
 def evaluate_decay(spec: DecaySpec, d):
     """Evaluate the decay weight f(d) for a scalar or array of travel costs.
 
+    Costs must be >= 0, as ``fca.Catchment`` checks: a negative cost gets a
+    weight above 1 under exponential decay and NaN under power decay.
     Returns a value (or array) in [0, 1]; costs beyond ``spec.d0``, +inf and
     NaN among them, get weight 0. Each kind writes straight into the output,
     and the only other array held is one boolean mask of its shape."""

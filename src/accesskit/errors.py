@@ -6,7 +6,8 @@ A class that also derives from ``ValueError`` replaced a bare
 ``ValueError``, so callers that catch ``ValueError`` still catch it.
 
 Every overflow check of the numeric stages goes through one private helper,
-``_finite``, which names the first record whose value is not finite.
+``_finite``, which names the first record whose value is not finite, and
+every whole-number argument through another, ``_integer``.
 """
 
 import numpy as np
@@ -32,6 +33,14 @@ def _finite(error, compute, message: str, ids=None):
     if not finite.all():
         raise error(message if ids is None else message.format(ids[np.flatnonzero(~finite)[0]]))
     return result
+
+
+def _integer(error, value, name: str) -> int:
+    """``value`` as an int if it is a Python or NumPy integer, else
+    ``error``: a bool, a float or a string is not taken for one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # --- data_model ---------------------------------------------------------

@@ -33,7 +33,7 @@ from .data_model import Dataset, SupplySite
 from .equity import gini
 from .errors import (
     InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonFiniteObjective,
-    NonPositiveUnitSize, _finite,
+    NonPositiveUnitSize, _finite, _integer,
 )
 from .fca import Catchment
 
@@ -58,7 +58,9 @@ class AllocationProblem:
 
     def __post_init__(self):
         # stored sorted so "smaller candidate index" tie-breaking is positional
-        object.__setattr__(self, "candidates", tuple(sorted(int(c) for c in self.candidates)))
+        object.__setattr__(self, "candidates", tuple(sorted(
+            _integer(InvalidProblem, c, "a candidate") for c in self.candidates)))
+        object.__setattr__(self, "budget", _integer(InvalidProblem, self.budget, "budget"))
         if self.objective not in OBJECTIVES:
             raise InvalidProblem(f"objective must be one of {OBJECTIVES}")
         if self.budget < 0:

@@ -13,10 +13,11 @@ convention pins the global statistic to I = z'Wz / z'z and makes the
 decomposition sum_i I_i = n * I exact.
 
 ``threads`` is the number of worker processes the permutations may use:
-``_split`` hands contiguous runs of LISA's units or Moran's permutations to
-``_workers.run``, whose workers return their runs' arrays (Linux only, capped
-at the CPUs this process may run on). Each unit's and permutation's stream
-is fixed by its index, so the results are identical at any ``threads``.
+``_workers.split`` cuts LISA's units or Moran's permutations into contiguous
+runs, computes the first here and each other in a ``_workers.run`` worker
+that returns its run's array (Linux only, capped at the CPUs this process
+may run on). Each unit's and permutation's stream is fixed by its index, so
+the results are identical at any ``threads``.
 """
 
 import math
@@ -29,6 +30,7 @@ from . import _workers
 from .data_model import COORD_KINDS, _csv_text
 from .errors import (
     InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance, _finite,
+    _integer,
 )
 from .travel import _distance_rows
 
@@ -40,12 +42,28 @@ class SpatialWeights:
     Row i's neighbors are ``indices[indptr[i]:indptr[i+1]]`` with weights
     ``data[indptr[i]:indptr[i+1]]``; every nonempty row's weights sum to 1,
     which the statistics check. A unit with an empty row (possible under a
-    distance band) is ``isolated``; its spatial lag is zero.
+    distance band) is ``isolated``; its spatial lag is zero. The arrays are
+    checked to be well-formed CSR when the weights are made.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __post_init__(self):
+        indptr, indices = self.indptr, self.indices
+        for name, array in (("indptr", indptr), ("indices", indices)):
+            if not isinstance(array, np.ndarray) or array.ndim != 1 or array.dtype.kind not in "iu":
+                raise InvalidStatArgument(f"weights {name} must be a 1-D integer array")
+        if (len(indptr) == 0 or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any()
+                or indptr[-1] != len(indices)):
+            raise InvalidStatArgument("weights indptr must start at 0, never decrease and "
+                                      f"end at the {len(indices)} indices")
+        if len(indices) and not 0 <= indices.min() <= indices.max() < self.n:
+            raise InvalidStatArgument(f"weights indices must lie in [0, {self.n})")
+        if np.shape(self.data) != indices.shape:
+            raise InvalidStatArgument(f"weights data must hold one weight per index: "
+                                      f"{len(indices)}, got shape {np.shape(self.data)}")
 
     @property
     def n(self) -> int:
@@ -126,7 +144,7 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         raise InvalidStatArgument("give exactly one of k or band")
     if coord_kind not in COORD_KINDS:
         raise InvalidStatArgument(f"coord_kind must be one of {COORD_KINDS}, got {coord_kind!r}")
-    if k is not None and not 1 <= k < n:
+    if k is not None and not 1 <= _integer(InvalidStatArgument, k, "k") < n:
         raise KTooLarge(f"knn needs 1 <= k < n, got k={k} with n={n}")
     # an infinite band would count each unit, whose own distance is set to inf, as a neighbor
     if band is not None and not 0 < band < math.inf:  # NaN fails this test too
@@ -156,6 +174,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
 
 
 def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, seed: int):
+    """``(z, z @ z, n_permutations, seed)``: the centered values, their sum of
+    squares and the two counts as ints, once every input is checked."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] != weights.n:
         raise InvalidStatArgument(f"values must be a length-{weights.n} vector")
@@ -163,8 +183,10 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     sums = weights.lag(np.ones(weights.n))  # a 1/k row misses 1 by at most k * 2**-53
     if not ((np.abs(sums - 1.0) <= 1e-9) | (np.diff(weights.indptr) == 0)).all():
         raise NotRowStandardized("statistics require every nonempty weights row to sum to 1")
+    n_permutations = _integer(InvalidStatArgument, n_permutations, "n_permutations")
     if n_permutations < 1:
         raise InvalidStatArgument(f"n_permutations must be >= 1, got {n_permutations}")
+    seed = _integer(InvalidStatArgument, seed, "seed")
     if seed < 0:
         raise InvalidStatArgument(f"seed must be a nonnegative integer, got {seed}")
     too_large = "the values are too large: their mean or squared deviations overflow"
@@ -172,19 +194,7 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     denom = float(_finite(NonFiniteValue, lambda: z @ z, too_large))
     if denom == 0.0:
         raise ZeroVariance("attribute is constant; autocorrelation undefined")
-    return z, denom
-
-
-def _split(compute, items, threads: int) -> np.ndarray:
-    """``compute(part)`` over contiguous parts of ``items``, concatenated.
-
-    This process computes the first part; each other part runs in a
-    ``_workers.run`` worker, or here if that worker fails or is not started.
-    """
-    workers = _workers.count(threads, len(items))
-    bounds = [len(items) * w // workers for w in range(workers + 1)]
-    parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    return np.concatenate(_workers.run(*(lambda part=part: compute(part) for part in parts)))
+    return z, denom, n_permutations, seed
 
 
 def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
@@ -199,7 +209,8 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
     index). The permutations are split over up to ``threads`` worker
     processes; the result does not depend on how many.
     """
-    z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
+    z, denom, n_permutations, seed = _validate_stat_inputs(values, weights, n_permutations,
+                                                           seed)
     n = weights.n
     # NumPy imports numpy.random on first use: here, before the workers fork, not in each
     default_rng = np.random.default_rng
@@ -213,7 +224,7 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
 
     # the observed I, then the I of each permutation
     stats = _finite(NonFiniteValue, lambda: np.concatenate(
-        ([moran(z)], _split(permuted, range(n_permutations), threads))),
+        ([moran(z)], *_workers.split(permuted, range(n_permutations), threads))),
         "Moran's I overflows for these values; they are too large")
     observed, sim = float(stats[0]), stats[1:]
     expected = -1.0 / (n - 1)
@@ -300,7 +311,8 @@ def lisa(values, weights: SpatialWeights, n_permutations: int = 999,
     mirroring the global convention. The units are split over up to
     ``threads`` worker processes; the result does not depend on how many.
     """
-    z, denom = _validate_stat_inputs(values, weights, n_permutations, seed)
+    z, denom, n_permutations, seed = _validate_stat_inputs(values, weights, n_permutations,
+                                                           seed)
     n = weights.n
     m2 = denom / n
     lag = weights.lag(z)
@@ -327,8 +339,9 @@ def lisa(values, weights: SpatialWeights, n_permutations: int = 999,
     # an isolated unit keeps p = 1
     p_values = np.ones(n)
     units = np.flatnonzero(np.diff(weights.indptr)).tolist()
-    p_values[units] = _finite(NonFiniteValue, lambda: _split(p_values_of, units, threads),
-                              "LISA overflows for these values; they are too large")
+    p_values[units] = _finite(
+        NonFiniteValue, lambda: np.concatenate(_workers.split(p_values_of, units, threads)),
+        "LISA overflows for these values; they are too large")
     return LisaResult(
         local_i=local, quadrant=quadrant, p_value=p_values,
         n_permutations=n_permutations, seed=seed,

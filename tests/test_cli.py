@@ -338,6 +338,23 @@ def od_argv(tmp_path, rows):
     return report_argv(tmp_path, [("od.csv", OD + rows)], od_matrix="od.csv")
 
 
+def config_text_argv(tmp_path, text):
+    """``access`` on a config file holding ``text``."""
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    return ["access", "--config", str(path)]
+
+
+def report_without_argv(tmp_path, name):
+    """``report`` on the small city's config with its field ``name`` removed."""
+    argv = report_argv(tmp_path)
+    cfg = Path(argv[2])
+    fields = json.loads(cfg.read_text())
+    del fields[name]
+    cfg.write_text(json.dumps(fields))
+    return argv
+
+
 def a_file(tmp_path):
     """An existing file where an output directory is expected."""
     path = tmp_path / "afile"
@@ -519,6 +536,27 @@ def a_file(tmp_path):
                  "optimize.NonFiniteObjective", None, id="candidate-capacity-overflow"),
     pytest.param(lambda t: reencoded_config_argv(t, "utf-16"),
                  "cli.ConfigError", None, id="config-not-utf8"),
+    pytest.param(lambda t: ["access", "--config", str(t / "absent.json")],
+                 "cli.ConfigError", None, id="config-missing"),
+    pytest.param(lambda t: config_text_argv(t, '{"seed": 1'),
+                 "cli.ConfigError", None, id="config-not-json"),
+    pytest.param(lambda t: config_text_argv(t, '["seed", 1]'),
+                 "cli.ConfigError", None, id="config-not-an-object"),
+    pytest.param(lambda t: report_argv(t, objective="max_access"),
+                 "cli.ConfigError", None, id="config-objective-unknown"),
+    pytest.param(lambda t: report_argv(t, coord_kind="cartesian"),
+                 "cli.ConfigError", None, id="config-coord-kind-unknown"),
+    pytest.param(lambda t: report_without_argv(t, "decay"),
+                 "cli.ConfigError", None, id="config-without-decay"),
+    pytest.param(lambda t: report_argv(t, weights={"scheme": "rook"}),
+                 "cli.ConfigError", None, id="config-weights-scheme-unknown"),
+    pytest.param(lambda t: report_without_argv(t, "demand"),
+                 "cli.ConfigError", None, id="config-without-demand"),
+    pytest.param(lambda t: report_without_argv(t, "supply"),
+                 "cli.ConfigError", None, id="config-without-supply"),
+    pytest.param(lambda t: ["moran", "--values", str(t / "absent.csv"), "--column", "score",
+                            "--knn", "2"],
+                 "cli.ConfigError", None, id="values-file-missing"),
     pytest.param(lambda t: ["access", *report_argv(t)[1:3], "--out", str(a_file(t))],
                  "cli.ConfigError", None, id="out-is-a-file"),
     # the plan's errors at one thread, and from a worker process at two
@@ -792,7 +830,7 @@ def test_a_failed_weights_worker_has_its_weights_built_here(tmp_path, workers, m
 def test_weights_from_a_worker_are_the_built_weights_bit_for_bit(workers, weights):
     city = synthetic_city(**CITY)
     xy = [(s.x, s.y) for s in city.demand]
-    built, sent = _workers.run(*[lambda: spatial_stats.build_weights(
+    built, sent = _workers.run(2, *[lambda: spatial_stats.build_weights(
         xy, coord_kind=city.coord_kind, **weights)] * 2)
     assert "band" not in weights or len(built.isolated) == 20
     for name in ("indptr", "indices", "data"):

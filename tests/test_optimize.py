@@ -289,12 +289,25 @@ class TestCandidateSites:
         with pytest.raises(ValueError):
             make_problem([1], [1], [[0.0]], budget=1, candidates=(5,))
 
-    @pytest.mark.parametrize("candidates", [(), (0, 0), (5,)])
+    @pytest.mark.parametrize("candidates", [(), (0, 0), (5,), (1.5, 2), ("1",),
+                                            (np.float64(2.9),), (True,)])
     def test_bad_candidates_are_invalid_problems(self, candidates):
+        # three supply sites, so a non-integer candidate would round into range
         with pytest.raises(InvalidProblem) as info:
-            make_problem([1], [1], [[0.0]], budget=1, candidates=candidates)
+            make_problem([1], [1, 1, 1], [[0.0, 0.0, 0.0]], budget=1, candidates=candidates)
         assert isinstance(info.value, ValueError)
         assert info.value.code == "optimize.InvalidProblem"
+
+    @pytest.mark.parametrize("budget", [True, 2.5, 2.0, "2"])
+    def test_budget_must_be_an_integer(self, budget):
+        with pytest.raises(InvalidProblem, match="budget must be an integer"):
+            make_problem([1], [1, 1], [[0.0, 0.0]], budget=budget)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        problem = make_problem([1], [1, 1, 1], [[0.0, 0.0, 0.0]], budget=np.int64(2),
+                               candidates=np.array([2, 0]))
+        assert problem.candidates == (0, 2) and problem.budget == 2
+        assert all(type(v) is int for v in (problem.budget, *problem.candidates))
 
     @pytest.mark.parametrize("unit_size", [0.0, -1.0, float("nan"), float("inf")])
     def test_unit_size_must_be_positive_and_finite(self, unit_size):

@@ -1,3 +1,4 @@
+import json
 import os
 import time
 import tracemalloc
@@ -5,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from accesskit import _workers
 from accesskit.errors import (
     InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance,
 )
 from accesskit.spatial_stats import (
     SpatialWeights,
-    _split,
     build_weights,
     lisa,
     lisa_csv_text,
@@ -129,6 +130,94 @@ class TestBuildWeights:
                            data=np.array([1.0, 1.0]))
         assert w.n == 5
         assert w.isolated == (0, 2, 4)
+
+
+class TestMalformedWeights:
+    """``SpatialWeights`` checks its CSR arrays when it is made, so a bad
+    index never reaches a gather or ``np.bincount`` in the statistics."""
+
+    @staticmethod
+    def make(indptr, indices, data=None):
+        indices = np.asarray(indices)
+        return SpatialWeights(indptr=np.asarray(indptr), indices=indices,
+                              data=np.full(len(indices), 1.0) if data is None else data)
+
+    def test_built_weights_pass_unchanged(self):
+        built = build_weights(UNIT_SQUARE, band=1.2, coord_kind="planar")
+        again = self.make(built.indptr, built.indices, built.data)
+        assert again.indptr is built.indptr and again.indices is built.indices
+
+    def test_index_at_n(self):
+        with pytest.raises(InvalidStatArgument, match=r"indices must lie in \[0, 3\)"):
+            self.make([0, 1, 2, 3], [1, 3, 0])
+
+    def test_negative_index(self):
+        # numpy would wrap -1 to the last unit
+        with pytest.raises(InvalidStatArgument, match=r"indices must lie in \[0, 3\)"):
+            self.make([0, 1, 2, 3], [1, -1, 0])
+
+    def test_indptr_ending_past_the_indices(self):
+        with pytest.raises(InvalidStatArgument, match="end at the 3 indices"):
+            self.make([0, 1, 2, 4], [1, 2, 0])
+
+    def test_float_indices(self):
+        with pytest.raises(InvalidStatArgument, match="indices must be a 1-D integer array"):
+            self.make([0, 1, 2, 3], [1.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("indptr", [[1, 1, 2, 3], [0, 2, 1, 3], []],
+                             ids=["not-starting-at-0", "decreasing", "empty"])
+    def test_indptr_must_start_at_0_and_never_decrease(self, indptr):
+        with pytest.raises(InvalidStatArgument, match="indptr must start at 0, never decrease"):
+            self.make(np.array(indptr, dtype=int), [1, 2, 0])
+
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0.0, 1.0, 2.0, 3.0], [1, 2, 0]), ([[0, 1, 2, 3]], [1, 2, 0]),
+        ([0, 1, 2, 3], [True, False, True]), ([0, 1, 2, 3], [[1, 2, 0]]),
+    ], ids=["float-indptr", "2d-indptr", "bool-indices", "2d-indices"])
+    def test_arrays_must_be_1d_integer(self, indptr, indices):
+        with pytest.raises(InvalidStatArgument, match="must be a 1-D integer array"):
+            self.make(indptr, indices, np.ones(3))
+
+    @pytest.mark.parametrize("data", [np.ones(2), np.ones(4), np.ones((3, 1))],
+                             ids=["short", "long", "2d"])
+    def test_data_holds_one_weight_per_index(self, data):
+        with pytest.raises(InvalidStatArgument, match="one weight per index"):
+            self.make([0, 1, 2, 3], [1, 2, 0], data)
+
+
+class TestIntegerArguments:
+    """``k``, ``n_permutations`` and ``seed`` are Python or NumPy integers;
+    a bool, float or string is refused, not rounded or taken as 0 or 1."""
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", np.float64(2.0)],
+                             ids=["fraction", "whole-float", "bool", "text", "numpy-float"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(InvalidStatArgument, match="k must be an integer"):
+            build_weights(UNIT_SQUARE, k=k)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_permutations", 9.5), ("n_permutations", 9.0), ("n_permutations", True),
+        ("seed", 1.5), ("seed", True), ("seed", "1"),
+    ], ids=["perms-fraction", "perms-whole-float", "perms-bool", "seed-fraction", "seed-bool",
+            "seed-text"])
+    def test_permutations_and_seed_must_be_integers(self, name, value):
+        for statistic in (morans_i, lisa):
+            with pytest.raises(InvalidStatArgument, match=f"{name} must be an integer"):
+                statistic(CHECKERBOARD, rook_weights(), **{"n_permutations": 9, "seed": 1,
+                                                           name: value})
+
+    def test_numpy_integers_are_taken(self):
+        w = build_weights(UNIT_SQUARE, k=np.int64(2))
+        assert w.indices.tobytes() == rook_weights().indices.tobytes()
+        for statistic in (morans_i, lisa):
+            plain = statistic(CHECKERBOARD, w, n_permutations=19, seed=3)
+            numpy = statistic(CHECKERBOARD, w, n_permutations=np.int32(19), seed=np.uint8(3))
+            assert np.asarray(numpy.p_value).tobytes() == np.asarray(plain.p_value).tobytes()
+            # kept as ints, so the JSON summary can be written
+            assert type(numpy.n_permutations) is int and type(numpy.seed) is int
+        summary = moran_json_dict(morans_i(CHECKERBOARD, w, n_permutations=np.int64(9),
+                                           seed=np.int64(3)))
+        assert json.loads(json.dumps(summary))["seed"] == 3
 
 
 class TestMoran:
@@ -374,7 +463,7 @@ class TestWorkers:
 
         start = time.monotonic()
         with pytest.raises(LookupError, match="the caller's part failed"):
-            _split(compute, range(8), threads=4)
+            _workers.split(compute, range(8), threads=4)
         assert time.monotonic() - start < 30
         assert workers.forks == 3
         assert [os.WIFSIGNALED(s) for s in workers.statuses] == [True] * 3

@@ -1,5 +1,7 @@
-"""The worker module: ``count`` caps the workers, ``run`` forks, reads, reaps
-and kills them, and runs here each task whose child failed."""
+"""The worker module: ``count`` caps the workers, ``split`` cuts a step into
+one part per process, ``run`` forks only when ``threads`` allows more than
+one process, reads, reaps and kills the workers, and runs here each task
+whose child failed."""
 
 import errno
 import os
@@ -9,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from accesskit._workers import count, run
+from accesskit._workers import count, run, split
 from accesskit.spatial_stats import build_weights, lisa, morans_i
 
 from helpers import needs_fork
@@ -40,15 +42,49 @@ def test_worker_count_is_capped_without_starting_a_process(monkeypatch):
 
 
 @needs_fork
+@pytest.mark.parametrize("threads, cpus", [(1, {0, 1}), (2, {0})], ids=["threads-1", "one-cpu"])
+def test_one_process_computes_every_task_here_in_order(workers, monkeypatch, threads, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    done = []
+
+    def task(name):
+        def compute():
+            done.append(name)  # seen here only if computed here
+            return name, os.getpid()
+        return compute
+
+    here = os.getpid()
+    assert run(threads, task("here"), task("first"), task("second")) == \
+        [("here", here), ("first", here), ("second", here)]
+    assert done == ["here", "first", "second"]
+    assert workers.forks == 0
+
+
+@needs_fork
+def test_split_returns_the_parts_in_item_order(workers, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+    def compute(part):
+        return list(part), os.getpid()
+
+    parts = split(compute, range(10), 3)
+    assert [items for items, _ in parts] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+    assert parts[0][1] == os.getpid() and os.getpid() not in {pid for _, pid in parts[1:]}
+    assert workers.forks == 2 and workers.statuses == [0, 0]
+    assert split(compute, range(10), 1) == [(list(range(10)), os.getpid())]
+    assert workers.forks == 2
+
+
+@needs_fork
 def test_run_without_tasks_forks_nothing(workers):
-    assert run(lambda: "here") == ["here"]
+    assert run(2, lambda: "here") == ["here"]
     assert workers.forks == 0 and workers.statuses == []
 
 
 @needs_fork
 def test_a_part_larger_than_a_pipe_buffer_is_read_whole(workers):
     # 800 kB, several times what a pipe holds
-    here, away = run(lambda: None, lambda: np.arange(100_000.0))
+    here, away = run(2, lambda: None, lambda: np.arange(100_000.0))
     assert here is None
     assert away.dtype == np.float64 and away.tobytes() == np.arange(100_000.0).tobytes()
     assert workers.forks == 1 and workers.statuses == [0]
@@ -60,7 +96,7 @@ def test_results_come_back_in_task_order(workers):
         time.sleep(0.5)
         return b"first"
 
-    assert run(lambda: "here", slow, lambda: b"second") == ["here", b"first", b"second"]
+    assert run(2, lambda: "here", slow, lambda: b"second") == ["here", b"first", b"second"]
     assert workers.forks == 2 and workers.statuses == [0, 0]
 
 
@@ -76,7 +112,7 @@ def test_a_task_that_raises_in_its_child_gives_no_bytes(workers):
             raise LookupError("the task failed")
         return os.getpid()
 
-    here, first, second = run(lambda: "here", failing, os.getpid)
+    here, first, second = run(2, lambda: "here", failing, os.getpid)
     assert (here, first) == ("here", parent) and second != parent
     assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1, 0]
 
@@ -90,7 +126,7 @@ def test_a_child_that_fails_after_writing_gives_no_bytes(workers, monkeypatch):
         os._exit(1)
 
     monkeypatch.setattr(os, "write", write_then_fail)
-    assert run(lambda: "here", os.getpid) == ["here", os.getpid()]
+    assert run(2, lambda: "here", os.getpid) == ["here", os.getpid()]
     assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1]
 
 
@@ -98,7 +134,7 @@ def test_a_child_that_fails_after_writing_gives_no_bytes(workers, monkeypatch):
 def test_a_child_that_exits_0_with_bytes_cut_short_is_rerun_here(workers, monkeypatch):
     dumps = pickle.dumps
     monkeypatch.setattr(pickle, "dumps", lambda value, **kwargs: dumps(value, **kwargs)[:-1])
-    assert run(lambda: "here", os.getpid) == ["here", os.getpid()]
+    assert run(2, lambda: "here", os.getpid) == ["here", os.getpid()]
     assert workers.forks == 1 and workers.statuses == [0]
 
 
@@ -115,7 +151,7 @@ def test_a_task_that_fails_here_too_raises_its_error_once_every_child_is_reaped(
         return "slow"
 
     with pytest.raises(LookupError, match="the task failed") as raised:
-        run(lambda: "here", failing, slow)
+        run(2, lambda: "here", failing, slow)
     assert reaped == [2]
     assert raised.value.__context__ is None  # its own error, not one about the child's bytes
     assert [os.waitstatus_to_exitcode(s) for s in workers.statuses] == [1, 0]
@@ -127,7 +163,7 @@ def test_no_pipe_or_fork_gives_no_bytes_and_leaves_no_descriptor_open(workers, m
                                                                       fails):
     opened = sorted(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, fails, no_resource)
-    assert run(lambda: "here", os.getpid) == ["here", os.getpid()]
+    assert run(2, lambda: "here", os.getpid) == ["here", os.getpid()]
     assert workers.forks == 0 and sorted(os.listdir("/proc/self/fd")) == opened
 
 
