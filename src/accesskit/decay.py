@@ -6,12 +6,11 @@ its value is a genuine modeling choice and must be stated explicitly.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidDecaySpec, NonAscendingBreakpoints
+from .errors import InvalidDecaySpec, NonAscendingBreakpoints, _real
 
 DECAY_KINDS = ("binary", "gaussian", "exponential", "power", "zonal")
 _MASK_SLICE = 4096  # entries of the output zeroed past d0 at a time
@@ -48,13 +47,11 @@ class DecaySpec:
             self._set_zonal()
         else:
             self._set(zones=None, weights=None)
-        if not _positive_number(self.d0):
-            raise InvalidDecaySpec(f"d0 must be a positive finite cutoff, got {self.d0!r}")
-        if self.kind in ("binary", "zonal"):
-            self._set(beta=None)
-        elif not _positive_number(self.beta):
-            raise InvalidDecaySpec(
-                f"{self.kind} decay requires a positive finite beta, got {self.beta!r}")
+        self._set(d0=_real(InvalidDecaySpec, self.d0,
+                           f"d0 must be a positive finite cutoff, got {self.d0!r}"))
+        self._set(beta=None if self.kind in ("binary", "zonal") else _real(
+            InvalidDecaySpec, self.beta,
+            f"{self.kind} decay requires a positive finite beta, got {self.beta!r}"))
 
     def _set(self, **values):
         for name, value in values.items():
@@ -63,17 +60,19 @@ class DecaySpec:
     def _set_zonal(self):
         """Check the zonal fields; derive d0 and, from beta, the weights."""
         zones = _numbers("zones", self.zones)
-        if self.weights is None and not _positive_number(self.beta):
-            raise InvalidDecaySpec(
-                f"zonal decay requires weights or a positive finite beta, got beta={self.beta!r}")
+        weights = self.weights
+        if weights is None:
+            beta = _real(InvalidDecaySpec, self.beta, "zonal decay requires weights or a "
+                         f"positive finite beta, got beta={self.beta!r}")
         if zones[0] <= 0 or any(a >= b for a, b in zip(zones, zones[1:])):
             raise NonAscendingBreakpoints(
                 f"breakpoints must be positive and strictly ascending, got {list(zones)}")
-        if self.d0 is not None and self.d0 != zones[-1]:
-            raise InvalidDecaySpec("last zone breakpoint must equal d0")
-        weights = self.weights
+        # the last breakpoint is positive and finite, so no other d0 can equal it
+        last = "last zone breakpoint must equal d0"
+        if self.d0 is not None and _real(InvalidDecaySpec, self.d0, last) != zones[-1]:
+            raise InvalidDecaySpec(last)
         if weights is None:  # the midpoint rule zonal_from_gaussian describes
-            raw = np.exp(-np.square((np.array((0.0, *zones[:-1])) + zones) / 2.0) / self.beta)
+            raw = np.exp(-np.square((np.array((0.0, *zones[:-1])) + zones) / 2.0) / beta)
             weights = raw / raw[0]
         weights = _numbers("weights", weights)
         if len(weights) != len(zones):
@@ -120,24 +119,13 @@ class DecaySpec:
                 for name, value in vars(self).items() if value is not None}
 
 
-def _finite_number(value) -> bool:
-    """A finite real number; a bool is not a number here."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _positive_number(value) -> bool:
-    """A finite real number above 0; a bool is not a number here."""
-    return _finite_number(value) and value > 0
-
-
 def _numbers(name: str, values) -> tuple[float, ...]:
     """Zonal ``zones`` or ``weights`` as floats. They must be a nonempty
     list, tuple or array of finite numbers; anything else is InvalidDecaySpec."""
-    if (not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0
-            or not all(map(_finite_number, values))):
-        raise InvalidDecaySpec(f"{name} must be a nonempty list of finite numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+    message = f"{name} must be a nonempty list of finite numbers, got {values!r}"
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
+        raise InvalidDecaySpec(message)
+    return tuple(_real(InvalidDecaySpec, v, message, low=-math.inf) for v in values)
 
 
 def evaluate_decay(spec: DecaySpec, d):

@@ -27,6 +27,7 @@ from .errors import (
     ZeroTotalPopulation,
     ZeroTotalResource,
     _finite,
+    _real,
 )
 
 CLASSIFICATIONS = ("equal", "relatively_fair", "unfair", "undefined")
@@ -53,20 +54,16 @@ class HradResult:
         return counts
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon < float("inf"):  # NaN fails this test too
-        raise InvalidEpsilon(f"epsilon must be finite and >= 0, got {epsilon!r}")
-
-
 def classify(value: float, epsilon: float = 0.05) -> str:
     """Equity class for one agglomeration value.
 
     Exact parity never occurs on real-valued data, so a tolerance band
     around 1 stands in for "equal": within epsilon is equal, above it
     relatively fair (resource-rich), below it unfair. Raises InvalidEpsilon
-    for a negative, infinite or NaN epsilon.
+    for an epsilon that is negative, infinite, NaN or not a real number.
     """
-    _check_epsilon(epsilon)
+    epsilon = _real(InvalidEpsilon, epsilon, f"epsilon must be finite and >= 0, got {epsilon!r}",
+                    closed=True)
     if abs(value - 1.0) <= epsilon:
         return "equal"
     return "relatively_fair" if value > 1.0 else "unfair"
@@ -80,7 +77,8 @@ def hrad(regions, epsilon: float = 0.05) -> HradResult:
     an epsilon ``classify`` rejects, NonFiniteTotal when a total or a degree
     (naming its region) is not finite.
     """
-    _check_epsilon(epsilon)
+    epsilon = _real(InvalidEpsilon, epsilon, f"epsilon must be finite and >= 0, got {epsilon!r}",
+                    closed=True)
     regions = list(regions)
     if not regions:
         raise EmptyInput("need at least one region")

@@ -6,8 +6,9 @@ A class that also derives from ``ValueError`` replaced a bare
 ``ValueError``, so callers that catch ``ValueError`` still catch it.
 
 Every overflow check of the numeric stages goes through one private helper,
-``_finite``, which names the first record whose value is not finite, and
-every whole-number argument through another, ``_integer``.
+``_finite``, which names the first record whose value is not finite; every
+whole-number argument through ``_integer`` and every real-number one through
+``_real``, the only tests of a number argument outside ``cli``'s config typing.
 """
 
 import numpy as np
@@ -41,6 +42,20 @@ def _integer(error, value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(error, value, message: str, low: float = 0.0, closed: bool = False) -> float:
+    """``value`` as a float if it is a Python or NumPy real, finite and above
+    ``low`` (or at ``low`` when ``closed``), else ``error(message)``: a bool,
+    a string or None is not taken for one, nor an int past the float range."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else np.nan
+    except OverflowError:
+        number = np.inf
+    if not (np.isfinite(number) and (number >= low if closed else number > low)):
+        raise error(message)
+    return number
 
 
 # --- data_model ---------------------------------------------------------
@@ -107,8 +122,8 @@ class DuplicatePair(TravelError):
     """An origin-destination pair appears more than once."""
 
 
-class NegativeCost(TravelError):
-    """A travel cost is negative."""
+class NegativeCost(TravelError, ValueError):
+    """A travel cost is negative or not a number."""
 
 
 class NonPositiveSpeed(TravelError, ValueError):

@@ -33,7 +33,7 @@ from .data_model import Dataset, SupplySite
 from .equity import gini
 from .errors import (
     InfeasibleAllocation, InstanceTooLarge, InvalidProblem, NonFiniteObjective,
-    NonPositiveUnitSize, _finite, _integer,
+    NonPositiveUnitSize, _finite, _integer, _real,
 )
 from .fca import Catchment
 
@@ -65,9 +65,9 @@ class AllocationProblem:
             raise InvalidProblem(f"objective must be one of {OBJECTIVES}")
         if self.budget < 0:
             raise InvalidProblem("budget must be >= 0")
-        if not 0 < self.unit_size < math.inf:  # NaN fails this test too
-            raise NonPositiveUnitSize(
-                f"unit_size must be positive and finite, got {self.unit_size!r}")
+        object.__setattr__(self, "unit_size", _real(
+            NonPositiveUnitSize, self.unit_size,
+            f"unit_size must be positive and finite, got {self.unit_size!r}"))
         n_supply = len(self.catchment.capacity)
         if not self.candidates:
             raise InvalidProblem("candidates must be nonempty")
@@ -310,9 +310,10 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
 
     Each iteration evaluates every (donor, receiver) unit move and applies
     the best one if it strictly improves the objective; stops at a local
-    optimum or after ``max_iters``. The result is never worse than the
-    input plan.
+    optimum or after ``max_iters``, which must be an integer (InvalidProblem
+    otherwise). The result is never worse than the input plan.
     """
+    max_iters = _integer(InvalidProblem, max_iters, "max_iters")
     units = problem._check(plan.units)
     current = problem._value(units)
     trace = list(plan.trace) or [current]

@@ -20,7 +20,6 @@ may run on). Each unit's and permutation's stream is fixed by its index, so
 the results are identical at any ``threads``.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +29,7 @@ from . import _workers
 from .data_model import COORD_KINDS, _csv_text
 from .errors import (
     InvalidStatArgument, KTooLarge, NonFiniteValue, NotRowStandardized, ZeroVariance, _finite,
-    _integer,
+    _integer, _real,
 )
 from .travel import _distance_rows
 
@@ -147,8 +146,9 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
     if k is not None and not 1 <= _integer(InvalidStatArgument, k, "k") < n:
         raise KTooLarge(f"knn needs 1 <= k < n, got k={k} with n={n}")
     # an infinite band would count each unit, whose own distance is set to inf, as a neighbor
-    if band is not None and not 0 < band < math.inf:  # NaN fails this test too
-        raise InvalidStatArgument(f"band radius must be positive and finite, got {band}")
+    if band is not None:
+        band = _real(InvalidStatArgument, band,
+                     f"band radius must be positive and finite, got {band}")
 
     metric = "haversine" if coord_kind == "geographic" else "euclidean"
     counts, neighbors = np.zeros(n, dtype=np.intp), []
@@ -173,7 +173,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
                           indices=np.concatenate(neighbors), data=1.0 / np.repeat(counts, counts))
 
 
-def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, seed: int):
+def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, seed: int,
+                          threads: int):
     """``(z, z @ z, n_permutations, seed)``: the centered values, their sum of
     squares and the two counts as ints, once every input is checked."""
     x = np.asarray(values, dtype=float)
@@ -189,6 +190,7 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     seed = _integer(InvalidStatArgument, seed, "seed")
     if seed < 0:
         raise InvalidStatArgument(f"seed must be a nonnegative integer, got {seed}")
+    _integer(InvalidStatArgument, threads, "threads")
     too_large = "the values are too large: their mean or squared deviations overflow"
     z = _finite(NonFiniteValue, lambda: x - x.mean(), too_large)
     denom = float(_finite(NonFiniteValue, lambda: z @ z, too_large))
@@ -210,7 +212,7 @@ def morans_i(values, weights: SpatialWeights, n_permutations: int = 999,
     processes; the result does not depend on how many.
     """
     z, denom, n_permutations, seed = _validate_stat_inputs(values, weights, n_permutations,
-                                                           seed)
+                                                           seed, threads)
     n = weights.n
     # NumPy imports numpy.random on first use: here, before the workers fork, not in each
     default_rng = np.random.default_rng
@@ -312,7 +314,7 @@ def lisa(values, weights: SpatialWeights, n_permutations: int = 999,
     ``threads`` worker processes; the result does not depend on how many.
     """
     z, denom, n_permutations, seed = _validate_stat_inputs(values, weights, n_permutations,
-                                                           seed)
+                                                           seed, threads)
     n = weights.n
     m2 = denom / n
     lag = weights.lag(z)

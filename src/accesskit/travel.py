@@ -20,6 +20,7 @@ from .errors import (
     NegativeCost,
     NonPositiveSpeed,
     UnknownId,
+    _real,
 )
 
 EARTH_RADIUS_KM = 6371.0
@@ -73,11 +74,11 @@ class TravelMatrix:
 
 
 def _check_costs(cost: np.ndarray) -> None:
-    """ValueError unless every cost is nonnegative, finite or +inf."""
+    """NegativeCost unless every cost is nonnegative, finite or +inf."""
     if not (cost >= 0).all():  # NaN fails this test too
         if np.isnan(cost).any():
-            raise ValueError("cost entries must be finite or +inf, not NaN")
-        raise ValueError("cost entries must be nonnegative")
+            raise NegativeCost("cost entries must be finite or +inf, not NaN")
+        raise NegativeCost("cost entries must be nonnegative")
 
 
 def _block_rows(width: int) -> int:
@@ -182,8 +183,9 @@ def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None =
             raise MetricMismatch("euclidean requires planar coordinates")
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    if speed is not None and not 0 < speed < math.inf:  # NaN fails this test too
-        raise NonPositiveSpeed(f"speed must be positive and finite km per minute, got {speed!r}")
+    if speed is not None:
+        speed = _real(NonPositiveSpeed, speed,
+                      f"speed must be positive and finite km per minute, got {speed!r}")
     blocks = _distance_rows(dataset.demand.xy, dataset.supply.xy, metric)
     if speed is None:
         return blocks

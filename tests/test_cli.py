@@ -417,6 +417,9 @@ def a_file(tmp_path):
     pytest.param(lambda t: report_argv(t, [("demand.geojson", "id,lon,lat\n")],
                                        demand="demand.geojson"),
                  "data_model.MalformedRow", None, id="geojson-not-json"),
+    pytest.param(lambda t: report_argv(t, [("demand.geojson", '{"features": {}}')],
+                                       demand="demand.geojson"),
+                 "data_model.MalformedRow", None, id="geojson-not-a-feature-collection"),
     pytest.param(lambda t: report_argv(t, [("demand.csv",
                                             b"id,lon,lat,population\nd\xe9,1,2,3\n")]),
                  "data_model.MalformedRow", None, id="csv-not-utf8"),

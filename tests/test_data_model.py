@@ -75,6 +75,13 @@ class TestLoadDemand:
         sites = load_demand(path)
         assert sites == [DemandSite("d2", 117.05, 36.7, 500.0)]
 
+    @pytest.mark.parametrize("doc", [[], {"features": {}}])
+    def test_geojson_that_is_not_a_feature_collection(self, tmp_path, doc):
+        path = write(tmp_path, "d.geojson", json.dumps(doc))
+        with pytest.raises(MalformedRow) as raised:
+            load_demand(path)
+        assert str(raised.value) == f"{path}: not a GeoJSON FeatureCollection"
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "d.csv", "id,lon,population\nd1,117.0,1200\n")
         with pytest.raises(MissingColumn, match="lat"):
@@ -786,6 +793,11 @@ class TestSiteTables:
         assert len(ds.demand) == 3 and self.DEMAND[2] in ds.demand
         with pytest.raises(IndexError):
             ds.demand[3]
+
+    def test_tables_of_different_kinds_are_unequal(self):
+        ds = self.dataset()
+        assert ds.demand.__eq__(ds.supply) is NotImplemented
+        assert not ds.demand == ds.supply and ds.supply != ds.demand
 
     def test_columns_are_read_only(self):
         ds = self.dataset()

@@ -2,20 +2,22 @@
 class and message, before any work is done on it."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from accesskit.data_model import Dataset, load_values
+from accesskit.data_model import Dataset, Region, load_values
 from accesskit.decay import DecaySpec
-from accesskit.equity import gini
+from accesskit.equity import classify, gini, hrad, hrad_vs_population
 from accesskit.errors import (
-    InfeasibleAllocation, InvalidDecaySpec, InvalidProblem, InvalidStatArgument, MalformedRow,
+    InfeasibleAllocation, InvalidDecaySpec, InvalidEpsilon, InvalidProblem, InvalidStatArgument,
+    MalformedRow, NonPositiveSpeed, NonPositiveUnitSize,
 )
 from accesskit.fca import Catchment
-from accesskit.optimize import AllocationProblem, evaluate_objective
+from accesskit.optimize import AllocationProblem, evaluate_objective, greedy_allocate, plan_json_dict
 from accesskit.spatial_stats import build_weights, morans_i
-from accesskit.travel import TravelMatrix, cost_rows
+from accesskit.travel import TravelMatrix, build_travel_matrix, cost_rows
 
 from helpers import dataset_with_matrix
 
@@ -87,3 +89,89 @@ def test_a_malformed_argument_raises_its_class(tmp_path, call, error, start):
         call(tmp_path)
     assert type(raised.value) is error
     assert str(raised.value).startswith(start)
+
+
+REGIONS = [Region("r0", 10.0, 20.0, 5.0), Region("r1", 90.0, 80.0, 5.0)]
+
+# Each real-number argument: how to pass it a value, its error class, the start
+# of its message, and the values of True, "1", None, nan, inf, 0 and -1 that
+# are invalid for it. None leaves band and speed unset, and 0 is a valid
+# epsilon; a zone or weight entry of 0 or below is a number that later checks
+# reject with their own messages.
+EVERY_BAD = (True, "1", None, math.nan, math.inf, 0, -1.0)
+REAL_ARGUMENTS = [
+    ("band", lambda v: build_weights(SQUARE, band=v), InvalidStatArgument,
+     "band radius must be positive and finite, got ", (True, "1", math.nan, math.inf, 0, -1.0)),
+    ("speed", lambda v: cost_rows(catchment().dataset, "euclidean", v), NonPositiveSpeed,
+     "speed must be positive and finite km per minute, got ",
+     (True, "1", math.nan, math.inf, 0, -1.0)),
+    ("unit-size", lambda v: problem(unit_size=v), NonPositiveUnitSize,
+     "unit_size must be positive and finite, got ", EVERY_BAD),
+    ("hrad-epsilon", lambda v: hrad(REGIONS, v), InvalidEpsilon,
+     "epsilon must be finite and >= 0, got ", (True, "1", None, math.nan, math.inf, -1.0)),
+    ("hrad-vs-population-epsilon", lambda v: hrad_vs_population(REGIONS, v), InvalidEpsilon,
+     "epsilon must be finite and >= 0, got ", (True, "1", None, math.nan, math.inf, -1.0)),
+    ("classify-epsilon", lambda v: classify(1.0, v), InvalidEpsilon,
+     "epsilon must be finite and >= 0, got ", (True, "1", None, math.nan, math.inf, -1.0)),
+    ("d0", lambda v: DecaySpec.gaussian(v, 180.0), InvalidDecaySpec,
+     "d0 must be a positive finite cutoff, got ", EVERY_BAD),
+    ("beta", lambda v: DecaySpec.gaussian(30.0, v), InvalidDecaySpec,
+     "gaussian decay requires a positive finite beta, got ", EVERY_BAD),
+    ("zonal-beta", lambda v: DecaySpec(kind="zonal", zones=(10.0, 20.0), beta=v),
+     InvalidDecaySpec, "zonal decay requires weights or a positive finite beta, got ", EVERY_BAD),
+    # the last zone is 1.0, so a d0 of True equals it
+    ("zonal-d0", lambda v: DecaySpec(kind="zonal", d0=v, zones=(0.5, 1.0), weights=(1.0, 0.5)),
+     InvalidDecaySpec, "last zone breakpoint must equal d0", (True, "1", math.nan, math.inf, 0,
+                                                               -1.0)),
+    ("zones-entry", lambda v: DecaySpec.zonal((v, 20.0), (1.0, 0.5)), InvalidDecaySpec,
+     "zones must be a nonempty list of finite numbers, got ", (True, "1", None, math.nan,
+                                                               math.inf)),
+    ("weights-entry", lambda v: DecaySpec.zonal((10.0, 20.0), (1.0, v)), InvalidDecaySpec,
+     "weights must be a nonempty list of finite numbers, got ", (True, "1", None, math.nan,
+                                                                 math.inf)),
+]
+
+
+@pytest.mark.parametrize("call, value, error, start", [
+    pytest.param(call, value, error, start, id=f"{name}-{value!r}")
+    for name, call, error, start, bad in REAL_ARGUMENTS for value in bad])
+def test_a_bad_real_argument_raises_its_class(call, value, error, start):
+    with pytest.raises(error) as raised:
+        call(value)
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(start)
+
+
+def band_weights(band):
+    weights = build_weights(SQUARE, band=band)
+    return [a.tolist() for a in (weights.indptr, weights.indices, weights.data)]
+
+
+def greedy_plan(unit_size):
+    allocation = problem(unit_size=unit_size)
+    return json.dumps(plan_json_dict(allocation, greedy_allocate(allocation)))
+
+
+@pytest.mark.parametrize("result, value", [
+    pytest.param(band_weights, 1, id="band"),
+    pytest.param(lambda v: build_travel_matrix(catchment().dataset, "euclidean", v).cost.tolist(),
+                 2, id="speed"),
+    pytest.param(greedy_plan, 2, id="unit-size"),
+    pytest.param(lambda v: repr(hrad(REGIONS, v)), 0, id="hrad-epsilon"),
+    pytest.param(lambda v: repr(hrad_vs_population(REGIONS, v)), 1,
+                 id="hrad-vs-population-epsilon"),
+    pytest.param(lambda v: classify(1.5, v), 1, id="classify-epsilon"),
+    pytest.param(lambda v: repr(DecaySpec.gaussian(v, 180.0)), 30, id="d0"),
+    pytest.param(lambda v: repr(DecaySpec.gaussian(30.0, v)), 180, id="beta"),
+    pytest.param(lambda v: repr(DecaySpec(kind="zonal", zones=(10.0, 20.0), beta=v)), 180,
+                 id="zonal-beta"),
+    pytest.param(lambda v: repr(DecaySpec(kind="zonal", d0=v, zones=(10.0, 20.0),
+                                          weights=(1.0, 0.5))), 20, id="zonal-d0"),
+    pytest.param(lambda v: repr(DecaySpec.zonal((10.0, v), (1.0, 0.5))), 20, id="zones-entry"),
+    pytest.param(lambda v: repr(DecaySpec.zonal((10.0, 20.0), (v, 0.5))), 1,
+                 id="weights-entry"),
+])
+def test_a_real_argument_takes_an_int_or_numpy_float_as_the_equal_float(result, value):
+    want = result(float(value))
+    assert result(value) == want
+    assert result(np.float64(value)) == want

@@ -7,7 +7,7 @@ from accesskit import travel
 from accesskit.data_model import Dataset, DemandSite, SupplySite
 from accesskit.decay import DECAY_KINDS, DecaySpec, evaluate_decay
 from accesskit.errors import (
-    DimensionMismatch, FcaError, NonFiniteCapture, NonFiniteScore, WrongDecayKind,
+    DimensionMismatch, FcaError, NegativeCost, NonFiniteCapture, NonFiniteScore, WrongDecayKind,
 )
 from accesskit.fca import (
     FCA_METHODS,
@@ -111,8 +111,9 @@ class TestCostRows:
         ds, m = halving_instance()
         cost = m.cost.copy()
         cost[1, 0] = bad
-        with pytest.raises(ValueError, match="NaN" if np.isnan(bad) else "nonnegative"):
+        with pytest.raises(ValueError, match="NaN" if np.isnan(bad) else "nonnegative") as raised:
             Catchment("g2sfca", ds, blocks_of(cost, [1]), HALVING)
+        assert type(raised.value) is NegativeCost
 
 
 @st.composite

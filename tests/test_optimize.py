@@ -303,6 +303,13 @@ class TestCandidateSites:
         with pytest.raises(InvalidProblem, match="budget must be an integer"):
             make_problem([1], [1, 1], [[0.0, 0.0]], budget=budget)
 
+    @pytest.mark.parametrize("max_iters", [2.5, "3", None, True])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        problem = make_problem([1], [1, 1], [[0.0, 0.0]], budget=2)
+        with pytest.raises(InvalidProblem) as raised:
+            local_search_improve(problem, greedy_allocate(problem), max_iters)
+        assert str(raised.value) == f"max_iters must be an integer, got {max_iters!r}"
+
     def test_numpy_integers_are_taken_as_ints(self):
         problem = make_problem([1], [1, 1, 1], [[0.0, 0.0, 0.0]], budget=np.int64(2),
                                candidates=np.array([2, 0]))

@@ -186,8 +186,8 @@ class TestMalformedWeights:
 
 
 class TestIntegerArguments:
-    """``k``, ``n_permutations`` and ``seed`` are Python or NumPy integers;
-    a bool, float or string is refused, not rounded or taken as 0 or 1."""
+    """``k``, ``n_permutations``, ``seed`` and ``threads`` are Python or NumPy
+    integers; a bool, float or string is refused, not rounded or taken as 0 or 1."""
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", np.float64(2.0)],
                              ids=["fraction", "whole-float", "bool", "text", "numpy-float"])
@@ -205,6 +205,15 @@ class TestIntegerArguments:
             with pytest.raises(InvalidStatArgument, match=f"{name} must be an integer"):
                 statistic(CHECKERBOARD, rook_weights(), **{"n_permutations": 9, "seed": 1,
                                                            name: value})
+
+    @pytest.mark.parametrize("threads", [2.5, "2", None, True])
+    def test_threads_must_be_an_integer(self, monkeypatch, threads):
+        # four CPUs, so that a threads above 1 would reach the worker split
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        for statistic in (morans_i, lisa):
+            with pytest.raises(InvalidStatArgument) as raised:
+                statistic(CHECKERBOARD, rook_weights(), 9, 1, threads)
+            assert str(raised.value) == f"threads must be an integer, got {threads!r}"
 
     def test_numpy_integers_are_taken(self):
         w = build_weights(UNIT_SQUARE, k=np.int64(2))

@@ -199,13 +199,16 @@ class TestBuildTravelMatrix:
 
 
 class TestTravelMatrixValidation:
+    """A NaN or negative cost is NegativeCost, as in an OD file, and a ValueError."""
+
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeCost, match="cost entries must be finite or \\+inf, not NaN"):
             TravelMatrix(cost=np.array([[np.nan]]))
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NegativeCost, match="cost entries must be nonnegative"):
             TravelMatrix(cost=np.array([[-1.0]]))
+        assert issubclass(NegativeCost, ValueError)
 
     def test_accepts_infinity(self):
         m = TravelMatrix(cost=np.array([[np.inf, 2.0]]))
