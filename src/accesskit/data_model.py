@@ -5,9 +5,9 @@ one CSV writer behind every output table.
 A dataset keeps its sites as columns: a ``DemandTable`` or ``SupplyTable``
 holds the ids, one read-only (n, 2) coordinate array and the value column
 (population or capacity; supply adds the candidate flags). A table is still
-a sequence of records: indexing or iterating it builds each ``DemandSite``
-or ``SupplySite`` through the record's own constructor, so the numeric
-stages read the columns and build no record at all.
+a sequence of records, built only when it is indexed or iterated, so the
+numeric stages read the columns and build no record at all. A record's
+``RULES`` check its numbers, and a table's columns, through ``errors._real``.
 
 Every input table takes one loading path, ``_load_table``. A plain CSV
 table (no quotes, one cell per header column on every line) is split a
@@ -52,6 +52,7 @@ from .errors import (
     NonPositiveArea,
     NonPositiveCapacity,
     OutOfRangeCoordinate,
+    _real,
 )
 
 COORD_KINDS = ("geographic", "planar")
@@ -59,8 +60,8 @@ COORD_KINDS = ("geographic", "planar")
 
 def _check_coords(x: float, y: float, coord_kind: str, where: str = "") -> None:
     prefix = f"{where}: " if where else ""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise NonFiniteCoordinate(f"{prefix}coordinate ({x}, {y}) is not finite")
+    message = f"{prefix}coordinate ({x}, {y}) is not finite"
+    x, y = (_real(NonFiniteCoordinate, v, message, low=-math.inf) for v in (x, y))
     if coord_kind == "geographic":
         if not -180.0 <= x <= 180.0:
             raise OutOfRangeCoordinate(f"{prefix}lon {x} outside [-180, 180]")
@@ -87,36 +88,56 @@ def _first_repeat(ids) -> int:
         seen.add(rec_id)
 
 
-def _in_range(values, low: float, closed: bool = True) -> np.ndarray:
-    """Per value, whether it is finite and >= ``low`` (> ``low`` unless closed)."""
-    return ((low <= values) if closed else (low < values)) & (values < math.inf)
+_XY = tuple((k, NonFiniteCoordinate, "coordinates not finite", -math.inf, False) for k in "xy")
+
+
+class _Record:
+    """A record whose ``RULES``, one ``(field, error, message, low, closed)`` per
+    number, go through ``errors._real``; ``closed`` may name a flag field."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        for name, error, message, low, closed in self.RULES:
+            value = getattr(self, name)
+            closed = getattr(self, closed) if isinstance(closed, str) else closed
+            try:
+                number = _real(error, value, message, low, closed)
+            except error:
+                if value is None and self.__dataclass_fields__[name].default is None:
+                    continue  # unset: None is the field's default
+                bound = f"{'>=' if closed else '>'} {low:g}"
+                raise error(f"{self.KIND} {self.id!r}: "
+                            + message.format(value=value, bound=bound)) from None
+            if number is not value:
+                object.__setattr__(self, name, number)
 
 
 @dataclass(frozen=True, slots=True)
-class DemandSite:
+class DemandSite(_Record):
     """A population location. ``x``/``y`` hold (lon, lat) when geographic."""
+
+    KIND = "demand"
+    RULES = (*_XY,
+             ("population", NegativePopulation, "population {value} must be {bound}", 0.0, True))
 
     id: str
     x: float
     y: float
     population: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFiniteCoordinate(f"demand {self.id!r}: coordinates not finite")
-        if not math.isfinite(self.population) or self.population < 0:
-            raise NegativePopulation(
-                f"demand {self.id!r}: population {self.population} must be >= 0"
-            )
-
 
 @dataclass(frozen=True, slots=True)
-class SupplySite:
+class SupplySite(_Record):
     """A facility location with a positive capacity.
 
     ``candidate=True`` relaxes the capacity > 0 invariant to >= 0; it marks
     prospective zero-capacity sites used only in reallocation runs.
     """
+
+    KIND = "supply"
+    RULES = (*_XY, ("capacity", NonPositiveCapacity, "capacity {value} must be {bound}", 0.0,
+                    "candidate"))
 
     id: str
     x: float
@@ -124,39 +145,20 @@ class SupplySite:
     capacity: float
     candidate: bool = False
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFiniteCoordinate(f"supply {self.id!r}: coordinates not finite")
-        floor_ok = self.capacity >= 0 if self.candidate else self.capacity > 0
-        if not math.isfinite(self.capacity) or not floor_ok:
-            raise NonPositiveCapacity(
-                f"supply {self.id!r}: capacity {self.capacity} must be "
-                f"{'>= 0' if self.candidate else '> 0'}"
-            )
-
 
 @dataclass(frozen=True, slots=True)
-class Region:
+class Region(_Record):
     """An areal unit carrying a resource count, for agglomeration analysis."""
+
+    KIND = "region"
+    RULES = (("area_km2", NonPositiveArea, "area {value} must be {bound}", 0.0, False),
+             ("resource", NegativeResource, "resource {value} must be {bound}", 0.0, True),
+             ("population", NegativePopulation, "population {value} must be {bound}", 0.0, True))
 
     id: str
     area_km2: float
     resource: float
     population: float | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.area_km2) or self.area_km2 <= 0:
-            raise NonPositiveArea(f"region {self.id!r}: area {self.area_km2} must be > 0")
-        if not math.isfinite(self.resource) or self.resource < 0:
-            raise NegativeResource(
-                f"region {self.id!r}: resource {self.resource} must be >= 0"
-            )
-        if self.population is not None and (
-            not math.isfinite(self.population) or self.population < 0
-        ):
-            raise NegativePopulation(
-                f"region {self.id!r}: population {self.population} must be >= 0"
-            )
 
 
 class _SiteTable(Sequence):
@@ -165,7 +167,7 @@ class _SiteTable(Sequence):
     A subclass is a frozen dataclass whose fields are ``ids``, ``xy`` and
     then ``COLUMNS``, the record's fields after ``id``, ``x`` and ``y``.
     Its columns are read-only arrays; every site in them satisfies the
-    record's invariants, which ``ok`` tests in bulk.
+    record's ``RULES``, which the table tests a column at a time.
     """
 
     __slots__ = ()
@@ -173,19 +175,31 @@ class _SiteTable(Sequence):
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
         n = len(self.ids)
-        columns = (("xy", float, (n, 2)),
-                   *((name, dtype, (n,)) for name, dtype in self.COLUMNS.items()))
-        for name, dtype, shape in columns:
-            column = getattr(self, name)
-            column = np.array(np.zeros(n, bool) if column is None else column, dtype=dtype)
+        given = []  # number columns NumPy would read a bool, text or None in as a float
+        for name, dtype in {"xy": float, **self.COLUMNS}.items():
+            column, shape = getattr(self, name), (n, 2) if name == "xy" else (n,)
+            if dtype is float and getattr(column, "dtype", np.dtype(object)).kind not in "iuf":
+                dtype = object
+                given.append(name)
+            column = np.array(np.zeros(n, dtype) if column is None else column, dtype=dtype)
             if column.size == 0:  # no sites; an empty list has no second axis
                 column = column.reshape(shape)
             if column.shape != shape:
                 raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
-            column.flags.writeable = False
             object.__setattr__(self, name, column)
-        for k in np.flatnonzero(~self.ok(self.xy, *self._columns())).tolist():
+        if given:  # their records read those values as given
+            list(map(self.RECORD, *self._lists()))
+            for name in given:
+                object.__setattr__(self, name, getattr(self, name).astype(float))
+        fields = dict(zip(("x", "y", *self.COLUMNS), (*self.xy.T, *self._columns())))
+        ok = np.ones(n, bool)
+        for name, _, _, low, closed in self.RECORD.RULES:
+            column, closed = fields[name], fields[closed] if isinstance(closed, str) else closed
+            ok &= np.isfinite(column) & np.where(closed, low <= column, low < column)
+        for k in np.flatnonzero(~ok).tolist():
             self[k]  # the record's constructor raises its own error
+        for column in (self.xy, *self._columns()):
+            column.flags.writeable = False
 
     @classmethod
     def of(cls, sites):
@@ -193,11 +207,15 @@ class _SiteTable(Sequence):
         if isinstance(sites, cls):
             return sites
         sites = tuple(sites)
-        return cls([s.id for s in sites], [(s.x, s.y) for s in sites],
-                   *([getattr(s, name) for s in sites] for name in cls.COLUMNS))
+        return cls([s.id for s in sites], np.array([(s.x, s.y) for s in sites], float),
+                   *(np.array([getattr(s, name) for s in sites], dtype)
+                     for name, dtype in cls.COLUMNS.items()))
 
     def _columns(self):
         return tuple(getattr(self, name) for name in self.COLUMNS)
+
+    def _lists(self):
+        return (self.ids, *self.xy.T.tolist(), *(c.tolist() for c in self._columns()))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -208,9 +226,11 @@ class _SiteTable(Sequence):
         x, y = self.xy[i].tolist()
         return self.RECORD(self.ids[i], x, y, *(c[i].item() for c in self._columns()))
 
-    def __iter__(self):
-        return map(self.RECORD, self.ids, self.xy[:, 0].tolist(), self.xy[:, 1].tolist(),
-                   *(c.tolist() for c in self._columns()))
+    def __iter__(self):  # the sites passed the record's rules: no record is checked again
+        records = list(map(object.__new__, repeat(self.RECORD, len(self))))
+        for name, values in zip(self.RECORD.__dataclass_fields__, self._lists()):
+            list(map(object.__setattr__, records, repeat(name), values))
+        return iter(records)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -234,11 +254,6 @@ class DemandTable(_SiteTable):
     xy: np.ndarray
     population: np.ndarray
 
-    @staticmethod
-    def ok(xy, population) -> np.ndarray:
-        """Per site, whether ``DemandSite`` accepts it."""
-        return np.isfinite(xy).all(axis=1) & _in_range(population, 0.0)
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class SupplyTable(_SiteTable):
@@ -252,12 +267,6 @@ class SupplyTable(_SiteTable):
     xy: np.ndarray
     capacity: np.ndarray
     candidate: np.ndarray | None = None
-
-    @staticmethod
-    def ok(xy, capacity, candidate=False) -> np.ndarray:
-        """Per site, whether ``SupplySite`` accepts it."""
-        return np.isfinite(xy).all(axis=1) & np.where(
-            candidate, _in_range(capacity, 0.0), _in_range(capacity, 0.0, closed=False))
 
 
 @dataclass(frozen=True)
@@ -289,9 +298,7 @@ class Dataset:
             if k < len(ids):
                 raise DuplicateId(f"duplicate {label} id {ids[k]!r}")
         for label, sites in (("demand", self.demand), ("supply", self.supply)):
-            bad = ~_coords_ok(sites.xy, self.coord_kind)
-            if bad.any():
-                k = int(bad.argmax())
+            for k in np.flatnonzero(~_coords_ok(sites.xy, self.coord_kind)).tolist():
                 _check_coords(*sites.xy[k].tolist(), self.coord_kind, f"{label} {sites.ids[k]!r}")
 
 
@@ -315,17 +322,12 @@ def _parse_float(raw, row_num: int, column: str) -> float:
 _ABSENT = object()
 
 
-class _Flag:
-    """A GeoJSON ``true`` or ``false`` cell: it reads as the bool does, but
-    no number parses from it, as ``float()`` would take it for 1 or 0."""
+class _Flag(str):
+    """A GeoJSON ``true`` or ``false`` cell: the text ``True`` or ``False``,
+    shown as the bool is, which no number parses from, where ``float()``
+    would take the bool for 1 or 0."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        self.value = value
-
-    def __repr__(self) -> str:
-        return repr(self.value)
+    __repr__ = str.__str__
 
 
 def _read_table(path, columns: tuple[str, ...], optional: tuple[str, ...] = (),

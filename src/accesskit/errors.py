@@ -7,8 +7,8 @@ A class that also derives from ``ValueError`` replaced a bare
 
 Every overflow check of the numeric stages goes through one private helper,
 ``_finite``, which names the first record whose value is not finite; every
-whole-number argument through ``_integer`` and every real-number one through
-``_real``, the only tests of a number argument outside ``cli``'s config typing.
+whole-number argument through ``_integer`` and every real-number argument or
+record field through ``_real``, the only number tests outside ``cli``'s config.
 """
 
 import numpy as np
@@ -48,12 +48,13 @@ def _real(error, value, message: str, low: float = 0.0, closed: bool = False) ->
     """``value`` as a float if it is a Python or NumPy real, finite and above
     ``low`` (or at ``low`` when ``closed``), else ``error(message)``: a bool,
     a string or None is not taken for one, nor an int past the float range."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    real = value.__class__ is float or (  # a plain float, the common case, first
+        isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool))
     try:
         number = float(value) if real else np.nan
     except OverflowError:
         number = np.inf
-    if not (np.isfinite(number) and (number >= low if closed else number > low)):
+    if not (-np.inf < number < np.inf and (number >= low if closed else number > low)):
         raise error(message)
     return number
 

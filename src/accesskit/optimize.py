@@ -377,14 +377,10 @@ def add_candidate_sites(dataset: Dataset, sites) -> tuple[Dataset, tuple[int, ..
     original plus candidate-flagged supply rows; build a ``Catchment`` on a
     rebuilt travel matrix before optimizing.
     """
-    new_supply = list(dataset.supply)
-    first = len(new_supply)
-    for sid, x, y in sites:
-        new_supply.append(SupplySite(str(sid), float(x), float(y), 0.0, candidate=True))
-    return (
-        replace(dataset, supply=tuple(new_supply)),
-        tuple(range(first, len(new_supply))),
-    )
+    added = [SupplySite(str(sid), x, y, 0.0, candidate=True) for sid, x, y in sites]
+    first = len(dataset.supply)
+    return (replace(dataset, supply=(*dataset.supply, *added)),
+            tuple(range(first, first + len(added))))
 
 
 def plan_json_dict(problem: AllocationProblem, plan: ReallocationPlan) -> dict:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from accesskit import _workers, cli, fca, optimize, spatial_stats, travel
 from accesskit.cli import main
-from accesskit.data_model import DemandSite, demand_csv_text
+from accesskit.data_model import (DemandSite, DemandTable, SupplySite, _SiteTable,
+                                  demand_csv_text)
 from accesskit.optimize import CHUNK
 from accesskit.synth import synthetic_city, write_city
 from accesskit.travel import TravelMatrix
@@ -914,16 +915,24 @@ def test_plan_memory_is_a_few_chunk_blocks(wide_city, objective):
 
 
 def test_optimize_builds_no_demand_record(small_city, monkeypatch, capsys):
-    # the demand sites stay columns from the loader to plan.json
+    # the sites stay columns from the loader to plan.json and to every output
+    # of report: no demand or supply record is built, by its constructor or by
+    # iterating a table
     built = []
-    post_init = DemandSite.__post_init__
-    monkeypatch.setattr(DemandSite, "__post_init__",
-                        lambda self: built.append(self.id) or post_init(self))
-    out = small_city.parent / "out-optimize"
-    assert main(["optimize", "--config", str(small_city), "--out", str(out)]) == 0
+    for record in (DemandSite, SupplySite):
+        monkeypatch.setattr(record, "__post_init__", lambda self, post_init=record.__post_init__:
+                            built.append(self.id) or post_init(self))
+    iterate = _SiteTable.__iter__
+    monkeypatch.setattr(_SiteTable, "__iter__",
+                        lambda self: built.append(type(self).__name__) or iterate(self))
+    for command in (["optimize"], ["report", "--threads", "1"]):
+        out = small_city.parent / f"out-{command[0]}"
+        assert main([*command, "--config", str(small_city), "--out", str(out)]) == 0
     assert built == []
-    DemandSite("d", 0.0, 0.0, 1.0)  # the count sees a construction
-    assert built == ["d"]
+    # the count sees a construction and an iteration
+    DemandSite("d", 0.0, 0.0, 1.0), SupplySite("h", 0.0, 0.0, 1.0)
+    list(DemandTable(["e"], np.zeros((1, 2)), np.ones(1)))
+    assert built == ["d", "h", "DemandTable"]
 
 
 # What each config field accepts, by JSON kind; an int counts as a number.

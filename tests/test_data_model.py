@@ -821,3 +821,142 @@ class TestSiteTables:
         assert SupplyTable(["h"], [[0.0, 0.0]], [0.0], [True])[0].candidate is True
         with pytest.raises(ValueError, match="shape"):
             DemandTable(["a", "b"], [[0.0, 0.0]], [1.0, 2.0])
+
+
+# --- the number rules, shared by the records and the site tables ------------
+
+# Each number field: (record, its other fields, the field, its error, low, closed).
+SITE = {"id": "s", "x": 1.0, "y": 2.0}
+NUMBER_FIELDS = [
+    *((DemandSite, {**SITE, "population": 3.0}, name, NonFiniteCoordinate, -np.inf, False)
+      for name in "xy"),
+    (DemandSite, {**SITE, "population": 3.0}, "population", NegativePopulation, 0.0, True),
+    *((SupplySite, {**SITE, "capacity": 3.0, "candidate": candidate}, name,
+       NonFiniteCoordinate, -np.inf, False) for candidate in (False, True) for name in "xy"),
+    (SupplySite, {**SITE, "capacity": 3.0}, "capacity", NonPositiveCapacity, 0.0, False),
+    (SupplySite, {**SITE, "capacity": 3.0, "candidate": True}, "capacity", NonPositiveCapacity,
+     0.0, True),
+    (Region, {"id": "r", "area_km2": 1.0, "resource": 2.0, "population": 3.0}, "area_km2",
+     NonPositiveArea, 0.0, False),
+    (Region, {"id": "r", "area_km2": 1.0, "resource": 2.0}, "resource", NegativeResource, 0.0,
+     True),
+    (Region, {"id": "r", "area_km2": 1.0, "resource": 2.0}, "population", NegativePopulation,
+     0.0, True),
+]
+NUMBER_VALUES = st.one_of(
+    st.floats(),  # ±0.0, negatives, nan and ±inf among them
+    st.integers(-10 ** 30, 10 ** 30),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([True, False, np.True_, "5", None, 10 ** 400, 0, -1, np.int64(0)]),
+)
+
+
+def number_outcome(make, name):
+    """The field's stored value as a float's hex (None as None), or the
+    class and message of the error ``make()`` raises."""
+    try:
+        value = make()
+    except AccessKitError as err:
+        return type(err), str(err)
+    if isinstance(value, (DemandTable, SupplyTable)):  # a one-row table
+        value = (value.xy[0, "xy".index(name)] if name in ("x", "y")
+                 else getattr(value, name)[0]).item()
+    else:
+        value = getattr(value, name)
+    assert value is None or type(value) is float
+    return None if value is None else value.hex()
+
+
+def takes(value, low, closed) -> bool:
+    """Whether a number rule takes ``value``: a Python or NumPy real that is
+    not a bool, whose float is finite and above ``low``, or at it if closed."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        return False
+    return np.isfinite(number) and (number >= low if closed else number > low)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.sampled_from(NUMBER_FIELDS), value=NUMBER_VALUES)
+@example(case=NUMBER_FIELDS[2], value=True)
+@example(case=NUMBER_FIELDS[0], value="5")
+@example(case=NUMBER_FIELDS[-1], value=None)
+def test_a_number_field_is_kept_as_a_float_or_raises_its_error(case, value):
+    record, fields, name, error, low, closed = case
+    fields = {**fields, name: value}
+    got = number_outcome(lambda: record(**fields), name)
+    if record is Region and name == "population" and value is None:
+        assert got is None  # an unset population
+    elif takes(value, low, closed):
+        assert got == float(value).hex()
+    else:
+        assert got[0] is error and got[1].startswith(f"{record.KIND} {fields['id']!r}: ")
+    if record is Region:
+        return
+    # a one-row table takes or refuses the value as the record does
+    table, value_column = ((DemandTable, "population") if record is DemandSite
+                           else (SupplyTable, "capacity"))
+    columns = [[fields[value_column]]] + ([[fields["candidate"]]] if "candidate" in fields else [])
+    made = number_outcome(lambda: table([fields["id"]], [[fields["x"], fields["y"]]], *columns),
+                          name)
+    assert made == got
+    if name == value_column:  # an array column, which the table tests in bulk when it is real
+        made = number_outcome(lambda: table([fields["id"]], np.array([[1.0, 2.0]]),
+                                            np.array([value]), *columns[1:]), name)
+        # a refused int in an int array is named as the float the table holds
+        assert made == got or made[0] is got[0] is error and isinstance(value, (int, np.integer))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Region("r", True, 1.0), NonPositiveArea, "region 'r': area True must be > 0"),
+    (lambda: DemandSite("d", 0.0, 0.0, True), NegativePopulation,
+     "demand 'd': population True must be >= 0"),
+    (lambda: SupplySite("h", 0.0, 0.0, capacity=True), NonPositiveCapacity,
+     "supply 'h': capacity True must be > 0"),
+    (lambda: Region("r", "1", 1.0), NonPositiveArea, "region 'r': area 1 must be > 0"),
+    (lambda: DemandSite("d", 0.0, 0.0, "5"), NegativePopulation,
+     "demand 'd': population 5 must be >= 0"),
+    (lambda: DemandSite("d", 10 ** 400, 0.0, 1.0), NonFiniteCoordinate,
+     "demand 'd': coordinates not finite"),
+], ids=["region-bool-area", "demand-bool-population", "supply-bool-capacity",
+        "region-text-area", "demand-text-population", "demand-huge-int-x"])
+def test_a_bool_text_or_huge_int_is_the_fields_error(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("xy, population, error, message", [
+    (np.zeros((2, 2)), np.array([True, False]), NegativePopulation,
+     "demand 'a': population True must be >= 0"),
+    (np.zeros((2, 2)), np.array(["1", "x"]), NegativePopulation,
+     "demand 'a': population 1 must be >= 0"),
+    (np.zeros((2, 2)), np.array([1.0, None], dtype=object), NegativePopulation,
+     "demand 'b': population None must be >= 0"),
+    (np.array([[0, 0], [False, 0]], dtype=object), [1.0, 2.0], NonFiniteCoordinate,
+     "demand 'b': coordinates not finite"),
+    ([[0.0, 0.0], [True, 0.0]], [1.0, 2.0], NonFiniteCoordinate,
+     "demand 'b': coordinates not finite"),
+], ids=["bool-column", "text-column", "object-column", "object-xy", "bool-in-a-list"])
+def test_a_bool_text_or_object_column_is_its_first_such_rows_error(xy, population, error,
+                                                                   message):
+    # NumPy would read each of these as a float, or fail; the records read them as given
+    with pytest.raises(error) as info:
+        DemandTable(["a", "b"], xy, population)
+    assert str(info.value) == message
+
+
+def test_an_object_column_of_numbers_is_kept_as_floats():
+    table = DemandTable(["a", "b"], np.array([[1, 2], [3, 4]], dtype=object),
+                        np.array([2 ** 70, np.int64(5)], dtype=object))
+    assert table.xy.dtype == table.population.dtype == float
+    assert table.xy.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert table.population.tolist() == [float(2 ** 70), 5.0]
+    assert [type(s.population) for s in table] == [float, float]

@@ -9,7 +9,7 @@ from accesskit.decay import DecaySpec
 from accesskit.equity import gini
 from accesskit.errors import (
     DimensionMismatch, InfeasibleAllocation, InstanceTooLarge, InvalidProblem,
-    NonFiniteObjective, NonPositiveUnitSize,
+    NonFiniteCoordinate, NonFiniteObjective, NonPositiveUnitSize,
 )
 from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility, g2sfca
 from accesskit.optimize import (
@@ -281,6 +281,13 @@ class TestCandidateSites:
         assert plan.units == (2,)
         assert problem.better(plan.objective_after, plan.objective_before) or \
             plan.objective_after == plan.objective_before
+
+    @pytest.mark.parametrize("x", [True, "1.5"])
+    def test_coordinates_are_taken_as_given(self, x):
+        # a bool or text is no coordinate, though float() takes it for 1.0 or 1.5
+        ds, _ = dataset_with_matrix([1], [1], [[0.0]])
+        with pytest.raises(NonFiniteCoordinate, match="supply 'c': coordinates not finite"):
+            add_candidate_sites(ds, [("c", x, 0.0)])
 
     def test_candidates_sorted_and_validated(self):
         problem = make_problem([1], [1, 1, 1], [[0.0, 0.0, 0.0]], budget=1,
