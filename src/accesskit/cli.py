@@ -24,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import _workers, equity, fca, optimize, spatial_stats
-from .data_model import load_dataset, load_regions, load_values
+from .data_model import COORD_KINDS, load_dataset, load_regions, load_values
 from .decay import DecaySpec
 from .errors import AccessKitError, ConfigError
 from .travel import COST_UNITS, cost_rows, load_od_matrix
@@ -103,8 +103,8 @@ class RunConfig:
     def validate(self) -> None:
         """Typos and missing files fail as config errors, not tracebacks."""
         for name, allowed in (
-            ("coord_kind", ("geographic", "planar")),
-            ("metric", ("haversine", "euclidean")),
+            ("coord_kind", tuple(COORD_KINDS)),
+            ("metric", tuple(k.metric for k in COORD_KINDS.values())),
             ("cost_unit", COST_UNITS),
             ("method", fca.FCA_METHODS),
             ("objective", optimize.OBJECTIVES),

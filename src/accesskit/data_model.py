@@ -17,9 +17,9 @@ columns in the order asked, and handed on a block of rows at a time. Each
 loader parses a block's cells straight into columns, and checks the
 columns in bulk once the last block is in.
 
-Coordinates are either geographic (lon, lat in decimal degrees) or planar
-(x, y in meters). The coordinate kind is declared per dataset; input file
-headers must agree with the declared kind and mixing kinds is rejected.
+Coordinates are of a kind of ``COORD_KINDS``: geographic (lon, lat in
+degrees) or planar (x, y in meters). The kind is declared per dataset; input
+file headers must agree with it, and mixing kinds is rejected.
 Loading is eager and fail-fast. On any defect (a cell that does not
 parse, an error of the reader, a bulk check that fails) the table is read
 once more row by row, and its first defective row raises an error naming
@@ -31,6 +31,7 @@ import csv
 import json
 import math
 from array import array
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -52,55 +53,65 @@ from .errors import (
     NonPositiveArea,
     NonPositiveCapacity,
     OutOfRangeCoordinate,
+    _flag,
     _real,
 )
 
-COORD_KINDS = ("geographic", "planar")
+# Each coordinate kind's two columns, distance metric and largest |x| and |y|.
+CoordKind = namedtuple("CoordKind", "columns metric bound")
+COORD_KINDS = {
+    "geographic": CoordKind(("lon", "lat"), "haversine", (180.0, 90.0)),
+    "planar": CoordKind(("x", "y"), "euclidean", (np.finfo(float).max,) * 2),  # any finite
+}
+
+
+def _kind(coord_kind: str) -> CoordKind:
+    if coord_kind not in tuple(COORD_KINDS):
+        raise ValueError(f"coord_kind must be one of {tuple(COORD_KINDS)}")
+    return COORD_KINDS[coord_kind]
 
 
 def _check_coords(x: float, y: float, coord_kind: str, where: str = "") -> None:
     prefix = f"{where}: " if where else ""
-    message = f"{prefix}coordinate ({x}, {y}) is not finite"
-    x, y = (_real(NonFiniteCoordinate, v, message, low=-math.inf) for v in (x, y))
-    if coord_kind == "geographic":
-        if not -180.0 <= x <= 180.0:
-            raise OutOfRangeCoordinate(f"{prefix}lon {x} outside [-180, 180]")
-        if not -90.0 <= y <= 90.0:
-            raise OutOfRangeCoordinate(f"{prefix}lat {y} outside [-90, 90]")
+    try:  # the message is made only when it is raised: the replay checks every row
+        x, y = (_real(NonFiniteCoordinate, v, "", low=-math.inf) for v in (x, y))
+    except NonFiniteCoordinate:
+        raise NonFiniteCoordinate(f"{prefix}coordinate ({x}, {y}) is not finite") from None
+    kind = COORD_KINDS[coord_kind]
+    for name, value, bound in zip(kind.columns, (x, y), kind.bound):
+        if not -bound <= value <= bound:
+            raise OutOfRangeCoordinate(f"{prefix}{name} {value} outside [-{bound:g}, {bound:g}]")
 
 
-def _coords_ok(xy: np.ndarray, coord_kind: str) -> np.ndarray:
-    """Per row of (x, y) pairs, whether ``_check_coords`` accepts it."""
-    x, y = xy[:, 0], xy[:, 1]
-    if coord_kind == "geographic":  # NaN fails these tests too
-        return (-180.0 <= x) & (x <= 180.0) & (-90.0 <= y) & (y <= 90.0)
-    return np.isfinite(x) & np.isfinite(y)
+def _check_xy(xy: np.ndarray, coord_kind: str, name=None) -> None:
+    """``_check_coords``' error for the first row ``k`` of ``xy`` it refuses, named ``name(k)``."""
+    for k in np.flatnonzero(~(np.abs(xy) <= COORD_KINDS[coord_kind].bound).all(axis=1)).tolist():
+        _check_coords(*xy[k].tolist(), coord_kind, name(k) if name else "")
 
 
-def _first_repeat(ids) -> int:
-    """The position of the first id that an earlier one repeats, else ``len(ids)``."""
-    if len(set(ids)) == len(ids):
-        return len(ids)
-    seen = set()
-    for k, rec_id in enumerate(ids):
-        if rec_id in seen:
-            return k
-        seen.add(rec_id)
+def _check_unique(ids, label: str) -> None:
+    """DuplicateId for the first of ``ids`` that an earlier one repeats."""
+    if len(set(ids)) < len(ids):
+        seen = set()  # set.add gives None: the first id found in it is the first repeat
+        rec_id = next(rec_id for rec_id in ids if rec_id in seen or seen.add(rec_id))
+        raise DuplicateId(f"duplicate {label} id {rec_id!r}")
 
 
 _XY = tuple((k, NonFiniteCoordinate, "coordinates not finite", -math.inf, False) for k in "xy")
 
 
 class _Record:
-    """A record whose ``RULES``, one ``(field, error, message, low, closed)`` per
-    number, go through ``errors._real``; ``closed`` may name a flag field."""
+    """A record whose ``RULES``, one ``(field, error, message, low, closed)`` per number, go
+    through ``errors._real``; ``closed`` may name a flag field, checked by ``errors._flag``."""
 
     __slots__ = ()
 
     def __post_init__(self):
         for name, error, message, low, closed in self.RULES:
             value = getattr(self, name)
-            closed = getattr(self, closed) if isinstance(closed, str) else closed
+            if isinstance(closed, str):  # the flag that closes the bound
+                closed = _flag(MalformedRow, flag := getattr(self, closed),
+                               f"{self.KIND} {self.id!r}: {closed} {flag!r} must be a bool")
             try:
                 number = _real(error, value, message, low, closed)
             except error:
@@ -175,13 +186,15 @@ class _SiteTable(Sequence):
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
         n = len(self.ids)
-        given = []  # number columns NumPy would read a bool, text or None in as a float
+        given = {}  # columns NumPy could misread (a bool as a number, text as a flag)
         for name, dtype in {"xy": float, **self.COLUMNS}.items():
             column, shape = getattr(self, name), (n, 2) if name == "xy" else (n,)
-            if dtype is float and getattr(column, "dtype", np.dtype(object)).kind not in "iuf":
-                dtype = object
-                given.append(name)
-            column = np.array(np.zeros(n, dtype) if column is None else column, dtype=dtype)
+            if column is None and self.__dataclass_fields__[name].default is None:
+                column = np.zeros(n, dtype)  # unset: None is the field's default
+            elif getattr(column, "dtype", np.dtype(object)).kind not in (
+                    "iuf" if dtype is float else "b"):
+                given[name], dtype = dtype, object
+            column = np.array(column, dtype=dtype)
             if column.size == 0:  # no sites; an empty list has no second axis
                 column = column.reshape(shape)
             if column.shape != shape:
@@ -189,8 +202,8 @@ class _SiteTable(Sequence):
             object.__setattr__(self, name, column)
         if given:  # their records read those values as given
             list(map(self.RECORD, *self._lists()))
-            for name in given:
-                object.__setattr__(self, name, getattr(self, name).astype(float))
+            for name, dtype in given.items():
+                object.__setattr__(self, name, getattr(self, name).astype(dtype))
         fields = dict(zip(("x", "y", *self.COLUMNS), (*self.xy.T, *self._columns())))
         ok = np.ones(n, bool)
         for name, _, _, low, closed in self.RECORD.RULES:
@@ -288,25 +301,17 @@ class Dataset:
         object.__setattr__(self, "supply", SupplyTable.of(self.supply))
         if self.regions is not None:
             object.__setattr__(self, "regions", tuple(self.regions))
-        if self.coord_kind not in COORD_KINDS:
-            raise ValueError(f"coord_kind must be one of {COORD_KINDS}")
+        _kind(self.coord_kind)
         if not self.demand or not self.supply:
             raise NoRecords("dataset needs at least one demand and one supply site")
         for label, ids in (("demand", self.demand.ids), ("supply", self.supply.ids),
                            ("region", [r.id for r in self.regions or ()])):
-            k = _first_repeat(ids)
-            if k < len(ids):
-                raise DuplicateId(f"duplicate {label} id {ids[k]!r}")
+            _check_unique(ids, label)
         for label, sites in (("demand", self.demand), ("supply", self.supply)):
-            for k in np.flatnonzero(~_coords_ok(sites.xy, self.coord_kind)).tolist():
-                _check_coords(*sites.xy[k].tolist(), self.coord_kind, f"{label} {sites.ids[k]!r}")
+            _check_xy(sites.xy, self.coord_kind, lambda k: f"{label} {sites.ids[k]!r}")
 
 
 # --- reading --------------------------------------------------------------
-
-def _coord_columns(coord_kind: str) -> tuple[str, str]:
-    return ("lon", "lat") if coord_kind == "geographic" else ("x", "y")
-
 
 def _parse_float(raw, row_num: int, column: str) -> float:
     """A cell as a float, read as ``float()`` reads it."""
@@ -475,8 +480,8 @@ def _load_table(path, columns, table, parse, build, check_row, optional=(), poin
     time by ``_read_plain``, any other table ``ROW_BLOCK`` rows at a time
     by ``_read_table``, which takes ``optional`` and ``point`` as it
     describes. Once the last block is in, ``build`` is given the columns,
-    each array column viewed as a NumPy array; it runs the bulk checks and
-    returns None, or raises an AccessKitError, if a row fails them.
+    each array column viewed as a NumPy array; it runs the bulk checks, and
+    returns what it makes of the columns or raises an AccessKitError.
 
     When a cell does not parse or ``build`` rejects the rows,
     the table is read again row by row, and ``check_row(row_num, cells, seen)``
@@ -494,10 +499,8 @@ def _load_table(path, columns, table, parse, build, check_row, optional=(), poin
             rows = _read_table(path, columns, optional, point)
             while block := [cells for _, cells in islice(rows, ROW_BLOCK)]:
                 take(*zip(*block))
-        built = build(*(np.frombuffer(column, column.typecode) if isinstance(column, array)
-                        else column for column in table))
-        if built is not None:
-            return built
+        return build(*(np.frombuffer(column, column.typecode) if isinstance(column, array)
+                       else column for column in table))
     except (AccessKitError, KeyError, TypeError, ValueError, OverflowError):
         pass
     seen = set()
@@ -550,13 +553,13 @@ def _parse_points(ids, xs, ys, values):
 
 def _load_sites(path, table, coord_kind: str):
     """A ``DemandTable`` or ``SupplyTable`` read from a file."""
-    columns = ("id", *_coord_columns(coord_kind), next(iter(table.COLUMNS)))
+    columns = ("id", *_kind(coord_kind).columns, next(iter(table.COLUMNS)))
 
     def build(ids, x, y, values):  # the table's constructor runs its own checks
         xy = np.column_stack([x, y])
-        if _coords_ok(xy, coord_kind).all() and _first_repeat(ids) == len(ids):
-            return table(ids, xy, values)
-        return None
+        _check_xy(xy, coord_kind)
+        _check_unique(ids, table.RECORD.KIND)
+        return table(ids, xy, values)
 
     return _load_table(
         path, columns, _points(), _parse_points, build,
@@ -582,11 +585,9 @@ def _parse_regions(ids, area, resource, population):
 
 
 def _regions(ids, area, resource, population):
-    """The regions of the columns, each checked by ``Region``; None unless
-    the ids are unique."""
-    if _first_repeat(ids) == len(ids):
-        return list(map(Region, ids, area.tolist(), resource.tolist(), population))
-    return None
+    """The regions of the columns, their ids unique and each checked by ``Region``."""
+    _check_unique(ids, Region.KIND)
+    return list(map(Region, ids, area.tolist(), resource.tolist(), population))
 
 
 def load_regions(path) -> list[Region]:
@@ -598,47 +599,44 @@ def load_regions(path) -> list[Region]:
         partial(_check_record, columns=columns, optional=optional, make=Region), optional)
 
 
-def _values_kind(path, lon, lat, x, y) -> str:
-    """The coordinate kind of a values table whose row holds these cells."""
-    if _ABSENT not in (lon, lat):
-        return "geographic"
-    if _ABSENT not in (x, y):
-        return "planar"
-    raise MissingColumn(f"{path}: need lon/lat or x/y coordinate columns")
-
-
 def load_values(path, column: str):
     """Load one value column of a per-unit table: ``id``, coordinates, values.
 
-    Coordinate columns decide the kind: ``lon,lat`` is geographic, ``x,y``
-    planar; GeoJSON Point coordinates are ``lon,lat``. Ids and coordinates
-    are checked as for demand sites. Returns ``(ids, locations, coord_kind,
-    values)`` with ``locations`` a read-only (n, 2) array and ``values`` a
-    read-only array.
+    The first kind of ``COORD_KINDS`` whose two columns a row holds is the
+    kind: ``lon,lat`` geographic, ``x,y`` planar; GeoJSON Point coordinates
+    are ``lon,lat``. Ids and coordinates are checked as for demand sites.
+    Returns ``(ids, locations, coord_kind, values)`` with ``locations`` a
+    read-only (n, 2) array and ``values`` a read-only array.
     """
-    kind = []  # the coordinate kind, as the first row's cells show it
+    def kind_of(coords):  # the first kind whose two coordinate cells are there, and their place
+        for at, name in enumerate(COORD_KINDS):
+            if _ABSENT not in coords[2 * at:2 * at + 2]:
+                return name, 2 * at
+        need = " or ".join("/".join(k.columns) for k in COORD_KINDS.values())
+        raise MissingColumn(f"{path}: need {need} coordinate columns")
 
-    def parse(ids, values, *coords):
-        if not kind:
-            kind.append(_values_kind(path, *(cells[0] for cells in coords)))
-        at = 0 if kind == ["geographic"] else 2
-        return _parse_points(ids, *coords[at:at + 2], values)
+    kind = []  # the coordinate kind and where its cells start, as a block's first row shows them
+
+    def parse(ids, values, *coords):  # every row of a table holds the same coordinate columns
+        kind[:] = kind_of([cells[0] for cells in coords])
+        return _parse_points(ids, *coords[kind[1]:kind[1] + 2], values)
 
     def build(ids, x, y, values):
         xy = np.column_stack([x, y])
-        if ids and not (_coords_ok(xy, kind[0]).all() and _first_repeat(ids) == len(ids)):
-            return None
+        if ids:  # else no row has shown the kind
+            _check_xy(xy, kind[0])
+            _check_unique(ids, "unit")
         xy.flags.writeable = values.flags.writeable = False
         return ids, xy, values
 
     def check_row(row_num, cells, seen):
-        row_kind = _values_kind(path, *cells[2:])
-        at = 2 if row_kind == "geographic" else 4
-        _check_record(row_num, (cells[0], *cells[at:at + 2], cells[1]), seen,
-                      ("id", *_coord_columns(row_kind), column), coord_kind=row_kind)
+        row_kind, at = kind_of(cells[2:])
+        _check_record(row_num, (cells[0], *cells[2 + at:4 + at], cells[1]), seen,
+                      ("id", *COORD_KINDS[row_kind].columns, column), coord_kind=row_kind)
 
-    ids, locations, values = _load_table(path, ("id", column), _points(), parse, build,
-                                         check_row, ("lon", "lat", "x", "y"), ("lon", "lat"))
+    coords = tuple(col for k in COORD_KINDS.values() for col in k.columns)
+    ids, locations, values = _load_table(path, ("id", column), _points(), parse, build, check_row,
+                                         coords, COORD_KINDS["geographic"].columns)
     if not ids:
         raise NoRecords(f"{path}: table has no rows")
     return ids, locations, kind[0], values
@@ -675,7 +673,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _sites_csv_text(sites, coord_kind: str, value: str) -> str:
-    return _csv_text(("id", *_coord_columns(coord_kind), value),
+    return _csv_text(("id", *_kind(coord_kind).columns, value),
                      ((s.id, s.x, s.y, getattr(s, value)) for s in sites))
 
 

@@ -7,8 +7,8 @@ A class that also derives from ``ValueError`` replaced a bare
 
 Every overflow check of the numeric stages goes through one private helper,
 ``_finite``, which names the first record whose value is not finite; every
-whole-number argument through ``_integer`` and every real-number argument or
-record field through ``_real``, the only number tests outside ``cli``'s config.
+whole-number argument through ``_integer``, real number through ``_real`` and
+flag through ``_flag``: the only number and bool tests outside ``cli``'s config.
 """
 
 import numpy as np
@@ -57,6 +57,13 @@ def _real(error, value, message: str, low: float = 0.0, closed: bool = False) ->
     if not (-np.inf < number < np.inf and (number >= low if closed else number > low)):
         raise error(message)
     return number
+
+
+def _flag(error, value, message: str) -> bool:
+    """``value`` as a bool if it is a Python or NumPy bool, else ``error(message)``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(message)
+    return bool(value)
 
 
 # --- data_model ---------------------------------------------------------

@@ -141,8 +141,8 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         raise InvalidStatArgument("need at least 2 locations")
     if (k is None) == (band is None):
         raise InvalidStatArgument("give exactly one of k or band")
-    if coord_kind not in COORD_KINDS:
-        raise InvalidStatArgument(f"coord_kind must be one of {COORD_KINDS}, got {coord_kind!r}")
+    if coord_kind not in (kinds := tuple(COORD_KINDS)):
+        raise InvalidStatArgument(f"coord_kind must be one of {kinds}, got {coord_kind!r}")
     if k is not None and not 1 <= _integer(InvalidStatArgument, k, "k") < n:
         raise KTooLarge(f"knn needs 1 <= k < n, got k={k} with n={n}")
     # an infinite band would count each unit, whose own distance is set to inf, as a neighbor
@@ -150,7 +150,7 @@ def build_weights(locations, *, k: int | None = None, band: float | None = None,
         band = _real(InvalidStatArgument, band,
                      f"band radius must be positive and finite, got {band}")
 
-    metric = "haversine" if coord_kind == "geographic" else "euclidean"
+    metric = COORD_KINDS[coord_kind].metric
     counts, neighbors = np.zeros(n, dtype=np.intp), []
     for lo, d in _distance_rows(pts, pts, metric):
         rows = np.arange(len(d))

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import (
-    Dataset, DemandTable, SupplyTable, _load_table, _parse_float,
-)
+from .data_model import COORD_KINDS, Dataset, DemandTable, SupplyTable, _load_table, _parse_float
 from .errors import (
     DuplicatePair,
     MetricMismatch,
@@ -168,21 +166,17 @@ def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None =
     ----------
     dataset : Dataset
         Source of demand and supply coordinates.
-    metric : {"haversine", "euclidean"}
-        Must match the dataset's coordinate kind: haversine for geographic
-        (degrees), euclidean for planar (meters).
+    metric : str
+        The metric of the dataset's coordinate kind in ``data_model.COORD_KINDS``.
     speed : float, optional
         Km per minute, positive and finite. When given, costs are travel
         minutes (km / speed); otherwise they stay in km.
     """
-    if metric == "haversine":
-        if dataset.coord_kind != "geographic":
-            raise MetricMismatch("haversine requires geographic coordinates")
-    elif metric == "euclidean":
-        if dataset.coord_kind != "planar":
-            raise MetricMismatch("euclidean requires planar coordinates")
-    else:
+    kind = next((name for name, k in COORD_KINDS.items() if k.metric == metric), None)
+    if kind is None:
         raise ValueError(f"unknown metric {metric!r}")
+    if kind != dataset.coord_kind:
+        raise MetricMismatch(f"{metric} requires {kind} coordinates")
     if speed is not None:
         speed = _real(NonPositiveSpeed, speed,
                       f"speed must be positive and finite km per minute, got {speed!r}")
@@ -227,11 +221,11 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
         flat = _indices(d_index, d_ids) * m + _indices(s_index, s_ids)
         return array("q", flat.tobytes()), map(float, cells)
 
-    def build(flat, cost):
+    def build(flat, cost):  # TravelMatrix checks the costs
         filled = np.zeros(n * m, dtype=bool)
         filled[flat] = True
-        if np.count_nonzero(filled) < len(flat) or not (cost >= 0).all():
-            return None
+        if np.count_nonzero(filled) < len(flat):
+            raise DuplicatePair("a pair repeats")
         del filled  # before the matrix is made
         matrix = np.full((n, m), np.inf)
         matrix.reshape(-1)[flat] = cost

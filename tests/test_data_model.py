@@ -822,6 +822,38 @@ class TestSiteTables:
         with pytest.raises(ValueError, match="shape"):
             DemandTable(["a", "b"], [[0.0, 0.0]], [1.0, 2.0])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SupplySite("h", 0.0, 0.0, 0.0, candidate="no"), "candidate 'no'"),
+        (lambda: SupplySite("h", 0.0, 0.0, 1.0, candidate=None), "candidate None"),
+        (lambda: SupplyTable(["h"], [[0.0, 0.0]], [0.0], ["no"]), "candidate 'no'"),
+        (lambda: SupplyTable(["h"], [[0.0, 0.0]], [0.0], [2]), "candidate 2"),
+        (lambda: SupplyTable(["h"], [[0.0, 0.0]], [1.0], np.array([1])), "candidate 1"),
+    ], ids=["record-text", "record-none", "column-text", "column-int", "int-array"])
+    def test_a_candidate_flag_is_a_bool(self, make, message):
+        with pytest.raises(MalformedRow) as info:
+            make()
+        assert str(info.value) == f"supply 'h': {message} must be a bool"
+
+    def test_a_candidate_flag_may_be_a_numpy_bool_or_unset(self):
+        assert SupplySite("h", 0.0, 0.0, 0.0, candidate=np.True_) == \
+            SupplySite("h", 0.0, 0.0, 0.0, candidate=True)
+        table = SupplyTable(["h", "k"], [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0],
+                            np.array([True, False]))
+        assert [s.candidate for s in table] == [True, False]
+        for unset in (SupplyTable(["h"], [[0.0, 0.0]], [1.0]),
+                      SupplyTable(["h"], [[0.0, 0.0]], [1.0], None)):
+            assert unset.candidate.tolist() == [False]
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DemandTable(["a"], [[0.0, 0.0]], None), "population has shape (), expected (1,)"),
+        (lambda: SupplyTable(["a"], [[0.0, 0.0]], None, [True]),
+         "capacity has shape (), expected (1,)"),
+    ], ids=["population", "capacity"])
+    def test_only_the_candidate_column_may_be_none(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
 
 # --- the number rules, shared by the records and the site tables ------------
 

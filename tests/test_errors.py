@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from accesskit.data_model import Dataset, Region, load_values
+from accesskit.cli import RunConfig
+from accesskit.data_model import Dataset, DemandSite, Region, SupplySite, load_values
 from accesskit.decay import DecaySpec
 from accesskit.equity import classify, gini, hrad, hrad_vs_population
 from accesskit.errors import (
-    InfeasibleAllocation, InvalidDecaySpec, InvalidEpsilon, InvalidProblem, InvalidStatArgument,
-    MalformedRow, NonPositiveSpeed, NonPositiveUnitSize,
+    ConfigError, DuplicateId, InfeasibleAllocation, InvalidDecaySpec, InvalidEpsilon,
+    InvalidProblem, InvalidStatArgument, MalformedRow, MetricMismatch, NonPositiveSpeed,
+    NonPositiveUnitSize, OutOfRangeCoordinate,
 )
 from accesskit.fca import Catchment
 from accesskit.optimize import AllocationProblem, evaluate_objective, greedy_allocate, plan_json_dict
@@ -33,6 +35,20 @@ def catchment():
 def problem(**fields):
     return AllocationProblem(**{"catchment": catchment(), "budget": 2, "candidates": (0, 1),
                                 **fields})
+
+
+def sites(demand=(("a", 0.0, 0.0),), supply=(("h", 0.0, 0.0),), regions=None,
+          coord_kind="geographic"):
+    """A dataset of these (id, x, y) demand and supply sites, each of 1.0."""
+    return Dataset(demand=[DemandSite(*site, 1.0) for site in demand],
+                   supply=[SupplySite(*site, 1.0) for site in supply],
+                   regions=regions, coord_kind=coord_kind)
+
+
+def validated(**fields):
+    config = RunConfig(**fields)
+    config.validate()
+    return config
 
 
 def line_string_values(tmp_path):
@@ -83,6 +99,30 @@ def line_string_values(tmp_path):
                  ValueError, "coord_kind must be one of", id="dataset-coord-kind-unknown"),
     pytest.param(line_string_values, MalformedRow, "row 1: geometry must be a Point",
                  id="geojson-feature-not-a-point"),
+    pytest.param(lambda t: sites(demand=(("a", 0.0, 0.0), ("a", 1.0, 1.0))), DuplicateId,
+                 "duplicate demand id 'a'", id="dataset-duplicate-demand-id"),
+    pytest.param(lambda t: sites(supply=(("h", 0.0, 0.0), ("h", 1.0, 1.0))), DuplicateId,
+                 "duplicate supply id 'h'", id="dataset-duplicate-supply-id"),
+    pytest.param(lambda t: sites(regions=[Region("r", 1.0, 1.0), Region("r", 2.0, 2.0)]),
+                 DuplicateId, "duplicate region id 'r'", id="dataset-duplicate-region-id"),
+    pytest.param(lambda t: sites(demand=(("a", 0.0, 0.0), ("b", -180.5, 0.0))),
+                 OutOfRangeCoordinate, "demand 'b': lon -180.5 outside [-180, 180]",
+                 id="dataset-lon-out-of-range"),
+    pytest.param(lambda t: sites(supply=(("h", 0.0, 95.0),)), OutOfRangeCoordinate,
+                 "supply 'h': lat 95.0 outside [-90, 90]", id="dataset-lat-out-of-range"),
+    pytest.param(lambda t: cost_rows(sites(coord_kind="planar"), "haversine"), MetricMismatch,
+                 "haversine requires geographic coordinates", id="cost-rows-haversine-on-planar"),
+    pytest.param(lambda t: cost_rows(sites(), "euclidean"), MetricMismatch,
+                 "euclidean requires planar coordinates", id="cost-rows-euclidean-on-geographic"),
+    pytest.param(lambda t: build_weights(SQUARE, k=1, coord_kind="polar"), InvalidStatArgument,
+                 "coord_kind must be one of ('geographic', 'planar'), got 'polar'",
+                 id="weights-coord-kind-unknown"),
+    pytest.param(lambda t: validated(metric="manhattan"), ConfigError,
+                 "metric must be one of ('haversine', 'euclidean'), got 'manhattan'",
+                 id="cli-metric-unknown"),
+    pytest.param(lambda t: validated(coord_kind="cartesian"), ConfigError,
+                 "coord_kind must be one of ('geographic', 'planar'), got 'cartesian'",
+                 id="cli-coord-kind-unknown"),
 ])
 def test_a_malformed_argument_raises_its_class(tmp_path, call, error, start):
     with pytest.raises(error) as raised:
