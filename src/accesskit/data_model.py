@@ -9,12 +9,12 @@ a sequence of records, built only when it is indexed or iterated, so the
 numeric stages read the columns and build no record at all. A record's
 ``RULES`` check its numbers, and a table's columns, through ``errors._real``.
 
-Every input table takes one loading path, ``_load_table``. A plain CSV
-table (no quotes, one cell per header column on every line) is split a
-block of lines at a time; any other table, GeoJSON included, is streamed
-as ``(row_number, cells)`` pairs, ``cells`` a tuple of the asked-for
-columns in the order asked, and handed on a block of rows at a time. Each
-loader parses a block's cells straight into columns, and checks the
+Every input table takes one loading path, ``_load_table``, and one
+reader, ``_read_blocks``, which hands on a block of rows at a time as the
+cells of each asked-for column. It splits the plain lines of a CSV table
+(no quotes, one cell per header column on every line) a block at once,
+and lets the csv module read on from the first line that is not plain.
+Each loader parses a block's cells straight into columns, and checks the
 columns in bulk once the last block is in.
 
 Coordinates are of a kind of ``COORD_KINDS``: geographic (lon, lat in
@@ -22,9 +22,9 @@ degrees) or planar (x, y in meters). The kind is declared per dataset; input
 file headers must agree with it, and mixing kinds is rejected.
 Loading is eager and fail-fast. On any defect (a cell that does not
 parse, an error of the reader, a bulk check that fails) the table is read
-once more row by row, and its first defective row raises an error naming
-that row: the error the record's constructor or the coordinate check
-raises for that row alone.
+once more, and its first defective row raises an error naming that row:
+the error the record's constructor or the coordinate check raises for
+that row alone.
 """
 
 import csv
@@ -35,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -335,82 +335,44 @@ class _Flag(str):
     __repr__ = str.__str__
 
 
-def _read_table(path, columns: tuple[str, ...], optional: tuple[str, ...] = (),
-                point: tuple[str, str] | None = None):
-    """Yield ``(row_number, cells)`` for every record of a CSV or GeoJSON file.
-
-    ``cells`` is a tuple holding the record's value of each of ``columns``
-    and then of each ``optional`` column, in that order. Every one of
-    ``columns`` must be present; an ``optional`` column that is not gives
-    ``_ABSENT``. A ``.geojson`` extension selects GeoJSON, anything else CSV.
-
-    CSV follows the rules of the csv module's dictionary reader: the first
-    line is the header, row 1, and records are numbered from 2; blank lines
-    are skipped and not counted; a cell missing from a short row is None; a
-    column named twice is read from its last occurrence. GeoJSON records
-    are the features' properties, numbered from 1; when ``point`` names two
-    columns, each feature must be a Point whose coordinates fill them. A
-    GeoJSON ``true`` or ``false`` is read as a ``_Flag``.
-    """
-    names = (*columns, *optional)
-    if str(path).endswith(".geojson"):
-        with open(path, encoding="utf-8-sig") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as err:  # not JSON, or not UTF-8
-                raise MalformedRow(f"{path}: not JSON: {err}") from None
-        features = doc.get("features") if isinstance(doc, dict) else None
-        if not isinstance(features, list):
-            raise MalformedRow(f"{path}: not a GeoJSON FeatureCollection")
-        for row_num, feat in enumerate(features, start=1):
-            feat = feat if isinstance(feat, dict) else {}
-            props = feat.get("properties")
-            row = dict(props) if isinstance(props, dict) else {}
-            if point is not None:
-                geom = feat.get("geometry")
-                coords = geom.get("coordinates") if isinstance(geom, dict) else None
-                if not (isinstance(coords, list) and len(coords) >= 2
-                        and geom.get("type") == "Point"):
-                    raise MalformedRow(f"row {row_num}: geometry must be a Point")
-                row[point[0]], row[point[1]] = coords[0], coords[1]
-            for col in columns:
-                if row.get(col) is None:
-                    raise MissingColumn(f"row {row_num}: properties lack {col!r}")
-            cells = (row.get(col, _ABSENT) for col in names)
-            yield row_num, tuple(_Flag(c) if c.__class__ is bool else c for c in cells)
-        return
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+def _features(path, columns, names, point):
+    """``(row_number, cells)`` for each feature of a GeoJSON file, as
+    ``_read_blocks`` describes them."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
-            lines = csv.reader(fh)
-            header = next(lines, [])
-            where = {col: pos for pos, col in enumerate(header)}  # the last one wins
-            for col in columns:
-                if col not in where:
-                    raise MissingColumn(f"{path}: header lacks column {col!r}")
-            # an absent column sits past the end of every row
-            at = tuple(where.get(col, math.inf) for col in names)
-            pick, width = itemgetter(*at), max(at) + 1
-            for row_num, cells in enumerate(filter(None, lines), start=2):
-                if len(cells) >= width:
-                    yield row_num, pick(cells)
-                else:
-                    yield row_num, tuple(
-                        cells[pos] if pos < len(cells)
-                        else None if pos < len(header) else _ABSENT
-                        for pos in at)
-        except (UnicodeDecodeError, csv.Error) as err:
-            raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
+            doc = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise MalformedRow(f"{path}: not JSON: {err}") from None
+    features = doc.get("features") if isinstance(doc, dict) else None
+    if not isinstance(features, list):
+        raise MalformedRow(f"{path}: not a GeoJSON FeatureCollection")
+    for row_num, feat in enumerate(features, start=1):
+        feat = feat if isinstance(feat, dict) else {}
+        props = feat.get("properties")
+        row = dict(props) if isinstance(props, dict) else {}
+        if point is not None:
+            geom = feat.get("geometry")
+            coords = geom.get("coordinates") if isinstance(geom, dict) else None
+            if not (isinstance(coords, list) and len(coords) >= 2
+                    and geom.get("type") == "Point"):
+                raise MalformedRow(f"row {row_num}: geometry must be a Point")
+            row[point[0]], row[point[1]] = coords[0], coords[1]
+        for col in columns:
+            if row.get(col) is None:
+                raise MissingColumn(f"row {row_num}: properties lack {col!r}")
+        cells = (row.get(col, _ABSENT) for col in names)
+        yield row_num, tuple(_Flag(c) if c.__class__ is bool else c for c in cells)
 
 
-# Characters per block of lines that the bulk reader reads at once: its
-# text and cells take a bounded amount of memory whatever the file's size.
-# A block's lines and cells, as str objects, take about 20 times its text;
+# Characters per block of lines that the reader splits at once: its text
+# and cells take a bounded amount of memory whatever the file's size. A
+# block's lines and cells, as str objects, take about 20 times its text;
 # blocks four times this size read no faster and raised the peak resident
 # memory by about 1 MB.
 CSV_BLOCK = 1 << 14
 
-# Rows per block that the row reader hands a table's parser at once, which
-# bounds the memory of the block's cells the same way.
+# Rows per block in which the reader hands on the csv module's rows and
+# GeoJSON features, which bounds the memory of the block's cells the same way.
 ROW_BLOCK = 1 << 10
 
 
@@ -429,41 +391,85 @@ def _plain_text(lines, width: int):
     return None
 
 
-def _read_plain(path, columns: tuple[str, ...], optional: tuple[str, ...], parse) -> bool:
-    """Whether ``path`` is a plain CSV table, each block of which ``parse``
-    has been given.
+def _in_blocks(rows):
+    """``rows``, ``(row_number, cells)`` pairs, as ``(row_numbers, cells)``
+    blocks of ``ROW_BLOCK`` rows, ``cells`` a tuple per column. When reading
+    a row raises, the rows of its block before it go out first."""
+    while True:
+        block = []
+        try:
+            block.extend(islice(rows, ROW_BLOCK))  # keeps the rows taken when the next raises
+        finally:
+            if block:
+                row_nums, cells = zip(*block)
+                yield row_nums, list(zip(*cells))
+        if len(block) < ROW_BLOCK:
+            return
 
-    The table is read ``CSV_BLOCK`` characters of lines at a time, and a
-    block is split into cells once. ``parse`` is given, per column of
-    ``columns`` and then of ``optional``, the list of that column's cells
-    in the block's rows, in row order; an optional column the header lacks
-    gives ``_ABSENT`` in every row, as ``_read_table`` gives it.
 
-    A table is plain when it is not GeoJSON, its header names each column
-    once and names every one of ``columns``, and ``_plain_text`` takes the
-    header and every block; its rows are then numbered from 2 without a gap.
-    False tells the caller to drop what ``parse`` was given and read the
-    table with ``_read_table``. What ``parse`` raises, and a
-    UnicodeDecodeError, is raised.
-    """
-    if str(path).endswith(".geojson"):
-        return False
+def _csv_rows(path, skip: int):
+    """The csv module's rows of a CSV file, past its first ``skip``."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = fh.readline()
-        names = header[:-1].split(",")
-        if (_plain_text([header], len(names)) is None or len(set(names)) < len(names)
-                or not set(columns) <= set(names)):
-            return False
-        width = len(names)
-        at = [names.index(col) if col in names else None for col in (*columns, *optional)]
-        while lines := fh.readlines(CSV_BLOCK):
-            text = _plain_text(lines, width)
-            if text is None:
-                return False
-            cells = text[:-1].replace("\n", ",").split(",")
-            parse(*(cells[pos::width] if pos is not None else [_ABSENT] * len(lines)
+        yield from islice(csv.reader(fh), skip, None)
+
+
+def _read_blocks(path, columns: tuple[str, ...], optional: tuple[str, ...] = (),
+                 point: tuple[str, str] | None = None):
+    """Yield the records of a CSV or GeoJSON file in order, as blocks of
+    ``(row_numbers, cells)``, ``cells`` holding per column of ``columns``
+    and then of ``optional`` its value in each of the block's rows. An
+    ``optional`` column the file lacks gives ``_ABSENT``.
+
+    CSV follows the rules of the csv module's dictionary reader: the first
+    row is the header, row 1, and records are numbered from 2; blank lines
+    are skipped and not counted; a cell missing from a short row is None; a
+    column named twice is read from its last occurrence. Lines are split at
+    commas ``CSV_BLOCK`` characters at a time while ``_plain_text`` takes
+    them, the header included; from the first it refuses the csv module
+    reads on. GeoJSON records are the features' properties, numbered from
+    1, each ``true`` or ``false`` a ``_Flag``; when ``point`` names two
+    columns, each feature must be a Point whose coordinates fill them. The
+    rows read before an error of the reader are yielded before it.
+    """
+    names = (*columns, *optional)
+    if str(path).endswith(".geojson"):
+        yield from _in_blocks(_features(path, columns, names, point))
+        return
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            first = fh.readline()
+            header = first[:-1].split(",")
+            plain = _plain_text([first], len(header)) is not None
+            if not plain:  # the csv module's first row, which may span lines
+                rows = csv.reader(chain([first], fh))
+                header = next(rows, [])
+            where = {col: pos for pos, col in enumerate(header)}  # the last one wins
+            for col in columns:
+                if col not in where:
+                    raise MissingColumn(f"{path}: header lacks column {col!r}")
+            # an absent column sits past the end of every row
+            at, row, width = tuple(where.get(col, math.inf) for col in names), 2, len(header)
+            while plain:
+                try:
+                    lines = fh.readlines(CSV_BLOCK)
+                except UnicodeDecodeError:  # which drops the lines read: the csv module
+                    rows = _csv_rows(path, row - 1)  # reads the file anew past the rows yielded
+                    break
+                if not (text := _plain_text(lines, width)):  # the csv module reads on from here
+                    rows = csv.reader(chain(lines, fh)) if lines else ()
+                    break
+                cells = text[:-1].replace("\n", ",").split(",")
+                yield range(row, row + len(lines)), [
+                    cells[pos::width] if pos < width else [_ABSENT] * len(lines) for pos in at]
+                row += len(lines)
+            pick, end = itemgetter(*at), max(at) + 1
+            yield from _in_blocks(
+                (row_num, pick(cells) if len(cells) >= end else tuple(
+                    cells[pos] if pos < len(cells) else None if pos < width else _ABSENT
                     for pos in at))
-    return True
+                for row_num, cells in enumerate(filter(None, rows), start=row))
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
 
 
 def _load_table(path, columns, table, parse, build, check_row, optional=(), point=None):
@@ -472,41 +478,32 @@ def _load_table(path, columns, table, parse, build, check_row, optional=(), poin
     defective row.
 
     ``table`` holds empty columns, each an ``array.array`` or a list.
-    ``parse`` is given a block of rows as one sequence of cells per column
-    of ``columns`` and then of ``optional``, and returns, per column of
-    ``table``, what extends it. It raises KeyError, TypeError, ValueError
-    or OverflowError for a cell it cannot take, or an AccessKitError for a
-    block it cannot read. A plain CSV table is read a block of lines at a
-    time by ``_read_plain``, any other table ``ROW_BLOCK`` rows at a time
-    by ``_read_table``, which takes ``optional`` and ``point`` as it
-    describes. Once the last block is in, ``build`` is given the columns,
-    each array column viewed as a NumPy array; it runs the bulk checks, and
-    returns what it makes of the columns or raises an AccessKitError.
+    ``parse`` is given each block of ``_read_blocks`` and returns, per
+    column of ``table``, what extends it; it raises KeyError, TypeError,
+    ValueError or OverflowError for a cell it cannot take, or an
+    AccessKitError. Once the last block is in, ``build`` is given the
+    columns, an array column viewed as a NumPy array; it runs the bulk
+    checks, and returns what it makes of them or raises an AccessKitError.
 
-    When a cell does not parse or ``build`` rejects the rows,
-    the table is read again row by row, and ``check_row(row_num, cells, seen)``
-    checks each row in turn, ``seen`` a set kept across the rows; it raises
-    the error of the first defective row, naming that row.
+    On any such error the table is read again, and ``check_row(row_num,
+    cells, seen)`` raises the error of its first defective row, ``seen`` a
+    set kept across the rows; if no row is defective, the error is raised.
     """
-    def take(*cells):
-        for column, part in zip(table, parse(*cells)):
-            column.extend(part)
-
+    blocks = _read_blocks(path, columns, optional, point)
     try:
-        if not _read_plain(path, columns, optional, take):
-            for column in table:
-                del column[:]
-            rows = _read_table(path, columns, optional, point)
-            while block := [cells for _, cells in islice(rows, ROW_BLOCK)]:
-                take(*zip(*block))
+        for _, cells in blocks:
+            for column, part in zip(table, parse(*cells)):
+                column.extend(part)
         return build(*(np.frombuffer(column, column.typecode) if isinstance(column, array)
                        else column for column in table))
-    except (AccessKitError, KeyError, TypeError, ValueError, OverflowError):
-        pass
+    except (AccessKitError, KeyError, TypeError, ValueError, OverflowError) as err:
+        error = err
+    blocks.close()  # a block that did not parse leaves the file open
     seen = set()
-    for row_num, cells in _read_table(path, columns, optional, point):
-        check_row(row_num, cells, seen)
-    raise AssertionError(f"{path}: the bulk checks reject a table whose rows all pass")
+    for row_nums, cells in _read_blocks(path, columns, optional, point):
+        for row_num, row in zip(row_nums, zip(*cells)):
+            check_row(row_num, row, seen)
+    raise error
 
 
 def _blank(cell) -> bool:

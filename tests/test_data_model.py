@@ -449,8 +449,9 @@ def test_columnar_loader_takes_and_rejects_what_a_row_by_row_reading_does(table)
 
 
 class TestBulkReader:
-    """A plain CSV site table is read in bulk; anything else, row by row,
-    with the errors a row-by-row reading gives."""
+    """A CSV site table's plain lines are split in bulk; from the first line
+    that is not plain the csv module reads on, with the errors a row-by-row
+    reading gives."""
 
     TEXT = "id,lon,lat,population\n" + "".join(
         f"d{k},{k / 7!r},{k / 11!r},{k}\n" for k in range(40))
@@ -459,7 +460,7 @@ class TestBulkReader:
         demand = write(tmp_path, "d.csv", self.TEXT)
         supply = write(tmp_path, "s.csv", "id,lon,lat,capacity\nh1,1,2,3\n")
         want = load_demand(demand), load_supply(supply)
-        monkeypatch.setattr(data_model, "_read_table", lambda *args, **kwargs: 1 / 0)
+        monkeypatch.setattr(data_model.csv, "reader", lambda *args, **kwargs: 1 / 0)
         assert (load_demand(demand), load_supply(supply)) == want and len(want[0]) == 40
         assert load_dataset(demand, supply).demand == DemandTable.of(want[0])
 
@@ -489,7 +490,7 @@ class TestBulkReader:
         lines = self.TEXT.splitlines()
         edit(lines)  # row 31 is well past the first block of 100 characters
         path = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
-        monkeypatch.setattr(data_model, "_read_plain", lambda *args: None)
+        monkeypatch.setattr(data_model, "_plain_text", lambda *args: None)
         want = outcome(lambda: load_demand(path))
         monkeypatch.undo()
         monkeypatch.setattr(data_model, "CSV_BLOCK", 100)
@@ -498,6 +499,71 @@ class TestBulkReader:
             assert len(want) == 40
         else:
             assert want[0] == f"data_model.{error}" and want[1].startswith("row 31: ")
+
+    def quoted(self, tmp_path):
+        """The table with row 31 quoted, which the csv module reads from its block on."""
+        lines = self.TEXT.splitlines()
+        lines[30] = '"d29",1,2,3'
+        return write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+
+    def test_a_table_is_opened_once_to_load(self, tmp_path, monkeypatch):
+        path, opened = self.quoted(tmp_path), []
+        monkeypatch.setattr(data_model, "open", lambda *args, **kwargs: opened.append(args)
+                            or open(*args, **kwargs), raising=False)
+        monkeypatch.setattr(data_model, "CSV_BLOCK", 100)
+        sites = load_demand(path)
+        assert len(opened) == 1 and len(sites) == 40
+        assert sites[29] == DemandSite("d29", 1.0, 2.0, 3.0)
+
+    def test_a_repeated_header_column_is_split_in_bulk_from_its_last(self, tmp_path,
+                                                                     monkeypatch):
+        header, *rows = self.TEXT.splitlines()
+        path = write(tmp_path, "d.csv", f"{header},population\n" + "".join(
+            f"{row},{k * 3}\n" for k, row in enumerate(rows)))
+        with open(path, newline="", encoding="utf-8") as fh:
+            want = [(row["id"], float(row["population"])) for row in csv.DictReader(fh)]
+        assert want[5] == ("d5", 15.0)
+        monkeypatch.setattr(data_model.csv, "reader", lambda *args, **kwargs: 1 / 0)
+        monkeypatch.setattr(data_model, "CSV_BLOCK", 100)
+        assert [(s.id, s.population) for s in load_demand(path)] == want
+
+    def test_a_quoted_header_that_spans_lines_is_the_csv_modules(self, tmp_path, monkeypatch):
+        header, *rows = self.quoted(tmp_path).read_text(encoding="utf-8").splitlines()
+        path = write(tmp_path, "d.csv", f'{header},"no\nte"\n' + "".join(
+            f"{row},n{k}\n" for k, row in enumerate(rows)))
+        with open(path, newline="", encoding="utf-8") as fh:
+            want = [DemandSite(row["id"], *(float(row[col]) for col in ("lon", "lat", "population")))
+                    for row in csv.DictReader(fh)]
+        monkeypatch.setattr(data_model, "CSV_BLOCK", 100)
+        assert load_demand(path) == want and len(want) == 40
+
+    @pytest.mark.parametrize("geojson", [True, False], ids=["geojson", "csv"])
+    def test_the_first_defective_row_beats_a_reader_error_in_a_later_row(self, tmp_path,
+                                                                         geojson):
+        if geojson:  # a negative population in feature 3, no population in feature 5
+            features = [{"type": "Feature", "geometry": {"type": "Point", "coordinates": [1, 2]},
+                         "properties": {"id": f"d{k}", "population": -1 if k == 3 else 5}}
+                        for k in range(1, 6)]
+            del features[4]["properties"]["population"]
+            path, row = write(tmp_path, "d.geojson", json.dumps(
+                {"type": "FeatureCollection", "features": features})), 3
+        else:  # a negative population in row 4, an id past the field size limit in row 6
+            rows = [f"d{k},1,2,{-1 if k == 4 else 5}" for k in range(2, 6)]
+            rows.append(f"{'d' * (csv.field_size_limit() + 1)},1,2,5")
+            path, row = write(tmp_path, "d.csv", "\n".join(
+                ["id,lon,lat,population", *rows]) + "\n"), 4
+        with pytest.raises(NegativePopulation, match=f"^row {row}: "):
+            load_demand(path)
+
+    def test_a_byte_that_is_not_utf8_comes_after_the_rows_decoded_before_it(self, tmp_path):
+        # row 4 is in the first 8 KB the text layer decodes at once; the Latin-1 byte of
+        # row 1000 is past them, in the first block of lines the reader splits
+        rows = [f"d{k},1,2,{-1 if k == 4 else 5}" for k in range(2, 1100)]
+        rows[998] = "d\xe9,1,2,5"
+        path = tmp_path / "d.csv"
+        path.write_bytes("\n".join(["id,lon,lat,population", *rows]).encode("latin-1") + b"\n")
+        with pytest.raises(NegativePopulation, match="^row 4: "):
+            load_demand(path)
 
 
 # --- regions and values tables against a row-by-row reference --------------
@@ -729,7 +795,7 @@ class TestBulkReaderRegionsAndValues:
         regions = write(tmp_path, "r.csv", self.REGIONS)
         values = write(tmp_path, "v.csv", self.VALUES)
         want = regions_by_row(regions), values_outcome(lambda: values_by_row(values))
-        monkeypatch.setattr(data_model, "_read_table", lambda *args, **kwargs: 1 / 0)
+        monkeypatch.setattr(data_model.csv, "reader", lambda *args, **kwargs: 1 / 0)
         assert load_regions(regions) == want[0] and len(want[0]) == 40
         assert values_outcome(lambda: load_values(values, "score")) == want[1]
         assert want[1][1] == "planar" and [r.population for r in want[0][:2]] == [None, 10.0]

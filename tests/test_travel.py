@@ -256,6 +256,14 @@ class TestLoadOdMatrix:
         path.write_text("demand_id,supply_id,cost\nd0,h0,3.5\n")
         assert load_od_matrix(path, demand, supply, unit="km").unit == "km"
 
+    def test_an_unknown_unit_is_the_matrix_error(self, tmp_path):
+        # every row passes the row check, so the error that stopped the loading is raised
+        demand, supply = self.make_sites()
+        path = tmp_path / "od.csv"
+        path.write_text("demand_id,supply_id,cost\nd0,h0,3.5\n")
+        with pytest.raises(ValueError, match=r"^unit must be one of \('km', 'minutes'\)$"):
+            load_od_matrix(path, demand, supply, unit="hours")
+
     def test_memory_is_the_matrix_and_the_rows(self, tmp_path):
         # 1000 x 300 with one pair in 20 listed: the matrix, taken over without
         # a copy, the rows' pair indices and costs, and a mask of filled pairs
@@ -271,7 +279,7 @@ class TestLoadOdMatrix:
 
 OD_DEMAND = ("d0", "d,1", 'd"2', "d 3")
 OD_SUPPLY = ("h0", "h,1", "h2")
-# ids that need no quoting, for tables the bulk reader takes
+# ids that need no quoting, for tables whose lines are all split in bulk
 PLAIN_DEMAND, PLAIN_SUPPLY = ("d0", "d 3"), ("h0", "h2")
 OD_DEFECTS = ("unknown-demand", "unknown-supply", "repeat", "negative", "nan",
               "not-a-number", "nul", "short", "long")
@@ -324,8 +332,8 @@ def od_tables(draw):
     long row (a cell fewer or more than the header). A repeated column's
     earlier cells hold junk, as the last one is read. A tidy table has plain
     ids and none of the blank lines, ``\r\n``, missing final newline,
-    repeated column, short or long row or NUL that make the bulk reader
-    give way."""
+    short or long row or NUL that make the csv module read on, nor a
+    repeated column."""
     plain = draw(st.booleans())
     tidy = plain and draw(st.booleans())
     demand_ids, supply_ids = (PLAIN_DEMAND, PLAIN_SUPPLY) if plain else (OD_DEMAND, OD_SUPPLY)
@@ -396,7 +404,7 @@ class TestOdReader:
         path = tmp_path / "od.csv"
         path.write_text(self.PLAIN, encoding="utf-8")
         want = reference_od(path)
-        monkeypatch.setattr(data_model, "_read_table", lambda *args, **kwargs: 1 / 0)
+        monkeypatch.setattr(data_model.csv, "reader", lambda *args, **kwargs: 1 / 0)
         assert np.array_equal(load_od_matrix(path, *od_sites()).cost, want)
         assert np.isfinite(want).sum() == 3
 
@@ -416,7 +424,7 @@ class TestOdReader:
         path = tmp_path / "od.csv"
         path.write_text(self.PLAIN + row + "\n", encoding="utf-8")  # row 5, past block 1
         assert reference_od(path) == (error, 5)
-        monkeypatch.setattr(data_model, "_read_plain", lambda *args: None)
+        monkeypatch.setattr(data_model, "_plain_text", lambda *args: None)
         with pytest.raises(error) as row_loop:
             load_od_matrix(path, *od_sites())
         monkeypatch.undo()
