@@ -36,7 +36,7 @@ town = Dataset(
 )
 
 # travel time at 30 km/h: 0.5 km per minute
-matrix = build_travel_matrix(town, metric="euclidean", speed=0.5)
+matrix = build_travel_matrix(town, speed=0.5)
 print("travel minutes (demand x supply):")
 print(np.round(matrix.cost, 1))
 

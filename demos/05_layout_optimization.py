@@ -36,7 +36,7 @@ town = Dataset(
 
 # a prospective west-end site starts with zero capacity
 town, new_sites = add_candidate_sites(town, [("clinic_west", 1000.0, 0.0)])
-matrix = build_travel_matrix(town, metric="euclidean", speed=0.5)
+matrix = build_travel_matrix(town, speed=0.5)
 decay = DecaySpec.gaussian(d0=30.0, beta=180.0)
 
 problem = AllocationProblem(

@@ -27,10 +27,13 @@ from . import _workers, equity, fca, optimize, spatial_stats
 from .data_model import COORD_KINDS, load_dataset, load_regions, load_values
 from .decay import DecaySpec
 from .errors import AccessKitError, ConfigError
-from .travel import COST_UNITS, cost_rows, load_od_matrix
+from .travel import cost_rows, load_od_matrix
 
 # the commands that start worker processes, and so take --threads
 _THREADED = ("moran", "lisa", "report")
+
+# the units an OD table's costs and the decay's d0 may be declared in; nothing converts them
+COST_UNITS = ("km", "minutes")
 
 
 def _typed(name: str, value, annotation):
@@ -54,7 +57,7 @@ class RunConfig:
     supply: str | None = None
     regions: str | None = None
     od_matrix: str | None = None
-    metric: str = "haversine"
+    metric: str | None = None
     speed_km_per_min: float | None = None
     cost_unit: str = "minutes"
     method: str = "g2sfca"
@@ -104,7 +107,6 @@ class RunConfig:
         """Typos and missing files fail as config errors, not tracebacks."""
         for name, allowed in (
             ("coord_kind", tuple(COORD_KINDS)),
-            ("metric", tuple(k.metric for k in COORD_KINDS.values())),
             ("cost_unit", COST_UNITS),
             ("method", fca.FCA_METHODS),
             ("objective", optimize.OBJECTIVES),
@@ -112,6 +114,12 @@ class RunConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        # the coordinate kind fixes the metric; config.json names it
+        metric = COORD_KINDS[self.coord_kind].metric
+        if self.metric not in (None, metric):
+            raise ConfigError(f"metric must be {metric!r} for {self.coord_kind} coordinates, "
+                              f"got {self.metric!r}")
+        self.metric = metric
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         for name in ("demand", "supply", "regions", "od_matrix"):
@@ -173,10 +181,9 @@ class Run:
         cost matrix is not kept."""
         cfg, dataset = self.cfg, self.dataset
         if cfg.od_matrix is not None:
-            costs = load_od_matrix(cfg.od_matrix, dataset.demand, dataset.supply,
-                                   unit=cfg.cost_unit)
+            costs = load_od_matrix(cfg.od_matrix, dataset.demand, dataset.supply)
         else:
-            costs = cost_rows(dataset, metric=cfg.metric, speed=cfg.speed_km_per_min)
+            costs = cost_rows(dataset, speed=cfg.speed_km_per_min)
         return fca.Catchment(cfg.method, dataset, costs, cfg.decay_spec())
 
     @cached_property

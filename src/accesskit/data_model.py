@@ -462,12 +462,15 @@ def _read_blocks(path, columns: tuple[str, ...], optional: tuple[str, ...] = (),
                 yield range(row, row + len(lines)), [
                     cells[pos::width] if pos < width else [_ABSENT] * len(lines) for pos in at]
                 row += len(lines)
-            pick, end = itemgetter(*at), max(at) + 1
-            yield from _in_blocks(
-                (row_num, pick(cells) if len(cells) >= end else tuple(
-                    cells[pos] if pos < len(cells) else None if pos < width else _ABSENT
-                    for pos in at))
-                for row_num, cells in enumerate(filter(None, rows), start=row))
+            held = [pos for pos in at if pos < width]  # each absent column is filled per block
+            pick, end = itemgetter(*held), max(held) + 1
+            for row_nums, cells in _in_blocks(
+                    (row_num, pick(cells) if len(cells) >= end else tuple(
+                        cells[pos] if pos < len(cells) else None for pos in held))
+                    for row_num, cells in enumerate(filter(None, rows), start=row)):
+                cells = iter(cells)
+                yield row_nums, [next(cells) if pos < width else [_ABSENT] * len(row_nums)
+                                 for pos in at]
         except (UnicodeDecodeError, csv.Error) as err:
             raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
 

@@ -118,10 +118,6 @@ class TravelError(AccessKitError):
     module = "travel"
 
 
-class MetricMismatch(TravelError):
-    """The distance metric does not match the dataset's coordinate kind."""
-
-
 class UnknownId(TravelError):
     """An origin-destination row references an id not in the dataset."""
 

@@ -82,7 +82,6 @@ def default_config(out_dir: str = ".") -> dict:
         "demand": "demand.csv",
         "supply": "supply.csv",
         "regions": "regions.csv",
-        "metric": "haversine",
         "speed_km_per_min": 0.5,
         "method": "g2sfca",
         "decay": {"kind": "gaussian", "beta": 180.0, "d0": 30.0},

@@ -12,18 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import COORD_KINDS, Dataset, DemandTable, SupplyTable, _load_table, _parse_float
-from .errors import (
-    DuplicatePair,
-    MetricMismatch,
-    NegativeCost,
-    NonPositiveSpeed,
-    UnknownId,
-    _real,
-)
+from .errors import DuplicatePair, NegativeCost, NonPositiveSpeed, UnknownId, _real
 
 EARTH_RADIUS_KM = 6371.0
-
-COST_UNITS = ("km", "minutes")
 
 # Output entries per block of distance rows: a block's few temporaries take
 # a bounded amount of memory whatever the size of the whole matrix.
@@ -40,15 +31,12 @@ class TravelMatrix:
     """
 
     cost: np.ndarray
-    unit: str = "km"
 
     def __post_init__(self):
         arr = np.asarray(self.cost, dtype=float)
         if arr.ndim != 2:
             raise ValueError("cost must be a 2-d matrix")
         _check_costs(arr)
-        if self.unit not in COST_UNITS:
-            raise ValueError(f"unit must be one of {COST_UNITS}")
         if arr.flags.writeable or not arr.flags.owndata:
             arr = arr.copy()
             arr.flags.writeable = False
@@ -153,34 +141,30 @@ def _distance_rows(a, b, metric: str):
         yield lo, s
 
 
-def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None = None):
+def cost_rows(dataset: Dataset, speed: float | None = None):
     """An iterator of ``(lo, rows)``: the travel costs from the demand
     sites ``lo:lo + len(rows)`` to every supply site, block after block.
 
-    The blocks hold about ``BLOCK`` entries each and cover the demand sites
-    in order, so a consumer such as ``fca.Catchment`` holds one block of
-    costs at a time instead of the whole matrix. The metric and the speed
-    are checked when this is called, before any block is computed.
+    The distances are those of the metric ``data_model.COORD_KINDS`` gives
+    the dataset's coordinate kind. The blocks hold about ``BLOCK`` entries
+    each and cover the demand sites in order, so a consumer such as
+    ``fca.Catchment`` holds one block of costs at a time instead of the
+    whole matrix. The speed is checked when this is called, before any
+    block is computed.
 
     Parameters
     ----------
     dataset : Dataset
         Source of demand and supply coordinates.
-    metric : str
-        The metric of the dataset's coordinate kind in ``data_model.COORD_KINDS``.
     speed : float, optional
         Km per minute, positive and finite. When given, costs are travel
         minutes (km / speed); otherwise they stay in km.
     """
-    kind = next((name for name, k in COORD_KINDS.items() if k.metric == metric), None)
-    if kind is None:
-        raise ValueError(f"unknown metric {metric!r}")
-    if kind != dataset.coord_kind:
-        raise MetricMismatch(f"{metric} requires {kind} coordinates")
     if speed is not None:
         speed = _real(NonPositiveSpeed, speed,
                       f"speed must be positive and finite km per minute, got {speed!r}")
-    blocks = _distance_rows(dataset.demand.xy, dataset.supply.xy, metric)
+    blocks = _distance_rows(dataset.demand.xy, dataset.supply.xy,
+                            COORD_KINDS[dataset.coord_kind].metric)
     if speed is None:
         return blocks
     # in place; under a tiny speed a cost overflows to +inf, which is unreachable
@@ -188,19 +172,17 @@ def cost_rows(dataset: Dataset, metric: str = "haversine", speed: float | None =
     return ((lo, minutes(km)) for lo, km in blocks)
 
 
-def build_travel_matrix(dataset: Dataset, metric: str = "haversine",
-                        speed: float | None = None) -> TravelMatrix:
-    """The demand x supply cost matrix of ``cost_rows``, whose parameters it
-    takes; its unit is "minutes" when a speed is given, else "km"."""
-    cost = _stacked(cost_rows(dataset, metric, speed), (len(dataset.demand), len(dataset.supply)))
+def build_travel_matrix(dataset: Dataset, speed: float | None = None) -> TravelMatrix:
+    """The demand x supply cost matrix of ``cost_rows``, whose parameters it takes."""
+    cost = _stacked(cost_rows(dataset, speed), (len(dataset.demand), len(dataset.supply)))
     cost.flags.writeable = False  # TravelMatrix takes it over without a copy
-    return TravelMatrix(cost=cost, unit="km" if speed is None else "minutes")
+    return TravelMatrix(cost=cost)
 
 
 _OD_COLUMNS = ("demand_id", "supply_id", "cost")
 
 
-def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
+def load_od_matrix(path, demand, supply) -> TravelMatrix:
     """Load a precomputed origin-destination cost table.
 
     Columns ``demand_id,supply_id,cost`` (CSV, or properties of GeoJSON
@@ -230,7 +212,7 @@ def load_od_matrix(path, demand, supply, unit: str = "minutes") -> TravelMatrix:
         matrix = np.full((n, m), np.inf)
         matrix.reshape(-1)[flat] = cost
         matrix.flags.writeable = False  # TravelMatrix takes it over without a copy
-        return TravelMatrix(cost=matrix, unit=unit)
+        return TravelMatrix(cost=matrix)
 
     pairs = None  # a byte per pair, set once a row holds it; made on the replay's first row
 

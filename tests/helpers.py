@@ -35,7 +35,7 @@ def planar_dataset(demand_xy, populations, supply_xy, capacities):
     return Dataset(demand=demand, supply=supply, coord_kind="planar")
 
 
-def dataset_with_matrix(demand_pop, supply_cap, cost, unit="km"):
+def dataset_with_matrix(demand_pop, supply_cap, cost):
     """Dataset plus an explicit cost matrix; coordinates are placeholders."""
     demand = tuple(
         DemandSite(f"d{i}", float(i), 0.0, float(p)) for i, p in enumerate(demand_pop)
@@ -44,7 +44,7 @@ def dataset_with_matrix(demand_pop, supply_cap, cost, unit="km"):
         SupplySite(f"h{j}", float(j), 1.0, float(c)) for j, c in enumerate(supply_cap)
     )
     ds = Dataset(demand=demand, supply=supply, coord_kind="planar")
-    return ds, TravelMatrix(cost=np.asarray(cost, dtype=float), unit=unit)
+    return ds, TravelMatrix(cost=np.asarray(cost, dtype=float))
 
 
 def distance_matrix(a, b, metric):
@@ -101,7 +101,7 @@ def random_instance(rng, max_demand=20, max_supply=6, all_reachable=True,
     ds = planar_dataset(demand_xy, populations, supply_xy, capacities)
     diff = demand_xy[:, None, :] - supply_xy[None, :, :]
     km = np.sqrt((diff * diff).sum(axis=2)) / 1000.0
-    matrix = TravelMatrix(cost=km, unit="km")
+    matrix = TravelMatrix(cost=km)
     d_max = float(km.max())
     if all_reachable:
         decay = random_decay(rng, d_max, kinds=kinds)
@@ -175,5 +175,5 @@ def dense_instance(n=1000, m=300, seed=0):
     [0, 50) and a Gaussian decay with d0 = 32, so about 64 % of the pairs
     fall within the cutoff."""
     cost = np.random.default_rng(seed).uniform(0, 50, (n, m))
-    return (*dataset_with_matrix(np.ones(n), np.ones(m), cost, unit="minutes"),
+    return (*dataset_with_matrix(np.ones(n), np.ones(m), cost),
             DecaySpec.gaussian(32.0, 180.0))

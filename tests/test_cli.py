@@ -250,6 +250,38 @@ class TestReport:
         assert "regions" in capsys.readouterr().err
 
 
+class TestMetric:
+    """The coordinate kind fixes the metric: an absent metric is the kind's,
+    and any other is a config error."""
+
+    def test_a_planar_config_without_a_metric_runs(self, tmp_path, capsys):
+        (tmp_path / "demand.csv").write_text(
+            "id,x,y,population\nd1,0,0,100\nd2,3000,4000,50\nd3,40000,0,20\n", encoding="utf-8")
+        (tmp_path / "supply.csv").write_text("id,x,y,capacity\nh1,0,0,15\n", encoding="utf-8")
+        (tmp_path / "regions.csv").write_text(REGIONS, encoding="utf-8")
+        config = {"coord_kind": "planar", "demand": "demand.csv", "supply": "supply.csv",
+                  "regions": "regions.csv", "decay": {"kind": "binary", "d0": 30.0},
+                  "weights": {"scheme": "knn", "k": 1}, "permutations": 19, "budget": 1,
+                  "out": "out"}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        for command in ("access", "optimize", "report"):
+            assert main([command, "--config", str(cfg)]) == 0, capsys.readouterr().err
+        out = tmp_path / "out"
+        # d1 and d2 lie 0 and 5 km from h1, d3 40 km, past the 30 km cutoff
+        assert (out / "scores.csv").read_text() == "demand_id,score\nd1,0.1\nd2,0.1\nd3,0.0\n"
+        plan = json.loads((out / "plan.json").read_text())
+        assert sum(a["units_added"] for a in plan["allocations"]) == 1
+        assert json.loads((out / "config.json").read_text())["metric"] == "euclidean"
+
+    def test_a_metric_that_is_not_the_kinds_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_files(tmp_path, extra={"metric": "euclidean"})
+        assert main(["access", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("error: cli.ConfigError: metric must be 'haversine' "
+                                           "for geographic coordinates, got 'euclidean'\n")
+        assert not (tmp_path / "out").exists()
+
+
 # --- malformed inputs: exit 2, a module.Class diagnostic, no output -----------
 
 CITY = {"seed": 99, "n_demand": 60, "n_supply": 8, "n_regions": 5}
@@ -938,7 +970,7 @@ def test_optimize_builds_no_demand_record(small_city, monkeypatch, capsys):
 # What each config field accepts, by JSON kind; an int counts as a number.
 FIELD_KINDS = {
     "coord_kind": {"str"}, "demand": {"str", "null"}, "supply": {"str", "null"},
-    "regions": {"str", "null"}, "od_matrix": {"str", "null"}, "metric": {"str"},
+    "regions": {"str", "null"}, "od_matrix": {"str", "null"}, "metric": {"str", "null"},
     "speed_km_per_min": {"int", "float", "null"}, "cost_unit": {"str"}, "method": {"str"},
     "decay": {"dict"}, "weights": {"dict"}, "permutations": {"int"}, "seed": {"int"},
     "objective": {"str"}, "budget": {"int"}, "unit_size": {"int", "float"},

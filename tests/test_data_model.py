@@ -448,6 +448,19 @@ def test_columnar_loader_takes_and_rejects_what_a_row_by_row_reading_does(table)
                                     "dataset needs at least one demand and one supply site"))
 
 
+def test_an_error_no_row_check_finds_is_raised_as_it_was(tmp_path):
+    # the replay finds every row good, so the error that stopped the loading is raised
+    path, checked = write(tmp_path, "t.csv", "a,b\n1,2\n3,4\n"), []
+
+    def build(a, b):
+        raise ValueError("x")
+
+    with pytest.raises(ValueError, match="^x$") as raised:
+        data_model._load_table(path, ("a", "b"), ([], []), lambda a, b: (a, b), build,
+                               lambda row_num, cells, seen: checked.append(row_num))
+    assert type(raised.value) is ValueError and checked == [2, 3]
+
+
 class TestBulkReader:
     """A CSV site table's plain lines are split in bulk; from the first line
     that is not plain the csv module reads on, with the errors a row-by-row

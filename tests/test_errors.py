@@ -13,7 +13,7 @@ from accesskit.decay import DecaySpec
 from accesskit.equity import classify, gini, hrad, hrad_vs_population
 from accesskit.errors import (
     ConfigError, DuplicateId, InfeasibleAllocation, InvalidDecaySpec, InvalidEpsilon,
-    InvalidProblem, InvalidStatArgument, MalformedRow, MetricMismatch, NonPositiveSpeed,
+    InvalidProblem, InvalidStatArgument, MalformedRow, NonPositiveSpeed,
     NonPositiveUnitSize, OutOfRangeCoordinate,
 )
 from accesskit.fca import Catchment
@@ -78,10 +78,6 @@ def line_string_values(tmp_path):
                  "unit counts must be nonnegative", id="objective-negative-units"),
     pytest.param(lambda t: TravelMatrix(cost=np.ones(3)), ValueError,
                  "cost must be a 2-d matrix", id="travel-cost-1d"),
-    pytest.param(lambda t: TravelMatrix(cost=np.ones((2, 2)), unit="hours"), ValueError,
-                 "unit must be one of", id="travel-unit-unknown"),
-    pytest.param(lambda t: cost_rows(catchment().dataset, metric="manhattan"), ValueError,
-                 "unknown metric 'manhattan'", id="cost-rows-metric-unknown"),
     pytest.param(lambda t: Catchment("4sfca", *dataset_with_matrix([1], [1], [[1.0]]),
                                      DecaySpec.binary(30.0)), ValueError,
                  "unknown method '4sfca'", id="catchment-method-unknown"),
@@ -110,16 +106,15 @@ def line_string_values(tmp_path):
                  id="dataset-lon-out-of-range"),
     pytest.param(lambda t: sites(supply=(("h", 0.0, 95.0),)), OutOfRangeCoordinate,
                  "supply 'h': lat 95.0 outside [-90, 90]", id="dataset-lat-out-of-range"),
-    pytest.param(lambda t: cost_rows(sites(coord_kind="planar"), "haversine"), MetricMismatch,
-                 "haversine requires geographic coordinates", id="cost-rows-haversine-on-planar"),
-    pytest.param(lambda t: cost_rows(sites(), "euclidean"), MetricMismatch,
-                 "euclidean requires planar coordinates", id="cost-rows-euclidean-on-geographic"),
     pytest.param(lambda t: build_weights(SQUARE, k=1, coord_kind="polar"), InvalidStatArgument,
                  "coord_kind must be one of ('geographic', 'planar'), got 'polar'",
                  id="weights-coord-kind-unknown"),
     pytest.param(lambda t: validated(metric="manhattan"), ConfigError,
-                 "metric must be one of ('haversine', 'euclidean'), got 'manhattan'",
+                 "metric must be 'haversine' for geographic coordinates, got 'manhattan'",
                  id="cli-metric-unknown"),
+    pytest.param(lambda t: validated(coord_kind="planar", metric="haversine"), ConfigError,
+                 "metric must be 'euclidean' for planar coordinates, got 'haversine'",
+                 id="cli-metric-not-the-coordinate-kinds"),
     pytest.param(lambda t: validated(coord_kind="cartesian"), ConfigError,
                  "coord_kind must be one of ('geographic', 'planar'), got 'cartesian'",
                  id="cli-coord-kind-unknown"),
@@ -142,7 +137,7 @@ EVERY_BAD = (True, "1", None, math.nan, math.inf, 0, -1.0)
 REAL_ARGUMENTS = [
     ("band", lambda v: build_weights(SQUARE, band=v), InvalidStatArgument,
      "band radius must be positive and finite, got ", (True, "1", math.nan, math.inf, 0, -1.0)),
-    ("speed", lambda v: cost_rows(catchment().dataset, "euclidean", v), NonPositiveSpeed,
+    ("speed", lambda v: cost_rows(catchment().dataset, v), NonPositiveSpeed,
      "speed must be positive and finite km per minute, got ",
      (True, "1", math.nan, math.inf, 0, -1.0)),
     ("unit-size", lambda v: problem(unit_size=v), NonPositiveUnitSize,
@@ -194,7 +189,7 @@ def greedy_plan(unit_size):
 
 @pytest.mark.parametrize("result, value", [
     pytest.param(band_weights, 1, id="band"),
-    pytest.param(lambda v: build_travel_matrix(catchment().dataset, "euclidean", v).cost.tolist(),
+    pytest.param(lambda v: build_travel_matrix(catchment().dataset, v).cost.tolist(),
                  2, id="speed"),
     pytest.param(greedy_plan, 2, id="unit-size"),
     pytest.param(lambda v: repr(hrad(REGIONS, v)), 0, id="hrad-epsilon"),

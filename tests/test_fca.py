@@ -118,7 +118,7 @@ class TestCostRows:
 
 @st.composite
 def streamed_case(draw):
-    """A random geographic or planar dataset, metric, speed, method and decay."""
+    """A random geographic or planar dataset, speed, method and decay."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     geographic = draw(st.booleans())
     n_d, n_s = int(rng.integers(1, 13)), int(rng.integers(1, 7))
@@ -133,16 +133,15 @@ def streamed_case(draw):
                               float(rng.uniform(1, 500))) for j in range(n_s))
     ds = Dataset(demand=demand, supply=supply,
                  coord_kind="geographic" if geographic else "planar")
-    metric = "haversine" if geographic else "euclidean"
     speed = draw(st.none() | st.floats(0.05, 5.0))
     method = draw(st.sampled_from(FCA_METHODS))
     kind = "zonal" if method == "e2sfca" else draw(st.sampled_from(DECAY_KINDS))
-    d_max = float(build_travel_matrix(ds, metric, speed).cost.max()) * rng.uniform(0.3, 1.2)
+    d_max = float(build_travel_matrix(ds, speed).cost.max()) * rng.uniform(0.3, 1.2)
     if kind == "power":
         decay = DecaySpec.power(d_max + 1e-9, beta=float(rng.uniform(0.5, 3.0)))
     else:
         decay = random_decay(rng, d_max, kinds=(kind,))
-    return ds, metric, speed, method, decay
+    return ds, speed, method, decay
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,11 +149,11 @@ def streamed_case(draw):
 def test_streamed_costs_give_the_matrix_catchment_bit_for_bit(case, block):
     # blocks of one row, of a prime number of entries (short last blocks),
     # and of the default size; all equal the whole-matrix decay
-    ds, metric, speed, method, decay = case
+    ds, speed, method, decay = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(travel, "BLOCK", block)
-        streamed = Catchment(method, ds, cost_rows(ds, metric, speed), decay)
-        matrix = build_travel_matrix(ds, metric, speed)
+        streamed = Catchment(method, ds, cost_rows(ds, speed), decay)
+        matrix = build_travel_matrix(ds, speed)
         stored = Catchment(method, ds, matrix, decay)
     assert streamed.assign.tobytes() == stored.assign.tobytes()
     assert streamed.captured.tobytes() == stored.captured.tobytes()

@@ -271,7 +271,7 @@ class TestCandidateSites:
         grown, new_idx = add_candidate_sites(
             ds, [("new1", ds.demand[0].x, ds.demand[0].y)])
         assert grown.supply[new_idx[0]].capacity == 0.0
-        matrix = build_travel_matrix(grown, metric="euclidean")
+        matrix = build_travel_matrix(grown)
         d0 = float(matrix.cost.max()) * 1.5 + 1.0
         problem = problem_on(
             grown, matrix, DecaySpec.binary(d0),
@@ -425,7 +425,7 @@ def sweep_problem(rng):
         far = float(matrix.cost.max()) * 1000.0 + 1e6  # beyond every cutoff, in meters
         near = (ds.demand[0].x, ds.demand[0].y)
         ds, _ = add_candidate_sites(ds, [("far", far, far), ("near", *near)])
-        matrix = build_travel_matrix(ds, metric="euclidean")
+        matrix = build_travel_matrix(ds)
         n_supply = len(ds.supply)
     size = int(rng.integers(1, n_supply + 1))
     candidates = tuple(rng.choice(n_supply, size=size, replace=False).tolist())

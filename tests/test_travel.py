@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from accesskit import data_model, travel
 from accesskit.data_model import Dataset, DemandSite, SupplySite
 from accesskit.errors import (
-    DuplicatePair, MalformedRow, MetricMismatch, NegativeCost, NonPositiveSpeed, UnknownId,
+    DuplicatePair, MalformedRow, NegativeCost, NonPositiveSpeed, UnknownId,
 )
 from accesskit.travel import (
     EARTH_RADIUS_KM,
@@ -113,46 +113,40 @@ class TestBuildTravelMatrix:
     def test_shape(self):
         ds = planar_dataset([(0, 0), (100, 0)], [1, 1],
                             [(0, 0), (50, 0), (0, 80)], [1, 1, 1])
-        m = build_travel_matrix(ds, metric="euclidean")
+        m = build_travel_matrix(ds)
         assert m.cost.shape == (2, 3)
-        assert m.unit == "km"
 
     def test_speed_converts_km_to_minutes(self):
         ds = planar_dataset([(0, 0)], [1], [(10_000, 0)], [1])
-        m = build_travel_matrix(ds, metric="euclidean", speed=0.5)
-        assert m.unit == "minutes"
+        m = build_travel_matrix(ds, speed=0.5)
         assert m.cost[0, 0] == pytest.approx(20.0, rel=1e-12)
 
     def test_three_four_five_triangle(self):
         ds = planar_dataset([(0, 0)], [1], [(3, 4)], [1])
-        m = build_travel_matrix(ds, metric="euclidean")
+        m = build_travel_matrix(ds)
         assert m.cost[0, 0] == pytest.approx(0.005, rel=1e-12)
+
+    def test_a_geographic_dataset_gets_great_circle_km(self):
+        # the coordinate kind picks the metric: one degree of latitude
+        ds = Dataset(demand=(DemandSite("d", 117.0, 36.0, 1.0),),
+                     supply=(SupplySite("h", 117.0, 37.0, 1.0),))
+        m = build_travel_matrix(ds)
+        assert m.cost[0, 0] == pytest.approx(EARTH_RADIUS_KM * math.pi / 180, rel=1e-12)
 
     def test_multiplying_back_by_speed_restores_distances(self):
         rng = np.random.default_rng(5)
         ds = planar_dataset(rng.uniform(0, 9000, (6, 2)), np.ones(6),
                             rng.uniform(0, 9000, (4, 2)), np.ones(4))
-        km = build_travel_matrix(ds, metric="euclidean").cost
+        km = build_travel_matrix(ds).cost
         speed = 0.73
-        minutes = build_travel_matrix(ds, metric="euclidean", speed=speed).cost
+        minutes = build_travel_matrix(ds, speed=speed).cost
         assert np.allclose(minutes * speed, km, rtol=1e-12, atol=0)
 
-    def test_metric_must_match_coordinate_kind(self):
-        planar = planar_dataset([(0, 0)], [1], [(1, 1)], [1])
-        with pytest.raises(MetricMismatch):
-            build_travel_matrix(planar, metric="haversine")
-        geo = Dataset(demand=(DemandSite("d", 10.0, 10.0, 1.0),),
-                      supply=(SupplySite("h", 10.1, 10.1, 1.0),))
-        with pytest.raises(MetricMismatch):
-            build_travel_matrix(geo, metric="euclidean")
-
     def test_cost_rows_checks_before_any_block(self):
-        # the checks run at the call, not at the first block
+        # the check runs at the call, not at the first block
         planar = planar_dataset([(0, 0)], [1], [(1, 1)], [1])
-        with pytest.raises(MetricMismatch):
-            cost_rows(planar, metric="haversine")
         with pytest.raises(NonPositiveSpeed):
-            cost_rows(planar, metric="euclidean", speed=0.0)
+            cost_rows(planar, speed=0.0)
 
     def test_cost_rows_are_the_matrix_rows(self):
         rng = np.random.default_rng(11)
@@ -160,10 +154,10 @@ class TestBuildTravelMatrix:
                             rng.uniform(0, 9000, (4, 2)), np.ones(4))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(travel, "BLOCK", 10)  # two rows per block; the last has one
-            blocks = list(cost_rows(ds, metric="euclidean", speed=0.7))
+            blocks = list(cost_rows(ds, speed=0.7))
         assert [(lo, len(rows)) for lo, rows in blocks] == [(0, 2), (2, 2), (4, 2), (6, 2), (8, 1)]
         stacked = np.concatenate([rows for _, rows in blocks])
-        want = build_travel_matrix(ds, metric="euclidean", speed=0.7).cost
+        want = build_travel_matrix(ds, speed=0.7).cost
         assert stacked.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("metric", ["haversine", "euclidean"])
@@ -177,7 +171,7 @@ class TestBuildTravelMatrix:
         ds = Dataset(demand=tuple(DemandSite(f"d{i}", x, y, 1.0) for i, (x, y) in enumerate(xy[:3000])),
                      supply=tuple(SupplySite(f"h{j}", x, y, 1.0) for j, (x, y) in enumerate(xy[3000:])),
                      coord_kind="geographic" if metric == "haversine" else "planar")
-        peak = traced_peak(lambda: build_travel_matrix(ds, metric=metric, speed=0.5))
+        peak = traced_peak(lambda: build_travel_matrix(ds, speed=0.5))
         assert peak <= 1.5 * 3000 * 300 * 8
 
     def test_matrix_copies_the_array_it_is_given(self):
@@ -193,7 +187,7 @@ class TestBuildTravelMatrix:
 
     def test_matrix_is_immutable(self):
         ds = planar_dataset([(0, 0)], [1], [(1, 1)], [1])
-        m = build_travel_matrix(ds, metric="euclidean")
+        m = build_travel_matrix(ds)
         with pytest.raises(ValueError):
             m.cost[0, 0] = 3.0
 
@@ -227,7 +221,6 @@ class TestLoadOdMatrix:
         m = load_od_matrix(path, demand, supply)
         assert m.cost[0, 0] == 12.5
         assert np.isinf(m.cost[0, 1])
-        assert m.unit == "minutes"
 
     def test_unknown_id(self, tmp_path):
         demand, supply = self.make_sites()
@@ -249,20 +242,6 @@ class TestLoadOdMatrix:
         path.write_text("demand_id,supply_id,cost\nd0,h0,-2\n")
         with pytest.raises(NegativeCost):
             load_od_matrix(path, demand, supply)
-
-    def test_unit_flag(self, tmp_path):
-        demand, supply = self.make_sites()
-        path = tmp_path / "od.csv"
-        path.write_text("demand_id,supply_id,cost\nd0,h0,3.5\n")
-        assert load_od_matrix(path, demand, supply, unit="km").unit == "km"
-
-    def test_an_unknown_unit_is_the_matrix_error(self, tmp_path):
-        # every row passes the row check, so the error that stopped the loading is raised
-        demand, supply = self.make_sites()
-        path = tmp_path / "od.csv"
-        path.write_text("demand_id,supply_id,cost\nd0,h0,3.5\n")
-        with pytest.raises(ValueError, match=r"^unit must be one of \('km', 'minutes'\)$"):
-            load_od_matrix(path, demand, supply, unit="hours")
 
     def test_memory_is_the_matrix_and_the_rows(self, tmp_path):
         # 1000 x 300 with one pair in 20 listed: the matrix, taken over without
