@@ -13,11 +13,8 @@ from accesskit import (
     DemandSite,
     SupplySite,
     build_travel_matrix,
-    g2sfca,
-    m2sfca,
+    compute_accessibility,
     step1_supply_ratios,
-    two_sfca,
-    e2sfca,
 )
 
 # --- a three-neighborhood town (planar coordinates, meters) ---------------
@@ -42,7 +39,7 @@ print(np.round(matrix.cost, 1))
 
 # --- step 1: how crowded is each clinic? -----------------------------------
 
-gaussian = DecaySpec.gaussian(d0=30.0, beta=180.0)
+gaussian = DecaySpec("gaussian", d0=30.0, beta=180.0)
 ratios = step1_supply_ratios(town, matrix, gaussian)
 print("\nper-clinic capacity over decay-weighted demand (step 1):")
 for site, r in zip(town.supply, ratios):
@@ -50,12 +47,14 @@ for site, r in zip(town.supply, ratios):
 
 # --- step 2 + variants ------------------------------------------------------
 
+zonal = DecaySpec("zonal", zones=[10, 20, 30], weights=[1.0, 0.68, 0.22])
+# a method is named as the config's "method" names it; two_sfca takes only
+# the decay's d0, here the Gaussian's 30 minutes
 results = {
-    "two_sfca (binary, 30 min)": two_sfca(town, matrix, d0=30.0),
-    "e2sfca (zones 10/20/30)": e2sfca(
-        town, matrix, DecaySpec.zonal([10, 20, 30], [1.0, 0.68, 0.22])),
-    "g2sfca (gaussian)": g2sfca(town, matrix, gaussian),
-    "m2sfca (gaussian)": m2sfca(town, matrix, gaussian),
+    "two_sfca (binary, 30 min)": compute_accessibility("two_sfca", town, matrix, gaussian),
+    "e2sfca (zones 10/20/30)": compute_accessibility("e2sfca", town, matrix, zonal),
+    "g2sfca (gaussian)": compute_accessibility("g2sfca", town, matrix, gaussian),
+    "m2sfca (gaussian)": compute_accessibility("m2sfca", town, matrix, gaussian),
 }
 
 print("\naccessibility per 1000 people:")

@@ -16,7 +16,7 @@ from accesskit import (
     add_candidate_sites,
     brute_force_allocate,
     build_travel_matrix,
-    g2sfca,
+    compute_accessibility,
     greedy_allocate,
     local_search_improve,
 )
@@ -37,7 +37,7 @@ town = Dataset(
 # a prospective west-end site starts with zero capacity
 town, new_sites = add_candidate_sites(town, [("clinic_west", 1000.0, 0.0)])
 matrix = build_travel_matrix(town, speed=0.5)
-decay = DecaySpec.gaussian(d0=30.0, beta=180.0)
+decay = DecaySpec("gaussian", d0=30.0, beta=180.0)
 
 problem = AllocationProblem(
     catchment=Catchment("g2sfca", town, matrix, decay),
@@ -46,7 +46,7 @@ problem = AllocationProblem(
     objective="max_min_access",
 )
 
-baseline = g2sfca(town, matrix, decay)
+baseline = compute_accessibility("g2sfca", town, matrix, decay)
 print("baseline access per 1000 people:")
 for site, score in zip(town.demand, baseline.scores):
     print(f"  {site.id:<10} {1000 * score:8.3f}")

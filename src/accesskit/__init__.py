@@ -26,18 +26,9 @@ from .data_model import (
     load_supply,
     write_dataset,
 )
-from .decay import DecaySpec, evaluate_decay, zonal_from_gaussian
+from .decay import DecaySpec, evaluate_decay
 from .equity import HradResult, RegionEquity, gini, hrad, hrad_vs_population
-from .fca import (
-    AccessibilityResult,
-    Catchment,
-    compute_accessibility,
-    e2sfca,
-    g2sfca,
-    m2sfca,
-    step1_supply_ratios,
-    two_sfca,
-)
+from .fca import AccessibilityResult, Catchment, compute_accessibility, step1_supply_ratios
 from .optimize import (
     AllocationProblem,
     ReallocationPlan,
@@ -90,11 +81,9 @@ __all__ = [
     "build_weights",
     "compute_accessibility",
     "cost_rows",
-    "e2sfca",
     "errors",
     "evaluate_decay",
     "evaluate_objective",
-    "g2sfca",
     "gini",
     "greedy_allocate",
     "haversine_distance",
@@ -107,12 +96,9 @@ __all__ = [
     "load_regions",
     "load_supply",
     "local_search_improve",
-    "m2sfca",
     "morans_i",
     "step1_supply_ratios",
     "synthetic_city",
-    "two_sfca",
     "write_city",
     "write_dataset",
-    "zonal_from_gaussian",
 ]

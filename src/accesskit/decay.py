@@ -19,17 +19,22 @@ _MASK_SLICE = 4096  # entries of the output zeroed past d0 at a time
 @dataclass(frozen=True)
 class DecaySpec:
     """Parameters of one decay function, checked by the constructor, which
-    every other way of building a spec calls.
+    ``from_config`` calls too.
 
     kind      one of binary, gaussian, exponential, power, zonal
     d0        catchment cutoff in the travel matrix's unit; weight is 0 past it.
               A zonal spec may omit it; it is then the last zone breakpoint.
     beta      rate parameter for gaussian (exp(-d^2/beta)), exponential
               (exp(-d/beta)) and power (d^-beta) kinds; given to a zonal spec
-              without weights, it derives them as zonal_from_gaussian does
+              without weights, it derives them by the midpoint rule below
     zones     for zonal: ascending breakpoints, the last one equal to d0;
               zone 1 is [0, zones[0]], zone z is (zones[z-2], zones[z-1]]
     weights   for zonal: strictly decreasing weights in (0, 1], one per zone
+
+    The midpoint rule: zone z spanning (b_{z-1}, b_z] gets exp(-m_z^2/beta)
+    at its midpoint m_z (the first zone's midpoint is b_1/2), normalized so
+    zone 1 has weight 1. The derived weights are strictly decreasing, and
+    the spec stores them in place of beta.
 
     The fields a kind does not read are stored as None.
     """
@@ -71,7 +76,7 @@ class DecaySpec:
         last = "last zone breakpoint must equal d0"
         if self.d0 is not None and _real(InvalidDecaySpec, self.d0, last) != zones[-1]:
             raise InvalidDecaySpec(last)
-        if weights is None:  # the midpoint rule zonal_from_gaussian describes
+        if weights is None:  # the midpoint rule of the class docstring
             raw = np.exp(-np.square((np.array((0.0, *zones[:-1])) + zones) / 2.0) / beta)
             weights = raw / raw[0]
         weights = _numbers("weights", weights)
@@ -82,26 +87,6 @@ class DecaySpec:
         if any(weights[i] <= weights[i + 1] for i in range(len(weights) - 1)):
             raise InvalidDecaySpec("zonal weights must be strictly decreasing")
         self._set(d0=zones[-1], zones=zones, weights=weights)
-
-    @classmethod
-    def binary(cls, d0: float) -> "DecaySpec":
-        return cls(kind="binary", d0=d0)
-
-    @classmethod
-    def gaussian(cls, d0: float, beta: float) -> "DecaySpec":
-        return cls(kind="gaussian", d0=d0, beta=beta)
-
-    @classmethod
-    def exponential(cls, d0: float, beta: float) -> "DecaySpec":
-        return cls(kind="exponential", d0=d0, beta=beta)
-
-    @classmethod
-    def power(cls, d0: float, beta: float) -> "DecaySpec":
-        return cls(kind="power", d0=d0, beta=beta)
-
-    @classmethod
-    def zonal(cls, zones, weights) -> "DecaySpec":
-        return cls(kind="zonal", zones=zones, weights=weights)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DecaySpec":
@@ -169,14 +154,3 @@ def evaluate_decay(spec: DecaySpec, d):
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)
-
-
-def zonal_from_gaussian(breakpoints, beta: float) -> DecaySpec:
-    """Derive zonal weights by evaluating a Gaussian at zone midpoints.
-
-    Zone z spanning (b_{z-1}, b_z] gets exp(-m_z^2/beta) at its midpoint m_z
-    (the first zone's midpoint is b_1/2), normalized so zone 1 has weight 1.
-    The resulting weights are strictly decreasing. The same spec as
-    ``DecaySpec(kind="zonal", zones=breakpoints, beta=beta)``.
-    """
-    return DecaySpec(kind="zonal", zones=breakpoints, beta=beta)

@@ -28,7 +28,7 @@ from .travel import TravelMatrix, _check_costs
 
 
 def _binary_at_d0(decay: DecaySpec) -> DecaySpec:
-    return DecaySpec.binary(decay.d0)
+    return DecaySpec("binary", d0=decay.d0)
 
 
 def _zonal_only(decay: DecaySpec) -> DecaySpec:
@@ -150,42 +150,22 @@ def step1_supply_ratios(dataset: Dataset, matrix: TravelMatrix,
 
 def compute_accessibility(method: str, dataset: Dataset, matrix: TravelMatrix,
                           decay: DecaySpec) -> AccessibilityResult:
-    """Run one method by name; two_sfca uses the decay's d0 as its cutoff.
-    See ``Catchment.accessibility``."""
+    """Run one method, named as in ``FCA_METHODS`` and the config's ``method``.
+    ``matrix`` may also be the ``(lo, rows)`` cost blocks of ``travel.cost_rows``,
+    as ``Catchment`` takes them. See ``Catchment.accessibility``.
+
+    g2sfca    A_i = sum_j f(d_ij) S_j / sum_k D_k f(d_kj) for any decay f; the
+              binary, zonal and continuous variants are this with another f
+    two_sfca  g2sfca with the binary decay at the given decay's d0, whatever
+              its kind: weight 1 within d0, 0 beyond
+    e2sfca    g2sfca with a zonal decay (zone weights conventionally from a
+              Gaussian, see ``DecaySpec``); another kind is WrongDecayKind
+    m2sfca    A_i = sum_j f(d_ij)^2 S_j / sum_k D_k f(d_kj): the weight applies
+              again on assignment, so the captured total sum_i D_i A_i falls
+              short of the total supply unless every active weight is 1; the
+              gap measures how far the layout is from an ideal configuration
+    """
     return Catchment(method, dataset, matrix, decay).accessibility()
-
-
-def g2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> AccessibilityResult:
-    """Generalized two-step floating catchment area with an arbitrary decay.
-
-    A_i = sum_j f(d_ij) S_j / sum_k D_k f(d_kj). The binary, zonal, and
-    continuous variants are all this computation with different f.
-    """
-    return compute_accessibility("g2sfca", dataset, matrix, decay)
-
-
-def two_sfca(dataset: Dataset, matrix: TravelMatrix, d0: float) -> AccessibilityResult:
-    """Original all-or-nothing variant: weight 1 within d0, 0 beyond."""
-    return compute_accessibility("two_sfca", dataset, matrix, DecaySpec.binary(d0))
-
-
-def e2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> AccessibilityResult:
-    """Zoned variant: the catchment splits into travel-cost bands, each with
-    its own weight (conventionally Gaussian-derived, see zonal_from_gaussian).
-    """
-    return compute_accessibility("e2sfca", dataset, matrix, decay)
-
-
-def m2sfca(dataset: Dataset, matrix: TravelMatrix, decay: DecaySpec) -> AccessibilityResult:
-    """Modified variant applying the decay weight again on assignment:
-
-    A_i = sum_j f(d_ij)^2 S_j / sum_k D_k f(d_kj)
-
-    Total captured accessibility sum_i D_i A_i then falls short of total
-    supply unless every active weight is 1; the gap measures how far the
-    facility layout is from an ideal configuration.
-    """
-    return compute_accessibility("m2sfca", dataset, matrix, decay)
 
 
 def scores_csv_text(result: AccessibilityResult, dataset: Dataset,

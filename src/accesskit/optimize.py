@@ -283,7 +283,9 @@ def evaluate_objective(problem: AllocationProblem, allocation) -> float:
 def greedy_allocate(problem: AllocationProblem) -> ReallocationPlan:
     """Assign budget units one at a time, each to the candidate whose
     single-unit addition yields the best objective; ties go to the smaller
-    candidate index. Deterministic by construction.
+    candidate index. Deterministic by construction. It always spends the
+    whole budget, so under ``min_variance`` or ``min_weighted_gini`` the
+    plan's ``objective_after`` can be worse than its ``objective_before``.
 
     The kernel solves once for the baseline and once per re-scored option:
     each step ranks from the scores of the option the previous step took.

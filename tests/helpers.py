@@ -67,11 +67,11 @@ def random_decay(rng, d_max, kinds=("binary", "gaussian", "zonal")):
     kind = kinds[rng.integers(0, len(kinds))]
     d0 = float(d_max * rng.uniform(1.0, 1.5) + 1e-9)
     if kind == "binary":
-        return DecaySpec.binary(d0)
+        return DecaySpec("binary", d0)
     if kind == "gaussian":
-        return DecaySpec.gaussian(d0, beta=float(rng.uniform(0.2, 4.0) * d0 * d0))
+        return DecaySpec("gaussian", d0, beta=float(rng.uniform(0.2, 4.0) * d0 * d0))
     if kind == "exponential":
-        return DecaySpec.exponential(d0, beta=float(rng.uniform(0.2, 2.0) * d0))
+        return DecaySpec("exponential", d0, beta=float(rng.uniform(0.2, 2.0) * d0))
     n_zones = int(rng.integers(1, 4))
     breaks = np.sort(rng.uniform(0.1 * d0, d0, size=n_zones - 1)) if n_zones > 1 else []
     zones = tuple(list(breaks) + [d0])
@@ -82,7 +82,7 @@ def random_decay(rng, d_max, kinds=("binary", "gaussian", "zonal")):
     w[0] = 1.0
     if len(w) > 1 and w[1] >= 1.0:
         w[1] = 0.5
-    return DecaySpec.zonal(zones, tuple(w))
+    return DecaySpec("zonal", zones=zones, weights=tuple(w))
 
 
 def random_instance(rng, max_demand=20, max_supply=6, all_reachable=True,
@@ -176,4 +176,4 @@ def dense_instance(n=1000, m=300, seed=0):
     fall within the cutoff."""
     cost = np.random.default_rng(seed).uniform(0, 50, (n, m))
     return (*dataset_with_matrix(np.ones(n), np.ones(m), cost),
-            DecaySpec.gaussian(32.0, 180.0))
+            DecaySpec("gaussian", 32.0, 180.0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from accesskit.decay import DECAY_KINDS, DecaySpec, evaluate_decay, zonal_from_gaussian
+from accesskit.decay import DECAY_KINDS, DecaySpec, evaluate_decay
 from accesskit.errors import InvalidDecaySpec, NonAscendingBreakpoints
 
 from helpers import random_decay, traced_peak
@@ -15,26 +15,26 @@ from helpers import random_decay, traced_peak
 
 class TestEvaluateDecay:
     def test_gaussian_at_zero(self):
-        spec = DecaySpec.gaussian(d0=30, beta=180)
+        spec = DecaySpec("gaussian", d0=30, beta=180)
         assert evaluate_decay(spec, 0.0) == 1.0
 
     def test_gaussian_at_sqrt_beta(self):
         # d^2 = beta gives exactly one e-folding
-        spec = DecaySpec.gaussian(d0=30, beta=180)
+        spec = DecaySpec("gaussian", d0=30, beta=180)
         assert evaluate_decay(spec, math.sqrt(180)) == pytest.approx(
             0.36787944117144233, abs=1e-6)
 
     def test_binary_beyond_cutoff(self):
-        spec = DecaySpec.binary(d0=30)
+        spec = DecaySpec("binary", d0=30)
         assert evaluate_decay(spec, 40.0) == 0.0
 
     def test_binary_is_exactly_one_inside(self):
-        spec = DecaySpec.binary(d0=30)
+        spec = DecaySpec("binary", d0=30)
         grid = np.linspace(0, 30, 1000)
         assert (evaluate_decay(spec, grid) == 1.0).all()
 
     def test_zonal_zone_lookup(self):
-        spec = DecaySpec.zonal([10, 20, 30], [1.0, 0.68, 0.22])
+        spec = DecaySpec("zonal", zones=[10, 20, 30], weights=[1.0, 0.68, 0.22])
         assert evaluate_decay(spec, 15.0) == 0.68
         # zone 1 is [0, b1]; later zones are half-open (b_{z-1}, b_z]
         assert evaluate_decay(spec, 0.0) == 1.0
@@ -44,24 +44,24 @@ class TestEvaluateDecay:
         assert evaluate_decay(spec, 30.000001) == 0.0
 
     def test_power_clamps_at_origin(self):
-        spec = DecaySpec.power(d0=10, beta=1.5)
+        spec = DecaySpec("power", d0=10, beta=1.5)
         assert evaluate_decay(spec, 0.0) == 1.0
         assert evaluate_decay(spec, 0.5) == 1.0  # d < 1 would exceed 1
         assert evaluate_decay(spec, 4.0) == pytest.approx(4.0 ** -1.5, rel=1e-12)
 
     def test_infinity_maps_to_zero_for_every_kind(self):
         specs = [
-            DecaySpec.binary(10),
-            DecaySpec.gaussian(10, 50),
-            DecaySpec.exponential(10, 5),
-            DecaySpec.power(10, 2),
-            DecaySpec.zonal([5, 10], [1.0, 0.4]),
+            DecaySpec("binary", 10),
+            DecaySpec("gaussian", 10, 50),
+            DecaySpec("exponential", 10, 5),
+            DecaySpec("power", 10, 2),
+            DecaySpec("zonal", zones=[5, 10], weights=[1.0, 0.4]),
         ]
         for spec in specs:
             assert evaluate_decay(spec, np.inf) == 0.0
 
     def test_array_shape_preserved(self):
-        spec = DecaySpec.gaussian(d0=30, beta=180)
+        spec = DecaySpec("gaussian", d0=30, beta=180)
         d = np.array([[0.0, 10.0], [40.0, np.inf]])
         out = evaluate_decay(spec, d)
         assert out.shape == (2, 2)
@@ -80,8 +80,8 @@ class TestEvaluateDecay:
             assert evaluate_decay(spec, np.inf) == 0.0
 
     @pytest.mark.parametrize("spec", [
-        DecaySpec.gaussian(30.0, 180.0), DecaySpec.exponential(30.0, 10.0),
-        DecaySpec.power(30.0, 1.5), DecaySpec.power(30.0, 2.0),
+        DecaySpec("gaussian", 30.0, 180.0), DecaySpec("exponential", 30.0, 10.0),
+        DecaySpec("power", 30.0, 1.5), DecaySpec("power", 30.0, 2.0),
     ], ids=["gaussian", "exponential", "power", "power-integer-beta"])
     def test_bits_match_negating_then_zeroing_past_d0(self, spec):
         # the expression evaluate_decay used before it divided by -beta and
@@ -105,8 +105,9 @@ class TestEvaluateDecay:
             assert evaluate_decay(spec, cost).tobytes() == reference(cost).tobytes()
 
     @pytest.mark.parametrize("spec", [
-        DecaySpec.binary(30.0), DecaySpec.gaussian(30.0, 180.0), DecaySpec.exponential(30.0, 10.0),
-        DecaySpec.power(30.0, 1.5), DecaySpec.zonal([10, 20, 30], [1.0, 0.5, 0.2]),
+        DecaySpec("binary", 30.0), DecaySpec("gaussian", 30.0, 180.0),
+        DecaySpec("exponential", 30.0, 10.0), DecaySpec("power", 30.0, 1.5),
+        DecaySpec("zonal", zones=[10, 20, 30], weights=[1.0, 0.5, 0.2]),
     ], ids=DECAY_KINDS)
     def test_memory_is_one_output_and_one_mask(self, spec):
         # half the costs lie within d0; a copy of those would add 4 bytes a cost
@@ -116,14 +117,16 @@ class TestEvaluateDecay:
 
 
 class TestZonalFromGaussian:
+    """A zonal spec given beta in place of weights derives them by the midpoint rule."""
+
     def test_single_zone_self_normalizes(self):
-        spec = zonal_from_gaussian([30], beta=123.0)
+        spec = DecaySpec("zonal", zones=[30], beta=123.0)
         assert spec.weights == (1.0,)
 
     def test_three_zone_weights_match_closed_form(self):
         # midpoints 5, 15, 25; ratios exp(-200/180) and exp(-600/180),
         # evaluated independently with math.exp
-        spec = zonal_from_gaussian([10, 20, 30], beta=180.0)
+        spec = DecaySpec("zonal", zones=[10, 20, 30], beta=180.0)
         assert spec.zones == (10.0, 20.0, 30.0)
         assert spec.weights[0] == 1.0
         assert spec.weights[1] == pytest.approx(math.exp(-200.0 / 180.0), rel=1e-12)
@@ -137,14 +140,14 @@ class TestZonalFromGaussian:
             n = int(rng.integers(1, 7))
             breaks = np.sort(rng.uniform(0.5, 100, size=n))
             breaks = np.unique(breaks)
-            spec = zonal_from_gaussian(breaks, beta=float(rng.uniform(1, 500)))
+            spec = DecaySpec("zonal", zones=breaks, beta=float(rng.uniform(1, 500)))
             assert all(a > b for a, b in zip(spec.weights, spec.weights[1:]))
 
     def test_non_ascending_breakpoints(self):
         with pytest.raises(NonAscendingBreakpoints):
-            zonal_from_gaussian([10, 10, 30], beta=100)
+            DecaySpec("zonal", zones=[10, 10, 30], beta=100)
         with pytest.raises(NonAscendingBreakpoints):
-            zonal_from_gaussian([-5, 10], beta=100)
+            DecaySpec("zonal", zones=[-5, 10], beta=100)
 
 
 class TestSpecValidation:
@@ -155,11 +158,11 @@ class TestSpecValidation:
 
     def test_zonal_weight_rules(self):
         with pytest.raises(InvalidDecaySpec):
-            DecaySpec.zonal([10, 20], [0.5, 0.9])  # increasing
+            DecaySpec("zonal", zones=[10, 20], weights=[0.5, 0.9])  # increasing
         with pytest.raises(InvalidDecaySpec):
-            DecaySpec.zonal([10, 20], [1.2, 0.5])  # above 1
+            DecaySpec("zonal", zones=[10, 20], weights=[1.2, 0.5])  # above 1
         with pytest.raises(InvalidDecaySpec):
-            DecaySpec.zonal([10, 20], [1.0, 0.0])  # zero weight
+            DecaySpec("zonal", zones=[10, 20], weights=[1.0, 0.0])  # zero weight
 
     @pytest.mark.parametrize("zones, weights", [
         (["a", 20, 30], [1.0, 0.5, 0.2]),
@@ -170,18 +173,18 @@ class TestSpecValidation:
     ])
     def test_zonal_entries_must_be_numbers(self, zones, weights):
         with pytest.raises(InvalidDecaySpec, match="list of finite numbers"):
-            DecaySpec.zonal(zones, weights)
+            DecaySpec("zonal", zones=zones, weights=weights)
         with pytest.raises(InvalidDecaySpec, match="list of finite numbers"):
             DecaySpec.from_config({"kind": "zonal", "zones": zones, "weights": weights})
         if not all(isinstance(w, float) for w in weights):
-            return  # only the zones reach zonal_from_gaussian
+            return  # with beta in place of the weights, only the zones are read
         with pytest.raises(InvalidDecaySpec, match="list of finite numbers"):
-            zonal_from_gaussian(zones, beta=100)
+            DecaySpec("zonal", zones=zones, beta=100)
 
     def test_zonal_d0_tied_to_last_breakpoint(self):
         with pytest.raises(InvalidDecaySpec):
             DecaySpec(kind="zonal", d0=25, zones=(10, 20), weights=(1.0, 0.5))
-        spec = DecaySpec.zonal([10, 20], [1.0, 0.5])
+        spec = DecaySpec("zonal", zones=[10, 20], weights=[1.0, 0.5])
         assert spec.d0 == 20.0
 
     def test_from_config_gaussian(self):
@@ -202,7 +205,7 @@ class TestSpecValidation:
         assert spec.weights[1] == pytest.approx(math.exp(-200.0 / 180.0), rel=1e-12)
 
     def test_config_round_trip(self):
-        spec = DecaySpec.zonal([10, 20], [1.0, 0.5])
+        spec = DecaySpec("zonal", zones=[10, 20], weights=[1.0, 0.5])
         assert DecaySpec.from_config(spec.to_config()) == spec
 
 
@@ -219,10 +222,10 @@ def valid_specs(draw):
         return DecaySpec(kind=kind, d0=draw(positive), beta=beta)
     zones = draw(zone_lists)
     if draw(st.booleans()):  # m^2 / beta <= 5 keeps every weight far from 0
-        return zonal_from_gaussian(zones, beta=draw(st.floats(0.2, 4.0)) * zones[-1] ** 2)
+        return DecaySpec("zonal", zones=zones, beta=draw(st.floats(0.2, 4.0)) * zones[-1] ** 2)
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(zones), max_size=len(zones),
                             unique=True))
-    return DecaySpec.zonal(zones, sorted(weights, reverse=True))
+    return DecaySpec("zonal", zones=zones, weights=sorted(weights, reverse=True))
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,11 +241,10 @@ def test_config_round_trip_and_unknown_keys(spec, key, value):
 @given(zone_lists, st.floats(0.2, 4.0))
 def test_zonal_spec_from_beta_is_the_same_on_every_path(zones, scale):
     beta = scale * zones[-1] ** 2
-    spec = zonal_from_gaussian(zones, beta)
-    assert spec == DecaySpec(kind="zonal", zones=zones, beta=beta)
+    spec = DecaySpec("zonal", zones=zones, beta=beta)
     assert spec == DecaySpec(kind="zonal", d0=zones[-1], zones=zones, beta=beta)
     assert spec == DecaySpec.from_config({"kind": "zonal", "zones": zones, "beta": beta})
-    assert spec == DecaySpec.zonal(zones, spec.weights)
+    assert spec == DecaySpec("zonal", zones=zones, weights=spec.weights)
     assert spec.d0 == zones[-1] and spec.beta is None
 
 

@@ -29,7 +29,7 @@ SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 def catchment():
     """Two demand sites and two supply sites, every pair 1 km apart."""
     dataset, matrix = dataset_with_matrix([10, 20], [5, 5], [[1.0, 1.0], [1.0, 1.0]])
-    return Catchment("g2sfca", dataset, matrix, DecaySpec.binary(30.0))
+    return Catchment("g2sfca", dataset, matrix, DecaySpec("binary", 30.0))
 
 
 def problem(**fields):
@@ -79,15 +79,16 @@ def line_string_values(tmp_path):
     pytest.param(lambda t: TravelMatrix(cost=np.ones(3)), ValueError,
                  "cost must be a 2-d matrix", id="travel-cost-1d"),
     pytest.param(lambda t: Catchment("4sfca", *dataset_with_matrix([1], [1], [[1.0]]),
-                                     DecaySpec.binary(30.0)), ValueError,
+                                     DecaySpec("binary", 30.0)), ValueError,
                  "unknown method '4sfca'", id="catchment-method-unknown"),
     pytest.param(lambda t: DecaySpec(kind="logistic", d0=30.0), InvalidDecaySpec,
                  "unknown decay kind 'logistic'", id="decay-kind-unknown"),
     pytest.param(lambda t: DecaySpec(kind="zonal", zones=(10.0, 20.0)), InvalidDecaySpec,
                  "zonal decay requires weights or a positive finite beta",
                  id="decay-zonal-without-weights-or-beta"),
-    pytest.param(lambda t: DecaySpec.zonal((10.0, 20.0), (1.0, 0.5, 0.2)), InvalidDecaySpec,
-                 "need exactly one weight per zone", id="decay-zonal-lengths-differ"),
+    pytest.param(lambda t: DecaySpec("zonal", zones=(10.0, 20.0), weights=(1.0, 0.5, 0.2)),
+                 InvalidDecaySpec, "need exactly one weight per zone",
+                 id="decay-zonal-lengths-differ"),
     pytest.param(lambda t: gini([1.0, 2.0, 3.0], weights=[1.0, 1.0]), ValueError,
                  "weights must match values in length", id="gini-weights-length"),
     pytest.param(lambda t: Dataset(demand=catchment().dataset.demand,
@@ -148,9 +149,9 @@ REAL_ARGUMENTS = [
      "epsilon must be finite and >= 0, got ", (True, "1", None, math.nan, math.inf, -1.0)),
     ("classify-epsilon", lambda v: classify(1.0, v), InvalidEpsilon,
      "epsilon must be finite and >= 0, got ", (True, "1", None, math.nan, math.inf, -1.0)),
-    ("d0", lambda v: DecaySpec.gaussian(v, 180.0), InvalidDecaySpec,
+    ("d0", lambda v: DecaySpec("gaussian", v, 180.0), InvalidDecaySpec,
      "d0 must be a positive finite cutoff, got ", EVERY_BAD),
-    ("beta", lambda v: DecaySpec.gaussian(30.0, v), InvalidDecaySpec,
+    ("beta", lambda v: DecaySpec("gaussian", 30.0, v), InvalidDecaySpec,
      "gaussian decay requires a positive finite beta, got ", EVERY_BAD),
     ("zonal-beta", lambda v: DecaySpec(kind="zonal", zones=(10.0, 20.0), beta=v),
      InvalidDecaySpec, "zonal decay requires weights or a positive finite beta, got ", EVERY_BAD),
@@ -158,12 +159,12 @@ REAL_ARGUMENTS = [
     ("zonal-d0", lambda v: DecaySpec(kind="zonal", d0=v, zones=(0.5, 1.0), weights=(1.0, 0.5)),
      InvalidDecaySpec, "last zone breakpoint must equal d0", (True, "1", math.nan, math.inf, 0,
                                                                -1.0)),
-    ("zones-entry", lambda v: DecaySpec.zonal((v, 20.0), (1.0, 0.5)), InvalidDecaySpec,
-     "zones must be a nonempty list of finite numbers, got ", (True, "1", None, math.nan,
-                                                               math.inf)),
-    ("weights-entry", lambda v: DecaySpec.zonal((10.0, 20.0), (1.0, v)), InvalidDecaySpec,
-     "weights must be a nonempty list of finite numbers, got ", (True, "1", None, math.nan,
-                                                                 math.inf)),
+    ("zones-entry", lambda v: DecaySpec("zonal", zones=(v, 20.0), weights=(1.0, 0.5)),
+     InvalidDecaySpec, "zones must be a nonempty list of finite numbers, got ",
+     (True, "1", None, math.nan, math.inf)),
+    ("weights-entry", lambda v: DecaySpec("zonal", zones=(10.0, 20.0), weights=(1.0, v)),
+     InvalidDecaySpec, "weights must be a nonempty list of finite numbers, got ",
+     (True, "1", None, math.nan, math.inf)),
 ]
 
 
@@ -196,14 +197,15 @@ def greedy_plan(unit_size):
     pytest.param(lambda v: repr(hrad_vs_population(REGIONS, v)), 1,
                  id="hrad-vs-population-epsilon"),
     pytest.param(lambda v: classify(1.5, v), 1, id="classify-epsilon"),
-    pytest.param(lambda v: repr(DecaySpec.gaussian(v, 180.0)), 30, id="d0"),
-    pytest.param(lambda v: repr(DecaySpec.gaussian(30.0, v)), 180, id="beta"),
+    pytest.param(lambda v: repr(DecaySpec("gaussian", v, 180.0)), 30, id="d0"),
+    pytest.param(lambda v: repr(DecaySpec("gaussian", 30.0, v)), 180, id="beta"),
     pytest.param(lambda v: repr(DecaySpec(kind="zonal", zones=(10.0, 20.0), beta=v)), 180,
                  id="zonal-beta"),
     pytest.param(lambda v: repr(DecaySpec(kind="zonal", d0=v, zones=(10.0, 20.0),
                                           weights=(1.0, 0.5))), 20, id="zonal-d0"),
-    pytest.param(lambda v: repr(DecaySpec.zonal((10.0, v), (1.0, 0.5))), 20, id="zones-entry"),
-    pytest.param(lambda v: repr(DecaySpec.zonal((10.0, 20.0), (v, 0.5))), 1,
+    pytest.param(lambda v: repr(DecaySpec("zonal", zones=(10.0, v), weights=(1.0, 0.5))), 20,
+                 id="zones-entry"),
+    pytest.param(lambda v: repr(DecaySpec("zonal", zones=(10.0, 20.0), weights=(v, 0.5))), 1,
                  id="weights-entry"),
 ])
 def test_a_real_argument_takes_an_int_or_numpy_float_as_the_equal_float(result, value):

@@ -10,14 +10,7 @@ from accesskit.errors import (
     DimensionMismatch, FcaError, NegativeCost, NonFiniteCapture, NonFiniteScore, WrongDecayKind,
 )
 from accesskit.fca import (
-    FCA_METHODS,
-    Catchment,
-    e2sfca,
-    g2sfca,
-    m2sfca,
-    scores_csv_text,
-    step1_supply_ratios,
-    two_sfca,
+    FCA_METHODS, Catchment, compute_accessibility, scores_csv_text, step1_supply_ratios,
 )
 from accesskit.travel import TravelMatrix, build_travel_matrix, cost_rows
 
@@ -27,7 +20,7 @@ from helpers import (
 
 # decay with f=1 in [0,10], f=0.5 in (10,20], 0 beyond: makes the worked
 # instances below exact
-HALVING = DecaySpec.zonal([10, 20], [1.0, 0.5])
+HALVING = DecaySpec("zonal", zones=[10, 20], weights=[1.0, 0.5])
 
 
 def halving_instance():
@@ -45,7 +38,7 @@ class TestStep1:
         ds, m = dataset_with_matrix([100], [10], [[50.0]])
         ratios = step1_supply_ratios(ds, m, HALVING)
         assert ratios[0] == 0.0
-        result = g2sfca(ds, m, HALVING)
+        result = compute_accessibility("g2sfca", ds, m, HALVING)
         assert result.warnings == ("h0",)
         assert (result.scores == 0).all()
 
@@ -63,9 +56,9 @@ class TestStep1:
         # each population is finite; h1's captured demand is not, h0's is
         ds, m = dataset_with_matrix([1e308, 1e308, 1.0], [5, 5],
                                     [[50.0, 5.0], [50.0, 5.0], [5.0, 5.0]])
-        for method in (g2sfca, m2sfca):
+        for method in ("g2sfca", "m2sfca"):
             with pytest.raises(NonFiniteCapture, match="supply 'h1'"):
-                method(ds, m, HALVING)
+                compute_accessibility(method, ds, m, HALVING)
         assert issubclass(NonFiniteCapture, FcaError)
         assert issubclass(NonFiniteCapture, ValueError)
 
@@ -73,7 +66,7 @@ class TestStep1:
         # a capacity of 1e200 over a captured demand of 1e-200; h0's ratio is finite
         ds, m = dataset_with_matrix([1e-200, 1e-200], [5, 1e200], [[5.0, 5.0], [5.0, 50.0]])
         with pytest.raises(NonFiniteScore, match="supply 'h1'"):
-            g2sfca(ds, m, HALVING)
+            compute_accessibility("g2sfca", ds, m, HALVING)
         assert issubclass(NonFiniteScore, FcaError)
         assert issubclass(NonFiniteScore, ValueError)
 
@@ -82,7 +75,46 @@ class TestStep1:
         ds, m = dataset_with_matrix([0.5, 0.5, 0.5], [1.5e308, 1.5e308],
                                     [[5.0, 50.0], [5.0, 5.0], [50.0, 5.0]])
         with pytest.raises(NonFiniteScore, match="demand 'd1'"):
-            g2sfca(ds, m, HALVING)
+            compute_accessibility("g2sfca", ds, m, HALVING)
+
+
+# one spec of each decay kind, built by the constructor and by its config
+SPECS_AND_CONFIGS = {
+    "binary": (DecaySpec("binary", d0=30.0), {"kind": "binary", "d0": 30}),
+    "gaussian": (DecaySpec("gaussian", d0=30.0, beta=180.0),
+                 {"kind": "gaussian", "d0": 30, "beta": 180}),
+    "exponential": (DecaySpec("exponential", d0=30.0, beta=10.0),
+                    {"kind": "exponential", "beta": 10.0, "d0": 30.0}),
+    "power": (DecaySpec("power", d0=30.0, beta=1.5), {"kind": "power", "d0": 30.0, "beta": 1.5}),
+    "zonal": (DecaySpec("zonal", zones=[10, 20, 30], beta=180.0),
+              {"kind": "zonal", "zones": [10.0, 20.0, 30.0], "beta": 180}),
+}
+
+
+@pytest.mark.parametrize("kind", DECAY_KINDS)
+@pytest.mark.parametrize("method", FCA_METHODS)
+def test_methods_and_decay_kinds_are_named_by_their_config_strings(method, kind):
+    # the constructor and the config give one spec for every kind
+    assert set(SPECS_AND_CONFIGS) == set(DECAY_KINDS)
+    spec, config = SPECS_AND_CONFIGS[kind]
+    assert spec == DecaySpec.from_config(config)
+    # compute_accessibility is the catchment's own result, bit for bit; h2 is
+    # out of everyone's reach, so the result carries a warning
+    ds, m = dataset_with_matrix([100, 300, 50], [10, 20, 5],
+                                [[5.0, 15.0, 99.0], [12.0, 4.0, 99.0], [25.0, 8.0, 99.0]])
+    if method == "e2sfca" and kind != "zonal":
+        for run in (lambda: compute_accessibility(method, ds, m, spec),
+                    lambda: Catchment(method, ds, m, spec).accessibility()):
+            with pytest.raises(WrongDecayKind):
+                run()
+        return
+    got = compute_accessibility(method, ds, m, spec)
+    want = Catchment(method, ds, m, spec).accessibility()
+    assert (got.method, got.decay, got.warnings) == (want.method, want.decay, ("h2",))
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.supply_ratios.tobytes() == want.supply_ratios.tobytes()
+    # two_sfca takes the d0 of any spec and applies the binary decay there
+    assert got.decay == (DecaySpec("binary", d0=30.0) if method == "two_sfca" else spec)
 
 
 def blocks_of(cost, bounds):
@@ -138,7 +170,7 @@ def streamed_case(draw):
     kind = "zonal" if method == "e2sfca" else draw(st.sampled_from(DECAY_KINDS))
     d_max = float(build_travel_matrix(ds, speed).cost.max()) * rng.uniform(0.3, 1.2)
     if kind == "power":
-        decay = DecaySpec.power(d_max + 1e-9, beta=float(rng.uniform(0.5, 3.0)))
+        decay = DecaySpec("power", d_max + 1e-9, beta=float(rng.uniform(0.5, 3.0)))
     else:
         decay = random_decay(rng, d_max, kinds=(kind,))
     return ds, speed, method, decay
@@ -167,7 +199,7 @@ def test_streamed_costs_give_the_matrix_catchment_bit_for_bit(case, block):
 class TestG2sfca:
     def test_hand_scores_and_conservation(self):
         ds, m = halving_instance()
-        result = g2sfca(ds, m, HALVING)
+        result = compute_accessibility("g2sfca", ds, m, HALVING)
         assert result.scores[0] == pytest.approx(0.04, rel=1e-12)
         assert result.scores[1] == pytest.approx(0.02, rel=1e-12)
         captured = 100 * result.scores[0] + 300 * result.scores[1]
@@ -175,27 +207,27 @@ class TestG2sfca:
 
     def test_unreachable_only_supply_zeroes_scores(self):
         ds, m = dataset_with_matrix([10, 20], [5], [[99.0], [99.0]])
-        result = g2sfca(ds, m, HALVING)
+        result = compute_accessibility("g2sfca", ds, m, HALVING)
         assert (result.scores == 0).all()
         assert result.warnings == ("h0",)
 
     def test_doubling_supply_doubles_scores(self):
         rng = np.random.default_rng(31)
         ds, m, decay = random_instance(rng)
-        base = g2sfca(ds, m, decay).scores
+        base = compute_accessibility("g2sfca", ds, m, decay).scores
         doubled_ds, _ = dataset_with_matrix(
             [s.population for s in ds.demand],
             [2 * s.capacity for s in ds.supply],
             m.cost,
         )
-        assert np.allclose(g2sfca(doubled_ds, m, decay).scores, 2 * base,
-                           rtol=1e-12, atol=0)
+        doubled = compute_accessibility("g2sfca", doubled_ds, m, decay).scores
+        assert np.allclose(doubled, 2 * base, rtol=1e-12, atol=0)
 
     def test_conservation_on_random_instances(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
             ds, m, decay = random_instance(rng, all_reachable=True)
-            result = g2sfca(ds, m, decay)
+            result = compute_accessibility("g2sfca", ds, m, decay)
             demand_pop = np.array([s.population for s in ds.demand])
             total_supply = sum(s.capacity for s in ds.supply)
             assert demand_pop @ result.scores == pytest.approx(total_supply, rel=1e-9)
@@ -203,35 +235,36 @@ class TestG2sfca:
     def test_scale_equivariance_in_demand(self):
         rng = np.random.default_rng(33)
         ds, m, decay = random_instance(rng, allow_zero_pop=False)
-        base = g2sfca(ds, m, decay).scores
+        base = compute_accessibility("g2sfca", ds, m, decay).scores
         c = 3.7
         scaled, _ = dataset_with_matrix(
             [c * s.population for s in ds.demand],
             [s.capacity for s in ds.supply],
             m.cost,
         )
-        assert np.allclose(g2sfca(scaled, m, decay).scores, base / c, rtol=1e-12, atol=0)
+        assert np.allclose(compute_accessibility("g2sfca", scaled, m, decay).scores, base / c,
+                           rtol=1e-12, atol=0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(34)
         ds, m, decay = random_instance(rng, max_demand=12)
         n = len(ds.demand)
         perm = rng.permutation(n)
-        base = g2sfca(ds, m, decay).scores
+        base = compute_accessibility("g2sfca", ds, m, decay).scores
         permuted, pm = dataset_with_matrix(
             [ds.demand[i].population for i in perm],
             [s.capacity for s in ds.supply],
             m.cost[perm, :],
         )
-        assert np.allclose(g2sfca(permuted, pm, decay).scores, base[perm],
-                           rtol=1e-12, atol=0)
+        assert np.allclose(compute_accessibility("g2sfca", permuted, pm, decay).scores,
+                           base[perm], rtol=1e-12, atol=0)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(35)
         for _ in range(30):
             ds, m, decay = random_instance(rng, max_demand=6, max_supply=4,
                                            all_reachable=False)
-            got = g2sfca(ds, m, decay).scores
+            got = compute_accessibility("g2sfca", ds, m, decay).scores
             want, _ = oracle_g2sfca(
                 [s.population for s in ds.demand],
                 [s.capacity for s in ds.supply],
@@ -243,7 +276,7 @@ class TestG2sfca:
 class TestTwoSfca:
     def test_hand_example(self):
         ds, m = dataset_with_matrix([100, 50], [10], [[10.0], [40.0]])
-        result = two_sfca(ds, m, d0=30)
+        result = compute_accessibility("two_sfca", ds, m, DecaySpec("binary", 30))
         assert result.scores[0] == pytest.approx(0.1, rel=1e-12)
         assert result.scores[1] == 0.0
 
@@ -251,15 +284,15 @@ class TestTwoSfca:
         rng = np.random.default_rng(36)
         for _ in range(20):
             ds, m, decay = random_instance(rng)
-            d0 = decay.d0
-            a = two_sfca(ds, m, d0)
-            b = g2sfca(ds, m, DecaySpec.binary(d0))
+            # two_sfca takes only the d0 of whatever decay it is given
+            a = compute_accessibility("two_sfca", ds, m, decay)
+            b = compute_accessibility("g2sfca", ds, m, DecaySpec("binary", decay.d0))
             assert np.array_equal(a.scores, b.scores)
             assert np.array_equal(a.supply_ratios, b.supply_ratios)
 
     def test_all_demand_beyond_cutoff(self):
         ds, m = dataset_with_matrix([10], [5], [[100.0]])
-        result = two_sfca(ds, m, d0=30)
+        result = compute_accessibility("two_sfca", ds, m, DecaySpec("binary", 30))
         assert (result.scores == 0).all()
         assert result.warnings == ("h0",)
 
@@ -268,34 +301,34 @@ class TestE2sfca:
     def test_requires_zonal(self):
         ds, m = halving_instance()
         with pytest.raises(WrongDecayKind):
-            e2sfca(ds, m, DecaySpec.gaussian(30, 180))
+            compute_accessibility("e2sfca", ds, m, DecaySpec("gaussian", 30, 180))
 
     def test_single_full_weight_zone_reduces_to_two_sfca(self):
         rng = np.random.default_rng(37)
         ds, m, _ = random_instance(rng)
         d0 = float(m.cost.max() * 0.7 + 0.001)
-        one_zone = DecaySpec.zonal([d0], [1.0])
-        assert np.array_equal(e2sfca(ds, m, one_zone).scores,
-                              two_sfca(ds, m, d0).scores)
+        one_zone = DecaySpec("zonal", zones=[d0], weights=[1.0])
+        assert np.array_equal(compute_accessibility("e2sfca", ds, m, one_zone).scores,
+                              compute_accessibility("two_sfca", ds, m, one_zone).scores)
 
     def test_hand_example(self):
         ds, m = dataset_with_matrix([100, 100], [10], [[5.0], [15.0]])
-        result = e2sfca(ds, m, HALVING)
+        result = compute_accessibility("e2sfca", ds, m, HALVING)
         assert result.scores[0] == pytest.approx(10 / 150, rel=1e-12)
         assert result.scores[1] == pytest.approx(5 / 150, rel=1e-12)
 
     def test_invariant_to_demand_ordering(self):
         ds, m = dataset_with_matrix([100, 100], [10], [[5.0], [15.0]])
         flipped, fm = dataset_with_matrix([100, 100], [10], [[15.0], [5.0]])
-        a = e2sfca(ds, m, HALVING).scores
-        b = e2sfca(flipped, fm, HALVING).scores
+        a = compute_accessibility("e2sfca", ds, m, HALVING).scores
+        b = compute_accessibility("e2sfca", flipped, fm, HALVING).scores
         assert a[0] == b[1] and a[1] == b[0]
 
 
 class TestM2sfca:
     def test_hand_example_and_sub_unity_capture(self):
         ds, m = halving_instance()
-        result = m2sfca(ds, m, HALVING)
+        result = compute_accessibility("m2sfca", ds, m, HALVING)
         assert result.scores[0] == pytest.approx(0.04, rel=1e-12)
         assert result.scores[1] == pytest.approx(0.01, rel=1e-12)
         captured = 100 * result.scores[0] + 300 * result.scores[1]
@@ -306,24 +339,23 @@ class TestM2sfca:
         rng = np.random.default_rng(38)
         for _ in range(20):
             ds, m, decay = random_instance(rng)
-            d0 = decay.d0
-            a = m2sfca(ds, m, DecaySpec.binary(d0))
-            b = two_sfca(ds, m, d0)
+            a = compute_accessibility("m2sfca", ds, m, DecaySpec("binary", decay.d0))
+            b = compute_accessibility("two_sfca", ds, m, decay)
             assert np.array_equal(a.scores, b.scores)
 
     def test_never_exceeds_g2sfca(self):
         rng = np.random.default_rng(39)
         for _ in range(30):
             ds, m, decay = random_instance(rng, kinds=("gaussian", "zonal", "binary"))
-            a = m2sfca(ds, m, decay).scores
-            b = g2sfca(ds, m, decay).scores
+            a = compute_accessibility("m2sfca", ds, m, decay).scores
+            b = compute_accessibility("g2sfca", ds, m, decay).scores
             assert (a <= b + 1e-15).all()
 
     def test_matches_squared_weight_oracle(self):
         rng = np.random.default_rng(40)
         for _ in range(20):
             ds, m, decay = random_instance(rng, max_demand=6, max_supply=4)
-            got = m2sfca(ds, m, decay).scores
+            got = compute_accessibility("m2sfca", ds, m, decay).scores
             want, _ = oracle_g2sfca(
                 [s.population for s in ds.demand],
                 [s.capacity for s in ds.supply],
@@ -341,7 +373,7 @@ class TestM2sfca:
 class TestScoresCsv:
     def test_header_and_per_thousand(self):
         ds, m = dataset_with_matrix([100], [10], [[0.0]])
-        result = two_sfca(ds, m, d0=30)
+        result = compute_accessibility("two_sfca", ds, m, DecaySpec("binary", 30))
         text = scores_csv_text(result, ds)
         assert text.splitlines()[0] == "demand_id,score"
         assert text.splitlines()[1] == "d0,0.1"

@@ -11,7 +11,7 @@ from accesskit.errors import (
     DimensionMismatch, InfeasibleAllocation, InstanceTooLarge, InvalidProblem,
     NonFiniteCoordinate, NonFiniteObjective, NonPositiveUnitSize,
 )
-from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility, g2sfca
+from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility
 from accesskit.optimize import (
     CHUNK,
     OBJECTIVES,
@@ -28,7 +28,7 @@ from accesskit.travel import build_travel_matrix
 
 from helpers import dataset_with_matrix, random_instance, traced_peak
 
-BINARY30 = DecaySpec.binary(30.0)
+BINARY30 = DecaySpec("binary", 30.0)
 
 
 def problem_on(dataset, matrix, decay, method="g2sfca", **fields):
@@ -92,14 +92,14 @@ class TestEvaluateObjective:
         rng = np.random.default_rng(82)
         for _ in range(20):
             ds, matrix, decay = random_instance(rng, all_reachable=False)
-            before = g2sfca(ds, matrix, decay).scores
+            before = compute_accessibility("g2sfca", ds, matrix, decay).scores
             boosted, _ = dataset_with_matrix(
                 [s.population for s in ds.demand],
                 [s.capacity + (37.0 if j == 0 else 0.0)
                  for j, s in enumerate(ds.supply)],
                 matrix.cost,
             )
-            after = g2sfca(boosted, matrix, decay).scores
+            after = compute_accessibility("g2sfca", boosted, matrix, decay).scores
             assert (after >= before).all()
 
     def test_over_budget_rejected(self):
@@ -134,7 +134,7 @@ class TestEvaluateObjective:
         with pytest.raises(DimensionMismatch):
             problem_on(ds, wrong, BINARY30, budget=1, candidates=(0,))
         with pytest.raises(DimensionMismatch):
-            g2sfca(ds, wrong, BINARY30)
+            compute_accessibility("g2sfca", ds, wrong, BINARY30)
 
 
 class TestGreedy:
@@ -274,7 +274,7 @@ class TestCandidateSites:
         matrix = build_travel_matrix(grown)
         d0 = float(matrix.cost.max()) * 1.5 + 1.0
         problem = problem_on(
-            grown, matrix, DecaySpec.binary(d0),
+            grown, matrix, DecaySpec("binary", d0),
             budget=2, candidates=new_idx, unit_size=5.0,
         )
         plan = greedy_allocate(problem)

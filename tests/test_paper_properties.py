@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from accesskit.data_model import Region
 from accesskit.decay import DecaySpec
 from accesskit.equity import hrad
-from accesskit.fca import g2sfca, m2sfca, two_sfca
+from accesskit.fca import compute_accessibility
 
 from helpers import random_instance
 
@@ -33,7 +33,7 @@ def reached_supply(ds, result) -> float:
 @given(instances())
 def test_g2sfca_conserves_the_supply_of_reached_facilities(case):
     ds, matrix, decay, _ = case
-    result = g2sfca(ds, matrix, decay)
+    result = compute_accessibility("g2sfca", ds, matrix, decay)
     pop = np.array([s.population for s in ds.demand])
     assert pop @ result.scores == pytest.approx(reached_supply(ds, result), rel=1e-9)
 
@@ -42,7 +42,7 @@ def test_g2sfca_conserves_the_supply_of_reached_facilities(case):
 @given(instances())
 def test_m2sfca_never_exceeds_the_reached_supply(case):
     ds, matrix, decay, _ = case
-    result = m2sfca(ds, matrix, decay)
+    result = compute_accessibility("m2sfca", ds, matrix, decay)
     pop = np.array([s.population for s in ds.demand])
     assert pop @ result.scores <= reached_supply(ds, result) * (1 + 1e-9)
 
@@ -51,8 +51,8 @@ def test_m2sfca_never_exceeds_the_reached_supply(case):
 @given(instances())
 def test_two_sfca_is_g2sfca_with_binary_decay(case):
     ds, matrix, decay, _ = case
-    a = two_sfca(ds, matrix, decay.d0)
-    b = g2sfca(ds, matrix, DecaySpec.binary(decay.d0))
+    a = compute_accessibility("two_sfca", ds, matrix, decay)
+    b = compute_accessibility("g2sfca", ds, matrix, DecaySpec("binary", decay.d0))
     assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.supply_ratios, b.supply_ratios)
 
