@@ -14,7 +14,6 @@ from accesskit import (
     SupplySite,
     build_travel_matrix,
     compute_accessibility,
-    step1_supply_ratios,
 )
 
 # --- a three-neighborhood town (planar coordinates, meters) ---------------
@@ -40,7 +39,8 @@ print(np.round(matrix.cost, 1))
 # --- step 1: how crowded is each clinic? -----------------------------------
 
 gaussian = DecaySpec("gaussian", d0=30.0, beta=180.0)
-ratios = step1_supply_ratios(town, matrix, gaussian)
+# step 1's ratios are part of every method's result
+ratios = compute_accessibility("g2sfca", town, matrix, gaussian).supply_ratios
 print("\nper-clinic capacity over decay-weighted demand (step 1):")
 for site, r in zip(town.supply, ratios):
     print(f"  {site.id}: {r:.6f} units/person")

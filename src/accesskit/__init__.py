@@ -28,7 +28,7 @@ from .data_model import (
 )
 from .decay import DecaySpec, evaluate_decay
 from .equity import HradResult, RegionEquity, gini, hrad, hrad_vs_population
-from .fca import AccessibilityResult, Catchment, compute_accessibility, step1_supply_ratios
+from .fca import AccessibilityResult, Catchment, compute_accessibility
 from .optimize import (
     AllocationProblem,
     ReallocationPlan,
@@ -97,7 +97,6 @@ __all__ = [
     "load_supply",
     "local_search_improve",
     "morans_i",
-    "step1_supply_ratios",
     "synthetic_city",
     "write_city",
     "write_dataset",

@@ -26,7 +26,7 @@ from pathlib import Path
 from . import _workers, equity, fca, optimize, spatial_stats
 from .data_model import COORD_KINDS, load_dataset, load_regions, load_values
 from .decay import DecaySpec
-from .errors import AccessKitError, ConfigError
+from .errors import AccessKitError, ConfigError, _integer
 from .travel import cost_rows, load_od_matrix
 
 # the commands that start worker processes, and so take --threads
@@ -120,8 +120,7 @@ class RunConfig:
             raise ConfigError(f"metric must be {metric!r} for {self.coord_kind} coordinates, "
                               f"got {self.metric!r}")
         self.metric = metric
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        _integer(ConfigError, self.threads, "threads", 1)
         for name in ("demand", "supply", "regions", "od_matrix"):
             value = getattr(self, name)
             if value is not None and not Path(value).is_file():
@@ -245,8 +244,7 @@ class Run:
     def plan(self):
         """``(problem, plan)``: the greedy allocation improved by local search."""
         cfg, dataset, catchment = self.cfg, self.dataset, self.catchment
-        if cfg.budget < 1:
-            raise ConfigError("optimization requires budget >= 1")
+        _integer(ConfigError, cfg.budget, "budget", 1)
         index = {sid: j for j, sid in enumerate(dataset.supply.ids)}
         candidates = list(index) if cfg.candidates is None else cfg.candidates
         missing = [c for c in candidates if not isinstance(c, str) or c not in index]
@@ -388,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--method", choices=fca.FCA_METHODS)
     p.add_argument("--per-thousand", action="store_true", help="report scores per 1000 people")
-    p.add_argument("--cost-unit", choices=COST_UNITS,
-                   help="unit of costs in an origin-destination file")
 
     for name, func, help_text in (("moran", cmd_moran, "global spatial autocorrelation"),
                                   ("lisa", cmd_lisa, "local spatial autocorrelation")):

@@ -9,6 +9,8 @@ Every overflow check of the numeric stages goes through one private helper,
 ``_finite``, which names the first record whose value is not finite; every
 whole-number argument through ``_integer``, real number through ``_real`` and
 flag through ``_flag``: the only number and bool tests outside ``cli``'s config.
+``_integer`` also holds every count's range that does not depend on the data
+(``k`` and the candidates, bounded by the site counts, keep their own errors).
 """
 
 import numpy as np
@@ -36,12 +38,18 @@ def _finite(error, compute, message: str, ids=None):
     return result
 
 
-def _integer(error, value, name: str) -> int:
-    """``value`` as an int if it is a Python or NumPy integer, else
-    ``error``: a bool, a float or a string is not taken for one."""
+def _integer(error, value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int if it is a Python or NumPy integer in [``low``,
+    ``high``] (None: no bound), else ``error``: a bool, a float or a string
+    is not taken for one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    number = int(value)
+    if low is not None and number < low:
+        raise error(f"{name} must be >= {low}, got {number}")
+    if high is not None and number > high:
+        raise error(f"{name} must be <= {high}, got {number}")
+    return number
 
 
 def _real(error, value, message: str, low: float = 0.0, closed: bool = False) -> float:

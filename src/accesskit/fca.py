@@ -141,13 +141,6 @@ class Catchment:
         )
 
 
-def step1_supply_ratios(dataset: Dataset, matrix: TravelMatrix,
-                        decay: DecaySpec) -> np.ndarray:
-    """Per-facility supply-to-captured-demand ratios R_j."""
-    catchment = Catchment("g2sfca", dataset, matrix, decay)
-    return catchment.solve(catchment.capacity)[0]
-
-
 def compute_accessibility(method: str, dataset: Dataset, matrix: TravelMatrix,
                           decay: DecaySpec) -> AccessibilityResult:
     """Run one method, named as in ``FCA_METHODS`` and the config's ``method``.

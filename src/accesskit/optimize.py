@@ -60,11 +60,9 @@ class AllocationProblem:
         # stored sorted so "smaller candidate index" tie-breaking is positional
         object.__setattr__(self, "candidates", tuple(sorted(
             _integer(InvalidProblem, c, "a candidate") for c in self.candidates)))
-        object.__setattr__(self, "budget", _integer(InvalidProblem, self.budget, "budget"))
+        object.__setattr__(self, "budget", _integer(InvalidProblem, self.budget, "budget", 0))
         if self.objective not in OBJECTIVES:
             raise InvalidProblem(f"objective must be one of {OBJECTIVES}")
-        if self.budget < 0:
-            raise InvalidProblem("budget must be >= 0")
         object.__setattr__(self, "unit_size", _real(
             NonPositiveUnitSize, self.unit_size,
             f"unit_size must be positive and finite, got {self.unit_size!r}"))
@@ -267,9 +265,6 @@ class ReallocationPlan:
     objective_after: float
     trace: tuple[float, ...] = ()
 
-    def total_units(self) -> int:
-        return sum(self.units)
-
 
 def evaluate_objective(problem: AllocationProblem, allocation) -> float:
     """Objective value after adding ``allocation`` units per candidate.
@@ -312,10 +307,10 @@ def local_search_improve(problem: AllocationProblem, plan: ReallocationPlan,
 
     Each iteration evaluates every (donor, receiver) unit move and applies
     the best one if it strictly improves the objective; stops at a local
-    optimum or after ``max_iters``, which must be an integer (InvalidProblem
-    otherwise). The result is never worse than the input plan.
+    optimum or after ``max_iters``, which must be an integer >= 0
+    (InvalidProblem otherwise). The result is never worse than the input plan.
     """
-    max_iters = _integer(InvalidProblem, max_iters, "max_iters")
+    max_iters = _integer(InvalidProblem, max_iters, "max_iters", 0)
     units = problem._check(plan.units)
     current = problem._value(units)
     trace = list(plan.trace) or [current]

@@ -33,6 +33,9 @@ from .errors import (
 )
 from .travel import _distance_rows
 
+# The most permutations a statistic takes: p-values resolve to 1e-6 at most.
+MAX_PERMUTATIONS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class SpatialWeights:
@@ -184,13 +187,10 @@ def _validate_stat_inputs(values, weights: SpatialWeights, n_permutations: int, 
     sums = weights.lag(np.ones(weights.n))  # a 1/k row misses 1 by at most k * 2**-53
     if not ((np.abs(sums - 1.0) <= 1e-9) | (np.diff(weights.indptr) == 0)).all():
         raise NotRowStandardized("statistics require every nonempty weights row to sum to 1")
-    n_permutations = _integer(InvalidStatArgument, n_permutations, "n_permutations")
-    if n_permutations < 1:
-        raise InvalidStatArgument(f"n_permutations must be >= 1, got {n_permutations}")
-    seed = _integer(InvalidStatArgument, seed, "seed")
-    if seed < 0:
-        raise InvalidStatArgument(f"seed must be a nonnegative integer, got {seed}")
-    _integer(InvalidStatArgument, threads, "threads")
+    n_permutations = _integer(InvalidStatArgument, n_permutations, "n_permutations",
+                              1, MAX_PERMUTATIONS)
+    seed = _integer(InvalidStatArgument, seed, "seed", 0)
+    _integer(InvalidStatArgument, threads, "threads", 1)
     too_large = "the values are too large: their mean or squared deviations overflow"
     z = _finite(NonFiniteValue, lambda: x - x.mean(), too_large)
     denom = float(_finite(NonFiniteValue, lambda: z @ z, too_large))

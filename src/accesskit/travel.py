@@ -42,20 +42,12 @@ class TravelMatrix:
             arr.flags.writeable = False
         object.__setattr__(self, "cost", arr)
 
-    @property
-    def n_demand(self) -> int:
-        return self.cost.shape[0]
-
-    @property
-    def n_supply(self) -> int:
-        return self.cost.shape[1]
-
     def rows(self):
         """Yield ``(lo, rows)``: read-only views of the cost rows
         ``lo:lo + len(rows)``, in blocks of about ``BLOCK`` entries, as
         ``cost_rows`` yields computed costs."""
-        step = _block_rows(self.n_supply)
-        for lo in range(0, self.n_demand, step):
+        step = _block_rows(self.cost.shape[1])
+        for lo in range(0, len(self.cost), step):
             yield lo, self.cost[lo:lo + step]
 
 

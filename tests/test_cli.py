@@ -227,6 +227,14 @@ class TestOptimize:
             assert "cli.ConfigError" in err and "budget" in err
             assert not (tmp_path / "out" / "plan.json").exists()
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_a_budget_below_1_is_named_with_its_range(self, tmp_path, capsys, budget):
+        cfg = write_files(tmp_path)
+        assert main(["optimize", "--config", str(cfg), "--budget", budget]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cli.ConfigError: budget must be >= 1, got {budget}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestReport:
     def test_full_pipeline_outputs(self, tmp_path):
@@ -491,6 +499,16 @@ def a_file(tmp_path):
                  "cli.ConfigError", None, id="moran-threads-0"),
     pytest.param(lambda t: ["lisa"] + moran_argv(t, VALUES)[1:] + ["--threads", "0"],
                  "cli.ConfigError", None, id="lisa-threads-0"),
+    # a permutation count past spatial_stats.MAX_PERMUTATIONS, at one and two threads
+    *(pytest.param(lambda t, argv=argv, threads=threads: argv(t) + ["--threads", threads],
+                   "spatial_stats.InvalidStatArgument", None, id=f"{name}-threads-{threads}")
+      for name, argv in (
+          ("moran-perms-10**30", lambda t: moran_argv(t, VALUES) + ["--perms", str(10**30)]),
+          ("lisa-perms-10**15",
+           lambda t: ["lisa"] + moran_argv(t, VALUES)[1:] + ["--perms", str(10**15)]),
+          ("report-config-permutations-2**63",
+           lambda t: report_argv(t, permutations=2**63)[:3]))
+      for threads in ("1", "2")),
     pytest.param(lambda t: report_argv(t, decay={"kind": "zonal", "zones": ["a", 20, 30],
                                                  "weights": [1, 0.5, 0.2]}),
                  "cli.ConfigError", None, id="config-zones-text-entry"),
@@ -1023,7 +1041,7 @@ BAD_FLAGS = {
     "--epsilon": (("hrad",), ("-1", "nan", "inf")),
     "--band": (("moran", "lisa"), ("0", "-1", "nan", "inf")),
     "--knn": (("moran", "lisa"), ("0", "-1", str(CITY["n_demand"]), "1000")),
-    "--perms": (("moran", "lisa", "report"), ("0", "-5")),
+    "--perms": (("moran", "lisa", "report"), ("0", "-5", "1000001", str(10**30))),
     "--seed": (("lisa", "report"), ("-1",)),
     "--budget": (("optimize",), ("0", "-3")),
     "--unit-size": (("optimize",), ("0", "-1", "nan", "inf")),

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from accesskit import spatial_stats
 from accesskit.cli import RunConfig
 from accesskit.data_model import Dataset, DemandSite, Region, SupplySite, load_values
 from accesskit.decay import DecaySpec
@@ -17,8 +18,10 @@ from accesskit.errors import (
     NonPositiveUnitSize, OutOfRangeCoordinate,
 )
 from accesskit.fca import Catchment
-from accesskit.optimize import AllocationProblem, evaluate_objective, greedy_allocate, plan_json_dict
-from accesskit.spatial_stats import build_weights, morans_i
+from accesskit.optimize import (
+    AllocationProblem, evaluate_objective, greedy_allocate, local_search_improve, plan_json_dict,
+)
+from accesskit.spatial_stats import MAX_PERMUTATIONS, build_weights, lisa, morans_i
 from accesskit.travel import TravelMatrix, build_travel_matrix, cost_rows
 
 from helpers import dataset_with_matrix
@@ -72,7 +75,7 @@ def line_string_values(tmp_path):
                  InvalidStatArgument, "values must be a length-4 vector", id="moran-values-short"),
     pytest.param(lambda t: problem(objective="max_access"), InvalidProblem,
                  "objective must be one of", id="problem-objective-unknown"),
-    pytest.param(lambda t: problem(budget=-1), InvalidProblem, "budget must be >= 0",
+    pytest.param(lambda t: problem(budget=-1), InvalidProblem, "budget must be >= 0, got -1",
                  id="problem-budget-negative"),
     pytest.param(lambda t: evaluate_objective(problem(), [2, -1]), InfeasibleAllocation,
                  "unit counts must be nonnegative", id="objective-negative-units"),
@@ -125,6 +128,57 @@ def test_a_malformed_argument_raises_its_class(tmp_path, call, error, start):
         call(tmp_path)
     assert type(raised.value) is error
     assert str(raised.value).startswith(start)
+
+
+def on_square(statistic, **count):
+    """``statistic`` on four values of the square's 2-nearest-neighbour weights."""
+    return statistic([1.0, 2.0, 3.0, 4.0], build_weights(SQUARE, k=2), **count)
+
+
+def local_search(max_iters):
+    allocation = problem()
+    return local_search_improve(allocation, greedy_allocate(allocation), max_iters)
+
+
+# Each count argument: how to pass it a value, its error class, and each value
+# out of its range with the start of its message. Only the permutation count
+# has an upper end.
+ABOVE_THE_CAP = f"n_permutations must be <= {MAX_PERMUTATIONS}, got "
+COUNT_ARGUMENTS = [
+    *((f"{statistic.__name__}-{name}", call, InvalidStatArgument, bad)
+      for statistic in (morans_i, lisa)
+      for name, call, bad in (
+          ("n-permutations", lambda v, s=statistic: on_square(s, n_permutations=v),
+           ((0, "n_permutations must be >= 1, got 0"),
+            (MAX_PERMUTATIONS + 1, ABOVE_THE_CAP + str(MAX_PERMUTATIONS + 1)),
+            (2**63, ABOVE_THE_CAP + str(2**63)), (10**30, ABOVE_THE_CAP + str(10**30)))),
+          ("seed", lambda v, s=statistic: on_square(s, seed=v),
+           ((-1, "seed must be >= 0, got -1"),)),
+          ("threads", lambda v, s=statistic: on_square(s, threads=v),
+           ((0, "threads must be >= 1, got 0"),)))),
+    ("max-iters", local_search, InvalidProblem, ((-1, "max_iters must be >= 0, got -1"),)),
+    ("cli-threads", lambda v: validated(threads=v), ConfigError,
+     ((0, "threads must be >= 1, got 0"),)),
+]
+
+
+@pytest.mark.parametrize("call, value, error, start", [
+    pytest.param(call, value, error, start, id=f"{name}-{value}")
+    for name, call, error, bad in COUNT_ARGUMENTS for value, start in bad])
+def test_a_count_out_of_its_range_raises_its_class(call, value, error, start):
+    with pytest.raises(error) as raised:
+        call(value)
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(start)
+
+
+def test_the_permutation_cap_is_taken_and_one_more_is_refused(monkeypatch):
+    monkeypatch.setattr(spatial_stats, "MAX_PERMUTATIONS", 9)
+    for statistic in (morans_i, lisa):
+        assert on_square(statistic, n_permutations=9).n_permutations == 9
+        with pytest.raises(InvalidStatArgument) as raised:
+            on_square(statistic, n_permutations=10)
+        assert str(raised.value) == "n_permutations must be <= 9, got 10"
 
 
 REGIONS = [Region("r0", 10.0, 20.0, 5.0), Region("r1", 90.0, 80.0, 5.0)]

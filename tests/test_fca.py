@@ -10,7 +10,7 @@ from accesskit.errors import (
     DimensionMismatch, FcaError, NegativeCost, NonFiniteCapture, NonFiniteScore, WrongDecayKind,
 )
 from accesskit.fca import (
-    FCA_METHODS, Catchment, compute_accessibility, scores_csv_text, step1_supply_ratios,
+    FCA_METHODS, Catchment, compute_accessibility, scores_csv_text,
 )
 from accesskit.travel import TravelMatrix, build_travel_matrix, cost_rows
 
@@ -31,12 +31,12 @@ def halving_instance():
 class TestStep1:
     def test_hand_ratio(self):
         ds, m = halving_instance()
-        ratios = step1_supply_ratios(ds, m, HALVING)
+        ratios = compute_accessibility("g2sfca", ds, m, HALVING).supply_ratios
         assert ratios[0] == pytest.approx(0.04, rel=1e-12)
 
     def test_unreachable_supply_gets_zero_and_warning(self):
         ds, m = dataset_with_matrix([100], [10], [[50.0]])
-        ratios = step1_supply_ratios(ds, m, HALVING)
+        ratios = compute_accessibility("g2sfca", ds, m, HALVING).supply_ratios
         assert ratios[0] == 0.0
         result = compute_accessibility("g2sfca", ds, m, HALVING)
         assert result.warnings == ("h0",)
@@ -44,13 +44,14 @@ class TestStep1:
 
     def test_single_pair(self):
         ds, m = dataset_with_matrix([1], [5], [[0.0]])
-        assert step1_supply_ratios(ds, m, HALVING)[0] == pytest.approx(5.0)
+        ratios = compute_accessibility("g2sfca", ds, m, HALVING).supply_ratios
+        assert ratios[0] == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
         ds, _ = halving_instance()
         bad = TravelMatrix(cost=np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
-            step1_supply_ratios(ds, bad, HALVING)
+            compute_accessibility("g2sfca", ds, bad, HALVING)
 
     def test_overflowing_captured_demand_raises(self):
         # each population is finite; h1's captured demand is not, h0's is

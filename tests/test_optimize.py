@@ -159,7 +159,7 @@ class TestGreedy:
         for _ in range(20):
             problem = random_problem(rng)
             plan = greedy_allocate(problem)
-            assert plan.total_units() == problem.budget
+            assert sum(plan.units) == problem.budget
 
     def test_trace_monotone_for_max_min_access(self):
         rng = np.random.default_rng(84)
