@@ -178,7 +178,8 @@ class _SiteTable(Sequence):
     A subclass is a frozen dataclass whose fields are ``ids``, ``xy`` and
     then ``COLUMNS``, the record's fields after ``id``, ``x`` and ``y``.
     Its columns are read-only arrays; every site in them satisfies the
-    record's ``RULES``, which the table tests a column at a time.
+    record's ``RULES``, which the table tests a column at a time, and its
+    ids are unique, which only the table checks.
     """
 
     __slots__ = ()
@@ -211,6 +212,7 @@ class _SiteTable(Sequence):
             ok &= np.isfinite(column) & np.where(closed, low <= column, low < column)
         for k in np.flatnonzero(~ok).tolist():
             self[k]  # the record's constructor raises its own error
+        _check_unique(self.ids, self.RECORD.KIND)
         for column in (self.xy, *self._columns()):
             column.flags.writeable = False
 
@@ -287,8 +289,8 @@ class Dataset:
     """Immutable bundle of demand and supply sites plus optional regions.
 
     ``demand`` and ``supply`` may be given as tables or as records; they
-    are kept as tables. Ids must be unique, and coordinates must be of
-    ``coord_kind``, which both checks test over the columns.
+    are kept as tables, which check their ids. Region ids must be unique,
+    and coordinates of ``coord_kind``, which is tested over the columns.
     """
 
     demand: DemandTable
@@ -304,9 +306,7 @@ class Dataset:
         _kind(self.coord_kind)
         if not self.demand or not self.supply:
             raise NoRecords("dataset needs at least one demand and one supply site")
-        for label, ids in (("demand", self.demand.ids), ("supply", self.supply.ids),
-                           ("region", [r.id for r in self.regions or ()])):
-            _check_unique(ids, label)
+        _check_unique([r.id for r in self.regions or ()], Region.KIND)
         for label, sites in (("demand", self.demand), ("supply", self.supply)):
             _check_xy(sites.xy, self.coord_kind, lambda k: f"{label} {sites.ids[k]!r}")
 
@@ -558,7 +558,6 @@ def _load_sites(path, table, coord_kind: str):
     def build(ids, x, y, values):  # the table's constructor runs its own checks
         xy = np.column_stack([x, y])
         _check_xy(xy, coord_kind)
-        _check_unique(ids, table.RECORD.KIND)
         return table(ids, xy, values)
 
     return _load_table(

@@ -24,7 +24,7 @@ import numpy as np
 from .data_model import Dataset, _csv_text
 from .decay import DecaySpec, evaluate_decay
 from .errors import DimensionMismatch, NonFiniteCapture, NonFiniteScore, WrongDecayKind, _finite
-from .travel import TravelMatrix, _check_costs
+from .travel import _check_costs
 
 
 def _binary_at_d0(decay: DecaySpec) -> DecaySpec:
@@ -75,12 +75,12 @@ class Catchment:
     The decay is evaluated once. What is kept is the method, the dataset and
     the decay it applies, the demand each facility captures,
     sum_k D_k f(d_kj), and the step-2 assignment weights (f, or f*f for
-    m2sfca), but not the travel costs. ``costs`` is a ``TravelMatrix`` or the
-    ``(lo, rows)`` cost blocks of ``travel.cost_rows``; either way each block
-    is turned into weights as it comes, so the weights are the only N x M
-    array built here. ``solve`` maps any capacity vector, the dataset's own
-    ``capacity`` or a reallocated one, to ratios and scores, so the library
-    and the optimizer share one step 1 and one step 2.
+    m2sfca), but not the travel costs. ``costs`` is any ``(lo, rows)``
+    stream of cost blocks, ``travel.cost_rows`` or a travel matrix; each
+    block is turned into weights as it comes, so the weights are the only
+    N x M array built here. ``solve`` maps any capacity vector, the
+    dataset's own ``capacity`` or a reallocated one, to ratios and scores,
+    so the library and the optimizer share one step 1 and one step 2.
     """
 
     def __init__(self, method: str, dataset: Dataset, costs, decay: DecaySpec):
@@ -91,7 +91,7 @@ class Catchment:
         n, m = len(dataset.demand), len(dataset.supply)
         weights = np.empty((n, m))
         covered = 0
-        for lo, rows in costs.rows() if isinstance(costs, TravelMatrix) else costs:
+        for lo, rows in costs:
             rows = np.asarray(rows, dtype=float)
             if rows.ndim != 2 or rows.shape[1] != m or lo != covered or lo + len(rows) > n:
                 raise DimensionMismatch(f"cost rows of shape {rows.shape} from row {lo} do not "
@@ -141,11 +141,11 @@ class Catchment:
         )
 
 
-def compute_accessibility(method: str, dataset: Dataset, matrix: TravelMatrix,
+def compute_accessibility(method: str, dataset: Dataset, matrix,
                           decay: DecaySpec) -> AccessibilityResult:
-    """Run one method, named as in ``FCA_METHODS`` and the config's ``method``.
-    ``matrix`` may also be the ``(lo, rows)`` cost blocks of ``travel.cost_rows``,
-    as ``Catchment`` takes them. See ``Catchment.accessibility``.
+    """Run one method, named as in ``FCA_METHODS`` and the config's ``method``,
+    on the cost blocks of ``matrix``, as ``Catchment`` takes them. See
+    ``Catchment.accessibility``.
 
     g2sfca    A_i = sum_j f(d_ij) S_j / sum_k D_k f(d_kj) for any decay f; the
               binary, zonal and continuous variants are this with another f

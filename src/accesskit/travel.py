@@ -42,7 +42,7 @@ class TravelMatrix:
             arr.flags.writeable = False
         object.__setattr__(self, "cost", arr)
 
-    def rows(self):
+    def __iter__(self):
         """Yield ``(lo, rows)``: read-only views of the cost rows
         ``lo:lo + len(rows)``, in blocks of about ``BLOCK`` entries, as
         ``cost_rows`` yields computed costs."""

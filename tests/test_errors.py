@@ -9,7 +9,9 @@ import pytest
 
 from accesskit import spatial_stats
 from accesskit.cli import RunConfig
-from accesskit.data_model import Dataset, DemandSite, Region, SupplySite, load_values
+from accesskit.data_model import (
+    Dataset, DemandSite, DemandTable, Region, SupplySite, SupplyTable, load_values,
+)
 from accesskit.decay import DecaySpec
 from accesskit.equity import classify, gini, hrad, hrad_vs_population
 from accesskit.errors import (
@@ -105,6 +107,13 @@ def line_string_values(tmp_path):
                  "duplicate supply id 'h'", id="dataset-duplicate-supply-id"),
     pytest.param(lambda t: sites(regions=[Region("r", 1.0, 1.0), Region("r", 2.0, 2.0)]),
                  DuplicateId, "duplicate region id 'r'", id="dataset-duplicate-region-id"),
+    pytest.param(lambda t: DemandTable(("a", "a"), [(0.0, 0.0)] * 2, [1.0, 1.0]), DuplicateId,
+                 "duplicate demand id 'a'", id="demand-table-duplicate-id"),
+    pytest.param(lambda t: SupplyTable(("h", "b", "h"), [(0.0, 0.0)] * 3, [1.0] * 3),
+                 DuplicateId, "duplicate supply id 'h'", id="supply-table-duplicate-id"),
+    # the tables are built first, so a repeated id comes before an empty table or a bad kind
+    pytest.param(lambda t: sites(demand=(("a", 0.0, 0.0),) * 2, supply=(), coord_kind="polar"),
+                 DuplicateId, "duplicate demand id 'a'", id="dataset-duplicate-id-first"),
     pytest.param(lambda t: sites(demand=(("a", 0.0, 0.0), ("b", -180.5, 0.0))),
                  OutOfRangeCoordinate, "demand 'b': lon -180.5 outside [-180, 180]",
                  id="dataset-lon-out-of-range"),

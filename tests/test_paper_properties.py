@@ -4,15 +4,20 @@ Each example seeds ``helpers.random_instance``: a planar city whose decay
 cutoff may leave some demand sites and some facilities out of reach.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from accesskit.data_model import Region
 from accesskit.decay import DecaySpec
-from accesskit.equity import hrad
-from accesskit.fca import compute_accessibility
+from accesskit.equity import gini, hrad
+from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility
+from accesskit.optimize import (
+    OBJECTIVES, AllocationProblem, greedy_allocate, local_search_improve,
+)
 
 from helpers import random_instance
 
@@ -71,3 +76,37 @@ def test_hrad_area_weighted_mean_is_one(case, n_strips):
     regions = [Region(f"r{i}", float(a), float(r)) for i, (a, r) in enumerate(zip(area, resource))]
     degrees = np.array([rec.hrad for rec in hrad(regions).records])
     assert area @ degrees / area.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("method", FCA_METHODS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), all_reachable=st.booleans())
+def test_a_power_of_two_population_scale_changes_the_numbers_never_the_plan(
+        method, objective, seed, all_reachable):
+    # the premise of the benchmark's seeds, which scale every population by
+    # 2**k: every score scales by 2**-k exactly, and the Gini and the plan stay
+    rng = np.random.default_rng(seed)
+    ds, matrix, decay = random_instance(
+        rng, all_reachable=all_reachable,
+        kinds=("zonal",) if method == "e2sfca" else ("binary", "gaussian", "zonal"))
+    candidates = tuple(np.flatnonzero(rng.random(len(ds.supply)) < 0.7).tolist()) or (0,)
+    budget, unit_size = int(rng.integers(1, 6)), float(rng.uniform(1.0, 500.0))
+    pop = ds.demand.population
+    assume((compute_accessibility(method, ds, matrix, decay).scores[pop > 0] > 0).any())
+
+    def run(k):
+        scaled = replace(ds, demand=[replace(s, population=s.population * 2.0**k)
+                                     for s in ds.demand])
+        catchment = Catchment(method, scaled, matrix, decay)
+        problem = AllocationProblem(catchment, budget, candidates, unit_size, objective)
+        scores = catchment.accessibility().scores
+        plan = local_search_improve(problem, greedy_allocate(problem))
+        return scores, gini(scores[pop > 0], pop[pop > 0] * 2.0**k), plan.units
+
+    scores, g, units = run(0)
+    for k in range(-3, 4):
+        scaled_scores, scaled_g, scaled_units = run(k)
+        assert np.array_equal(scaled_scores * 2.0**k, scores)
+        assert scaled_g == g
+        assert scaled_units == units

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from accesskit import data_model, travel
-from accesskit.data_model import Dataset, DemandSite, SupplySite
+from accesskit.data_model import Dataset, DemandSite, DemandTable, SupplySite, SupplyTable
 from accesskit.errors import (
-    DuplicatePair, MalformedRow, NegativeCost, NonPositiveSpeed, UnknownId,
+    DuplicateId, DuplicatePair, MalformedRow, NegativeCost, NonPositiveSpeed, UnknownId,
 )
 from accesskit.travel import (
     EARTH_RADIUS_KM,
@@ -242,6 +242,23 @@ class TestLoadOdMatrix:
         path.write_text("demand_id,supply_id,cost\nd0,h0,-2\n")
         with pytest.raises(NegativeCost):
             load_od_matrix(path, demand, supply)
+
+    @pytest.mark.parametrize("demand_of, supply_of", [(list, list),
+                                                      (DemandTable.of, SupplyTable.of)],
+                             ids=["records", "tables"])
+    @pytest.mark.parametrize("demand_ids, supply_ids, message", [
+        pytest.param(("a", "a", "b"), ("h",), "duplicate demand id 'a'", id="demand-aab"),
+        pytest.param(("a", "b", "a"), ("h",), "duplicate demand id 'a'", id="demand-aba"),
+        pytest.param(("a",), ("h", "h"), "duplicate supply id 'h'", id="supply-hh"),
+    ])
+    def test_repeated_site_id(self, tmp_path, demand_of, supply_of, demand_ids, supply_ids,
+                              message):
+        path = tmp_path / "od.csv"
+        path.write_text("demand_id,supply_id,cost\na,h,1\n")
+        with pytest.raises(DuplicateId) as raised:  # a table refuses them as it is built
+            load_od_matrix(path, demand_of(DemandSite(i, 0.0, 0.0, 1.0) for i in demand_ids),
+                           supply_of(SupplySite(i, 0.0, 0.0, 1.0) for i in supply_ids))
+        assert str(raised.value) == message and raised.value.code == "data_model.DuplicateId"
 
     def test_memory_is_the_matrix_and_the_rows(self, tmp_path):
         # 1000 x 300 with one pair in 20 listed: the matrix, taken over without
