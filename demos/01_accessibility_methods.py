@@ -8,12 +8,12 @@ zoned, Gaussian, and configuration-discounting variants on the same data.
 import numpy as np
 
 from accesskit import (
+    Catchment,
     Dataset,
     DecaySpec,
     DemandSite,
     SupplySite,
     build_travel_matrix,
-    compute_accessibility,
 )
 
 # --- a three-neighborhood town (planar coordinates, meters) ---------------
@@ -39,8 +39,8 @@ print(np.round(matrix.cost, 1))
 # --- step 1: how crowded is each clinic? -----------------------------------
 
 gaussian = DecaySpec("gaussian", d0=30.0, beta=180.0)
-# step 1's ratios are part of every method's result
-ratios = compute_accessibility("g2sfca", town, matrix, gaussian).supply_ratios
+# step 1's ratios are part of every method's catchment
+ratios = Catchment("g2sfca", town, matrix, gaussian).supply_ratios
 print("\nper-clinic capacity over decay-weighted demand (step 1):")
 for site, r in zip(town.supply, ratios):
     print(f"  {site.id}: {r:.6f} units/person")
@@ -50,20 +50,20 @@ for site, r in zip(town.supply, ratios):
 zonal = DecaySpec("zonal", zones=[10, 20, 30], weights=[1.0, 0.68, 0.22])
 # a method is named as the config's "method" names it; two_sfca takes only
 # the decay's d0, here the Gaussian's 30 minutes
-results = {
-    "two_sfca (binary, 30 min)": compute_accessibility("two_sfca", town, matrix, gaussian),
-    "e2sfca (zones 10/20/30)": compute_accessibility("e2sfca", town, matrix, zonal),
-    "g2sfca (gaussian)": compute_accessibility("g2sfca", town, matrix, gaussian),
-    "m2sfca (gaussian)": compute_accessibility("m2sfca", town, matrix, gaussian),
+catchments = {
+    "two_sfca (binary, 30 min)": Catchment("two_sfca", town, matrix, gaussian),
+    "e2sfca (zones 10/20/30)": Catchment("e2sfca", town, matrix, zonal),
+    "g2sfca (gaussian)": Catchment("g2sfca", town, matrix, gaussian),
+    "m2sfca (gaussian)": Catchment("m2sfca", town, matrix, gaussian),
 }
 
 print("\naccessibility per 1000 people:")
-header = f"{'neighborhood':<12}" + "".join(f"{name:>28}" for name in results)
+header = f"{'neighborhood':<12}" + "".join(f"{name:>28}" for name in catchments)
 print(header)
 for i, site in enumerate(town.demand):
     row = f"{site.id:<12}"
-    for result in results.values():
-        row += f"{1000 * result.scores[i]:>28.3f}"
+    for catchment in catchments.values():
+        row += f"{1000 * catchment.scores[i]:>28.3f}"
     print(row)
 
 # The generalized form conserves supply: decay-weighted demand times scores
@@ -72,6 +72,6 @@ for i, site in enumerate(town.demand):
 pop = town.demand.population  # a dataset keeps its sites as columns
 total = town.supply.capacity.sum()
 for name in ("g2sfca (gaussian)", "m2sfca (gaussian)"):
-    captured = float(pop @ results[name].scores)
+    captured = float(pop @ catchments[name].scores)
     print(f"\n{name}: captured {captured:.3f} of {total} capacity units "
           f"({captured / total:.1%})")

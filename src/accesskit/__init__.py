@@ -28,7 +28,7 @@ from .data_model import (
 )
 from .decay import DecaySpec, evaluate_decay
 from .equity import HradResult, RegionEquity, gini, hrad, hrad_vs_population
-from .fca import AccessibilityResult, Catchment, compute_accessibility
+from .fca import Catchment
 from .optimize import (
     AllocationProblem,
     ReallocationPlan,
@@ -58,7 +58,6 @@ from .travel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessibilityResult",
     "AllocationProblem",
     "Catchment",
     "Dataset",
@@ -79,7 +78,6 @@ __all__ = [
     "brute_force_allocate",
     "build_travel_matrix",
     "build_weights",
-    "compute_accessibility",
     "cost_rows",
     "errors",
     "evaluate_decay",

@@ -187,10 +187,12 @@ class Run:
 
     @cached_property
     def access(self):
-        result = self.catchment.accessibility()
-        for sid in result.warnings:
+        """The catchment, its scores read so that an overflow comes before any warning."""
+        catchment = self.catchment
+        catchment.scores
+        for sid in catchment.warnings:
             print(f"warning: supply {sid} captures no demand", file=sys.stderr)
-        return result
+        return catchment
 
     @cached_property
     def units(self):
@@ -272,7 +274,7 @@ def _json_text(obj) -> str:
 # --- commands: each returns its output files {name: text} and its stdout line
 
 def cmd_access(run):
-    text = fca.scores_csv_text(run.access, run.dataset, per_thousand=run.cfg.per_thousand)
+    text = fca.scores_csv_text(run.access, per_thousand=run.cfg.per_thousand)
     return ({"scores.csv": text}, f"wrote {run.out / 'scores.csv'} "
             f"({run.cfg.method}, {len(run.dataset.demand)} sites)")
 

@@ -17,7 +17,7 @@ twice (m2sfca, which discounts for suboptimal facility configuration and
 therefore captures at most the total supply).
 """
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,25 +52,22 @@ _METHODS = {
 FCA_METHODS = tuple(_METHODS)
 
 
-@dataclass(frozen=True, eq=False)
-class AccessibilityResult:
-    """Per-demand scores A_i and per-supply ratios R_j for one method run."""
-
-    method: str
-    decay: DecaySpec
-    scores: np.ndarray
-    supply_ratios: np.ndarray
-    warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        for name in ("scores", "supply_ratios"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
 class Catchment:
-    """The part of one method's run on one dataset that capacity does not change.
+    """One method's run on one dataset: the one step 1 and step 2 that the
+    library and the optimizer share.
+
+    ``method`` is named as in ``FCA_METHODS`` and the config's ``method``:
+
+    g2sfca    A_i = sum_j f(d_ij) S_j / sum_k D_k f(d_kj) for any decay f; the
+              binary, zonal and continuous variants are this with another f
+    two_sfca  g2sfca with the binary decay at the given decay's d0, whatever
+              its kind: weight 1 within d0, 0 beyond
+    e2sfca    g2sfca with a zonal decay (zone weights conventionally from a
+              Gaussian, see ``DecaySpec``); another kind is WrongDecayKind
+    m2sfca    A_i = sum_j f(d_ij)^2 S_j / sum_k D_k f(d_kj): the weight applies
+              again on assignment, so the captured total sum_i D_i A_i falls
+              short of the total supply unless every active weight is 1; the
+              gap measures how far the layout is from an ideal configuration
 
     The decay is evaluated once. What is kept is the method, the dataset and
     the decay it applies, the demand each facility captures,
@@ -79,8 +76,13 @@ class Catchment:
     stream of cost blocks, ``travel.cost_rows`` or a travel matrix; each
     block is turned into weights as it comes, so the weights are the only
     N x M array built here. ``solve`` maps any capacity vector, the
-    dataset's own ``capacity`` or a reallocated one, to ratios and scores,
-    so the library and the optimizer share one step 1 and one step 2.
+    dataset's own ``capacity`` or a reallocated one, to ratios and scores.
+
+    ``scores`` (A_i, resource units per person) and ``supply_ratios`` (R_j)
+    are ``solve(dataset.supply.capacity)``, computed on first read and kept
+    read-only, so NonFiniteScore is raised when they are first read, not
+    here. A facility whose decay-weighted demand is zero sits outside
+    everyone's catchment; it gets ratio 0 and its id is in ``warnings``.
     """
 
     def __init__(self, method: str, dataset: Dataset, costs, decay: DecaySpec):
@@ -127,42 +129,26 @@ class Catchment:
                          "large for the demand they serve", self.dataset.demand.ids)
         return ratios, scores
 
-    def accessibility(self) -> AccessibilityResult:
-        """Ratios and scores at the dataset's own capacities.
-
-        A facility whose decay-weighted demand is zero sits outside everyone's
-        catchment; it gets ratio 0 and its id is reported as a warning.
-        """
+    @cached_property
+    def _at_capacity(self) -> tuple[np.ndarray, np.ndarray]:
         ratios, scores = self.solve(self.capacity)
-        zero_capture = tuple(self.dataset.supply.ids[j] for j in np.flatnonzero(~self.reached))
-        return AccessibilityResult(
-            method=self.method, decay=self.decay, scores=scores,
-            supply_ratios=ratios, warnings=zero_capture,
-        )
+        ratios.flags.writeable = scores.flags.writeable = False
+        return ratios, scores
+
+    @property
+    def supply_ratios(self) -> np.ndarray:
+        return self._at_capacity[0]
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self._at_capacity[1]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(self.dataset.supply.ids[j] for j in np.flatnonzero(~self.reached))
 
 
-def compute_accessibility(method: str, dataset: Dataset, matrix,
-                          decay: DecaySpec) -> AccessibilityResult:
-    """Run one method, named as in ``FCA_METHODS`` and the config's ``method``,
-    on the cost blocks of ``matrix``, as ``Catchment`` takes them. See
-    ``Catchment.accessibility``.
-
-    g2sfca    A_i = sum_j f(d_ij) S_j / sum_k D_k f(d_kj) for any decay f; the
-              binary, zonal and continuous variants are this with another f
-    two_sfca  g2sfca with the binary decay at the given decay's d0, whatever
-              its kind: weight 1 within d0, 0 beyond
-    e2sfca    g2sfca with a zonal decay (zone weights conventionally from a
-              Gaussian, see ``DecaySpec``); another kind is WrongDecayKind
-    m2sfca    A_i = sum_j f(d_ij)^2 S_j / sum_k D_k f(d_kj): the weight applies
-              again on assignment, so the captured total sum_i D_i A_i falls
-              short of the total supply unless every active weight is 1; the
-              gap measures how far the layout is from an ideal configuration
-    """
-    return Catchment(method, dataset, matrix, decay).accessibility()
-
-
-def scores_csv_text(result: AccessibilityResult, dataset: Dataset,
-                    per_thousand: bool = False) -> str:
+def scores_csv_text(catchment: Catchment, per_thousand: bool = False) -> str:
     """Scores as CSV ``demand_id,score``, optionally inflated 1000x."""
-    scores = (result.scores * (1000.0 if per_thousand else 1.0)).tolist()
-    return _csv_text(("demand_id", "score"), zip(dataset.demand.ids, scores))
+    scores = (catchment.scores * (1000.0 if per_thousand else 1.0)).tolist()
+    return _csv_text(("demand_id", "score"), zip(catchment.dataset.demand.ids, scores))

@@ -118,7 +118,7 @@ class LisaResult:
 
 
 def build_weights(locations, *, k: int | None = None, band: float | None = None,
-                  coord_kind: str = "planar") -> SpatialWeights:
+                  coord_kind: str) -> SpatialWeights:
     """Construct row-standardized k-nearest-neighbor or distance-band weights.
 
     Parameters

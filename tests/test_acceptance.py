@@ -15,7 +15,7 @@ from accesskit.cli import main
 from accesskit.data_model import Region
 from accesskit.decay import DecaySpec
 from accesskit.equity import classify, hrad
-from accesskit.fca import compute_accessibility
+from accesskit.fca import Catchment
 from accesskit.optimize import (
     brute_force_allocate,
     greedy_allocate,
@@ -35,7 +35,7 @@ def test_c1_conservation_sweep():
         ds, matrix, decay = random_instance(
             rng, max_demand=200, max_supply=20, all_reachable=True,
             kinds=("binary", "gaussian", "zonal"))
-        result = compute_accessibility("g2sfca", ds, matrix, decay)
+        result = Catchment("g2sfca", ds, matrix, decay)
         assert not result.warnings
         demand_pop = np.array([s.population for s in ds.demand])
         total_supply = sum(s.capacity for s in ds.supply)
@@ -51,11 +51,10 @@ def test_c2_method_collapse_identities():
     for _ in range(100):
         ds, matrix, _ = random_instance(rng)
         d0 = float(matrix.cost.max() * rng.uniform(0.3, 1.2) + 1e-9)
-        base = compute_accessibility("two_sfca", ds, matrix, DecaySpec("binary", d0))
-        via_g = compute_accessibility("g2sfca", ds, matrix, DecaySpec("binary", d0))
-        via_e = compute_accessibility("e2sfca", ds, matrix,
-                                      DecaySpec("zonal", zones=[d0], weights=[1.0]))
-        via_m = compute_accessibility("m2sfca", ds, matrix, DecaySpec("binary", d0))
+        base = Catchment("two_sfca", ds, matrix, DecaySpec("binary", d0))
+        via_g = Catchment("g2sfca", ds, matrix, DecaySpec("binary", d0))
+        via_e = Catchment("e2sfca", ds, matrix, DecaySpec("zonal", zones=[d0], weights=[1.0]))
+        via_m = Catchment("m2sfca", ds, matrix, DecaySpec("binary", d0))
         for other in (via_g, via_e, via_m):
             assert np.array_equal(base.scores, other.scores)
             assert np.array_equal(base.supply_ratios, other.supply_ratios)
@@ -66,8 +65,8 @@ def test_c3_m2sfca_dominance_and_configuration_gap():
     rng = np.random.default_rng(1003)
     for _ in range(100):
         ds, matrix, decay = random_instance(rng, kinds=("gaussian", "zonal", "binary"))
-        a = compute_accessibility("m2sfca", ds, matrix, decay).scores
-        b = compute_accessibility("g2sfca", ds, matrix, decay).scores
+        a = Catchment("m2sfca", ds, matrix, decay).scores
+        b = Catchment("g2sfca", ds, matrix, decay).scores
         assert (a <= b + 1e-15).all()
 
     # well-configured: every active weight is essentially 1
@@ -81,7 +80,7 @@ def test_c3_m2sfca_dominance_and_configuration_gap():
     km = np.sqrt((diff * diff).sum(axis=2)) / 1000.0
     ds, matrix = dataset_with_matrix(pops, caps, km)
     near_one = DecaySpec("gaussian", d0=float(km.max()) + 1.0, beta=1e10)
-    res = compute_accessibility("m2sfca", ds, matrix, near_one)
+    res = Catchment("m2sfca", ds, matrix, near_one)
     captured = float(pops @ res.scores)
     assert captured == pytest.approx(caps.sum(), rel=1e-6)
 
@@ -93,7 +92,7 @@ def test_c3_m2sfca_dominance_and_configuration_gap():
     ds2, matrix2 = dataset_with_matrix(
         rng2.uniform(10, 500, size=n_d), rng2.uniform(5, 50, size=n_s), cost)
     poor = DecaySpec("gaussian", d0=d_star + 1.0, beta=beta)
-    res2 = compute_accessibility("m2sfca", ds2, matrix2, poor)
+    res2 = Catchment("m2sfca", ds2, matrix2, poor)
     pops2 = np.array([s.population for s in ds2.demand])
     total2 = sum(s.capacity for s in ds2.supply)
     deficit = 1.0 - float(pops2 @ res2.scores) / total2
@@ -205,7 +204,7 @@ def test_c8_fca_double_loop_oracle():
         ds, matrix, decay = random_instance(
             rng, max_demand=6, max_supply=4, all_reachable=False,
             kinds=("binary", "gaussian", "exponential", "power", "zonal"))
-        got = compute_accessibility("g2sfca", ds, matrix, decay).scores
+        got = Catchment("g2sfca", ds, matrix, decay).scores
         want, ratios = oracle_g2sfca(
             [s.population for s in ds.demand],
             [s.capacity for s in ds.supply],

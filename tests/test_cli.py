@@ -89,6 +89,22 @@ class TestAccess:
         cfg = write_files(tmp_path)
         assert main(["access", "--config", str(cfg), "--method", "m2sfca"]) == 0
 
+    def test_an_overflow_is_the_only_line_before_any_zero_capture_warning(self, tmp_path, capsys):
+        # h0's ratio overflows and h1, 9000 km out, captures no demand; the
+        # catchment's scores are read before its warnings are printed
+        (tmp_path / "demand.csv").write_text(
+            "id,x,y,population\nd0,0,0,1e-200\nd1,100,0,1e-200\n", encoding="utf-8")
+        (tmp_path / "supply.csv").write_text(
+            "id,x,y,capacity\nh0,0,0,1e200\nh1,9000000,0,1\n", encoding="utf-8")
+        config = {"coord_kind": "planar", "demand": "demand.csv", "supply": "supply.csv",
+                  "decay": {"kind": "gaussian", "d0": 30.0, "beta": 180.0}, "out": "out"}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["access", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: fca.NonFiniteScore: supply 'h0': ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_path_reported(self, tmp_path, capsys):
         cfg = write_files(tmp_path, extra={"demand": "nope.csv"})
         assert main(["access", "--config", str(cfg)]) == 2

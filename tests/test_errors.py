@@ -65,15 +65,17 @@ def line_string_values(tmp_path):
 
 
 @pytest.mark.parametrize("call, error, start", [
-    pytest.param(lambda t: build_weights([1.0, 2.0, 3.0], k=1), InvalidStatArgument,
-                 "locations must be an (n, 2) array", id="weights-locations-not-n-by-2"),
-    pytest.param(lambda t: build_weights([(0.0, 0.0)], band=1.0), InvalidStatArgument,
-                 "need at least 2 locations", id="weights-one-location"),
-    pytest.param(lambda t: build_weights(SQUARE, k=2, band=1.0), InvalidStatArgument,
-                 "give exactly one of k or band", id="weights-k-and-band"),
-    pytest.param(lambda t: build_weights(SQUARE), InvalidStatArgument,
+    pytest.param(lambda t: build_weights([1.0, 2.0, 3.0], k=1, coord_kind="planar"),
+                 InvalidStatArgument, "locations must be an (n, 2) array",
+                 id="weights-locations-not-n-by-2"),
+    pytest.param(lambda t: build_weights([(0.0, 0.0)], band=1.0, coord_kind="planar"),
+                 InvalidStatArgument, "need at least 2 locations", id="weights-one-location"),
+    pytest.param(lambda t: build_weights(SQUARE, k=2, band=1.0, coord_kind="planar"),
+                 InvalidStatArgument, "give exactly one of k or band", id="weights-k-and-band"),
+    pytest.param(lambda t: build_weights(SQUARE, coord_kind="planar"), InvalidStatArgument,
                  "give exactly one of k or band", id="weights-neither-k-nor-band"),
-    pytest.param(lambda t: morans_i([1.0, 2.0, 3.0], build_weights(SQUARE, k=2)),
+    pytest.param(lambda t: morans_i([1.0, 2.0, 3.0],
+                                    build_weights(SQUARE, k=2, coord_kind="planar")),
                  InvalidStatArgument, "values must be a length-4 vector", id="moran-values-short"),
     pytest.param(lambda t: problem(objective="max_access"), InvalidProblem,
                  "objective must be one of", id="problem-objective-unknown"),
@@ -141,7 +143,7 @@ def test_a_malformed_argument_raises_its_class(tmp_path, call, error, start):
 
 def on_square(statistic, **count):
     """``statistic`` on four values of the square's 2-nearest-neighbour weights."""
-    return statistic([1.0, 2.0, 3.0, 4.0], build_weights(SQUARE, k=2), **count)
+    return statistic([1.0, 2.0, 3.0, 4.0], build_weights(SQUARE, k=2, coord_kind="planar"), **count)
 
 
 def local_search(max_iters):
@@ -199,7 +201,7 @@ REGIONS = [Region("r0", 10.0, 20.0, 5.0), Region("r1", 90.0, 80.0, 5.0)]
 # reject with their own messages.
 EVERY_BAD = (True, "1", None, math.nan, math.inf, 0, -1.0)
 REAL_ARGUMENTS = [
-    ("band", lambda v: build_weights(SQUARE, band=v), InvalidStatArgument,
+    ("band", lambda v: build_weights(SQUARE, band=v, coord_kind="planar"), InvalidStatArgument,
      "band radius must be positive and finite, got ", (True, "1", math.nan, math.inf, 0, -1.0)),
     ("speed", lambda v: cost_rows(catchment().dataset, v), NonPositiveSpeed,
      "speed must be positive and finite km per minute, got ",
@@ -242,7 +244,7 @@ def test_a_bad_real_argument_raises_its_class(call, value, error, start):
 
 
 def band_weights(band):
-    weights = build_weights(SQUARE, band=band)
+    weights = build_weights(SQUARE, band=band, coord_kind="planar")
     return [a.tolist() for a in (weights.indptr, weights.indices, weights.data)]
 
 

@@ -10,7 +10,7 @@ from accesskit.errors import (
     DimensionMismatch, FcaError, NegativeCost, NonFiniteCapture, NonFiniteScore, WrongDecayKind,
 )
 from accesskit.fca import (
-    FCA_METHODS, Catchment, compute_accessibility, scores_csv_text,
+    FCA_METHODS, Catchment, scores_csv_text,
 )
 from accesskit.travel import TravelMatrix, build_travel_matrix, cost_rows
 
@@ -31,27 +31,27 @@ def halving_instance():
 class TestStep1:
     def test_hand_ratio(self):
         ds, m = halving_instance()
-        ratios = compute_accessibility("g2sfca", ds, m, HALVING).supply_ratios
+        ratios = Catchment("g2sfca", ds, m, HALVING).supply_ratios
         assert ratios[0] == pytest.approx(0.04, rel=1e-12)
 
     def test_unreachable_supply_gets_zero_and_warning(self):
         ds, m = dataset_with_matrix([100], [10], [[50.0]])
-        ratios = compute_accessibility("g2sfca", ds, m, HALVING).supply_ratios
+        ratios = Catchment("g2sfca", ds, m, HALVING).supply_ratios
         assert ratios[0] == 0.0
-        result = compute_accessibility("g2sfca", ds, m, HALVING)
+        result = Catchment("g2sfca", ds, m, HALVING)
         assert result.warnings == ("h0",)
         assert (result.scores == 0).all()
 
     def test_single_pair(self):
         ds, m = dataset_with_matrix([1], [5], [[0.0]])
-        ratios = compute_accessibility("g2sfca", ds, m, HALVING).supply_ratios
+        ratios = Catchment("g2sfca", ds, m, HALVING).supply_ratios
         assert ratios[0] == pytest.approx(5.0)
 
     def test_dimension_mismatch(self):
         ds, _ = halving_instance()
         bad = TravelMatrix(cost=np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
-            compute_accessibility("g2sfca", ds, bad, HALVING)
+            Catchment("g2sfca", ds, bad, HALVING)
 
     def test_overflowing_captured_demand_raises(self):
         # each population is finite; h1's captured demand is not, h0's is
@@ -59,15 +59,16 @@ class TestStep1:
                                     [[50.0, 5.0], [50.0, 5.0], [5.0, 5.0]])
         for method in ("g2sfca", "m2sfca"):
             with pytest.raises(NonFiniteCapture, match="supply 'h1'"):
-                compute_accessibility(method, ds, m, HALVING)
+                Catchment(method, ds, m, HALVING)
         assert issubclass(NonFiniteCapture, FcaError)
         assert issubclass(NonFiniteCapture, ValueError)
 
     def test_overflowing_ratio_raises(self):
         # a capacity of 1e200 over a captured demand of 1e-200; h0's ratio is finite
         ds, m = dataset_with_matrix([1e-200, 1e-200], [5, 1e200], [[5.0, 5.0], [5.0, 50.0]])
+        catchment = Catchment("g2sfca", ds, m, HALVING)  # the overflow waits for the read
         with pytest.raises(NonFiniteScore, match="supply 'h1'"):
-            compute_accessibility("g2sfca", ds, m, HALVING)
+            catchment.scores
         assert issubclass(NonFiniteScore, FcaError)
         assert issubclass(NonFiniteScore, ValueError)
 
@@ -75,8 +76,9 @@ class TestStep1:
         # each ratio is 1.5e308; d1 reaches both facilities and its score overflows
         ds, m = dataset_with_matrix([0.5, 0.5, 0.5], [1.5e308, 1.5e308],
                                     [[5.0, 50.0], [5.0, 5.0], [50.0, 5.0]])
+        catchment = Catchment("g2sfca", ds, m, HALVING)
         with pytest.raises(NonFiniteScore, match="demand 'd1'"):
-            compute_accessibility("g2sfca", ds, m, HALVING)
+            catchment.scores
 
 
 # one spec of each decay kind, built by the constructor and by its config
@@ -99,23 +101,38 @@ def test_methods_and_decay_kinds_are_named_by_their_config_strings(method, kind)
     assert set(SPECS_AND_CONFIGS) == set(DECAY_KINDS)
     spec, config = SPECS_AND_CONFIGS[kind]
     assert spec == DecaySpec.from_config(config)
-    # compute_accessibility is the catchment's own result, bit for bit; h2 is
-    # out of everyone's reach, so the result carries a warning
+    # h2 is out of everyone's reach, so the catchment carries a warning
     ds, m = dataset_with_matrix([100, 300, 50], [10, 20, 5],
                                 [[5.0, 15.0, 99.0], [12.0, 4.0, 99.0], [25.0, 8.0, 99.0]])
     if method == "e2sfca" and kind != "zonal":
-        for run in (lambda: compute_accessibility(method, ds, m, spec),
-                    lambda: Catchment(method, ds, m, spec).accessibility()):
-            with pytest.raises(WrongDecayKind):
-                run()
+        with pytest.raises(WrongDecayKind):
+            Catchment(method, ds, m, spec)
         return
-    got = compute_accessibility(method, ds, m, spec)
-    want = Catchment(method, ds, m, spec).accessibility()
-    assert (got.method, got.decay, got.warnings) == (want.method, want.decay, ("h2",))
-    assert got.scores.tobytes() == want.scores.tobytes()
-    assert got.supply_ratios.tobytes() == want.supply_ratios.tobytes()
+    got = Catchment(method, ds, m, spec)
+    assert (got.method, got.warnings) == (method, ("h2",))
     # two_sfca takes the d0 of any spec and applies the binary decay there
     assert got.decay == (DecaySpec("binary", d0=30.0) if method == "two_sfca" else spec)
+
+
+@pytest.mark.parametrize("method", FCA_METHODS)
+def test_scores_are_solved_once_at_the_dataset_capacity_and_read_only(method):
+    ds, m = dataset_with_matrix([100, 300, 50], [10, 20, 5],
+                                [[5.0, 15.0, 99.0], [12.0, 4.0, 99.0], [25.0, 8.0, 99.0]])
+    catchment = Catchment(method, ds, m, HALVING)
+    solve, calls = catchment.solve, []
+    catchment.solve = lambda capacity: calls.append(capacity) or solve(capacity)
+    scores, ratios = catchment.scores, catchment.supply_ratios
+    assert catchment.scores is scores and catchment.supply_ratios is ratios
+    assert len(calls) == 1 and calls[0] is ds.supply.capacity
+    want_ratios, want_scores = solve(ds.supply.capacity)
+    assert scores.tobytes() == want_scores.tobytes()
+    assert ratios.tobytes() == want_ratios.tobytes()
+    for name, arr in (("scores", scores), ("supply_ratios", ratios)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            setattr(catchment, name, arr.copy())
+    assert len(calls) == 1
 
 
 def blocks_of(cost, bounds):
@@ -200,7 +217,7 @@ def test_streamed_costs_give_the_matrix_catchment_bit_for_bit(case, block):
 class TestG2sfca:
     def test_hand_scores_and_conservation(self):
         ds, m = halving_instance()
-        result = compute_accessibility("g2sfca", ds, m, HALVING)
+        result = Catchment("g2sfca", ds, m, HALVING)
         assert result.scores[0] == pytest.approx(0.04, rel=1e-12)
         assert result.scores[1] == pytest.approx(0.02, rel=1e-12)
         captured = 100 * result.scores[0] + 300 * result.scores[1]
@@ -208,27 +225,27 @@ class TestG2sfca:
 
     def test_unreachable_only_supply_zeroes_scores(self):
         ds, m = dataset_with_matrix([10, 20], [5], [[99.0], [99.0]])
-        result = compute_accessibility("g2sfca", ds, m, HALVING)
+        result = Catchment("g2sfca", ds, m, HALVING)
         assert (result.scores == 0).all()
         assert result.warnings == ("h0",)
 
     def test_doubling_supply_doubles_scores(self):
         rng = np.random.default_rng(31)
         ds, m, decay = random_instance(rng)
-        base = compute_accessibility("g2sfca", ds, m, decay).scores
+        base = Catchment("g2sfca", ds, m, decay).scores
         doubled_ds, _ = dataset_with_matrix(
             [s.population for s in ds.demand],
             [2 * s.capacity for s in ds.supply],
             m.cost,
         )
-        doubled = compute_accessibility("g2sfca", doubled_ds, m, decay).scores
+        doubled = Catchment("g2sfca", doubled_ds, m, decay).scores
         assert np.allclose(doubled, 2 * base, rtol=1e-12, atol=0)
 
     def test_conservation_on_random_instances(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
             ds, m, decay = random_instance(rng, all_reachable=True)
-            result = compute_accessibility("g2sfca", ds, m, decay)
+            result = Catchment("g2sfca", ds, m, decay)
             demand_pop = np.array([s.population for s in ds.demand])
             total_supply = sum(s.capacity for s in ds.supply)
             assert demand_pop @ result.scores == pytest.approx(total_supply, rel=1e-9)
@@ -236,14 +253,14 @@ class TestG2sfca:
     def test_scale_equivariance_in_demand(self):
         rng = np.random.default_rng(33)
         ds, m, decay = random_instance(rng, allow_zero_pop=False)
-        base = compute_accessibility("g2sfca", ds, m, decay).scores
+        base = Catchment("g2sfca", ds, m, decay).scores
         c = 3.7
         scaled, _ = dataset_with_matrix(
             [c * s.population for s in ds.demand],
             [s.capacity for s in ds.supply],
             m.cost,
         )
-        assert np.allclose(compute_accessibility("g2sfca", scaled, m, decay).scores, base / c,
+        assert np.allclose(Catchment("g2sfca", scaled, m, decay).scores, base / c,
                            rtol=1e-12, atol=0)
 
     def test_permutation_invariance(self):
@@ -251,13 +268,13 @@ class TestG2sfca:
         ds, m, decay = random_instance(rng, max_demand=12)
         n = len(ds.demand)
         perm = rng.permutation(n)
-        base = compute_accessibility("g2sfca", ds, m, decay).scores
+        base = Catchment("g2sfca", ds, m, decay).scores
         permuted, pm = dataset_with_matrix(
             [ds.demand[i].population for i in perm],
             [s.capacity for s in ds.supply],
             m.cost[perm, :],
         )
-        assert np.allclose(compute_accessibility("g2sfca", permuted, pm, decay).scores,
+        assert np.allclose(Catchment("g2sfca", permuted, pm, decay).scores,
                            base[perm], rtol=1e-12, atol=0)
 
     def test_matches_double_loop_oracle(self):
@@ -265,7 +282,7 @@ class TestG2sfca:
         for _ in range(30):
             ds, m, decay = random_instance(rng, max_demand=6, max_supply=4,
                                            all_reachable=False)
-            got = compute_accessibility("g2sfca", ds, m, decay).scores
+            got = Catchment("g2sfca", ds, m, decay).scores
             want, _ = oracle_g2sfca(
                 [s.population for s in ds.demand],
                 [s.capacity for s in ds.supply],
@@ -277,7 +294,7 @@ class TestG2sfca:
 class TestTwoSfca:
     def test_hand_example(self):
         ds, m = dataset_with_matrix([100, 50], [10], [[10.0], [40.0]])
-        result = compute_accessibility("two_sfca", ds, m, DecaySpec("binary", 30))
+        result = Catchment("two_sfca", ds, m, DecaySpec("binary", 30))
         assert result.scores[0] == pytest.approx(0.1, rel=1e-12)
         assert result.scores[1] == 0.0
 
@@ -286,14 +303,14 @@ class TestTwoSfca:
         for _ in range(20):
             ds, m, decay = random_instance(rng)
             # two_sfca takes only the d0 of whatever decay it is given
-            a = compute_accessibility("two_sfca", ds, m, decay)
-            b = compute_accessibility("g2sfca", ds, m, DecaySpec("binary", decay.d0))
+            a = Catchment("two_sfca", ds, m, decay)
+            b = Catchment("g2sfca", ds, m, DecaySpec("binary", decay.d0))
             assert np.array_equal(a.scores, b.scores)
             assert np.array_equal(a.supply_ratios, b.supply_ratios)
 
     def test_all_demand_beyond_cutoff(self):
         ds, m = dataset_with_matrix([10], [5], [[100.0]])
-        result = compute_accessibility("two_sfca", ds, m, DecaySpec("binary", 30))
+        result = Catchment("two_sfca", ds, m, DecaySpec("binary", 30))
         assert (result.scores == 0).all()
         assert result.warnings == ("h0",)
 
@@ -302,34 +319,34 @@ class TestE2sfca:
     def test_requires_zonal(self):
         ds, m = halving_instance()
         with pytest.raises(WrongDecayKind):
-            compute_accessibility("e2sfca", ds, m, DecaySpec("gaussian", 30, 180))
+            Catchment("e2sfca", ds, m, DecaySpec("gaussian", 30, 180))
 
     def test_single_full_weight_zone_reduces_to_two_sfca(self):
         rng = np.random.default_rng(37)
         ds, m, _ = random_instance(rng)
         d0 = float(m.cost.max() * 0.7 + 0.001)
         one_zone = DecaySpec("zonal", zones=[d0], weights=[1.0])
-        assert np.array_equal(compute_accessibility("e2sfca", ds, m, one_zone).scores,
-                              compute_accessibility("two_sfca", ds, m, one_zone).scores)
+        assert np.array_equal(Catchment("e2sfca", ds, m, one_zone).scores,
+                              Catchment("two_sfca", ds, m, one_zone).scores)
 
     def test_hand_example(self):
         ds, m = dataset_with_matrix([100, 100], [10], [[5.0], [15.0]])
-        result = compute_accessibility("e2sfca", ds, m, HALVING)
+        result = Catchment("e2sfca", ds, m, HALVING)
         assert result.scores[0] == pytest.approx(10 / 150, rel=1e-12)
         assert result.scores[1] == pytest.approx(5 / 150, rel=1e-12)
 
     def test_invariant_to_demand_ordering(self):
         ds, m = dataset_with_matrix([100, 100], [10], [[5.0], [15.0]])
         flipped, fm = dataset_with_matrix([100, 100], [10], [[15.0], [5.0]])
-        a = compute_accessibility("e2sfca", ds, m, HALVING).scores
-        b = compute_accessibility("e2sfca", flipped, fm, HALVING).scores
+        a = Catchment("e2sfca", ds, m, HALVING).scores
+        b = Catchment("e2sfca", flipped, fm, HALVING).scores
         assert a[0] == b[1] and a[1] == b[0]
 
 
 class TestM2sfca:
     def test_hand_example_and_sub_unity_capture(self):
         ds, m = halving_instance()
-        result = compute_accessibility("m2sfca", ds, m, HALVING)
+        result = Catchment("m2sfca", ds, m, HALVING)
         assert result.scores[0] == pytest.approx(0.04, rel=1e-12)
         assert result.scores[1] == pytest.approx(0.01, rel=1e-12)
         captured = 100 * result.scores[0] + 300 * result.scores[1]
@@ -340,23 +357,23 @@ class TestM2sfca:
         rng = np.random.default_rng(38)
         for _ in range(20):
             ds, m, decay = random_instance(rng)
-            a = compute_accessibility("m2sfca", ds, m, DecaySpec("binary", decay.d0))
-            b = compute_accessibility("two_sfca", ds, m, decay)
+            a = Catchment("m2sfca", ds, m, DecaySpec("binary", decay.d0))
+            b = Catchment("two_sfca", ds, m, decay)
             assert np.array_equal(a.scores, b.scores)
 
     def test_never_exceeds_g2sfca(self):
         rng = np.random.default_rng(39)
         for _ in range(30):
             ds, m, decay = random_instance(rng, kinds=("gaussian", "zonal", "binary"))
-            a = compute_accessibility("m2sfca", ds, m, decay).scores
-            b = compute_accessibility("g2sfca", ds, m, decay).scores
+            a = Catchment("m2sfca", ds, m, decay).scores
+            b = Catchment("g2sfca", ds, m, decay).scores
             assert (a <= b + 1e-15).all()
 
     def test_matches_squared_weight_oracle(self):
         rng = np.random.default_rng(40)
         for _ in range(20):
             ds, m, decay = random_instance(rng, max_demand=6, max_supply=4)
-            got = compute_accessibility("m2sfca", ds, m, decay).scores
+            got = Catchment("m2sfca", ds, m, decay).scores
             want, _ = oracle_g2sfca(
                 [s.population for s in ds.demand],
                 [s.capacity for s in ds.supply],
@@ -374,9 +391,9 @@ class TestM2sfca:
 class TestScoresCsv:
     def test_header_and_per_thousand(self):
         ds, m = dataset_with_matrix([100], [10], [[0.0]])
-        result = compute_accessibility("two_sfca", ds, m, DecaySpec("binary", 30))
-        text = scores_csv_text(result, ds)
+        result = Catchment("two_sfca", ds, m, DecaySpec("binary", 30))
+        text = scores_csv_text(result)
         assert text.splitlines()[0] == "demand_id,score"
         assert text.splitlines()[1] == "d0,0.1"
-        scaled = scores_csv_text(result, ds, per_thousand=True)
+        scaled = scores_csv_text(result, per_thousand=True)
         assert scaled.splitlines()[1] == "d0,100.0"

@@ -11,7 +11,7 @@ from accesskit.errors import (
     DimensionMismatch, InfeasibleAllocation, InstanceTooLarge, InvalidProblem,
     NonFiniteCoordinate, NonFiniteObjective, NonPositiveUnitSize,
 )
-from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility
+from accesskit.fca import FCA_METHODS, Catchment
 from accesskit.optimize import (
     CHUNK,
     OBJECTIVES,
@@ -69,7 +69,7 @@ class TestEvaluateObjective:
         for method in FCA_METHODS:
             kinds = ("zonal",) if method == "e2sfca" else ("binary", "gaussian", "zonal")
             ds, matrix, decay = random_instance(rng, kinds=kinds)
-            scores = compute_accessibility(method, ds, matrix, decay).scores
+            scores = Catchment(method, ds, matrix, decay).scores
             pop = np.array([s.population for s in ds.demand])
             expected = {
                 "max_min_access": float(scores.min()),
@@ -92,14 +92,14 @@ class TestEvaluateObjective:
         rng = np.random.default_rng(82)
         for _ in range(20):
             ds, matrix, decay = random_instance(rng, all_reachable=False)
-            before = compute_accessibility("g2sfca", ds, matrix, decay).scores
+            before = Catchment("g2sfca", ds, matrix, decay).scores
             boosted, _ = dataset_with_matrix(
                 [s.population for s in ds.demand],
                 [s.capacity + (37.0 if j == 0 else 0.0)
                  for j, s in enumerate(ds.supply)],
                 matrix.cost,
             )
-            after = compute_accessibility("g2sfca", boosted, matrix, decay).scores
+            after = Catchment("g2sfca", boosted, matrix, decay).scores
             assert (after >= before).all()
 
     def test_over_budget_rejected(self):
@@ -134,7 +134,7 @@ class TestEvaluateObjective:
         with pytest.raises(DimensionMismatch):
             problem_on(ds, wrong, BINARY30, budget=1, candidates=(0,))
         with pytest.raises(DimensionMismatch):
-            compute_accessibility("g2sfca", ds, wrong, BINARY30)
+            Catchment("g2sfca", ds, wrong, BINARY30)
 
 
 class TestGreedy:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from accesskit.data_model import Region
 from accesskit.decay import DecaySpec
 from accesskit.equity import gini, hrad
-from accesskit.fca import FCA_METHODS, Catchment, compute_accessibility
+from accesskit.fca import FCA_METHODS, Catchment
 from accesskit.optimize import (
     OBJECTIVES, AllocationProblem, greedy_allocate, local_search_improve,
 )
@@ -38,7 +38,7 @@ def reached_supply(ds, result) -> float:
 @given(instances())
 def test_g2sfca_conserves_the_supply_of_reached_facilities(case):
     ds, matrix, decay, _ = case
-    result = compute_accessibility("g2sfca", ds, matrix, decay)
+    result = Catchment("g2sfca", ds, matrix, decay)
     pop = np.array([s.population for s in ds.demand])
     assert pop @ result.scores == pytest.approx(reached_supply(ds, result), rel=1e-9)
 
@@ -47,7 +47,7 @@ def test_g2sfca_conserves_the_supply_of_reached_facilities(case):
 @given(instances())
 def test_m2sfca_never_exceeds_the_reached_supply(case):
     ds, matrix, decay, _ = case
-    result = compute_accessibility("m2sfca", ds, matrix, decay)
+    result = Catchment("m2sfca", ds, matrix, decay)
     pop = np.array([s.population for s in ds.demand])
     assert pop @ result.scores <= reached_supply(ds, result) * (1 + 1e-9)
 
@@ -56,8 +56,8 @@ def test_m2sfca_never_exceeds_the_reached_supply(case):
 @given(instances())
 def test_two_sfca_is_g2sfca_with_binary_decay(case):
     ds, matrix, decay, _ = case
-    a = compute_accessibility("two_sfca", ds, matrix, decay)
-    b = compute_accessibility("g2sfca", ds, matrix, DecaySpec("binary", decay.d0))
+    a = Catchment("two_sfca", ds, matrix, decay)
+    b = Catchment("g2sfca", ds, matrix, DecaySpec("binary", decay.d0))
     assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.supply_ratios, b.supply_ratios)
 
@@ -93,14 +93,14 @@ def test_a_power_of_two_population_scale_changes_the_numbers_never_the_plan(
     candidates = tuple(np.flatnonzero(rng.random(len(ds.supply)) < 0.7).tolist()) or (0,)
     budget, unit_size = int(rng.integers(1, 6)), float(rng.uniform(1.0, 500.0))
     pop = ds.demand.population
-    assume((compute_accessibility(method, ds, matrix, decay).scores[pop > 0] > 0).any())
+    assume((Catchment(method, ds, matrix, decay).scores[pop > 0] > 0).any())
 
     def run(k):
         scaled = replace(ds, demand=[replace(s, population=s.population * 2.0**k)
                                      for s in ds.demand])
         catchment = Catchment(method, scaled, matrix, decay)
         problem = AllocationProblem(catchment, budget, candidates, unit_size, objective)
-        scores = catchment.accessibility().scores
+        scores = catchment.scores
         plan = local_search_improve(problem, greedy_allocate(problem))
         return scores, gini(scores[pop > 0], pop[pop > 0] * 2.0**k), plan.units
 

@@ -109,7 +109,7 @@ class TestBuildWeights:
     def test_infinite_band(self):
         # each unit's distance to itself is set to inf, and inf <= inf
         with pytest.raises(InvalidStatArgument, match="finite"):
-            build_weights(UNIT_SQUARE, band=np.inf)
+            build_weights(UNIT_SQUARE, band=np.inf, coord_kind="planar")
 
     def test_unknown_coord_kind(self):
         # lon/lat about 1-2 km apart; a misspelt kind must not fall back to planar distance
@@ -118,6 +118,13 @@ class TestBuildWeights:
         for kind in ("geograhpic", "Planar", None):
             with pytest.raises(InvalidStatArgument):
                 build_weights(pts, band=1.5, coord_kind=kind)
+
+    def test_coord_kind_has_no_default(self):
+        # lon/lat read as planar meters would make every unit a neighbour of every other
+        pts = [(117.0, 36.65), (117.01, 36.65), (117.0, 36.67)]
+        for scheme in ({"k": 1}, {"band": 1.5}):
+            with pytest.raises(TypeError, match="coord_kind"):
+                build_weights(pts, **scheme)
 
     def test_to_dense_matches_lists(self):
         matrix = dense(rook_weights())
@@ -193,7 +200,7 @@ class TestIntegerArguments:
                              ids=["fraction", "whole-float", "bool", "text", "numpy-float"])
     def test_k_must_be_an_integer(self, k):
         with pytest.raises(InvalidStatArgument, match="k must be an integer"):
-            build_weights(UNIT_SQUARE, k=k)
+            build_weights(UNIT_SQUARE, k=k, coord_kind="planar")
 
     @pytest.mark.parametrize("name, value", [
         ("n_permutations", 9.5), ("n_permutations", 9.0), ("n_permutations", True),
@@ -216,7 +223,7 @@ class TestIntegerArguments:
             assert str(raised.value) == f"threads must be an integer, got {threads!r}"
 
     def test_numpy_integers_are_taken(self):
-        w = build_weights(UNIT_SQUARE, k=np.int64(2))
+        w = build_weights(UNIT_SQUARE, k=np.int64(2), coord_kind="planar")
         assert w.indices.tobytes() == rook_weights().indices.tobytes()
         for statistic in (morans_i, lisa):
             plain = statistic(CHECKERBOARD, w, n_permutations=19, seed=3)
