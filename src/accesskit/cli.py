@@ -196,26 +196,19 @@ class Run:
 
     @cached_property
     def units(self):
-        """``(ids, locations, coord_kind, values)`` of moran and lisa: the
-        --values table, else the demand sites with values None, so that
-        report's weights worker never computes the access scores."""
+        """``(ids, locations, coord_kind, values)`` that moran and lisa test:
+        the --values table, else report's demand sites and access scores."""
         if "values" in self.args:
             if not Path(self.args.values).is_file():
                 raise ConfigError(f"values file not found: {self.args.values}")
             return load_values(self.args.values, self.args.column)
         demand = self.dataset.demand
-        return demand.ids, demand.xy, self.dataset.coord_kind, None
-
-    @cached_property
-    def values(self):
-        """The values moran and lisa test: the --values column, else the access scores."""
-        return self.units[3] if "values" in self.args else self.access.scores
+        return demand.ids, demand.xy, self.dataset.coord_kind, self.access.scores
 
     @cached_property
     def unit_weights(self):
         """The spatial weights of ``units``, unless report's worker built them."""
-        _, locations, coord_kind, _ = self.units
-        return self.cfg.spatial_weights(locations, coord_kind)
+        return self.cfg.spatial_weights(*self.units[1:3])
 
     @cached_property
     def weights(self):
@@ -228,11 +221,11 @@ class Run:
 
     @cached_property
     def moran(self):
-        return spatial_stats.morans_i(self.values, self.weights, **self.permutation_args)
+        return spatial_stats.morans_i(self.units[3], self.weights, **self.permutation_args)
 
     @cached_property
     def lisa(self):
-        return spatial_stats.lisa(self.values, self.weights, **self.permutation_args)
+        return spatial_stats.lisa(self.units[3], self.weights, **self.permutation_args)
 
     @cached_property
     def hrad(self):
@@ -309,18 +302,19 @@ def cmd_report(run):
     scores, plus ``summary.json`` and the config echo ``config.json``.
 
     The spatial weights need only the demand sites, and the plan only the
-    catchment. ``_workers.run`` builds the weights in a worker while this
-    process computes the catchment and the access scores, and then
-    ``plan.json`` in another while this process runs moran, lisa and hrad,
-    when ``threads`` allows two processes. It runs a failed worker's task
-    here, at the place one thread runs it, so every error, warning and their
-    order are the same at any ``threads``.
+    catchment. ``_workers.run`` builds the weights from the dataset in a
+    worker while this process computes the catchment and the access scores,
+    and then ``plan.json`` in another while this process runs moran, lisa
+    and hrad, when ``threads`` allows two processes. It runs a failed
+    worker's task here, at the place one thread runs it, so every error,
+    warning and their order are the same at any ``threads``.
     """
     dataset, threads = run.dataset, run.cfg.threads
     if dataset.regions is None:
         raise ConfigError("report requires a regions file in the config")
-    files, run.unit_weights = _workers.run(threads, lambda: cmd_access(run)[0],
-                                           lambda: run.unit_weights)
+    files, run.unit_weights = _workers.run(
+        threads, lambda: cmd_access(run)[0],
+        lambda: run.cfg.spatial_weights(dataset.demand.xy, dataset.coord_kind))
 
     def stats():
         for command in (cmd_moran, cmd_lisa, cmd_hrad):

@@ -337,7 +337,9 @@ class _Flag(str):
 
 def _features(path, columns, names, point):
     """``(row_number, cells)`` for each feature of a GeoJSON file, as
-    ``_read_blocks`` describes them."""
+    ``_read_blocks`` describes them. The properties must hold each of
+    ``columns`` but the two the Point's coordinates fill, which are cells."""
+    properties = [col for col in columns if col not in (point or ())]
     with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
@@ -357,7 +359,7 @@ def _features(path, columns, names, point):
                     and geom.get("type") == "Point"):
                 raise MalformedRow(f"row {row_num}: geometry must be a Point")
             row[point[0]], row[point[1]] = coords[0], coords[1]
-        for col in columns:
+        for col in properties:
             if row.get(col) is None:
                 raise MissingColumn(f"row {row_num}: properties lack {col!r}")
         cells = (row.get(col, _ABSENT) for col in names)
@@ -518,14 +520,17 @@ def _check_record(row_num, cells, seen, columns, optional=(), make=None, coord_k
 
     The row's cells are its id, then those of ``columns[1:]``, then those
     of ``optional``. They parse in that order by ``float()``, an optional
-    cell that is blank or absent as None; then the id, as text, is new to
-    ``seen``; then ``make(id, *numbers)`` and, with a ``coord_kind``, the
-    check of the first two numbers as coordinates of that kind pass. The
-    first that fails raises its error, naming the row.
+    cell that is blank or absent as None; then the id is there (a short
+    row's is None) and, as text, new to ``seen``; then ``make(id,
+    *numbers)`` and, with a ``coord_kind``, the check of the first two
+    numbers as coordinates of that kind pass. The first that fails raises
+    its error, naming the row.
     """
     numbers = [_parse_float(cell, row_num, col) for cell, col in zip(cells[1:], columns[1:])]
     numbers += [None if _blank(cell) else _parse_float(cell, row_num, col)
                 for cell, col in zip(cells[len(columns):], optional)]
+    if cells[0] is None:
+        raise MalformedRow(f"row {row_num}: too short to hold its id")
     rec_id = str(cells[0])
     if rec_id in seen:
         raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
@@ -546,9 +551,16 @@ def _points():
     return [], array("d"), array("d"), array("d")
 
 
+def _ids(ids):
+    """A block's ids as text; the None of a row too short to hold its id fails."""
+    if None in ids:
+        raise TypeError("a row lacks its id cell")
+    return map(str, ids)
+
+
 def _parse_points(ids, xs, ys, values):
     """A block of a table of points: ids as text, and x, y and value floats."""
-    return map(str, ids), map(float, xs), map(float, ys), map(float, values)
+    return _ids(ids), map(float, xs), map(float, ys), map(float, values)
 
 
 def _load_sites(path, table, coord_kind: str):
@@ -579,7 +591,7 @@ def load_supply(path, coord_kind: str = "geographic") -> list[SupplySite]:
 def _parse_regions(ids, area, resource, population):
     """A block of a regions table: ids as text, area and resource floats,
     and populations, None where blank or absent."""
-    return (map(str, ids), map(float, area), map(float, resource),
+    return (_ids(ids), map(float, area), map(float, resource),
             (None if _blank(cell) else float(cell) for cell in population))
 
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from accesskit import _workers, cli, fca, optimize, spatial_stats, travel
 from accesskit.cli import main
 from accesskit.data_model import (DemandSite, DemandTable, SupplySite, _SiteTable,
-                                  demand_csv_text)
+                                  demand_csv_text, load_dataset, load_values)
+from accesskit.errors import AccessKitError
 from accesskit.optimize import CHUNK
 from accesskit.synth import synthetic_city, write_city
 from accesskit.travel import TravelMatrix
@@ -486,6 +487,8 @@ def a_file(tmp_path):
                  "data_model.NoRecords", None, id="supply-header-only"),
     pytest.param(lambda t: hrad_argv(t, "id,area_km2,resource\n"),
                  "equity.EmptyInput", None, id="regions-header-only"),
+    pytest.param(lambda t: hrad_argv(t, "area_km2,resource,id\n10,20,r0\n90,80\n"),
+                 "data_model.MalformedRow", 3, id="regions-row-short-of-its-last-column-id"),
     pytest.param(lambda t: report_argv(t, weights={"scheme": "knn", "k": 2.5}),
                  "cli.ConfigError", None, id="config-k-not-an-int"),
     pytest.param(lambda t: report_argv(t, weights={"scheme": "knn", "k": "x"}),
@@ -676,6 +679,53 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, code, row)
     if row is not None:
         assert f"row {row}: " in err
     assert not out.exists()
+
+
+def raised(load):
+    """``code: message`` of the error ``load()`` raises."""
+    with pytest.raises(AccessKitError) as err:
+        load()
+    return f"{err.value.code}: {err.value}"
+
+
+def exit_2_line(capsys, argv, out):
+    """``code: message`` of the one line ``main(argv)`` exits 2 with, having written nothing."""
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err[len("error: "):-1]
+
+
+@pytest.mark.parametrize("defect, message", [
+    pytest.param("geojson", "row 1: cannot parse lat=None", id="point-lat-null"),
+    pytest.param("csv", "row 3: too short to hold its id", id="row-short-of-its-last-column-id"),
+])
+@pytest.mark.parametrize("table, read", [
+    pytest.param("demand", lambda cfg, path, capsys: raised(
+        lambda: load_dataset(path, cfg.parent / "supply.csv")), id="load_dataset-demand"),
+    pytest.param("supply", lambda cfg, path, capsys: raised(
+        lambda: load_dataset(cfg.parent / "demand.csv", path)), id="load_dataset-supply"),
+    pytest.param("values", lambda cfg, path, capsys: raised(lambda: load_values(path, "score")),
+                 id="load_values"),
+    pytest.param("demand", lambda cfg, path, capsys: exit_2_line(
+        capsys, ["access", "--config", str(cfg)], cfg.parent / "out"), id="access"),
+    pytest.param("supply", lambda cfg, path, capsys: exit_2_line(
+        capsys, ["report", "--config", str(cfg)], cfg.parent / "out"), id="report"),
+    pytest.param("values", lambda cfg, path, capsys: exit_2_line(
+        capsys, ["moran", "--values", str(path), "--column", "score", "--knn", "2"],
+        cfg.parent / "out"), id="moran"),
+])
+def test_a_null_point_coordinate_or_a_row_short_of_its_id_is_a_malformed_row(
+        tmp_path, capsys, table, read, defect, message):
+    # a Point's coordinates are cells, not properties; a short row's missing id is no 'None'
+    value = {"demand": "population", "supply": "capacity", "values": "score"}[table]
+    name = f"{table}.{defect}"
+    text = (feature_collection([([117.0, None], {"id": "a", value: 3.0})]) if defect == "geojson"
+            else f"lon,lat,{value},id\n117.0,36.6,3.0,a\n117.1,36.7,4.0\n")
+    config = {table: name} if table != "values" else {}
+    cfg = Path(report_argv(tmp_path, [(name, text)], **config)[2])
+    assert read(cfg, cfg.parent / name, capsys) == f"data_model.MalformedRow: {message}"
 
 
 @pytest.mark.parametrize("argv", [[], ["access"], ["moran"], ["lisa"], ["hrad"],
@@ -909,6 +959,24 @@ def test_weights_from_a_worker_are_the_built_weights_bit_for_bit(workers, weight
         assert got.flags.writeable, name
     assert sent.isolated == built.isolated
     assert workers.forks == 1 and workers.statuses == [0]
+
+
+@needs_fork
+def test_report_prints_each_warning_once_at_any_threads(tmp_path, workers, capfd):
+    # h00 alone captures demand, and 20 units are isolated. The weights worker
+    # builds from the demand sites alone: were it to compute the access scores,
+    # its own zero-capture warnings would reach stderr as well
+    argv = report_argv(tmp_path, [("od.csv", OD)], od_matrix="od.csv",
+                       weights=BAND_WITH_ISOLATED_UNITS)
+    errs = []
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+        errs.append(capfd.readouterr().err)
+    lines = errs[0].splitlines()
+    assert sum("captures no demand" in line for line in lines) == CITY["n_supply"] - 1
+    assert sum("has no neighbors in the distance band" in line for line in lines) == 20
+    assert len(set(lines)) == len(lines) and errs[1] == errs[0]
+    assert workers.forks == 4
 
 
 @needs_fork

@@ -286,9 +286,11 @@ def row_by_row(path, record, value, coord_kind):
     constructor: the records, or the error of the first defective row.
 
     Cells are read by the csv module's dictionary reader or from the GeoJSON
-    features; a row's cells are parsed in column order (a JSON true or false
-    is no number), then its id must be new, then the record must construct
-    and its coordinates be of ``coord_kind``.
+    features, a Point's coordinates as cells; the properties must hold the
+    id and the value. A row's cells are parsed in column order (a JSON true
+    or false is no number), then its id must be there (a short CSV row's is
+    None) and new, then the record must construct and its coordinates be of
+    ``coord_kind``.
     """
     cx, cy = ("lon", "lat") if coord_kind == "geographic" else ("x", "y")
     columns = ("id", cx, cy, value)
@@ -306,9 +308,7 @@ def row_by_row(path, record, value, coord_kind):
                 raise MalformedRow(f"{path}: not a UTF-8 CSV table: {err}") from None
     records, seen = [], set()
     for row_num, row in rows:
-        for col in columns:
-            if path.suffix == ".geojson" and row.get(col) is None:
-                raise MissingColumn(f"row {row_num}: properties lack {col!r}")
+        require(path, row, row_num, ("id", value))
         numbers = []
         for col in columns[1:]:
             raw = row[col]
@@ -318,10 +318,7 @@ def row_by_row(path, record, value, coord_kind):
                 numbers.append(float(raw))
             except (TypeError, ValueError, OverflowError):
                 raise MalformedRow(f"row {row_num}: cannot parse {col}={raw!r}") from None
-        rec_id = str(row["id"])
-        if rec_id in seen:
-            raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
-        seen.add(rec_id)
+        rec_id = new_id(row, row_num, seen)
         try:
             records.append(record(rec_id, *numbers))
             _check_coords(numbers[0], numbers[1], coord_kind)
@@ -382,16 +379,19 @@ def site_tables(draw):
         rows.insert(k, row)
     layout = {} if geojson or draw(st.booleans()) else draw(st.fixed_dictionaries({
         "newline": st.sampled_from(("\n", "\r\n")), "final_newline": st.booleans(),
-        "repeat": st.sampled_from((None, 0, 1, 2, 3)), "quote_ids": st.booleans()}))
+        "repeat": st.sampled_from((None, 0, 1, 2, 3)), "quote_ids": st.booleans(),
+        "id_last": st.booleans()}))
     return kind, coord_kind, geojson, rows, layout
 
 
 def write_site_table(directory, kind, coord_kind, geojson, rows, newline="\n",
-                     final_newline=True, repeat=None, quote_ids=False):
+                     final_newline=True, repeat=None, quote_ids=False, id_last=False):
     """The table's file. A CSV table's lines end in ``newline``, the last
-    one too if ``final_newline``; the column at position ``repeat``, if
-    any, is named again at the end of the header, and the first occurrence
-    of a full row's cell holds junk; ``quote_ids`` quotes every id."""
+    one too if ``final_newline``; ``id_last`` moves the id to the end of
+    the header and of each full row, which ``rows`` hold id first; the
+    column at position ``repeat``, if any, is then named again at the end
+    of the header, and the first occurrence of a full row's cell holds
+    junk; ``quote_ids`` quotes every id."""
     value = "population" if kind == "demand" else "capacity"
     cx, cy = ("lon", "lat") if coord_kind == "geographic" else ("x", "y")
     if geojson:
@@ -406,6 +406,8 @@ def write_site_table(directory, kind, coord_kind, geojson, rows, newline="\n",
         cells = [c if isinstance(c, str) else repr(c) for c in row]
         if quote_ids and row is not header and cells:
             cells[0] = f'"{cells[0]}"'
+        if id_last and len(cells) == len(header):
+            cells = cells[1:] + cells[:1]
         if repeat is not None and len(cells) == len(header):
             cells.append(cells[repeat])
             if row is not header:
@@ -429,6 +431,8 @@ def write_site_table(directory, kind, coord_kind, geojson, rows, newline="\n",
 @example(table=("supply", "geographic", False, [["a", 1.0, 2.0, 1.0], ["b", "200", 2.0, 1.0]]))
 @example(table=("demand", "geographic", False, [["a", 1.0, 2.0, 5.0], ["a", "x", 2.0, 5.0]]))
 @example(table=("demand", "planar", False, [["a", 1.0, 2.0, "1e400"], [], ["b", 1.0]]))
+@example(table=("demand", "geographic", False, [["a", 1.0, 2.0, 5.0], [1.5, 2.5, 6.0]],
+                {"id_last": True}))
 def test_columnar_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
     kind, coord_kind, geojson, rows = table[:4]
     layout = table[4] if len(table) > 4 else {}
@@ -619,6 +623,9 @@ def require(path, row, row_num, columns):
 
 
 def new_id(row, row_num, seen):
+    """The row's id as text, which must be there (a short CSV row's is None) and new."""
+    if row["id"] is None:
+        raise MalformedRow(f"row {row_num}: too short to hold its id")
     rec_id = str(row["id"])
     if rec_id in seen:
         raise DuplicateId(f"row {row_num}: duplicate id {rec_id!r}")
@@ -775,6 +782,7 @@ def value_tables(draw):
 @example(table=(True, ["id", "area_km2", "resource", "population"],
                 [["a", 1.0, 2.0, None], ["b", True, 2.0, 1.0]]))
 @example(table=(False, ["id", "area_km2", "resource"], [["a", 1.0, 2.0], [], ["a", 1.0]]))
+@example(table=(False, ["area_km2", "resource", "id"], [[1.0, 2.0, "a"], [1.0, 2.0]]))
 def test_regions_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
     with TemporaryDirectory() as tmp:
         path = write_table(Path(tmp), "regions", *table)
@@ -788,6 +796,7 @@ def test_regions_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
 @example(table=(False, ["id", "score"], [["a", "x"]]))
 @example(table=(False, ["id", "x", "y", "score"], [["a", 1.0, 2.0, 3.0], ["b", 1.0]]))
 @example(table=(True, ["id", "lon", "lat", "score"], [["a", 1.0, None, 3.0]]))
+@example(table=(False, ["x", "y", "score", "id"], [[1.0, 2.0, 3.0, "a"], [1.0, 2.0, 3.0]]))
 def test_values_loader_takes_and_rejects_what_a_row_by_row_reading_does(table):
     with TemporaryDirectory() as tmp:
         path = write_table(Path(tmp), "values", *table, point=("lon", "lat"))
